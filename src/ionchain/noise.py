@@ -79,16 +79,14 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
         states = xy.evolve_grid(sector, psi0, times)
         return np.abs(states[:, config.receiver]) ** 2
 
-    acc = np.zeros(n_times)
-    acc2 = np.zeros(n_times)
-    for k in range(noise.n_samples):
-        fields = sample_static_fields(n, noise, k) / config.marker_amplitude
-        tr = trace_for(2.0 * fields)
-        acc += tr
-        acc2 += tr**2
-    mean = acc / noise.n_samples
-    var = np.maximum(acc2 / noise.n_samples - mean**2, 0.0)
-    std = np.sqrt(var)
+    traces = np.array([
+        trace_for(2.0 * (sample_static_fields(n, noise, k)
+                         / config.marker_amplitude))
+        for k in range(noise.n_samples)])
+    mean = traces.mean(axis=0)
+    # two passes over deviations from the first sample: no cancellation for
+    # fidelities near 1, and coinciding samples give exactly zero spread
+    std = (traces - traces[0]).std(axis=0)
     noiseless = trace_for(np.zeros(n))
     return EnsembleResult(times=times, mean_trace=mean, std_trace=std,
                           mean_at_T=float(mean[-1]), std_at_T=float(std[-1]),

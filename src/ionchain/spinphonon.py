@@ -8,10 +8,19 @@ The interaction-picture Hamiltonian
 is of the form e^{iDt} V e^{-iDt} with the static frame generator
 D = w_eff * N_exc + sum_m w_m n_m and the static coupling
 V = -sum_{i,m} (Omega eta_im / 2)(a_m + a_m^dag) s_i^x.  The exact
-propagator is therefore psi(t) = e^{iDt} e^{-i(D+V)t} psi(0), computed from
-one eigendecomposition of D + V on the truncated product basis.  An
-adaptive Runge-Kutta integrator of the time-dependent form is kept as an
-independent cross-check.
+propagator is therefore psi(t) = e^{iDt} e^{-i(D+V)t} psi(0).
+
+Every term of V changes the spin excitation count by one and one mode's
+phonon number by one, and D is diagonal, so the parity of (spin excitations
++ total phonons) is conserved: D + V is block diagonal in it.  The spectral
+propagator diagonalises only the parity blocks that psi(0) occupies (each
+block once, cached on the system) and leaves the other components exactly
+zero.  Within a block the eigenvectors q are real, so a chunk of time rows
+is propagated as two real matrix products, Re(a) q^T and Im(a) q^T with
+a = e^{-iwt} (q^T psi(0)), before the frame phase e^{iDt} is applied.
+
+An adaptive Runge-Kutta integrator of the time-dependent form on the full
+basis is kept as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -29,6 +38,10 @@ from . import xy
 
 class StepUnderflow(RuntimeError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file does not match its header or the system."""
 
 
 @dataclass(frozen=True)
@@ -60,13 +73,18 @@ class ProductBasis:
     """Ordered truncated spin (x) phonon basis.
 
     states is a list of (spin_mask, phonon_tuple); phonon_tuple has one
-    occupation per included mode.
+    occupation per included mode.  The integer arrays, one entry per state,
+    hold the spin excitation count, the phonon occupations (dim x n_modes)
+    and the total quanta (spin excitations + phonons).
     """
 
     n_sites: int
     policy: TruncationPolicy
     states: list
     index: dict
+    spin_count: np.ndarray
+    occupations: np.ndarray
+    quanta: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -87,7 +105,21 @@ class ProductBasis:
                         states.append((mask, occ))
         states.sort()
         index = {st: k for k, st in enumerate(states)}
-        return cls(n_sites=n_sites, policy=policy, states=states, index=index)
+        spin_count = np.array([mask.bit_count() for mask, _ in states],
+                              dtype=np.int64)
+        occupations = np.array([occ for _, occ in states],
+                               dtype=np.int64).reshape(len(states), n_modes)
+        return cls(n_sites=n_sites, policy=policy, states=states, index=index,
+                   spin_count=spin_count, occupations=occupations,
+                   quanta=spin_count + occupations.sum(axis=1))
+
+    @property
+    def phonon_count(self) -> np.ndarray:
+        return self.quanta - self.spin_count
+
+    def parity_block(self, parity: int) -> np.ndarray:
+        """Indices of the states whose total quanta have the given parity."""
+        return np.flatnonzero(self.quanta % 2 == parity)
 
     def state_index(self, spin_mask: int, phonons: tuple) -> int:
         return self.index[(spin_mask, tuple(phonons))]
@@ -103,7 +135,7 @@ class SpinPhononSystem:
     eta: np.ndarray            # N x n_modes, included columns
     D: np.ndarray              # diagonal of the frame generator
     V: np.ndarray              # static coupling matrix
-    _eig: tuple | None = field(default=None, repr=False)
+    _eig: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, trap: TrapConfig, chain: ChainSolution,
@@ -131,10 +163,7 @@ class SpinPhononSystem:
         eta = lamb_dicke(trap, ch)[:, modes]
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
         dim = basis.dim
-        omega_eff = trap.omega_eff
-        d = np.empty(dim)
-        for k, (mask, occ) in enumerate(basis.states):
-            d[k] = omega_eff * bin(mask).count("1") + float(np.dot(w, occ))
+        d = trap.omega_eff * basis.spin_count + basis.occupations @ w
         v = np.zeros((dim, dim))
         half = 0.5 * trap.rabi
         for k, (mask, occ) in enumerate(basis.states):
@@ -156,10 +185,18 @@ class SpinPhononSystem:
                         v[k, k2] += el
         return cls(trap=trap, basis=basis, mode_freqs=w, eta=eta, D=d, V=v)
 
-    def eigensystem(self):
-        if self._eig is None:
-            self._eig = np.linalg.eigh(np.diag(self.D) + self.V)
-        return self._eig
+    def eigensystem(self, parity: int):
+        """(w, q) of D + V restricted to basis.parity_block(parity).
+
+        w and the real orthonormal eigenvectors q (columns) come from a
+        dense eigh of the block, done once per parity and cached.
+        """
+        if parity not in self._eig:
+            idx = self.basis.parity_block(parity)
+            h = self.V[np.ix_(idx, idx)]
+            h[np.diag_indices_from(h)] += self.D[idx]
+            self._eig[parity] = np.linalg.eigh(h)
+        return self._eig[parity]
 
     def interaction_hamiltonian(self, t: float) -> np.ndarray:
         """H_I(t) = e^{iDt} V e^{-iDt}, Hermitian by construction."""
@@ -182,24 +219,42 @@ class Trajectory:
     system: SpinPhononSystem
 
 
+# time rows propagated per pair of real matrix products; bounds the
+# chunk x block intermediates independently of the output grid length
+_CHUNK_ROWS = 256
+
+
+def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """z @ m for complex z and real m, as two real matrix products."""
+    return z.real @ m + 1j * (z.imag @ m)
+
+
 def propagate(system: SpinPhononSystem, psi0: np.ndarray,
               times: np.ndarray, method: str = "spectral",
               tol: float = 1e-9) -> Trajectory:
     """Evolve psi0 under H_I(t), sampling on the given output grid.
 
-    method="spectral" uses the exact static-frame propagator.  method="rk"
-    integrates the time-dependent Schrodinger equation with adaptive
-    Runge-Kutta (local error per step <= tol) and exists as an independent
-    cross-check of the frame transformation.
+    method="spectral" uses the exact static-frame propagator, block by
+    block over the parities psi0 occupies.  method="rk" integrates the
+    time-dependent Schrodinger equation with adaptive Runge-Kutta (local
+    error per step <= tol) and exists as an independent cross-check of the
+    frame transformation.
     """
     times = np.asarray(times, dtype=float)
     if method == "spectral":
-        w, q = system.eigensystem()
-        coeffs = q.conj().T @ psi0
-        states = np.empty((len(times), len(psi0)), dtype=complex)
-        for k, t in enumerate(times):
-            phi = q @ (np.exp(-1j * w * t) * coeffs)
-            states[k] = np.exp(1j * system.D * t) * phi
+        states = np.zeros((len(times), len(psi0)), dtype=complex)
+        for parity in (0, 1):
+            idx = system.basis.parity_block(parity)
+            if not np.any(psi0[idx]):
+                continue
+            w, q = system.eigensystem(parity)
+            coeffs = _times_real(psi0[idx], q)
+            d = system.D[idx]
+            for start in range(0, len(times), _CHUNK_ROWS):
+                t = times[start:start + _CHUNK_ROWS, None]
+                phi = _times_real(np.exp(-1j * w * t) * coeffs, q.T)
+                phi *= np.exp(1j * d * t)
+                states[start:start + _CHUNK_ROWS, idx] = phi
         return Trajectory(times=times, states=states, system=system)
     if method != "rk":
         raise ValueError(f"unknown method {method!r}")
@@ -249,28 +304,35 @@ def save_checkpoint(traj: Trajectory, path) -> None:
 def load_checkpoint(path, system: SpinPhononSystem) -> Trajectory:
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode())
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        nt, dim = header["n_times"], header["dim"]
-        if dim != system.basis.dim:
-            raise ValueError("checkpoint dimension does not match system")
-        times = np.frombuffer(f.read(8 * nt), dtype=header["time_dtype"])
-        states = np.frombuffer(f.read(16 * nt * dim),
-                               dtype=header["state_dtype"]).reshape(nt, dim)
+        data = f.read()
+    if header["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {header['version']}")
+    if (header["time_dtype"], header["state_dtype"]) != ("<f8", "<c16"):
+        raise CheckpointError("checkpoint dtypes must be <f8 times and <c16 "
+                              "states")
+    nt, dim = header["n_times"], header["dim"]
+    if dim != system.basis.dim:
+        raise CheckpointError("checkpoint dimension does not match system")
+    expected = 8 * nt + 16 * nt * dim
+    if len(data) != expected:
+        raise CheckpointError(
+            f"checkpoint {path} holds {len(data)} data bytes, header "
+            f"(n_times={nt}, dim={dim}) needs {expected}")
+    times = np.frombuffer(data, dtype="<f8", count=nt)
+    states = np.frombuffer(data, dtype="<c16", offset=8 * nt).reshape(nt, dim)
     return Trajectory(times=times.copy(), states=states.copy(), system=system)
 
 
 def vacuum_overlap(traj: Trajectory) -> np.ndarray:
     """E(t): population of the all-spins-down subspace, traced over phonons."""
-    idx = [k for k, (mask, _) in enumerate(traj.system.basis.states)
-           if mask == 0]
+    idx = np.flatnonzero(traj.system.basis.spin_count == 0)
     return np.sum(np.abs(traj.states[:, idx]) ** 2, axis=1)
 
 
 def phonon_occupation(traj: Trajectory) -> np.ndarray:
     """nbar(t): expected total phonon number."""
-    weights = np.array([sum(occ) for _, occ in traj.system.basis.states],
-                       dtype=float)
+    weights = traj.system.basis.phonon_count.astype(float)
     return np.abs(traj.states) ** 2 @ weights
 
 

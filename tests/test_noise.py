@@ -69,10 +69,9 @@ class TestEnsemble:
         noise = nz.NoiseConfig(field_variance=0.0, n_samples=3)
         out = nz.noisy_transfer_ensemble(j, None, cfg, noise)
         assert out.mean_at_T == pytest.approx(out.noiseless_at_T, abs=1e-12)
-        # the running-moment variance loses ~sqrt(machine eps) to
-        # cancellation when all samples coincide
-        assert out.std_at_T == pytest.approx(0.0, abs=1e-7)
-        assert np.max(out.std_trace) < 1e-7
+        # coinciding samples have exactly zero spread, with no clamp
+        assert out.std_at_T == 0.0
+        assert np.all(out.std_trace == 0.0)
 
     def test_matches_manual_loop(self):
         j, cfg = config(n=8)
@@ -93,7 +92,7 @@ class TestEnsemble:
         assert out.mean_trace == pytest.approx(np.mean(traces, axis=0),
                                                abs=1e-12)
         assert out.std_trace == pytest.approx(np.std(traces, axis=0),
-                                              abs=1e-10)
+                                              abs=1e-15)
 
     def test_local_fields_enter_with_factor_two(self):
         j, cfg = config(n=6)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ionchain as ic
 from ionchain import spinphonon as sp
@@ -16,6 +17,27 @@ def small_system(n=3, modes=(0,), fock=3, s_init=1, detune_factor=1.02,
                                  total_quanta_cutoff=total_quanta)
     system = sp.SpinPhononSystem.build(trap, chain, policy, s_init=s_init)
     return trap, chain, system
+
+
+def reference_states(system, psi0, times):
+    """Per-time-step propagator on a dense eigh of the whole product basis."""
+    w, q = np.linalg.eigh(np.diag(system.D) + system.V)
+    coeffs = q.conj().T @ psi0
+    return np.array([np.exp(1j * system.D * t)
+                     * (q @ (np.exp(-1j * w * t) * coeffs)) for t in times])
+
+
+def cross_parity_block(system):
+    even = system.basis.quanta % 2 == 0
+    return system.V[np.ix_(even, ~even)]
+
+
+def mixed_parity_state(system, seed=0):
+    """Normalised random superposition with weight in both parity blocks."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(system.basis.dim) \
+        + 1j * rng.standard_normal(system.basis.dim)
+    return psi / np.linalg.norm(psi)
 
 
 class TestTruncationPolicy:
@@ -56,6 +78,19 @@ class TestProductBasis:
             assert max(occ) <= 2
             assert bin(mask).count("1") + sum(occ) <= 4
 
+    def test_count_arrays_match_states(self):
+        policy = sp.TruncationPolicy(phonon_modes=(0, 2), fock_cutoff=2)
+        basis = sp.ProductBasis.build(4, policy, s_init=2)
+        for k, (mask, occ) in enumerate(basis.states):
+            assert basis.spin_count[k] == bin(mask).count("1")
+            assert tuple(basis.occupations[k]) == occ
+            assert basis.quanta[k] == bin(mask).count("1") + sum(occ)
+            assert basis.phonon_count[k] == sum(occ)
+        even = basis.parity_block(0)
+        odd = basis.parity_block(1)
+        assert np.array_equal(np.sort(np.concatenate([even, odd])),
+                              np.arange(basis.dim))
+
     def test_index_round_trip(self):
         policy = sp.TruncationPolicy(phonon_modes=(0,), fock_cutoff=3)
         basis = sp.ProductBasis.build(3, policy, s_init=1)
@@ -93,6 +128,10 @@ class TestSystemBuild:
                     ds = abs(bin(mk).count("1") - bin(ml).count("1"))
                     dp = abs(sum(ok) - sum(ol))
                     assert ds == 1 and dp == 1
+
+    def test_coupling_conserves_quanta_parity(self):
+        _, _, system = small_system(modes=(0, 1), fock=2)
+        assert np.all(cross_parity_block(system) == 0.0)
 
     def test_interaction_hamiltonian_is_rotated_coupling(self):
         _, _, system = small_system()
@@ -146,6 +185,37 @@ class TestPropagation:
         b = sp.propagate(system, psi0, times, method="rk", tol=1e-11)
         assert np.max(np.abs(a.states - b.states)) < 1e-7
 
+    def test_spectral_matches_full_basis_loop(self):
+        _, _, system = small_system(modes=(0, 1), fock=2)
+        psi0 = mixed_parity_state(system)
+        times = np.linspace(0, 2e-5, 30)
+        traj = sp.propagate(system, psi0, times)
+        ref = reference_states(system, psi0, times)
+        assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+    def test_other_parity_stays_exactly_zero(self):
+        _, _, system = small_system(modes=(0, 1), fock=2)
+        for parity, mask in ((1, 0b001), (0, 0b011)):
+            psi0 = system.initial_state(mask)
+            assert system.basis.quanta[np.flatnonzero(psi0)[0]] % 2 == parity
+            traj = sp.propagate(system, psi0, np.linspace(0, 2e-5, 12))
+            own = system.basis.parity_block(parity)
+            other = system.basis.parity_block(1 - parity)
+            assert np.all(traj.states[:, other] == 0.0)
+            # the state has spread within its own block
+            assert np.count_nonzero(traj.states[-1, own]) > 1
+
+    def test_chunked_matches_unchunked(self, monkeypatch):
+        _, _, system = small_system()
+        psi0 = mixed_parity_state(system, seed=1)
+        times = np.linspace(0, 2e-5, 2 * sp._CHUNK_ROWS + 37)
+        chunked = sp.propagate(system, psi0, times).states
+        monkeypatch.setattr(sp, "_CHUNK_ROWS", len(times))
+        whole = sp.propagate(system, psi0, times).states
+        assert np.max(np.abs(chunked - whole)) < 1e-14
+        assert np.max(np.abs(chunked - reference_states(system, psi0, times))) \
+            < 1e-12
+
     def test_rk_self_convergence(self):
         _, _, system = small_system()
         psi0 = system.initial_state(0b001)
@@ -173,6 +243,21 @@ class TestPropagation:
             np.abs(psi0)[None, :].repeat(9, axis=0), abs=1e-13)
 
 
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(2, 5), fock=st.integers(1, 3), n_modes=st.integers(1, 2),
+       s_init=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_structure_and_norm_properties(n, fock, n_modes, s_init, seed):
+    _, _, system = small_system(n=n, modes=tuple(range(n_modes)), fock=fock,
+                                s_init=min(s_init, n))
+    h = np.diag(system.D) + system.V
+    assert np.array_equal(h, h.conj().T)
+    assert np.all(cross_parity_block(system) == 0.0)
+    psi0 = mixed_parity_state(system, seed)
+    traj = sp.propagate(system, psi0, np.linspace(0, 2e-5, 9))
+    norms = np.linalg.norm(traj.states, axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         _, _, system = small_system()
@@ -193,6 +278,21 @@ class TestCheckpoint:
         sp.save_checkpoint(traj, path)
         with pytest.raises(ValueError):
             sp.load_checkpoint(path, bigger)
+
+    @pytest.mark.parametrize("excess", [-16, 8])
+    def test_byte_count_checked(self, tmp_path, excess):
+        _, _, system = small_system()
+        traj = sp.propagate(system, system.initial_state(1),
+                            np.array([0.0, 1e-6]))
+        path = tmp_path / "traj.bin"
+        sp.save_checkpoint(traj, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:excess] if excess < 0 else raw + b"\0" * excess)
+        expected = 8 * 2 + 16 * 2 * system.basis.dim
+        with pytest.raises(sp.CheckpointError,
+                           match=f"holds {expected + excess} data bytes.*"
+                                 f"needs {expected}"):
+            sp.load_checkpoint(path, system)
 
     def test_version_checked(self, tmp_path):
         _, _, system = small_system()
