@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .chain import (
     ChainSolution,
     TrapConfig,
-    choose_axial_frequency,
     is_linear_stable,
     length_scale,
     max_stable_axial_frequency,
@@ -37,7 +36,6 @@ __all__ = [
     "CouplingModel",
     "FitConvention",
     "build_coupling_model",
-    "choose_axial_frequency",
     "coupling_matrix",
     "detuning_for_alpha",
     "fit_alpha_beta",

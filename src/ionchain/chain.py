@@ -30,7 +30,7 @@ class UnstableChain(RuntimeError):
 
 
 class NoStablePoint(RuntimeError):
-    """Axial-frequency scan found no linearly stable grid point."""
+    """No axial frequency keeps the linear chain stable."""
 
 
 @dataclass(frozen=True)
@@ -258,37 +258,6 @@ def is_linear_stable(trap: TrapConfig) -> tuple[bool, float]:
 def solve_chain(trap: TrapConfig) -> ChainSolution:
     """Convenience: equilibrium plus x-axis transverse modes."""
     return transverse_phonon_modes(trap, solve_equilibrium(trap))
-
-
-def choose_axial_frequency(trap_template: TrapConfig, n_ions: int,
-                           objective=None,
-                           grid_lo: float = 2 * np.pi * 0.02e6,
-                           grid_hi: float = 2 * np.pi * 2e6,
-                           grid_points: int = 25,
-                           safety: float = 1.05) -> float:
-    """Select omega_z from a logarithmic grid scan.
-
-    Among grid values that remain stable with omega_z scaled up by the safety
-    factor, return the one minimising ``objective(trap)`` (the fitted
-    exponential decay factor beta of the couplings, supplied by the caller to
-    avoid a circular import).  With no objective, or for a single ion, the
-    largest stable grid value is returned.
-    """
-    grid = np.geomspace(grid_lo, grid_hi, grid_points)
-    grid = grid[grid < min(trap_template.omega_x, trap_template.omega_y) / safety]
-    stable = []
-    for wz in grid:
-        trap = trap_template.with_(n_ions=n_ions, omega_z=float(wz))
-        ok, _ = is_linear_stable(trap.with_(omega_z=float(wz) * safety))
-        if ok:
-            stable.append(trap)
-    if not stable:
-        raise NoStablePoint("no stable omega_z in scan grid")
-    if objective is None or n_ions == 1:
-        return max(t.omega_z for t in stable)
-    scores = [objective(t) for t in stable]
-    best = int(np.argmin(scores))
-    return stable[best].omega_z
 
 
 def max_stable_axial_frequency(trap_template: TrapConfig, n_ions: int,

@@ -545,9 +545,9 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
 def _walk_couplings(cfg, n: int):
     """Normalised walk matrix for one chain length; experimental or ideal.
 
-    The sector hop amplitude of the physical XY Hamiltonian is 4 J_ij; the
-    returned matrix is divided by its largest eigenvalue so the analytic
-    gamma is 1 and scaled times are comparable across N.  Returns
+    The walk matrix of the physical XY Hamiltonian is xy.hop_amplitudes(J),
+    divided here by its largest eigenvalue so the analytic gamma is 1 and
+    scaled times are comparable across N.  Returns
     (J_walk, scale_rad_s, alpha_used); scale_rad_s converts walk time units
     to seconds (None for idealized couplings, which have no physical scale).
     """
@@ -559,7 +559,7 @@ def _walk_couplings(cfg, n: int):
     sub = dict(cfg, n_ions=n, alpha_target=alpha)
     trap, sol, info = resolve_working_point(sub)
     model = couplings.build_coupling_model(trap, sol)
-    j_phys = 4.0 * model.J
+    j_phys = xy.hop_amplitudes(model.J)
     lam = 1.0 / protocols.analytic_gamma(j_phys)
     return j_phys / lam, lam, info["alpha_achieved"]
 
@@ -690,9 +690,12 @@ COMMANDS = {
     "noise": cmd_noise,
 }
 
+# LinAlgError subclasses ValueError, so main() catches these first and
+# treats any other ValueError (rejected by a config dataclass) as a config
+# error
 NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
                     ResonantDetuning, DegenerateFit, FitFailure,
-                    StepUnderflow, np.linalg.LinAlgError, ValueError)
+                    StepUnderflow, np.linalg.LinAlgError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -738,6 +741,9 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as e:
         print(f"ionchain: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        print(f"ionchain: config error: {e}", file=sys.stderr)
+        return 2
     for path in ctx.written:
         print(path)
     return 0

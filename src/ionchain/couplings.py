@@ -80,7 +80,7 @@ def coupling_matrix(trap: TrapConfig, eta: np.ndarray, mode_freqs: np.ndarray,
                     mode_subset=None, eps_res: float = 1e-5) -> np.ndarray:
     """J_ij = sum_m Omega^2 eta_im eta_jm omega_m / (8 (omega_eff^2 - omega_m^2))."""
     modes = np.arange(len(mode_freqs)) if mode_subset is None \
-        else np.asarray(mode_subset)
+        else np.asarray(mode_subset, dtype=int)
     w = mode_freqs[modes]
     _check_resonance(trap.omega_eff, w, eps_res)
     e = eta[:, modes]
@@ -96,7 +96,7 @@ def local_fields(trap: TrapConfig, eta: np.ndarray, mode_freqs: np.ndarray,
                  eps_res: float = 1e-5) -> np.ndarray:
     """h_j = sum_m Omega^2 eta_jm^2 omega_eff / (4 (omega_eff^2 - omega_m^2)) (2n+1)."""
     modes = np.arange(len(mode_freqs)) if mode_subset is None \
-        else np.asarray(mode_subset)
+        else np.asarray(mode_subset, dtype=int)
     w = mode_freqs[modes]
     _check_resonance(trap.omega_eff, w, eps_res)
     e = eta[:, modes]
@@ -241,26 +241,3 @@ def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
         else:
             mu_hi = mu_mid
 
-
-def beta_objective(alpha_target: float | None = None,
-                   convention: FitConvention = FitConvention.END_ION_CHAIN_INDEX):
-    """Objective for choose_axial_frequency: fitted beta at the working detuning.
-
-    If alpha_target is given the detuning is re-optimised per omega_z;
-    otherwise the template's detuning_mu is used.
-    """
-    from .chain import solve_chain
-
-    def objective(trap: TrapConfig) -> float:
-        chain = solve_chain(trap)
-        if alpha_target is not None:
-            mu = detuning_for_alpha(trap, chain, alpha_target,
-                                    convention=convention).mu
-        else:
-            mu = trap.detuning_mu
-        t = trap.with_(detuning_mu=mu)
-        eta = lamb_dicke(t, chain)
-        j = coupling_matrix(t, eta, chain.mode_freqs)
-        return fit_alpha_beta(j, convention, fit_beta=True).beta
-
-    return objective

@@ -184,19 +184,11 @@ def renormalized_couplings(trap: TrapConfig, eta: np.ndarray,
     shifted = [m for m in modes if m in set(shifted_modes)]
     plain = [m for m in modes if m not in set(shifted_modes)]
     omega_avg = 0.5 * (1.0 + r) * trap.omega_eff
+    # the detuning at which omega_eff = sqrt(Omega^2 + mu^2) is omega_avg
+    trap_avg = trap.with_(detuning_mu=np.sqrt(omega_avg**2 - trap.rabi**2))
     j = coupling_matrix(trap, eta, mode_freqs, mode_subset=modes)
-
-    def partial(mode_list, omega):
-        if not mode_list:
-            return np.zeros_like(j)
-        w = mode_freqs[mode_list]
-        e = eta[:, mode_list]
-        weights = w / (8.0 * (omega**2 - w**2))
-        out = trap.rabi**2 * (e * weights[None, :]) @ e.T
-        np.fill_diagonal(out, 0.0)
-        return 0.5 * (out + out.T)
-
-    j_prime = partial(shifted, omega_avg) + partial(plain, trap.omega_eff)
+    j_prime = coupling_matrix(trap_avg, eta, mode_freqs, mode_subset=shifted) \
+        + coupling_matrix(trap, eta, mode_freqs, mode_subset=plain)
     iu = np.triu_indices(j.shape[0], k=1)
     factor = float(np.mean(j_prime[iu] / j[iu]))
     return RenormalizationResult(r=r, J_prime=j_prime, factor_summary=factor,
@@ -211,8 +203,3 @@ def higher_subspace_scaling(s: int, eta_1c: float, omega_rabi: float,
         raise ValueError("s must be >= 1")
     delta = r * omega_eff - omega_c
     return s * leakage_norm_single(eta_1c, omega_rabi, delta, t)
-
-
-def normalization_trace(e_norm: np.ndarray) -> np.ndarray:
-    """N(t) = 1 - ||E(t)|| (trace-preserving weight in the state split)."""
-    return 1.0 - e_norm

@@ -65,10 +65,8 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     The protocol Hamiltonian runs in marker units; sampled fields are rad/s
     and are converted with the configured marker amplitude.
     """
-    hs0 = protocols.search_hamiltonian(J, config.gamma,
-                                       [config.sender, config.receiver])
-    if h is not None:
-        hs0 = hs0 + np.diag(2.0 * np.asarray(h))
+    hs0 = protocols.search_hamiltonian(
+        J, config.gamma, [config.sender, config.receiver], h=h)
     n = J.shape[0]
     times = np.linspace(0.0, config.duration, n_times)
     psi0 = np.zeros(n, dtype=complex)
@@ -76,8 +74,8 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
 
     def trace_for(extra_diag):
         sector = xy.build_single_excitation(hs0 + np.diag(extra_diag))
-        states = xy.evolve_grid(sector, psi0, times)
-        return np.abs(states[:, config.receiver]) ** 2
+        return np.abs(xy.spectral(*sector.eigensystem(), psi0, times,
+                                  rows=config.receiver)) ** 2
 
     traces = np.array([
         trace_for(2.0 * (sample_static_fields(n, noise, k)

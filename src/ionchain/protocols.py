@@ -60,9 +60,13 @@ def idealized_couplings(n: int, alpha: float) -> np.ndarray:
     return j
 
 
-def search_hamiltonian(h_walk: np.ndarray, gamma: float,
-                       marked_sites) -> np.ndarray:
-    """gamma * H plus unit projectors on the marked sites."""
+def search_hamiltonian(h_walk: np.ndarray, gamma: float, marked_sites,
+                       h: np.ndarray | None = None) -> np.ndarray:
+    """gamma * H plus unit projectors on the marked sites.
+
+    Local z fields h_j sigma_j^z, if given, add 2 h_j to the diagonal (the
+    single-excitation sector with the global shift dropped).
+    """
     marked = list(marked_sites)
     if len(set(marked)) != len(marked):
         raise ValueError("marked sites must be distinct")
@@ -72,6 +76,8 @@ def search_hamiltonian(h_walk: np.ndarray, gamma: float,
         if not 0 <= m < n:
             raise ValueError(f"marked site {m} out of range")
         hs[m, m] += 1.0
+    if h is not None:
+        hs[np.diag_indices(n)] += 2.0 * np.asarray(h)
     return hs
 
 
@@ -121,15 +127,13 @@ def run_transfer(J: np.ndarray, h: np.ndarray | None,
     h defaults to None: the effective local fields are assumed compensated.
     The trace covers [0, t_max_factor * duration].
     """
-    fields = None if h is None else 2.0 * np.asarray(h)
-    sector = xy.build_single_excitation(
-        search_hamiltonian(J, config.gamma, [config.sender, config.receiver]),
-        fields=fields)
+    sector = xy.build_single_excitation(search_hamiltonian(
+        J, config.gamma, [config.sender, config.receiver], h=h))
     psi0 = np.zeros(sector.dim, dtype=complex)
     psi0[config.sender] = 1.0
     times = np.linspace(0.0, t_max_factor * config.duration, n_times)
-    states = xy.evolve_grid(sector, psi0, times)
-    trace = np.abs(states[:, config.receiver]) ** 2
+    trace = np.abs(xy.spectral(*sector.eigensystem(), psi0, times,
+                               rows=config.receiver)) ** 2
     k = int(np.argmax(trace))
     gamma_seed = analytic_gamma(J)
     return ProtocolReport(
@@ -144,14 +148,13 @@ def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
                          h: np.ndarray | None = None,
                          extra_fields: np.ndarray | None = None) -> float:
     """|<f| exp(-i H_s t) |w>|^2 at a single (gamma, t)."""
-    hs = search_hamiltonian(J, gamma, [sender, receiver])
-    if h is not None:
-        hs = hs + np.diag(2.0 * np.asarray(h))
+    hs = search_hamiltonian(J, gamma, [sender, receiver], h=h)
     if extra_fields is not None:
         hs = hs + np.diag(extra_fields)
-    w, v = np.linalg.eigh(hs)
-    amp = v[receiver] @ (np.exp(-1j * w * t) * v[sender].conj())
-    return float(np.abs(amp) ** 2)
+    psi0 = np.zeros(len(hs))
+    psi0[sender] = 1.0
+    amp = xy.spectral(*np.linalg.eigh(hs), psi0, [t], rows=receiver)
+    return float(np.abs(amp[0]) ** 2)
 
 
 def run_search(J: np.ndarray, gamma: float, marked: int,
@@ -162,14 +165,12 @@ def run_search(J: np.ndarray, gamma: float, marked: int,
     Returns (times, probability on the marked site).
     """
     n = J.shape[0]
-    hs = search_hamiltonian(J, gamma, [marked])
-    if h is not None:
-        hs = hs + np.diag(2.0 * np.asarray(h))
-    sector = xy.build_single_excitation(hs)
+    sector = xy.build_single_excitation(
+        search_hamiltonian(J, gamma, [marked], h=h))
     psi0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     times = np.linspace(0.0, t_max, n_times)
-    states = xy.evolve_grid(sector, psi0, times)
-    return times, np.abs(states[:, marked]) ** 2
+    amps = xy.spectral(*sector.eigensystem(), psi0, times, rows=marked)
+    return times, np.abs(amps) ** 2
 
 
 @dataclass

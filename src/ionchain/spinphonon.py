@@ -15,9 +15,8 @@ phonon number by one, and D is diagonal, so the parity of (spin excitations
 + total phonons) is conserved: D + V is block diagonal in it.  The spectral
 propagator diagonalises only the parity blocks that psi(0) occupies (each
 block once, cached on the system) and leaves the other components exactly
-zero.  Within a block the eigenvectors q are real, so a chunk of time rows
-is propagated as two real matrix products, Re(a) q^T and Im(a) q^T with
-a = e^{-iwt} (q^T psi(0)), before the frame phase e^{iDt} is applied.
+zero.  Within a block the eigenvectors are real, and each chunk of time
+rows goes through xy.spectral before the frame phase e^{iDt} is applied.
 
 An adaptive Runge-Kutta integrator of the time-dependent form on the full
 basis is kept as an independent cross-check.
@@ -198,11 +197,6 @@ class SpinPhononSystem:
             self._eig[parity] = np.linalg.eigh(h)
         return self._eig[parity]
 
-    def interaction_hamiltonian(self, t: float) -> np.ndarray:
-        """H_I(t) = e^{iDt} V e^{-iDt}, Hermitian by construction."""
-        phase = np.exp(1j * self.D * t)
-        return (phase[:, None] * self.V) * phase.conj()[None, :]
-
     def initial_state(self, spin_mask: int,
                       phonons: tuple | None = None) -> np.ndarray:
         occ = phonons if phonons is not None \
@@ -219,14 +213,9 @@ class Trajectory:
     system: SpinPhononSystem
 
 
-# time rows propagated per pair of real matrix products; bounds the
-# chunk x block intermediates independently of the output grid length
+# time rows propagated per xy.spectral call; bounds the chunk x block
+# intermediates independently of the output grid length
 _CHUNK_ROWS = 256
-
-
-def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """z @ m for complex z and real m, as two real matrix products."""
-    return z.real @ m + 1j * (z.imag @ m)
 
 
 def propagate(system: SpinPhononSystem, psi0: np.ndarray,
@@ -248,12 +237,11 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
             if not np.any(psi0[idx]):
                 continue
             w, q = system.eigensystem(parity)
-            coeffs = _times_real(psi0[idx], q)
             d = system.D[idx]
             for start in range(0, len(times), _CHUNK_ROWS):
-                t = times[start:start + _CHUNK_ROWS, None]
-                phi = _times_real(np.exp(-1j * w * t) * coeffs, q.T)
-                phi *= np.exp(1j * d * t)
+                t = times[start:start + _CHUNK_ROWS]
+                phi = xy.spectral(w, q, psi0[idx], t)
+                phi *= np.exp(1j * d * t[:, None])
                 states[start:start + _CHUNK_ROWS, idx] = phi
         return Trajectory(times=times, states=states, system=system)
     if method != "rk":

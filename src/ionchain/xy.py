@@ -1,14 +1,12 @@
 """Effective XY Hamiltonian in fixed-excitation sectors.
 
-Two normalisations coexist in the literature and here:
+build_single_excitation takes its matrix as the walk Hamiltonian itself;
+build_sector hops with hop_amplitudes(J), the sector matrix elements of the
+spin form.  Protocol timing formulas are written against walk matrices.
 
-* the single-excitation walk Hamiltonian uses the coupling J_ij directly as
-  the hopping matrix element (build_single_excitation);
-* the spin form sum_{i != j} J_ij (sigma^x sigma^x + sigma^y sigma^y),
-  summed over ordered pairs, gives a hop amplitude of 4 J_ij inside any
-  fixed-excitation sector (build_sector).
-
-Protocol timing formulas are written against the first convention.
+Every spectral propagation in the package goes through spectral(); the
+Krylov branch of evolve() and the spin-phonon Runge-Kutta cross-check are
+the only other integrators.
 """
 from __future__ import annotations
 
@@ -72,31 +70,37 @@ def sector_basis(n_sites: int, s: int) -> np.ndarray:
     return np.array(sorted(masks), dtype=np.int64)
 
 
-def build_single_excitation(J: np.ndarray,
-                            fields: np.ndarray | None = None) -> XYSector:
+def hop_amplitudes(J: np.ndarray) -> np.ndarray:
+    """4 J_ij: the fixed-excitation matrix elements of
+    sum_{i != j} J_ij (sx sx + sy sy).
+
+    Each unordered pair appears twice in the sum and sx sx + sy sy hops with
+    amplitude 2.
+    """
+    return 4.0 * np.asarray(J, dtype=float)
+
+
+def build_single_excitation(J: np.ndarray) -> XYSector:
     """N x N walk Hamiltonian: off-diagonal J_ij as hop amplitudes.
 
     Any diagonal already present in J (marker projectors, local fields) is
-    kept; per-site fields, if given, are added on top.
+    kept.
     """
     n = J.shape[0]
-    h = np.array(J, dtype=float)
-    if fields is not None:
-        h = h + np.diag(fields)
-    return XYSector(n_sites=n, excitations=1,
-                    basis=sector_basis(n, 1), H=h)
+    return XYSector(n_sites=n, excitations=1, basis=sector_basis(n, 1),
+                    H=np.array(J, dtype=float))
 
 
 def build_sector(J: np.ndarray, h: np.ndarray | None, s: int) -> XYSector:
     """Fixed-excitation block of sum_{i != j} J (sx sx + sy sy) + sum_j h sz.
 
-    Hop amplitude 4 J_ij between bitmasks related by moving one excitation
-    (each unordered pair appears twice in the sum and sx sx + sy sy hops
-    with amplitude 2); diagonal sum_j h_j * (+1 if occupied else -1).
+    hop_amplitudes(J) between bitmasks related by moving one excitation;
+    diagonal sum_j h_j * (+1 if occupied else -1).
     """
     n = J.shape[0]
     if not 0 <= s <= n:
         raise ValueError("excitation count out of range")
+    hop = hop_amplitudes(J)
     basis = sector_basis(n, s)
     dim = len(basis)
     ham = np.zeros((dim, dim))
@@ -113,15 +117,34 @@ def build_sector(J: np.ndarray, h: np.ndarray | None, s: int) -> XYSector:
                 if (mask >> j) & 1:
                     continue
                 new = mask ^ (1 << i) | (1 << j)
-                ham[index[new], k] += 4.0 * J[i, j]
+                ham[index[new], k] += hop[i, j]
     return XYSector(n_sites=n, excitations=s, basis=basis, H=ham)
+
+
+def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """z @ m for complex z and real m, as two real matrix products."""
+    return z.real @ m + 1j * (z.imag @ m)
+
+
+def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray, times,
+             rows=None) -> np.ndarray:
+    """Amplitudes of v e^{-iwt} v^T psi0 over a time grid.
+
+    (w, v) is the eigensystem of a real symmetric H, so the eigenvectors in
+    the columns of v are real and both products with v run as real GEMMs.
+    Returns a len(times) x len(rows) matrix, all basis states when rows is
+    None; an int rows gives the 1-D trace of that one amplitude.
+    """
+    coeffs = _times_real(psi0, v)
+    phases = np.exp(-1j * np.outer(times, w))
+    out_rows = v if rows is None else v[rows]
+    return _times_real(phases * coeffs, out_rows.T)
 
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
     """psi(t) = exp(-i H t) psi0, spectral for small dims, Krylov above."""
     if sector.dim <= DENSE_LIMIT:
-        w, v = sector.eigensystem()
-        amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+        amps = spectral(*sector.eigensystem(), psi0, [t])[0]
     else:
         from scipy.sparse import csr_matrix
         amps = expm_multiply(csr_matrix(-1j * t * sector.H), psi0.astype(complex))
@@ -131,21 +154,7 @@ def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
 def evolve_grid(sector: XYSector, psi0: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
     """States on a time grid, rows psi(t_k)."""
-    w, v = sector.eigensystem()
-    coeffs = v.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, w))
-    return (phases * coeffs[None, :]) @ v.T
-
-
-def transfer_fidelity(psi: StateVector | np.ndarray, target_site: int,
-                      sector: XYSector | None = None) -> float:
-    """|<f|psi>|^2 for the single-excitation basis state at target_site."""
-    if isinstance(psi, StateVector):
-        amps, sector = psi.amplitudes, psi.sector
-    else:
-        amps = psi
-    idx = sector.index_of(1 << target_site)
-    return float(np.abs(amps[idx]) ** 2)
+    return spectral(*sector.eigensystem(), psi0, times)
 
 
 def occupations(psi: np.ndarray, sector: XYSector) -> np.ndarray:

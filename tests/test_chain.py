@@ -202,29 +202,11 @@ class TestStability:
 
 
 class TestChooseAxialFrequency:
-    def test_no_objective_returns_largest_stable(self):
-        t = trap(6, 0.5)
-        wz = ic.choose_axial_frequency(t, 6)
-        assert ic.is_linear_stable(t.with_(omega_z=wz * 1.05))[0]
-        boundary = max_stable_axial_frequency(t, 6)
-        assert wz <= boundary
-
-    def test_objective_minimum_selected(self):
-        t = trap(6, 0.5)
-        calls = []
-
-        def objective(tc):
-            calls.append(tc.omega_z)
-            # prefer the smallest omega_z on the grid
-            return tc.omega_z
-
-        wz = ic.choose_axial_frequency(t, 6, objective=objective)
-        assert wz == min(calls)
+    """The bisection that picks omega_z for omega_z_mhz = auto."""
 
     def test_no_stable_point_raises(self):
-        t = trap(30, 0.5)
+        # 20 ions zig-zag already at the 10 kHz bisection floor when both
+        # transverse frequencies are 40 kHz
+        t = trap(20, 0.02, wx_mhz=0.04, wy_mhz=0.04)
         with pytest.raises(NoStablePoint):
-            ic.choose_axial_frequency(t, 30,
-                                      grid_lo=2 * np.pi * 1.5e6,
-                                      grid_hi=2 * np.pi * 1.9e6,
-                                      grid_points=3)
+            max_stable_axial_frequency(t, 20)

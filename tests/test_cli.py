@@ -60,6 +60,20 @@ omega_z_mhz = 0.9   # trailing comment
         assert rc == 2
         assert "n_ions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,text,message", [
+        ("chain", "omega_z_mhz = 9\n", "omega_z"),
+        ("leakage", "n_ions = 4\nalpha_target = 0.5\nfock_cutoff = 0\n",
+         "fock_cutoff"),
+        ("noise", "n_list = 8\nt2_ms = 0\n", "t2"),
+    ])
+    def test_value_rejected_by_library_exits_two(self, tmp_path, capsys,
+                                                 command, text, message):
+        p = write_config(tmp_path, text)
+        rc = cli.main([command, "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
     def test_defaults_fill_in(self):
         cfg = cli.resolve_config("chain", {})
         assert cfg["n_ions"] == 10

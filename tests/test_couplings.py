@@ -4,7 +4,7 @@ import pytest
 import ionchain as ic
 from ionchain.constants import HBAR
 from ionchain.couplings import (DegenerateFit, FitConvention, ResonantDetuning,
-                                beta_objective, fit_alpha_beta)
+                                fit_alpha_beta)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,15 @@ class TestCouplingMatrix:
                                        mode_subset=[m])
                     for m in range(trap.n_ions))
         assert parts == pytest.approx(full, rel=1e-10)
+
+    def test_empty_mode_subset_gives_zeros(self, working_point):
+        trap, sol = working_point
+        eta = ic.lamb_dicke(trap, sol)
+        n = trap.n_ions
+        j = ic.coupling_matrix(trap, eta, sol.mode_freqs, mode_subset=[])
+        h = ic.local_fields(trap, eta, sol.mode_freqs, mode_subset=[])
+        assert np.array_equal(j, np.zeros((n, n)))
+        assert np.array_equal(h, np.zeros(n))
 
     def test_resonant_detuning_guard(self, working_point):
         trap, sol = working_point
@@ -205,9 +214,13 @@ class TestBuildModel:
 
     def test_beta_objective_decreases_with_axial_confinement(self):
         # stronger axial confinement compresses the chain and reduces the
-        # exponential decay correction of the couplings
-        obj = beta_objective(alpha_target=0.5)
-        t = ic.reference_trap(6, 2 * np.pi * 0.2e6)
-        b_weak = obj(t)
-        b_strong = obj(t.with_(omega_z=2 * np.pi * 1.2e6))
-        assert b_strong < b_weak
+        # exponential decay correction of the couplings, which is why
+        # max_stable_axial_frequency picks the zig-zag boundary
+        betas = []
+        for wz_mhz in (0.2, 1.2):
+            t = ic.reference_trap(6, 2 * np.pi * wz_mhz * 1e6)
+            sol = ic.solve_chain(t)
+            t = t.with_(detuning_mu=ic.detuning_for_alpha(t, sol, 0.5).mu)
+            j = ic.coupling_matrix(t, ic.lamb_dicke(t, sol), sol.mode_freqs)
+            betas.append(fit_alpha_beta(j, fit_beta=True).beta)
+        assert betas[1] < betas[0]

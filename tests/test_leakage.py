@@ -142,10 +142,6 @@ class TestLeakageNorms:
             + np.sum(e2**2) / d2**2 * (1 - np.cos(d2 * t)))
         assert shifted == pytest.approx(expected, rel=1e-12)
 
-    def test_normalization_trace(self):
-        e = np.array([0.0, 0.2, 0.5])
-        assert lk.normalization_trace(e) == pytest.approx([1.0, 0.8, 0.5])
-
     def test_higher_subspace_scaling(self):
         eta, rabi = 0.05, 2 * np.pi * 1e5
         w_eff, w_c = 2 * np.pi * 6.01e6, 2 * np.pi * 6e6

@@ -31,6 +31,15 @@ class TestSearchHamiltonian:
         assert hs - np.diag(np.diag(hs)) == pytest.approx(0.3 * j)
         assert np.diag(hs) == pytest.approx([0, 1, 0, 0, 1])
 
+    def test_z_fields_add_twice_h_to_diagonal(self):
+        j = pr.idealized_couplings(5, 0.5)
+        h = np.array([0.1, -0.2, 0.3, 0.0, 0.5])
+        hs = pr.search_hamiltonian(j, 0.3, [1, 4], h=h)
+        bare = pr.search_hamiltonian(j, 0.3, [1, 4])
+        assert np.array_equal(hs - np.diag(np.diag(hs)),
+                              bare - np.diag(np.diag(bare)))
+        assert np.diag(hs) == pytest.approx(np.diag(bare) + 2.0 * h)
+
     def test_duplicate_marked_rejected(self):
         with pytest.raises(ValueError):
             pr.search_hamiltonian(np.zeros((3, 3)), 1.0, [1, 1])
@@ -127,6 +136,17 @@ class TestRunTransfer:
             direct = pr.transfer_fidelity_at(j, 0.9, rep.times[k],
                                              0, n - 1, h=h)
             assert rep.fidelity_trace[k] == pytest.approx(direct, abs=1e-10)
+
+    def test_single_point_matches_expm(self):
+        n = 7
+        j = normalized_walk(n, 0.5)
+        h = 0.02 * np.arange(n, dtype=float)
+        extra = np.linspace(-0.1, 0.1, n)
+        hs = pr.search_hamiltonian(j, 0.8, [0, n - 1], h=h) + np.diag(extra)
+        ref = abs(expm(-1j * hs * 2.3)[n - 1, 0]) ** 2
+        f = pr.transfer_fidelity_at(j, 0.8, 2.3, 0, n - 1, h=h,
+                                    extra_fields=extra)
+        assert f == pytest.approx(ref, abs=1e-12)
 
     def test_fields_change_outcome(self):
         n = 12

@@ -133,16 +133,6 @@ class TestSystemBuild:
         _, _, system = small_system(modes=(0, 1), fock=2)
         assert np.all(cross_parity_block(system) == 0.0)
 
-    def test_interaction_hamiltonian_is_rotated_coupling(self):
-        _, _, system = small_system()
-        assert system.interaction_hamiltonian(0.0) == pytest.approx(system.V)
-        t = 3.7e-7
-        h = system.interaction_hamiltonian(t)
-        assert h == pytest.approx(h.conj().T)
-        scale = np.max(np.abs(system.V))
-        assert np.abs(h) == pytest.approx(np.abs(system.V),
-                                          abs=1e-12 * scale)
-
     def test_mode_override_changes_frame_and_eta(self):
         trap, chain, system = small_system()
         policy = system.basis.policy

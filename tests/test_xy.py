@@ -122,23 +122,66 @@ class TestBuildSector:
         assert np.diag(sec.H) == pytest.approx(expected)
 
 
+    def test_single_excitation_hops_with_hop_amplitudes(self):
+        j, _ = random_couplings(5, seed=41)
+        sec = xy.build_sector(j, None, 1)
+        assert np.array_equal(sec.H, xy.hop_amplitudes(j))
+
+
 class TestSingleExcitation:
     def test_off_diagonal_is_j(self):
-        j, h = random_couplings(5, seed=2)
-        sec = xy.build_single_excitation(j, fields=h)
-        assert sec.H - np.diag(np.diag(sec.H)) == pytest.approx(j)
-        assert np.diag(sec.H) == pytest.approx(h)
+        j, _ = random_couplings(5, seed=2)
+        sec = xy.build_single_excitation(j)
+        assert np.array_equal(sec.H, j)
 
     def test_existing_diagonal_preserved(self):
-        j, h = random_couplings(5, seed=5)
+        j, _ = random_couplings(5, seed=5)
         marked = j.copy()
         marked[2, 2] = 9.0
-        sec = xy.build_single_excitation(marked, fields=h)
-        assert sec.H[2, 2] == pytest.approx(9.0 + h[2])
+        sec = xy.build_single_excitation(marked)
+        assert sec.H[2, 2] == 9.0
 
     def test_basis_is_single_excitation(self):
         sec = xy.build_single_excitation(np.zeros((4, 4)))
         assert list(sec.basis) == [1, 2, 4, 8]
+
+
+def random_real_symmetric(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    return 0.5 * (a + a.T)
+
+
+class TestSpectral:
+    def test_all_rows_match_expm(self):
+        ham = random_real_symmetric(7, seed=43)
+        rng = np.random.default_rng(1)
+        psi0 = rng.normal(size=7) + 1j * rng.normal(size=7)
+        times = np.array([0.0, 0.4, 2.5])
+        out = xy.spectral(*np.linalg.eigh(ham), psi0, times)
+        assert out.shape == (3, 7)
+        for k, t in enumerate(times):
+            assert out[k] == pytest.approx(expm(-1j * ham * t) @ psi0,
+                                           abs=1e-12)
+
+    def test_int_row_gives_one_trace(self):
+        ham = random_real_symmetric(6, seed=47)
+        psi0 = np.zeros(6)
+        psi0[0] = 1.0
+        times = np.linspace(0.0, 3.0, 5)
+        out = xy.spectral(*np.linalg.eigh(ham), psi0, times, rows=4)
+        assert out.shape == (5,)
+        ref = [(expm(-1j * ham * t) @ psi0)[4] for t in times]
+        assert out == pytest.approx(ref, abs=1e-12)
+
+    def test_row_subset_at_single_time(self):
+        ham = random_real_symmetric(6, seed=53)
+        rng = np.random.default_rng(2)
+        psi0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        out = xy.spectral(*np.linalg.eigh(ham), psi0, [1.7], rows=[5, 1])
+        assert out.shape == (1, 2)
+        ref = expm(-1j * ham * 1.7) @ psi0
+        assert out[0] == pytest.approx(ref[[5, 1]], abs=1e-12)
 
 
 class TestEvolution:
@@ -191,22 +234,6 @@ class TestEvolution:
 
 
 class TestObservables:
-    def test_transfer_fidelity_basis_state(self):
-        sec = xy.build_single_excitation(np.zeros((4, 4)))
-        psi = np.zeros(4, dtype=complex)
-        psi[sec.index_of(1 << 3)] = 1.0
-        assert xy.transfer_fidelity(psi, 3, sec) == pytest.approx(1.0)
-        assert xy.transfer_fidelity(psi, 0, sec) == pytest.approx(0.0)
-
-    def test_transfer_fidelity_accepts_state_vector(self):
-        j, _ = random_couplings(5, seed=31)
-        sec = xy.build_single_excitation(j)
-        psi0 = np.zeros(5, dtype=complex)
-        psi0[0] = 1.0
-        out = xy.evolve(sec, psi0, 0.3)
-        f = xy.transfer_fidelity(out, 4)
-        assert f == pytest.approx(abs(out.amplitudes[sec.index_of(16)]) ** 2)
-
     def test_occupations_sum_to_excitation_count(self):
         j, h = random_couplings(6, seed=37)
         sec = xy.build_sector(j, h, 2)
