@@ -6,6 +6,7 @@ on export.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -154,23 +155,18 @@ def _axial_hessian(u: np.ndarray) -> np.ndarray:
     return h
 
 
-def solve_equilibrium(trap: TrapConfig, tol: float = 1e-13,
-                      max_iter: int = 200) -> ChainSolution:
-    """Minimise the dimensionless axial potential with damped Newton iteration.
+@functools.lru_cache(maxsize=64)
+def _equilibrium_positions(n: int, tol: float, max_iter: int) -> np.ndarray:
+    """Dimensionless equilibrium of n >= 2 ions, read-only.
 
-    Initial guess: even spacing with half-extent scaling as N^0.56.
+    The dimensionless potential depends on n alone, so one solve serves every
+    trap with that ion number; callers copy the result.
     """
-    n = trap.n_ions
-    ell = length_scale(trap)
-    if n == 1:
-        return ChainSolution(positions=np.zeros(1), length_scale=ell)
-
     u = np.linspace(-1.0, 1.0, n) * 0.48 * n**0.56
     g = _gradient(u)
     res = np.max(np.abs(g))
-    for it in range(max_iter):
-        if res <= tol:
-            break
+    it = 0
+    while it < max_iter and res > tol:
         step = np.linalg.solve(_axial_hessian(u), g)
         lam = 1.0
         while lam > 1e-8:
@@ -184,11 +180,38 @@ def solve_equilibrium(trap: TrapConfig, tol: float = 1e-13,
             lam *= 0.5
         else:
             break
-    if res > 1e-12:
-        raise NonConvergence(res, max_iter)
+        it += 1
+    # the stall level of the residual grows with the force on the end ions,
+    # which equals their distance from the trap centre
+    if res > 1e-12 * max(1.0, float(np.max(np.abs(u)))):
+        raise NonConvergence(res, it)
     # enforce exact reflection symmetry of the symmetric minimiser
     u = 0.5 * (u - u[::-1])
-    return ChainSolution(positions=u, length_scale=ell)
+    u.flags.writeable = False
+    return u
+
+
+def solve_equilibrium(trap: TrapConfig, tol: float = 1e-13,
+                      max_iter: int = 200) -> ChainSolution:
+    """Minimise the dimensionless axial potential with damped Newton iteration.
+
+    Initial guess: even spacing with half-extent scaling as N^0.56.  The
+    iteration stops at residual tol or after max_iter steps; it fails if the
+    residual is then above 1e-12 times the largest force on an ion.
+    """
+    n = trap.n_ions
+    u = np.zeros(1) if n == 1 else _equilibrium_positions(n, tol, max_iter)
+    return ChainSolution(positions=u.copy(), length_scale=length_scale(trap))
+
+
+def _transverse_hessian(trap: TrapConfig, positions: np.ndarray,
+                        omega_t: float) -> np.ndarray:
+    """Transverse Hessian in units of omega_z^2 for trap frequency omega_t."""
+    d = positions[:, None] - positions[None, :]
+    np.fill_diagonal(d, np.inf)
+    k = 1.0 / np.abs(d) ** 3
+    np.fill_diagonal(k, (omega_t / trap.omega_z) ** 2 - np.sum(k, axis=1))
+    return k
 
 
 def _transverse_eigensystem(trap: TrapConfig, positions: np.ndarray,
@@ -198,13 +221,7 @@ def _transverse_eigensystem(trap: TrapConfig, positions: np.ndarray,
     Returns (omega_sq, vectors) with omega_sq in rad^2/s^2, columns sorted by
     descending frequency with a deterministic tie-break.
     """
-    u = positions
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    inv3 = 1.0 / np.abs(d) ** 3
-    k = inv3.copy()
-    np.fill_diagonal(k, (omega_t / trap.omega_z) ** 2 - np.sum(inv3, axis=1))
-    lam, vec = np.linalg.eigh(k)
+    lam, vec = np.linalg.eigh(_transverse_hessian(trap, positions, omega_t))
     omega_sq = lam * trap.omega_z**2
     order = np.argsort(-omega_sq, kind="stable")
     omega_sq = omega_sq[order]
@@ -250,8 +267,11 @@ def is_linear_stable(trap: TrapConfig) -> tuple[bool, float]:
         return True, min(trap.omega_x, trap.omega_y) ** 2
     chain = solve_equilibrium(trap)
     omega_soft = min(trap.omega_x, trap.omega_y)
-    omega_sq, _ = _transverse_eigensystem(trap, chain.positions, omega_soft)
-    margin = float(np.min(omega_sq))
+    lam = np.linalg.eigh(_transverse_hessian(trap, chain.positions,
+                                             omega_soft))[0]
+    # omega_z^2 > 0 preserves the order, so this equals the smallest of the
+    # scaled eigenvalues bit for bit
+    margin = float(np.min(lam) * trap.omega_z**2)
     return margin > 0, margin
 
 

@@ -567,6 +567,7 @@ def _walk_couplings(cfg, n: int):
 def _one_transfer(cfg, ctx, n: int, source: str):
     sub = dict(cfg, couplings=source)
     j_walk, scale, alpha_used = _walk_couplings(sub, n)
+    opt = None
     if cfg["optimize"]:
         opt = protocols.optimize_protocol(j_walk, None, 0, n - 1,
                                           box=cfg["box"],
@@ -580,7 +581,13 @@ def _one_transfer(cfg, ctx, n: int, source: str):
         fid = protocols.transfer_fidelity_at(j_walk, gamma, t, 0, n - 1)
     return {"n": n, "source": source, "alpha": alpha_used, "gamma": gamma,
             "T": t, "T_tilde": gamma * t, "F_peak": fid,
-            "scale_rad_s": scale}
+            "scale_rad_s": scale, **_optimizer_stats(opt)}
+
+
+def _optimizer_stats(opt) -> dict:
+    """Report fields of an optimize_protocol run, null without one."""
+    return {"n_evaluations": opt.n_evaluations if opt is not None else None,
+            "seed_fidelity": opt.seed_fidelity if opt is not None else None}
 
 
 def cmd_transfer(cfg, ctx: OutputContext) -> None:
@@ -643,6 +650,7 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
         n, alpha = case
         sub = dict(cfg, couplings="experimental", alpha_target=alpha)
         j_walk, scale, alpha_used = _walk_couplings(sub, n)
+        opt = None
         if cfg["optimize"]:
             opt = protocols.optimize_protocol(j_walk, None, 0, n - 1,
                                               budget=cfg["budget"],
@@ -655,8 +663,10 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
                                       duration=t, marker_amplitude=scale)
         ens = noise.noisy_transfer_ensemble(j_walk, None, pc, noise_cfg,
                                             n_times=cfg["n_times"])
-        return (n, alpha, alpha_used, ens.mean_at_T, ens.std_at_T,
-                ens.noiseless_at_T, t / scale)
+        return {"n": n, "alpha_target": alpha, "alpha_achieved": alpha_used,
+                "mean_F": ens.mean_at_T, "std_F": ens.std_at_T,
+                "noiseless_F": ens.noiseless_at_T, "duration_s": t / scale,
+                **_optimizer_stats(opt)}
 
     if ctx.threads > 1:
         with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
@@ -664,8 +674,8 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
     else:
         outcomes = [run_case(c) for c in cases]
 
-    rows = [(n, a, mean, std, cfg["n_samples"], noise_cfg.t2)
-            for (n, a, _, mean, std, _, _) in outcomes]
+    rows = [(c["n"], c["alpha_target"], c["mean_F"], c["std_F"],
+             cfg["n_samples"], noise_cfg.t2) for c in outcomes]
     write_table(ctx, "noise",
                 ["N", "alpha_target", "mean_F", "std_F", "n_samples", "t2"],
                 rows)
@@ -673,10 +683,7 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
         "t2_s": noise_cfg.t2,
         "sigma_rad_s": noise_cfg.sigma,
         "n_samples": cfg["n_samples"],
-        "cases": [{"n": n, "alpha_target": a, "alpha_achieved": aa,
-                   "mean_F": m, "std_F": s, "noiseless_F": f0,
-                   "duration_s": dur}
-                  for (n, a, aa, m, s, f0, dur) in outcomes],
+        "cases": outcomes,
     })
 
 

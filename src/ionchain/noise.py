@@ -63,7 +63,8 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     Each sample adds 2*field_j to the protocol diagonal (z-field convention
     h_j sigma_j^z in the single-excitation sector, global shift dropped).
     The protocol Hamiltonian runs in marker units; sampled fields are rad/s
-    and are converted with the configured marker amplitude.
+    and are converted with the configured marker amplitude.  Samples are
+    diagonalised and propagated in stacks, a chunk at a time.
     """
     hs0 = protocols.search_hamiltonian(
         J, config.gamma, [config.sender, config.receiver], h=h)
@@ -71,21 +72,31 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     times = np.linspace(0.0, config.duration, n_times)
     psi0 = np.zeros(n, dtype=complex)
     psi0[config.sender] = 1.0
+    diag = np.diag_indices(n)
 
-    def trace_for(extra_diag):
-        sector = xy.build_single_excitation(hs0 + np.diag(extra_diag))
-        return np.abs(xy.spectral(*sector.eigensystem(), psi0, times,
+    def traces_for(extra_diag):
+        # one eigh over the stack of sample Hamiltonians
+        hams = np.repeat(hs0[None], len(extra_diag), axis=0)
+        hams[:, diag[0], diag[1]] += extra_diag
+        return np.abs(xy.spectral(*np.linalg.eigh(hams), psi0, times,
                                   rows=config.receiver)) ** 2
 
-    traces = np.array([
-        trace_for(2.0 * (sample_static_fields(n, noise, k)
-                         / config.marker_amplitude))
-        for k in range(noise.n_samples)])
+    # a chunk's largest temporaries, its phases e^{-iwt} and its stacked
+    # Hamiltonians, stay within 2^14 elements; at 2^16 (1 MB complex) every
+    # chunk faulted in fresh pages and the ensemble ran slower
+    chunk = max(1, 2**14 // (max(n_times, n) * n))
+    traces = np.empty((noise.n_samples, n_times))
+    for start in range(0, noise.n_samples, chunk):
+        stop = min(start + chunk, noise.n_samples)
+        fields = np.array([sample_static_fields(n, noise, k)
+                           for k in range(start, stop)])
+        traces[start:stop] = traces_for(
+            2.0 * (fields / config.marker_amplitude))
     mean = traces.mean(axis=0)
     # two passes over deviations from the first sample: no cancellation for
     # fidelities near 1, and coinciding samples give exactly zero spread
     std = (traces - traces[0]).std(axis=0)
-    noiseless = trace_for(np.zeros(n))
+    noiseless = traces_for(np.zeros((1, n)))[0]
     return EnsembleResult(times=times, mean_trace=mean, std_trace=std,
                           mean_at_T=float(mean[-1]), std_at_T=float(std[-1]),
                           noiseless_at_T=float(noiseless[-1]))

@@ -151,9 +151,14 @@ def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
     hs = search_hamiltonian(J, gamma, [sender, receiver], h=h)
     if extra_fields is not None:
         hs = hs + np.diag(extra_fields)
-    psi0 = np.zeros(len(hs))
+    return _fidelity_at(np.linalg.eigh(hs), t, sender, receiver)
+
+
+def _fidelity_at(eig, t: float, sender: int, receiver: int) -> float:
+    """|<f| v e^{-iwt} v^T |w>|^2 for the eigensystem eig = (w, v)."""
+    psi0 = np.zeros(len(eig[0]))
     psi0[sender] = 1.0
-    amp = xy.spectral(*np.linalg.eigh(hs), psi0, [t], rows=receiver)
+    amp = xy.spectral(*eig, psi0, [t], rows=receiver)
     return float(np.abs(amp[0]) ** 2)
 
 
@@ -196,10 +201,15 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     gamma0 = analytic_gamma(J)
     t0 = transfer_time(n)
     evals = [0]
+    # pattern moves in T alone revisit gamma: one eigh per distinct gamma
+    eigs = {}
 
     def objective(g, t):
         evals[0] += 1
-        return transfer_fidelity_at(J, g, t, sender, receiver, h=h)
+        if g not in eigs:
+            eigs[g] = np.linalg.eigh(
+                search_hamiltonian(J, g, [sender, receiver], h=h))
+        return _fidelity_at(eigs[g], t, sender, receiver)
 
     best = (gamma0, t0, objective(gamma0, t0))
     seed_fid = best[2]

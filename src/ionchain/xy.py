@@ -133,12 +133,18 @@ def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray, times,
     (w, v) is the eigensystem of a real symmetric H, so the eigenvectors in
     the columns of v are real and both products with v run as real GEMMs.
     Returns a len(times) x len(rows) matrix, all basis states when rows is
-    None; an int rows gives the 1-D trace of that one amplitude.
+    None; an int rows gives the 1-D trace of that one amplitude.  A leading
+    stack axis on (w, v), as np.linalg.eigh returns for a stack of
+    Hamiltonians, propagates psi0 under each and leads the result too.
     """
     coeffs = _times_real(psi0, v)
-    phases = np.exp(-1j * np.outer(times, w))
-    out_rows = v if rows is None else v[rows]
-    return _times_real(phases * coeffs, out_rows.T)
+    phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None]
+                    * w[..., None, :])
+    phases *= coeffs[..., None, :]
+    single = rows is not None and np.ndim(rows) == 0
+    out_rows = v if rows is None else v[..., np.atleast_1d(rows), :]
+    amps = _times_real(phases, np.swapaxes(out_rows, -1, -2))
+    return amps[..., 0] if single else amps
 
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:

@@ -3,8 +3,10 @@ import pytest
 from scipy.optimize import minimize
 
 import ionchain as ic
+from ionchain import chain as chain_module
 from ionchain.chain import (NoStablePoint, NonConvergence, UnstableChain,
-                            _potential, max_stable_axial_frequency)
+                            _axial_hessian, _gradient, _potential,
+                            max_stable_axial_frequency)
 from ionchain.constants import AMU, E_CHARGE, EPSILON_0
 
 
@@ -97,6 +99,38 @@ class TestEquilibrium:
         with pytest.raises(NonConvergence):
             ic.solve_equilibrium(trap(30, 1.0), max_iter=1)
 
+    def test_nonconvergence_reports_steps_taken(self, monkeypatch):
+        # force errors of 1e-9, drawn afresh on every evaluation, that no
+        # step can remove: the line search gives up long before max_iter
+        rng = np.random.default_rng(0)
+
+        def noisy_gradient(u):
+            return _gradient(u) + 1e-9 * rng.standard_normal(len(u))
+
+        monkeypatch.setattr(chain_module, "_gradient", noisy_gradient)
+        with pytest.raises(NonConvergence) as err:
+            ic.solve_equilibrium(trap(31, 1.0), max_iter=199)
+        assert 0 < err.value.iterations < 199
+        assert f"after {err.value.iterations} iterations" in str(err.value)
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_converges_at_large_n(self, n):
+        # Newton stalls a little above 1e-12 here; the gate scales with the
+        # force on the end ions
+        u = ic.solve_equilibrium(trap(n, 0.01)).positions
+        assert np.all(np.diff(u) > 0)
+        assert np.array_equal(u, -u[::-1])
+        assert np.max(np.abs(_gradient(u))) < 1e-12 * u[-1]
+
+    def test_returned_positions_are_private(self):
+        t = trap(6, 1.0)
+        first = ic.solve_equilibrium(t)
+        expected = first.positions.copy()
+        first.positions[:] = 0.0
+        assert np.array_equal(ic.solve_equilibrium(t).positions, expected)
+        assert np.array_equal(ic.solve_equilibrium(t.with_(omega_z=1e6))
+                              .positions, expected)
+
 
 class TestTransverseModes:
     def test_com_mode_is_transverse_frequency(self):
@@ -165,7 +199,67 @@ class TestTransverseModes:
         assert np.array(d["mode_matrix"]).shape == (3, 3)
 
 
+def fresh_equilibrium(n):
+    """The damped Newton iteration of solve_equilibrium, solved afresh."""
+    if n == 1:
+        return np.zeros(1)
+    u = np.linspace(-1.0, 1.0, n) * 0.48 * n**0.56
+    g = _gradient(u)
+    res = np.max(np.abs(g))
+    for _ in range(200):
+        if res <= 1e-13:
+            break
+        step = np.linalg.solve(_axial_hessian(u), g)
+        lam = 1.0
+        while lam > 1e-8:
+            u_new = u - lam * step
+            if np.all(np.diff(u_new) > 0):
+                g_new = _gradient(u_new)
+                res_new = np.max(np.abs(g_new))
+                if res_new < res:
+                    u, g, res = u_new, g_new, res_new
+                    break
+            lam *= 0.5
+        else:
+            break
+    return 0.5 * (u - u[::-1])
+
+
+def fresh_stable(t):
+    """Linear stability from a fresh solve and the full mode spectrum."""
+    if t.n_ions == 1:
+        return True
+    u = fresh_equilibrium(t.n_ions)
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    inv3 = 1.0 / np.abs(d) ** 3
+    k = inv3.copy()
+    np.fill_diagonal(k, (min(t.omega_x, t.omega_y) / t.omega_z) ** 2
+                     - np.sum(inv3, axis=1))
+    return np.min(np.linalg.eigh(k)[0] * t.omega_z**2) > 0
+
+
+def fresh_max_stable(template, n):
+    lo, hi = 2 * np.pi * 1e4, 0.999 * min(template.omega_x, template.omega_y)
+    t = template.with_(n_ions=n, omega_z=lo)
+    assert fresh_stable(t)
+    if fresh_stable(t.with_(omega_z=hi)):
+        return hi
+    while (hi - lo) > 1e-4 * lo:
+        mid = 0.5 * (lo + hi)
+        if fresh_stable(t.with_(omega_z=mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class TestStability:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 52])
+    def test_bisection_matches_fresh_solves(self, n):
+        t = trap(n, 0.5)
+        assert max_stable_axial_frequency(t, n) == fresh_max_stable(t, n)
+
     def test_known_stable_and_unstable_points(self):
         # the N=10 zig-zag boundary sits near omega_z = 2 pi * 1.088 MHz
         # for the softer (5 MHz) transverse axis

@@ -223,6 +223,51 @@ class TestNoiseCommand:
         assert case["mean_F"] == pytest.approx(case["noiseless_F"], abs=0.01)
 
 
+class TestThreads:
+    """--threads runs noise cases on a thread pool that shares the
+    equilibrium cache; the written files must not depend on it."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("noise", "n_list = 8,12\nalpha_list = 0.2,0.4\nn_samples = 4\n"
+                  "budget = 30\nn_times = 40\n"),
+        ("transfer", "n_list = 8,12\ncouplings = both\nbudget = 30\n"
+                     "n_times = 100\n"),
+    ], ids=["noise", "transfer"])
+    def test_two_threads_byte_identical(self, tmp_path, command, text):
+        p = write_config(tmp_path, text)
+        for threads in ("1", "2"):
+            assert cli.main([command, "--config", p, "--threads", threads,
+                             "--out", str(tmp_path / threads)]) == 0
+        cmp = filecmp.dircmp(tmp_path / "1", tmp_path / "2")
+        assert len(cmp.common_files) >= 2
+        assert cmp.left_only == [] and cmp.right_only == []
+        _, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "1", tmp_path / "2", cmp.common_files, shallow=False)
+        assert mismatch == [] and errors == []
+
+
+class TestOptimizerDiagnostics:
+    @pytest.mark.parametrize("command, key, extra", [
+        ("noise", "cases", "n_samples = 3\nn_times = 20\n"),
+        ("transfer", "results", "n_times = 50\n"),
+    ], ids=["noise", "transfer"])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_report_fields(self, tmp_path, command, key, extra, optimize):
+        p = write_config(tmp_path, f"n_list = 8\nbudget = 25\n{extra}"
+                                   f"optimize = {str(optimize).lower()}\n")
+        assert cli.main([command, "--config", p,
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"{command}_report.json")
+                            .read_text())
+        for case in report[key]:
+            if optimize:
+                assert 0 < case["n_evaluations"] <= 25
+                assert 0.0 < case["seed_fidelity"] <= 1.0
+            else:
+                assert case["n_evaluations"] is None
+                assert case["seed_fidelity"] is None
+
+
 class TestPresetsAndFlags:
     def test_preset_on_wrong_subcommand(self, tmp_path, capsys):
         rc = cli.main(["chain", "--paper-fig", "2a", "--out", str(tmp_path)])

@@ -63,10 +63,47 @@ class TestSampling:
         assert np.std(draws) == pytest.approx(10.0, rel=0.02)
 
 
+def per_sample_ensemble(j, h, cfg, noise, n_times):
+    """One eigh and one propagation per sample, as before stacking."""
+    n = j.shape[0]
+    hs0 = pr.search_hamiltonian(j, cfg.gamma, [cfg.sender, cfg.receiver],
+                                h=h)
+    times = np.linspace(0.0, cfg.duration, n_times)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[cfg.sender] = 1.0
+
+    def trace_for(extra_diag):
+        sector = xy.build_single_excitation(hs0 + np.diag(extra_diag))
+        return np.abs(xy.spectral(*sector.eigensystem(), psi0, times,
+                                  rows=cfg.receiver)) ** 2
+
+    traces = np.array([
+        trace_for(2.0 * (nz.sample_static_fields(n, noise, k)
+                         / cfg.marker_amplitude))
+        for k in range(noise.n_samples)])
+    return (traces.mean(axis=0), (traces - traces[0]).std(axis=0),
+            trace_for(np.zeros(n)))
+
+
 class TestEnsemble:
+    @pytest.mark.parametrize("n_samples", [1, 37])
+    def test_matches_per_sample_loop(self, n_samples):
+        # 37 samples of an 8-site chain at 200 times are 4 chunks, the last
+        # one short
+        j, cfg = config(n=8)
+        h = 0.01 * np.arange(8, dtype=float)
+        noise = nz.NoiseConfig(t2=1e-3, n_samples=n_samples, rng_seed=5)
+        out = nz.noisy_transfer_ensemble(j, h, cfg, noise, n_times=200)
+        mean, std, noiseless = per_sample_ensemble(j, h, cfg, noise, 200)
+        assert np.max(np.abs(out.mean_trace - mean)) < 1e-13
+        assert np.max(np.abs(out.std_trace - std)) < 1e-13
+        assert out.noiseless_at_T == pytest.approx(noiseless[-1], abs=1e-13)
+        assert out.mean_at_T == out.mean_trace[-1]
+        assert out.std_at_T == out.std_trace[-1]
+
     def test_zero_variance_matches_noiseless(self):
         j, cfg = config()
-        noise = nz.NoiseConfig(field_variance=0.0, n_samples=3)
+        noise = nz.NoiseConfig(field_variance=0.0, n_samples=37)
         out = nz.noisy_transfer_ensemble(j, None, cfg, noise)
         assert out.mean_at_T == pytest.approx(out.noiseless_at_T, abs=1e-12)
         # coinciding samples have exactly zero spread, with no clamp

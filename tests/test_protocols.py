@@ -178,7 +178,84 @@ class TestRunSearch:
         assert prob[0] == pytest.approx(1.0 / n, rel=1e-12)
 
 
+def uncached_search(j, sender, receiver, box=0.30, budget=200, rng_seed=0):
+    """optimize_protocol's search with a fresh eigh at every evaluation."""
+    n = j.shape[0]
+    gamma0, t0 = pr.analytic_gamma(j), pr.transfer_time(n)
+    evals = [0]
+
+    def objective(g, t):
+        evals[0] += 1
+        return pr.transfer_fidelity_at(j, g, t, sender, receiver)
+
+    best = (gamma0, t0, objective(gamma0, t0))
+    seed_fid = best[2]
+    rng = np.random.default_rng(rng_seed)
+    n_scatter = min(24, budget // 4)
+    lows = np.linspace(-box, box, n_scatter, endpoint=False)
+    g_frac = rng.permutation(lows) + box / n_scatter * rng.random(n_scatter)
+    t_frac = rng.permutation(lows) + box / n_scatter * rng.random(n_scatter)
+    for gf, tf in zip(g_frac, t_frac):
+        g, t = gamma0 * (1 + gf), t0 * (1 + tf)
+        f = objective(g, t)
+        if f > best[2]:
+            best = (g, t, f)
+    step_g, step_t = box * gamma0 / 2, box * t0 / 2
+    while evals[0] < budget and (step_g / gamma0 > 1e-5
+                                 or step_t / t0 > 1e-5):
+        g, t, f = best
+        improved = False
+        for dg, dt in ((step_g, 0), (-step_g, 0), (0, step_t), (0, -step_t)):
+            if evals[0] >= budget:
+                break
+            cand = (g + dg, t + dt)
+            if cand[0] <= 0 or cand[1] <= 0:
+                continue
+            fc = objective(*cand)
+            if fc > f:
+                best = (cand[0], cand[1], fc)
+                improved = True
+                break
+        if not improved:
+            step_g /= 2
+            step_t /= 2
+    return best, evals[0], seed_fid
+
+
 class TestOptimizeProtocol:
+    def test_one_eigh_per_distinct_gamma(self, monkeypatch):
+        n = 12
+        j = normalized_walk(n, 0.3)
+        gammas = []
+        eigh_calls = [0]
+        search_hamiltonian, eigh = pr.search_hamiltonian, np.linalg.eigh
+
+        def recording_hamiltonian(h_walk, gamma, marked, h=None):
+            gammas.append(gamma)
+            return search_hamiltonian(h_walk, gamma, marked, h=h)
+
+        def counting_eigh(a, *args, **kwargs):
+            eigh_calls[0] += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(pr, "search_hamiltonian", recording_hamiltonian)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        out = pr.optimize_protocol(j, None, 0, n - 1, budget=120)
+        monkeypatch.undo()
+        # the last call builds run_transfer's report at the chosen gamma
+        searched = gammas[:-1]
+        assert gammas[-1] == out.config.gamma
+        assert len(set(searched)) == len(searched)
+        assert eigh_calls[0] == len(gammas)
+        assert out.n_evaluations > len(searched)
+
+        (g, t, f), n_evals, seed_fid = uncached_search(j, 0, n - 1,
+                                                       budget=120)
+        assert (out.config.gamma, out.config.duration) == (g, t)
+        assert out.report.fidelity_peak == f
+        assert out.n_evaluations == n_evals
+        assert out.seed_fidelity == seed_fid
+
     def test_deterministic_and_never_worse_than_seed(self):
         n = 14
         j = normalized_walk(n, 0.4)

@@ -184,6 +184,20 @@ class TestSpectral:
         assert out[0] == pytest.approx(ref[[5, 1]], abs=1e-12)
 
 
+    @pytest.mark.parametrize("rows", [3, None])
+    def test_stack_matches_per_matrix_loop(self, rows):
+        hams = np.array([random_real_symmetric(6, seed=59 + k)
+                         for k in range(4)])
+        rng = np.random.default_rng(3)
+        psi0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        times = np.linspace(0.0, 2.0, 9)
+        out = xy.spectral(*np.linalg.eigh(hams), psi0, times, rows=rows)
+        ref = np.array([xy.spectral(*np.linalg.eigh(h), psi0, times,
+                                    rows=rows) for h in hams])
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-13
+
+
 class TestEvolution:
     def test_matches_expm(self):
         j, h = random_couplings(6, seed=13)
