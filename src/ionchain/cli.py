@@ -106,6 +106,17 @@ def _p_float_list(s):
     return [_p_float(p) for p in parts]
 
 
+def _at_least(parse, lo):
+    """parse, then reject a value (or any list item) below lo."""
+    def checked(s):
+        val = parse(s)
+        for x in val if isinstance(val, list) else [val]:
+            if x < lo:
+                raise ConfigError(f"expected values >= {lo}, got {x}")
+        return val
+    return checked
+
+
 def _p_choice(*options):
     def parse(s):
         if s not in options:
@@ -146,37 +157,35 @@ SCHEMAS = {
         "total_quanta": (_p_opt_int, None),
         "s_init": (_p_int, 1),
         "periods": (_p_float, 4.0),
-        "n_times": (_p_int, 3000),
+        "n_times": (_at_least(_p_int, 2), 3000),
         "omega_c_pin_mhz": (_p_opt_float, None),
         "r_lo": (_p_float, 0.999),
         "r_hi": (_p_float, 1.002),
         "integrator": (_p_choice("spectral", "rk"), "spectral"),
     }),
     "transfer": dict(TRAP_SCHEMA, **{
-        "n_list": (_p_int_list, list(range(8, 53, 4))),
+        "n_list": (_at_least(_p_int_list, 3), list(range(8, 53, 4))),
         "couplings": (_p_choice("idealized", "experimental", "both"),
                       "idealized"),
         "optimize": (_p_bool, True),
         "budget": (_p_int, 200),
         "box": (_p_float, 0.30),
-        "n_times": (_p_int, 600),
     }),
     "search": dict(TRAP_SCHEMA, **{
         "couplings": (_p_choice("idealized", "experimental"), "idealized"),
         "marked": (_p_opt_int, None),
         "gamma": (_p_float_or_auto, "auto"),
         "t_max_factor": (_p_float, 1.0),
-        "n_times": (_p_int, 600),
+        "n_times": (_at_least(_p_int, 2), 600),
     }),
     "noise": dict(TRAP_SCHEMA, **{
-        "n_list": (_p_int_list, list(range(8, 53, 4))),
+        "n_list": (_at_least(_p_int_list, 3), list(range(8, 53, 4))),
         "alpha_list": (_p_float_list, [0.2, 0.4, 0.6]),
         "t2_ms": (_p_float, 10.0),
         "n_samples": (_p_int, 500),
         "field_variance": (_p_opt_float, None),
         "optimize": (_p_bool, True),
         "budget": (_p_int, 200),
-        "n_times": (_p_int, 200),
     }),
 }
 
@@ -564,21 +573,29 @@ def _walk_couplings(cfg, n: int):
     return j_phys / lam, lam, info["alpha_achieved"]
 
 
+def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int):
+    """(gamma, T, optimizer result or None) for transfer from 0 to n - 1.
+
+    With optimize = true the optimizer tunes (gamma, T) around the analytic
+    point (noise has no box key and keeps the optimizer's default box);
+    otherwise gamma = 1/lambda_max and T = pi sqrt(n/2).
+    """
+    if not cfg["optimize"]:
+        return (protocols.analytic_gamma(j_walk), protocols.transfer_time(n),
+                None)
+    box = {"box": cfg["box"]} if "box" in cfg else {}
+    opt = protocols.optimize_protocol(j_walk, None, 0, n - 1,
+                                      budget=cfg["budget"],
+                                      rng_seed=ctx.seed, **box)
+    return opt.config.gamma, opt.config.duration, opt
+
+
 def _one_transfer(cfg, ctx, n: int, source: str):
     sub = dict(cfg, couplings=source)
     j_walk, scale, alpha_used = _walk_couplings(sub, n)
-    opt = None
-    if cfg["optimize"]:
-        opt = protocols.optimize_protocol(j_walk, None, 0, n - 1,
-                                          box=cfg["box"],
-                                          budget=cfg["budget"],
-                                          rng_seed=ctx.seed)
-        gamma, t, fid = (opt.config.gamma, opt.config.duration,
-                         opt.report.fidelity_peak)
-    else:
-        gamma = protocols.analytic_gamma(j_walk)
-        t = protocols.transfer_time(n)
-        fid = protocols.transfer_fidelity_at(j_walk, gamma, t, 0, n - 1)
+    gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
+    fid = opt.fidelity if opt is not None else \
+        protocols.transfer_fidelity_at(j_walk, gamma, t, 0, n - 1)
     return {"n": n, "source": source, "alpha": alpha_used, "gamma": gamma,
             "T": t, "T_tilde": gamma * t, "F_peak": fid,
             "scale_rad_s": scale, **_optimizer_stats(opt)}
@@ -591,14 +608,10 @@ def _optimizer_stats(opt) -> dict:
 
 
 def cmd_transfer(cfg, ctx: OutputContext) -> None:
-    if not cfg["n_list"]:
-        raise ConfigError("n_list must not be empty")
     sources = {"idealized": ["idealized"], "experimental": ["experimental"],
                "both": ["idealized", "experimental"]}[cfg["couplings"]]
     results = []
     for n in cfg["n_list"]:
-        if n < 3:
-            raise ConfigError("transfer needs n >= 3")
         for source in sources:
             results.append(_one_transfer(cfg, ctx, n, source))
     rows = [(r["n"], r["source"], r["alpha"], r["gamma"], r["T"],
@@ -638,8 +651,6 @@ def cmd_search(cfg, ctx: OutputContext) -> None:
 
 
 def cmd_noise(cfg, ctx: OutputContext) -> None:
-    if not cfg["n_list"]:
-        raise ConfigError("n_list must not be empty")
     noise_cfg = noise.NoiseConfig(t2=cfg["t2_ms"] * 1e-3,
                                   n_samples=cfg["n_samples"],
                                   rng_seed=ctx.seed,
@@ -650,19 +661,10 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
         n, alpha = case
         sub = dict(cfg, couplings="experimental", alpha_target=alpha)
         j_walk, scale, alpha_used = _walk_couplings(sub, n)
-        opt = None
-        if cfg["optimize"]:
-            opt = protocols.optimize_protocol(j_walk, None, 0, n - 1,
-                                              budget=cfg["budget"],
-                                              rng_seed=ctx.seed)
-            gamma, t = opt.config.gamma, opt.config.duration
-        else:
-            gamma = protocols.analytic_gamma(j_walk)
-            t = protocols.transfer_time(n)
+        gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
         pc = protocols.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
                                       duration=t, marker_amplitude=scale)
-        ens = noise.noisy_transfer_ensemble(j_walk, None, pc, noise_cfg,
-                                            n_times=cfg["n_times"])
+        ens = noise.noisy_transfer_ensemble(j_walk, None, pc, noise_cfg)
         return {"n": n, "alpha_target": alpha, "alpha_achieved": alpha_used,
                 "mean_F": ens.mean_at_T, "std_F": ens.std_at_T,
                 "noiseless_F": ens.noiseless_at_T, "duration_s": t / scale,

@@ -46,9 +46,6 @@ def sample_static_fields(n: int, config: NoiseConfig,
 
 @dataclass
 class EnsembleResult:
-    times: np.ndarray
-    mean_trace: np.ndarray
-    std_trace: np.ndarray
     mean_at_T: float
     std_at_T: float
     noiseless_at_T: float
@@ -56,47 +53,43 @@ class EnsembleResult:
 
 def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
                             config: protocols.ProtocolConfig,
-                            noise: NoiseConfig,
-                            n_times: int = 200) -> EnsembleResult:
-    """Pointwise mean/std of the transfer fidelity over static-field samples.
+                            noise: NoiseConfig) -> EnsembleResult:
+    """Mean/std of the transfer fidelity at T over static-field samples.
 
     Each sample adds 2*field_j to the protocol diagonal (z-field convention
     h_j sigma_j^z in the single-excitation sector, global shift dropped).
     The protocol Hamiltonian runs in marker units; sampled fields are rad/s
     and are converted with the configured marker amplitude.  Samples are
-    diagonalised and propagated in stacks, a chunk at a time.
+    diagonalised and propagated to T in stacks, a chunk at a time.
     """
     hs0 = protocols.search_hamiltonian(
         J, config.gamma, [config.sender, config.receiver], h=h)
     n = J.shape[0]
-    times = np.linspace(0.0, config.duration, n_times)
     psi0 = np.zeros(n, dtype=complex)
     psi0[config.sender] = 1.0
     diag = np.diag_indices(n)
 
-    def traces_for(extra_diag):
+    def fidelities_for(extra_diag):
         # one eigh over the stack of sample Hamiltonians
         hams = np.repeat(hs0[None], len(extra_diag), axis=0)
         hams[:, diag[0], diag[1]] += extra_diag
-        return np.abs(xy.spectral(*np.linalg.eigh(hams), psi0, times,
-                                  rows=config.receiver)) ** 2
+        amps = xy.spectral(*np.linalg.eigh(hams), psi0, [config.duration],
+                           rows=config.receiver)
+        return np.abs(amps[:, 0]) ** 2
 
-    # a chunk's largest temporaries, its phases e^{-iwt} and its stacked
-    # Hamiltonians, stay within 2^14 elements; at 2^16 (1 MB complex) every
-    # chunk faulted in fresh pages and the ensemble ran slower
-    chunk = max(1, 2**14 // (max(n_times, n) * n))
-    traces = np.empty((noise.n_samples, n_times))
+    # a chunk's stacked Hamiltonians stay within 2^14 elements; at 2^16
+    # (1 MB complex) every chunk faulted in fresh pages and ran slower
+    chunk = max(1, 2**14 // (n * n))
+    fids = np.empty(noise.n_samples)
     for start in range(0, noise.n_samples, chunk):
         stop = min(start + chunk, noise.n_samples)
         fields = np.array([sample_static_fields(n, noise, k)
                            for k in range(start, stop)])
-        traces[start:stop] = traces_for(
+        fids[start:stop] = fidelities_for(
             2.0 * (fields / config.marker_amplitude))
-    mean = traces.mean(axis=0)
     # two passes over deviations from the first sample: no cancellation for
     # fidelities near 1, and coinciding samples give exactly zero spread
-    std = (traces - traces[0]).std(axis=0)
-    noiseless = traces_for(np.zeros((1, n)))[0]
-    return EnsembleResult(times=times, mean_trace=mean, std_trace=std,
-                          mean_at_T=float(mean[-1]), std_at_T=float(std[-1]),
-                          noiseless_at_T=float(noiseless[-1]))
+    std = (fids - fids[0]).std()
+    noiseless = fidelities_for(np.zeros((1, n)))[0]
+    return EnsembleResult(mean_at_T=float(fids.mean()), std_at_T=float(std),
+                          noiseless_at_T=float(noiseless))

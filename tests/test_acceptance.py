@@ -127,7 +127,7 @@ def transfer_sweep():
                 walk, _ = experimental_walk(n, 0.2)
             opt = pr.optimize_protocol(walk, None, 0, n - 1, budget=120,
                                        rng_seed=0)
-            row[source] = {"F": opt.report.fidelity_peak,
+            row[source] = {"F": opt.fidelity,
                            "T_tilde": opt.config.gamma * opt.config.duration}
         out[n] = row
     return out
@@ -403,8 +403,7 @@ def test_criterion_11_noise_ensemble():
                             receiver=7, duration=pr.transfer_time(8),
                             marker_amplitude=scale)
     zv = nz.noisy_transfer_ensemble(
-        walk, None, cfg, nz.NoiseConfig(field_variance=0.0, n_samples=3),
-        n_times=50)
+        walk, None, cfg, nz.NoiseConfig(field_variance=0.0, n_samples=3))
     zero_ok = abs(zv.mean_at_T - zv.noiseless_at_T) < 1e-12
     # standard error of the ensemble mean scales as 1/sqrt(n_samples)
     gamma = pr.analytic_gamma(walk)
@@ -431,9 +430,9 @@ def test_criterion_12_determinism(tmp_path):
         ("alpha-scan", "n_ions = 6\nomega_z_mhz = 0.9\nscan_points = 6\n"),
         ("leakage", "n_ions = 4\nomega_z_mhz = 1.0\nalpha_target = 0.5\n"
                     "fock_cutoff = 2\nperiods = 2\nn_times = 200\n"),
-        ("transfer", "n_list = 8,12\noptimize = false\nn_times = 100\n"),
+        ("transfer", "n_list = 8,12\noptimize = false\n"),
         ("noise", "n_list = 8\nalpha_list = 0.3\nn_samples = 5\n"
-                  "optimize = false\nn_times = 30\n"),
+                  "optimize = false\n"),
     ]
     all_same = True
     compared = 0

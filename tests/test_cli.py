@@ -65,6 +65,15 @@ omega_z_mhz = 0.9   # trailing comment
         ("leakage", "n_ions = 4\nalpha_target = 0.5\nfock_cutoff = 0\n",
          "fock_cutoff"),
         ("noise", "n_list = 8\nt2_ms = 0\n", "t2"),
+        ("leakage", "n_times = 0\n", "n_times"),
+        ("leakage", "n_times = 1\n", "n_times"),
+        ("search", "n_times = 0\n", "n_times"),
+        ("noise", "n_list = 8,2\n", "n_list"),
+        ("transfer", "n_list = 8,2\n", "n_list"),
+        ("noise", "n_list = 8\nbudget = 0\n", "budget"),
+        ("transfer", "n_list = 8\nbudget = 0\n", "budget"),
+        ("noise", "n_list = 8\nn_times = 50\n", "unknown key 'n_times'"),
+        ("transfer", "n_list = 8\nn_times = 50\n", "unknown key 'n_times'"),
     ])
     def test_value_rejected_by_library_exits_two(self, tmp_path, capsys,
                                                  command, text, message):
@@ -181,8 +190,7 @@ class TestLeakageCommand:
 
 class TestTransferCommand:
     def test_idealized_sweep(self, tmp_path):
-        p = write_config(tmp_path, "n_list = 8,12\noptimize = false\n"
-                                   "n_times = 200\n")
+        p = write_config(tmp_path, "n_list = 8,12\noptimize = false\n")
         rc = cli.main(["transfer", "--config", p, "--out", str(tmp_path)])
         assert rc == 0
         _, rows = read_table(tmp_path / "transfer.csv")
@@ -211,7 +219,7 @@ class TestNoiseCommand:
     def test_small_ensemble(self, tmp_path):
         p = write_config(tmp_path, "\n".join([
             "n_list = 8", "alpha_list = 0.3", "n_samples = 5",
-            "optimize = false", "n_times = 50", "omega_z_mhz = auto", ""]))
+            "optimize = false", "omega_z_mhz = auto", ""]))
         rc = cli.main(["noise", "--config", p, "--out", str(tmp_path)])
         assert rc == 0
         _, rows = read_table(tmp_path / "noise.csv")
@@ -229,9 +237,8 @@ class TestThreads:
 
     @pytest.mark.parametrize("command, text", [
         ("noise", "n_list = 8,12\nalpha_list = 0.2,0.4\nn_samples = 4\n"
-                  "budget = 30\nn_times = 40\n"),
-        ("transfer", "n_list = 8,12\ncouplings = both\nbudget = 30\n"
-                     "n_times = 100\n"),
+                  "budget = 30\n"),
+        ("transfer", "n_list = 8,12\ncouplings = both\nbudget = 30\n"),
     ], ids=["noise", "transfer"])
     def test_two_threads_byte_identical(self, tmp_path, command, text):
         p = write_config(tmp_path, text)
@@ -248,8 +255,8 @@ class TestThreads:
 
 class TestOptimizerDiagnostics:
     @pytest.mark.parametrize("command, key, extra", [
-        ("noise", "cases", "n_samples = 3\nn_times = 20\n"),
-        ("transfer", "results", "n_times = 50\n"),
+        ("noise", "cases", "n_samples = 3\n"),
+        ("transfer", "results", ""),
     ], ids=["noise", "transfer"])
     @pytest.mark.parametrize("optimize", [True, False])
     def test_report_fields(self, tmp_path, command, key, extra, optimize):
