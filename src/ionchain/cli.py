@@ -573,27 +573,26 @@ def _walk_couplings(cfg, n: int):
     return j_phys / lam, lam, info["alpha_achieved"]
 
 
-def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int):
+def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int, **opt_kwargs):
     """(gamma, T, optimizer result or None) for transfer from 0 to n - 1.
 
-    With optimize = true the optimizer tunes (gamma, T) around the analytic
-    point (noise has no box key and keeps the optimizer's default box);
-    otherwise gamma = 1/lambda_max and T = pi sqrt(n/2).
+    With optimize = true the optimizer, given opt_kwargs, tunes (gamma, T)
+    around the analytic point; otherwise gamma = 1/lambda_max and
+    T = pi sqrt(n/2).
     """
     if not cfg["optimize"]:
         return (protocols.analytic_gamma(j_walk), protocols.transfer_time(n),
                 None)
-    box = {"box": cfg["box"]} if "box" in cfg else {}
     opt = protocols.optimize_protocol(j_walk, None, 0, n - 1,
                                       budget=cfg["budget"],
-                                      rng_seed=ctx.seed, **box)
+                                      rng_seed=ctx.seed, **opt_kwargs)
     return opt.config.gamma, opt.config.duration, opt
 
 
 def _one_transfer(cfg, ctx, n: int, source: str):
     sub = dict(cfg, couplings=source)
     j_walk, scale, alpha_used = _walk_couplings(sub, n)
-    gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
+    gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n, box=cfg["box"])
     fid = opt.fidelity if opt is not None else \
         protocols.transfer_fidelity_at(j_walk, gamma, t, 0, n - 1)
     return {"n": n, "source": source, "alpha": alpha_used, "gamma": gamma,

@@ -62,34 +62,35 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     and are converted with the configured marker amplitude.  Samples are
     diagonalised and propagated to T in stacks, a chunk at a time.
     """
-    hs0 = protocols.search_hamiltonian(
-        J, config.gamma, [config.sender, config.receiver], h=h)
-    n = J.shape[0]
+    # the noiseless protocol, the same sector run_transfer propagates; each
+    # sample perturbs a copy of its matrix
+    sector = xy.build_single_excitation(protocols.search_hamiltonian(
+        J, config.gamma, [config.sender, config.receiver], h=h))
+    n = sector.dim
     psi0 = np.zeros(n, dtype=complex)
     psi0[config.sender] = 1.0
     diag = np.diag_indices(n)
 
-    def fidelities_for(extra_diag):
-        # one eigh over the stack of sample Hamiltonians
-        hams = np.repeat(hs0[None], len(extra_diag), axis=0)
-        hams[:, diag[0], diag[1]] += extra_diag
-        amps = xy.spectral(*np.linalg.eigh(hams), psi0, [config.duration],
+    def fidelity_at_T(w, v):
+        # (w, v) may carry a leading stack axis, one eigensystem per sample
+        amps = xy.spectral(w, v, psi0, [config.duration],
                            rows=config.receiver)
-        return np.abs(amps[:, 0]) ** 2
+        return np.abs(amps[..., 0]) ** 2
 
-    # a chunk's stacked Hamiltonians stay within 2^14 elements; at 2^16
-    # (1 MB complex) every chunk faulted in fresh pages and ran slower
+    # a chunk's stacked Hamiltonians stay within 2^14 float64 elements
     chunk = max(1, 2**14 // (n * n))
     fids = np.empty(noise.n_samples)
     for start in range(0, noise.n_samples, chunk):
         stop = min(start + chunk, noise.n_samples)
         fields = np.array([sample_static_fields(n, noise, k)
                            for k in range(start, stop)])
-        fids[start:stop] = fidelities_for(
-            2.0 * (fields / config.marker_amplitude))
+        # one eigh over the stack of sample Hamiltonians
+        hams = np.repeat(sector.H[None], stop - start, axis=0)
+        hams[:, diag[0], diag[1]] += 2.0 * (fields / config.marker_amplitude)
+        fids[start:stop] = fidelity_at_T(*np.linalg.eigh(hams))
     # two passes over deviations from the first sample: no cancellation for
     # fidelities near 1, and coinciding samples give exactly zero spread
     std = (fids - fids[0]).std()
-    noiseless = fidelities_for(np.zeros((1, n)))[0]
+    noiseless = fidelity_at_T(*sector.eigensystem())
     return EnsembleResult(mean_at_T=float(fids.mean()), std_at_T=float(std),
                           noiseless_at_T=float(noiseless))
