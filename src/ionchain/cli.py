@@ -729,6 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         raw = parse_config_file(args.config) if args.config else {}
         if args.paper_fig is not None:
             fig_cmd, overrides = PAPER_FIGS[args.paper_fig]

@@ -23,9 +23,8 @@ basis is kept as an independent cross-check.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -37,10 +36,6 @@ from . import xy
 
 class StepUnderflow(RuntimeError):
     pass
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file does not match its header or the system."""
 
 
 @dataclass(frozen=True)
@@ -71,46 +66,40 @@ class TruncationPolicy:
 class ProductBasis:
     """Ordered truncated spin (x) phonon basis.
 
-    states is a list of (spin_mask, phonon_tuple); phonon_tuple has one
-    occupation per included mode.  The integer arrays, one entry per state,
-    hold the spin excitation count, the phonon occupations (dim x n_modes)
-    and the total quanta (spin excitations + phonons).
+    One entry per state: the spin bitmask, the phonon occupations
+    (dim x n_modes), the spin excitation count and the total quanta (spin
+    excitations + phonons).  States are ordered by mask, then by
+    occupations, first mode most significant.
     """
 
     n_sites: int
     policy: TruncationPolicy
-    states: list
-    index: dict
-    spin_count: np.ndarray
+    masks: np.ndarray
     occupations: np.ndarray
+    spin_count: np.ndarray
     quanta: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.masks)
 
     @classmethod
     def build(cls, n_sites: int, policy: TruncationPolicy,
               s_init: int) -> "ProductBasis":
         qmax = policy.quanta_cutoff(s_init)
         n_modes = len(policy.phonon_modes)
-        states = []
-        fock = range(policy.fock_cutoff + 1)
-        for s in range(min(n_sites, qmax) + 1):
-            for c in combinations(range(n_sites), s):
-                mask = sum(1 << i for i in c)
-                for occ in product(fock, repeat=n_modes):
-                    if s + sum(occ) <= qmax:
-                        states.append((mask, occ))
-        states.sort()
-        index = {st: k for k, st in enumerate(states)}
-        spin_count = np.array([mask.bit_count() for mask, _ in states],
-                              dtype=np.int64)
-        occupations = np.array([occ for _, occ in states],
-                               dtype=np.int64).reshape(len(states), n_modes)
-        return cls(n_sites=n_sites, policy=policy, states=states, index=index,
-                   spin_count=spin_count, occupations=occupations,
-                   quanta=spin_count + occupations.sum(axis=1))
+        spin_masks = np.sort(np.concatenate(
+            [xy.sector_basis(n_sites, s)
+             for s in range(min(n_sites, qmax) + 1)]))
+        grid = np.array(list(product(range(policy.fock_cutoff + 1),
+                                     repeat=n_modes)), dtype=np.int64)
+        spin = xy.site_bits(spin_masks, n_sites).sum(axis=1)
+        # row-major over (mask, occupation grid) is the basis order
+        rank, code = np.nonzero(spin[:, None] + grid.sum(axis=1) <= qmax)
+        occupations = grid[code]
+        return cls(n_sites=n_sites, policy=policy, masks=spin_masks[rank],
+                   occupations=occupations, spin_count=spin[rank],
+                   quanta=spin[rank] + occupations.sum(axis=1))
 
     @property
     def phonon_count(self) -> np.ndarray:
@@ -120,8 +109,25 @@ class ProductBasis:
         """Indices of the states whose total quanta have the given parity."""
         return np.flatnonzero(self.quanta % 2 == parity)
 
+    def rows(self, masks, occupations) -> np.ndarray:
+        """Rows of the states (masks[k], occupations[k]); KeyError if one is
+        not in the basis.  Binary search on an int64 key that ascends in
+        basis order: the first row holding the mask, then the mixed-radix
+        code of the occupations (unlike raw masks, it cannot overflow)."""
+        weights = (self.policy.fock_cutoff + 1) ** np.arange(
+            self.occupations.shape[1], -1, -1)
+        basis_keys, keys = (
+            np.column_stack([np.searchsorted(self.masks, m), occ]) @ weights
+            for m, occ in ((self.masks, self.occupations),
+                           (masks, occupations)))
+        rows = np.minimum(np.searchsorted(basis_keys, keys), self.dim - 1)
+        if not (np.array_equal(self.masks[rows], masks)
+                and np.array_equal(self.occupations[rows], occupations)):
+            raise KeyError("state not in the truncated basis")
+        return rows
+
     def state_index(self, spin_mask: int, phonons: tuple) -> int:
-        return self.index[(spin_mask, tuple(phonons))]
+        return int(self.rows([spin_mask], [phonons])[0])
 
 
 @dataclass
@@ -161,27 +167,21 @@ class SpinPhononSystem:
             w = chain.mode_freqs[modes]
         eta = lamb_dicke(trap, ch)[:, modes]
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
-        dim = basis.dim
         d = trap.omega_eff * basis.spin_count + basis.occupations @ w
-        v = np.zeros((dim, dim))
+        v = np.zeros((basis.dim, basis.dim))
         half = 0.5 * trap.rabi
-        for k, (mask, occ) in enumerate(basis.states):
-            for mi in range(len(modes)):
-                n = occ[mi]
-                if n == 0:
-                    continue
-                occ_lo = list(occ)
-                occ_lo[mi] = n - 1
-                amp = np.sqrt(n)
-                for i in range(trap.n_ions):
-                    flipped = mask ^ (1 << i)
-                    st = (flipped, tuple(occ_lo))
-                    k2 = basis.index.get(st)
-                    if k2 is not None:
-                        # (a_m + a_m^dag) s_i^x matrix element
-                        el = -half * eta[i, mi] * amp
-                        v[k2, k] += el
-                        v[k, k2] += el
+        for mi in range(len(modes)):
+            src = np.flatnonzero(basis.occupations[:, mi])
+            amp = np.sqrt(basis.occupations[src, mi])
+            lowered = basis.occupations[src]
+            lowered[:, mi] -= 1
+            for i in range(trap.n_ions):
+                # (a_m + a_m^dag) s_i^x matrix element; each (mode, ion)
+                # pair writes its own elements, none written twice
+                rows = basis.rows(basis.masks[src] ^ (1 << i), lowered)
+                el = -half * eta[i, mi] * amp
+                v[rows, src] = el
+                v[src, rows] = el
         return cls(trap=trap, basis=basis, mode_freqs=w, eta=eta, D=d, V=v)
 
     def eigensystem(self, parity: int):
@@ -266,52 +266,6 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
     return Trajectory(times=times, states=states, system=system)
 
 
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(traj: Trajectory, path) -> None:
-    """Write a trajectory: one JSON header line, then raw amplitude bytes.
-
-    The block holds times as float64 followed by the state matrix as
-    complex128, both little-endian C order.
-    """
-    states = np.ascontiguousarray(traj.states, dtype=np.complex128)
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "n_times": int(len(traj.times)),
-        "dim": int(states.shape[1]),
-        "time_dtype": "<f8",
-        "state_dtype": "<c16",
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(traj.times.astype("<f8").tobytes())
-        f.write(states.astype("<c16").tobytes())
-
-
-def load_checkpoint(path, system: SpinPhononSystem) -> Trajectory:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        data = f.read()
-    if header["version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {header['version']}")
-    if (header["time_dtype"], header["state_dtype"]) != ("<f8", "<c16"):
-        raise CheckpointError("checkpoint dtypes must be <f8 times and <c16 "
-                              "states")
-    nt, dim = header["n_times"], header["dim"]
-    if dim != system.basis.dim:
-        raise CheckpointError("checkpoint dimension does not match system")
-    expected = 8 * nt + 16 * nt * dim
-    if len(data) != expected:
-        raise CheckpointError(
-            f"checkpoint {path} holds {len(data)} data bytes, header "
-            f"(n_times={nt}, dim={dim}) needs {expected}")
-    times = np.frombuffer(data, dtype="<f8", count=nt)
-    states = np.frombuffer(data, dtype="<c16", offset=8 * nt).reshape(nt, dim)
-    return Trajectory(times=times.copy(), states=states.copy(), system=system)
-
-
 def vacuum_overlap(traj: Trajectory) -> np.ndarray:
     """E(t): population of the all-spins-down subspace, traced over phonons."""
     idx = np.flatnonzero(traj.system.basis.spin_count == 0)
@@ -335,17 +289,14 @@ def model_fidelity(traj: Trajectory, xy_sector: xy.XYSector,
     if xy_sector.n_sites != basis.n_sites:
         raise xy.BasisMismatch("site counts differ")
     xy_states = xy.evolve_grid(xy_sector, psi_xy0, traj.times)
-    sector_pos = {int(m): k for k, m in enumerate(xy_sector.basis)}
-    # group product-basis states by phonon occupation; overlap per group
-    groups: dict[tuple, list] = {}
-    for k, (mask, occ) in enumerate(basis.states):
-        j = sector_pos.get(mask)
-        if j is not None:
-            groups.setdefault(occ, []).append((k, j))
+    ks = np.flatnonzero(np.isin(basis.masks, xy_sector.basis))
+    js = np.searchsorted(xy_sector.basis, basis.masks[ks])
+    # one overlap per phonon occupation, summed over the group's spin states
+    occ = basis.occupations[ks]
     fid = np.zeros(len(traj.times))
-    for pairs in groups.values():
-        ks = [p[0] for p in pairs]
-        js = [p[1] for p in pairs]
-        ov = np.sum(xy_states[:, js].conj() * traj.states[:, ks], axis=1)
+    for group in np.unique(occ, axis=0):
+        sel = np.all(occ == group, axis=1)
+        ov = np.sum(xy_states[:, js[sel]].conj() * traj.states[:, ks[sel]],
+                    axis=1)
         fid += np.abs(ov) ** 2
     return fid

@@ -11,7 +11,7 @@ the only other integrators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
@@ -30,7 +30,7 @@ class XYSector:
     """Fixed-excitation block of the XY Hamiltonian.
 
     basis holds occupation bitmasks (bit i set = excitation on site i),
-    ordered ascending; index maps bitmask -> row.
+    ordered ascending, so a bitmask's row is its searchsorted position.
     """
 
     n_sites: int
@@ -70,6 +70,12 @@ def sector_basis(n_sites: int, s: int) -> np.ndarray:
     return np.array(sorted(masks), dtype=np.int64)
 
 
+def site_bits(masks: np.ndarray, n_sites: int) -> np.ndarray:
+    """len(masks) x n_sites array of occupation bits, column i = bit i."""
+    return (np.asarray(masks, dtype=np.int64)[:, None]
+            >> np.arange(n_sites)) & 1
+
+
 def hop_amplitudes(J: np.ndarray) -> np.ndarray:
     """4 J_ij: the fixed-excitation matrix elements of
     sum_{i != j} J_ij (sx sx + sy sy).
@@ -102,22 +108,19 @@ def build_sector(J: np.ndarray, h: np.ndarray | None, s: int) -> XYSector:
         raise ValueError("excitation count out of range")
     hop = hop_amplitudes(J)
     basis = sector_basis(n, s)
-    dim = len(basis)
-    ham = np.zeros((dim, dim))
-    index = {int(m): k for k, m in enumerate(basis)}
-    for k, mask in enumerate(basis):
-        mask = int(mask)
-        if h is not None:
-            occ = np.array([(mask >> i) & 1 for i in range(n)])
-            ham[k, k] = float(np.dot(h, 2 * occ - 1))
+    bits = site_bits(basis, n)
+    # site by site, in site order, as a sequential dot product adds
+    diag = np.zeros(len(basis))
+    if h is not None:
         for i in range(n):
-            if not (mask >> i) & 1:
-                continue
-            for j in range(n):
-                if (mask >> j) & 1:
-                    continue
-                new = mask ^ (1 << i) | (1 << j)
-                ham[index[new], k] += hop[i, j]
+            diag += h[i] * (2 * bits[:, i] - 1)
+    ham = np.diag(diag)
+    for i, j in permutations(range(n), 2):
+        # move the excitation on i to the empty site j; each (i, j) writes
+        # its own matrix elements, none written twice
+        src = np.flatnonzero(bits[:, i] & (1 - bits[:, j]))
+        ham[np.searchsorted(basis, basis[src] ^ (1 << i) | (1 << j)),
+            src] = hop[i, j]
     return XYSector(n_sites=n, excitations=s, basis=basis, H=ham)
 
 
@@ -165,11 +168,4 @@ def evolve_grid(sector: XYSector, psi0: np.ndarray,
 
 def occupations(psi: np.ndarray, sector: XYSector) -> np.ndarray:
     """Expectation of the excitation number on each site."""
-    occ = np.zeros(sector.n_sites)
-    probs = np.abs(psi) ** 2
-    for k, mask in enumerate(sector.basis):
-        mask = int(mask)
-        for i in range(sector.n_sites):
-            if (mask >> i) & 1:
-                occ[i] += probs[k]
-    return occ
+    return np.abs(psi) ** 2 @ site_bits(sector.basis, sector.n_sites)

@@ -103,8 +103,8 @@ def leakage_run(n: int, alpha: float, s: int = 1, modes: int = 1,
 def experimental_walk(n: int, alpha: float):
     """Normalised 4J walk matrix and its physical rate scale (rad/s)."""
     trap, sol = working_point(n, alpha)
-    j_phys = 4.0 * ic.coupling_matrix(trap, ic.lamb_dicke(trap, sol),
-                                      sol.mode_freqs)
+    j_phys = xy.hop_amplitudes(ic.coupling_matrix(
+        trap, ic.lamb_dicke(trap, sol), sol.mode_freqs))
     lam = float(np.linalg.eigvalsh(j_phys)[-1])
     return j_phys / lam, lam
 

@@ -252,6 +252,13 @@ class TestThreads:
             tmp_path / "1", tmp_path / "2", cmp.common_files, shallow=False)
         assert mismatch == [] and errors == []
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_below_one_rejected(self, tmp_path, capsys, threads):
+        rc = cli.main(["noise", "--threads", threads, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOptimizerDiagnostics:
     @pytest.mark.parametrize("command, key, extra", [

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import ionchain as ic
@@ -56,6 +57,41 @@ def embed_sector_state(psi, sector, n):
         idx = sum((1 - ((mask >> i) & 1)) << (n - 1 - i) for i in range(n))
         full[idx] = psi[k]
     return full
+
+
+def loop_sector(j, h, s):
+    """Sector matrix filled one bitmask at a time through a mask -> row
+    dict: the reference for the array assembly."""
+    n = j.shape[0]
+    hop = xy.hop_amplitudes(j)
+    basis = xy.sector_basis(n, s)
+    ham = np.zeros((len(basis), len(basis)))
+    index = {int(m): k for k, m in enumerate(basis)}
+    for k, mask in enumerate(basis):
+        mask = int(mask)
+        if h is not None:
+            occ = np.array([(mask >> i) & 1 for i in range(n)])
+            ham[k, k] = float(np.dot(h, 2 * occ - 1))
+        for i in range(n):
+            if not (mask >> i) & 1:
+                continue
+            for jj in range(n):
+                if (mask >> jj) & 1:
+                    continue
+                new = mask ^ (1 << i) | (1 << jj)
+                ham[index[new], k] += hop[i, jj]
+    return ham
+
+
+def loop_occupations(psi, sector):
+    """Site occupations summed one basis state at a time: the reference."""
+    occ = np.zeros(sector.n_sites)
+    probs = np.abs(psi) ** 2
+    for k, mask in enumerate(sector.basis):
+        for i in range(sector.n_sites):
+            if (int(mask) >> i) & 1:
+                occ[i] += probs[k]
+    return occ
 
 
 class TestBasis:
@@ -126,6 +162,39 @@ class TestBuildSector:
         j, _ = random_couplings(5, seed=41)
         sec = xy.build_sector(j, None, 1)
         assert np.array_equal(sec.H, xy.hop_amplitudes(j))
+
+
+@pytest.mark.parametrize("n, s", [(8, 4), (14, 5), (14, 7)])
+@pytest.mark.parametrize("fields", [True, False])
+def test_array_assembly_matches_mask_loop(n, s, fields):
+    j, h = random_couplings(n, seed=n + s)
+    sec = xy.build_sector(j, h if fields else None, s)
+    assert np.array_equal(sec.H, loop_sector(j, h if fields else None, s))
+    rng = np.random.default_rng(s)
+    psi = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
+    psi /= np.linalg.norm(psi)
+    # one matrix product sums the probabilities in another order: each
+    # site's sum of at most dim terms of total <= 1 moves by <= dim * eps
+    assert np.max(np.abs(xy.occupations(psi, sec)
+                         - loop_occupations(psi, sec))) \
+        <= sec.dim * np.finfo(float).eps
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**16), fields=st.booleans())
+def test_sectors_are_blocks_of_full_hamiltonian(n, seed, fields):
+    """Every fixed-excitation block of the 2^n Pauli Hamiltonian, with rows
+    in ascending bitmask order, is the sector matrix."""
+    j, h = random_couplings(n, seed)
+    full = full_xy_hamiltonian(j, h if fields else np.zeros(n))
+    for s in range(n + 1):
+        masks = [m for m in range(2 ** n) if bin(m).count("1") == s]
+        # product index: qubit 0 most significant, excitation = 0 bit
+        idx = [sum((1 - ((m >> i) & 1)) << (n - 1 - i) for i in range(n))
+               for m in masks]
+        sec = xy.build_sector(j, h if fields else None, s)
+        assert list(sec.basis) == masks
+        assert np.max(np.abs(sec.H - full[np.ix_(idx, idx)])) < 1e-12
 
 
 class TestSingleExcitation:
