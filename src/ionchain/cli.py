@@ -348,14 +348,21 @@ def build_trap(cfg) -> TrapConfig:
     return trap
 
 
-def resolve_working_point(cfg):
+def solve_trap(cfg):
+    """Trap and chain solution for one configuration, before any detuning."""
+    trap = build_trap(cfg)
+    return trap, chain.solve_chain(trap)
+
+
+def resolve_working_point(cfg, trap_and_chain=None):
     """Trap, chain solution and detuning for one configuration.
 
     alpha_target takes precedence over mu_mhz; mu_mhz = auto selects the
-    minimum usable detuning.
+    minimum usable detuning.  trap_and_chain, the solve_trap result of a
+    configuration that differs at most in alpha_target or mu_mhz, skips the
+    omega_z bisection and the equilibrium.
     """
-    trap = build_trap(cfg)
-    sol = chain.solve_chain(trap)
+    trap, sol = trap_and_chain or solve_trap(cfg)
     info = {"omega_z_rad_s": trap.omega_z,
             "mu_min_rad_s": couplings.min_detuning(trap, sol)}
     if cfg["alpha_target"] is not None:
@@ -392,8 +399,7 @@ def _trap_dict(trap: TrapConfig) -> dict:
 # subcommands
 
 def cmd_chain(cfg, ctx: OutputContext) -> None:
-    trap = build_trap(cfg)
-    sol = chain.solve_chain(trap)
+    trap, sol = solve_trap(cfg)
     write_report(ctx, "chain_report", {"trap": _trap_dict(trap),
                                 "solution": sol.to_dict()})
     rows = [(i, u, z) for i, (u, z) in
@@ -421,8 +427,7 @@ def cmd_couplings(cfg, ctx: OutputContext) -> None:
 
 
 def cmd_alpha_scan(cfg, ctx: OutputContext) -> None:
-    trap = build_trap(cfg)
-    sol = chain.solve_chain(trap)
+    trap, sol = solve_trap(cfg)
     mu_min = couplings.min_detuning(trap, sol)
     mu_grid = np.geomspace(mu_min, cfg["mu_max_factor"] * sol.mode_freqs[0],
                            cfg["scan_points"])
@@ -459,6 +464,10 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     s = cfg["s_init"]
     if not 1 <= s <= cfg["n_ions"]:
         raise ConfigError("s_init out of range")
+    if cfg["total_quanta"] is not None and cfg["total_quanta"] < s:
+        # the initial state alone holds s_init quanta
+        raise ConfigError(f"total_quanta ({cfg['total_quanta']}) must be "
+                          f">= s_init ({s})")
     trap, sol, info = resolve_working_point(cfg)
 
     eta_bare = couplings.lamb_dicke(trap, sol)
@@ -551,7 +560,7 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     })
 
 
-def _walk_couplings(cfg, n: int):
+def _walk_couplings(cfg, n: int, trap_and_chain=None):
     """Normalised walk matrix for one chain length; experimental or ideal.
 
     The walk matrix of the physical XY Hamiltonian is xy.hop_amplitudes(J),
@@ -559,6 +568,7 @@ def _walk_couplings(cfg, n: int):
     scaled times are comparable across N.  Returns
     (J_walk, scale_rad_s, alpha_used); scale_rad_s converts walk time units
     to seconds (None for idealized couplings, which have no physical scale).
+    trap_and_chain is passed on to resolve_working_point.
     """
     alpha = cfg["alpha_target"] if cfg["alpha_target"] is not None else 0.2
     if cfg["couplings"] == "idealized":
@@ -566,7 +576,7 @@ def _walk_couplings(cfg, n: int):
         lam = 1.0 / protocols.analytic_gamma(j)
         return j / lam, None, alpha
     sub = dict(cfg, n_ions=n, alpha_target=alpha)
-    trap, sol, info = resolve_working_point(sub)
+    trap, sol, info = resolve_working_point(sub, trap_and_chain)
     model = couplings.build_coupling_model(trap, sol)
     j_phys = xy.hop_amplitudes(model.J)
     lam = 1.0 / protocols.analytic_gamma(j_phys)
@@ -655,11 +665,14 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
                                   rng_seed=ctx.seed,
                                   field_variance=cfg["field_variance"])
     cases = [(n, a) for a in cfg["alpha_list"] for n in cfg["n_list"]]
+    # the trap and its chain depend on N, not on alpha: solved once per N
+    chains = {n: solve_trap(dict(cfg, n_ions=n))
+              for n in dict.fromkeys(cfg["n_list"])}
 
     def run_case(case):
         n, alpha = case
         sub = dict(cfg, couplings="experimental", alpha_target=alpha)
-        j_walk, scale, alpha_used = _walk_couplings(sub, n)
+        j_walk, scale, alpha_used = _walk_couplings(sub, n, chains[n])
         gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
         pc = protocols.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
                                       duration=t, marker_amplitude=scale)

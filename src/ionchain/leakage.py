@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .chain import TrapConfig
 from .couplings import coupling_matrix
@@ -108,6 +107,9 @@ def _fit_r(e_sim: np.ndarray, model_fn, r_bounds: tuple) -> FrequencyFit:
     The objective oscillates in r, so a bounded local search alone can lock
     onto a side lobe; the 4001-point grid locates the global basin first.
     """
+    # imported here, not at module level: scipy.optimize costs every run of
+    # the package start-up time, and only the fit needs it
+    from scipy.optimize import minimize_scalar
 
     def cost(r):
         return float(np.sum((model_fn(r) - e_sim) ** 2))

@@ -59,38 +59,27 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     Each sample adds 2*field_j to the protocol diagonal (z-field convention
     h_j sigma_j^z in the single-excitation sector, global shift dropped).
     The protocol Hamiltonian runs in marker units; sampled fields are rad/s
-    and are converted with the configured marker amplitude.  Samples are
-    diagonalised and propagated to T in stacks, a chunk at a time.
+    and are converted with the configured marker amplitude.  All samples
+    share the protocol matrix and differ only in their diagonal, so one
+    xy.chebyshev call propagates them together to T, with the noiseless
+    protocol as a zero-offset column.
     """
-    # the noiseless protocol, the same sector run_transfer propagates; each
-    # sample perturbs a copy of its matrix
+    # the noiseless protocol, the same sector run_transfer propagates
     sector = xy.build_single_excitation(protocols.search_hamiltonian(
         J, config.gamma, [config.sender, config.receiver], h=h))
     n = sector.dim
-    psi0 = np.zeros(n, dtype=complex)
+    psi0 = np.zeros(n)
     psi0[config.sender] = 1.0
-    diag = np.diag_indices(n)
-
-    def fidelity_at_T(w, v):
-        # (w, v) may carry a leading stack axis, one eigensystem per sample
-        amps = xy.spectral(w, v, psi0, [config.duration],
-                           rows=config.receiver)
-        return np.abs(amps[..., 0]) ** 2
-
-    # a chunk's stacked Hamiltonians stay within 2^14 float64 elements
-    chunk = max(1, 2**14 // (n * n))
-    fids = np.empty(noise.n_samples)
-    for start in range(0, noise.n_samples, chunk):
-        stop = min(start + chunk, noise.n_samples)
-        fields = np.array([sample_static_fields(n, noise, k)
-                           for k in range(start, stop)])
-        # one eigh over the stack of sample Hamiltonians
-        hams = np.repeat(sector.H[None], stop - start, axis=0)
-        hams[:, diag[0], diag[1]] += 2.0 * (fields / config.marker_amplitude)
-        fids[start:stop] = fidelity_at_T(*np.linalg.eigh(hams))
+    # column 0 stays the noiseless protocol, column k + 1 is sample k
+    offsets = np.zeros((n, noise.n_samples + 1))
+    for k in range(noise.n_samples):
+        offsets[:, k + 1] = 2.0 * (sample_static_fields(n, noise, k)
+                                   / config.marker_amplitude)
+    amps = xy.chebyshev(sector.H, psi0, config.duration, diag=offsets,
+                        rows=config.receiver)
+    noiseless, fids = np.abs(amps[0]) ** 2, np.abs(amps[1:]) ** 2
     # two passes over deviations from the first sample: no cancellation for
     # fidelities near 1, and coinciding samples give exactly zero spread
     std = (fids - fids[0]).std()
-    noiseless = fidelity_at_T(*sector.eigensystem())
     return EnsembleResult(mean_at_T=float(fids.mean()), std_at_T=float(std),
                           noiseless_at_T=float(noiseless))

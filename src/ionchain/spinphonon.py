@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .chain import ChainSolution, TrapConfig
 from .couplings import lamb_dicke
@@ -246,6 +245,9 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
         return Trajectory(times=times, states=states, system=system)
     if method != "rk":
         raise ValueError(f"unknown method {method!r}")
+    # imported here: the cross-check is the package's only use of
+    # scipy.integrate, and importing it costs every run start-up time
+    from scipy.integrate import solve_ivp
 
     d, v = system.D, system.V
 

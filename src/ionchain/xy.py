@@ -4,9 +4,10 @@ build_single_excitation takes its matrix as the walk Hamiltonian itself;
 build_sector hops with hop_amplitudes(J), the sector matrix elements of the
 spin form.  Protocol timing formulas are written against walk matrices.
 
-Every spectral propagation in the package goes through spectral(); the
-Krylov branch of evolve() and the spin-phonon Runge-Kutta cross-check are
-the only other integrators.
+Every spectral propagation in the package goes through spectral().  The
+other integrators are chebyshev(), which propagates without an eigensystem
+(the noise ensemble and the large-sector branch of evolve()), and the
+spin-phonon Runge-Kutta cross-check.
 """
 from __future__ import annotations
 
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 # above this dimension evolve() switches from dense spectral propagation to
-# sparse Krylov stepping
+# the eigensystem-free Chebyshev series
 DENSE_LIMIT = 4096
+# Bessel coefficients below this size end the Chebyshev series
+CHEBYSHEV_TOL = 1e-17
 
 
 class BasisMismatch(ValueError):
@@ -150,13 +152,99 @@ def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray, times,
     return amps[..., 0] if single else amps
 
 
+def bessel_j(x: float) -> np.ndarray:
+    """J_0(x), ..., J_M(x), with J_m below CHEBYSHEV_TOL for every m > M.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
+    far past the turning point m ~ x where J_m starts its superexponential
+    decay, and normalised with J_0 + 2 sum_k J_{2k} = 1.
+    """
+    ax = abs(float(x))
+    if ax == 0.0:
+        return np.ones(1)
+    # J_m(x) ~ Ai((m - x) (2/x)^(1/3)) past the turning point: 20 x^(1/3)
+    # terms past it, J has fallen far below any double-precision term
+    start = int(ax + 20.0 * ax ** (1.0 / 3.0)) + 30
+    j = np.zeros(start + 2)
+    j[start] = 1.0
+    for k in range(start, 0, -1):
+        j[k - 1] = (2.0 * k / ax) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            # the recurrence grows towards small m; rescale before overflow
+            j[k - 1:] *= 1e-250
+    j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum())
+    if x < 0:
+        j[1::2] *= -1.0
+    return j[:np.flatnonzero(np.abs(j) >= CHEBYSHEV_TOL)[-1] + 1]
+
+
+def gershgorin_interval(h: np.ndarray, diag: np.ndarray) -> tuple:
+    """(lo, hi) enclosing the spectrum of h + diag(d) for every column d.
+
+    Gershgorin discs: centres on the diagonal, radii the off-diagonal row
+    sums of |h|.
+    """
+    centres = np.diag(h)[:, None] + diag
+    radii = (np.abs(h).sum(axis=1) - np.abs(np.diag(h)))[:, None]
+    return float((centres - radii).min()), float((centres + radii).max())
+
+
+def chebyshev(h0: np.ndarray, psi0: np.ndarray, t: float, diag=None,
+              rows=None) -> np.ndarray:
+    """Amplitudes of e^{-i(h0 + diag(d)) t} psi0 for each column d of diag.
+
+    Chebyshev series with Bessel coefficients (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)): no eigensystem, only products with the real
+    symmetric h0 and elementwise products with the real n x S offset block
+    diag, all columns at once, over the spectral interval of
+    gershgorin_interval.  A complex psi0 propagates its real and imaginary
+    parts as two real columns.  Returns the amplitudes at rows (all basis
+    states when None; an int selects one), with a leading axis over the
+    columns of diag when diag is given.
+    """
+    offsets = np.zeros((len(psi0), 1)) if diag is None \
+        else np.asarray(diag, dtype=float)
+    lo, hi = gershgorin_interval(h0, offsets)
+    # h0 + diag(d) = c + a x with the spectrum of x inside [-1, 1]; a
+    # one-point interval means h0 + diag(d) = c exactly, and any a works
+    c, a = 0.5 * (hi + lo), (0.5 * (hi - lo) or 1.0)
+    # e^{-i a t x} = sum_m (2 - delta_m0) (-i)^m J_m(a t) T_m(x)
+    coeffs = bessel_j(a * t).astype(complex)
+    coeffs *= (-1j) ** np.arange(len(coeffs))
+    coeffs[1:] *= 2.0
+    parts = [psi0.real, psi0.imag] if np.iscomplexobj(psi0) else [psi0]
+    # columns part-major: every offset column for each part of psi0
+    n_cols = offsets.shape[1]
+    shift = np.tile(offsets - c, len(parts))
+    sel = slice(None) if rows is None else np.atleast_1d(rows)
+
+    def x_times(v):
+        # (h0 + diag(d) - c) v / a, with no scaled copy of h0
+        return (h0 @ v + shift * v) / a
+
+    # T_0 psi0, T_1 psi0, then T_{m+1} = 2 x T_m - T_{m-1}; only the rows
+    # read are summed
+    prev = np.repeat(np.column_stack(parts).astype(float), n_cols, axis=1)
+    cur = x_times(prev)
+    acc = coeffs[0] * prev[sel]
+    for m, coef in enumerate(coeffs[1:], start=1):
+        if m > 1:
+            prev, cur = cur, 2.0 * x_times(cur) - prev
+        acc += coef * cur[sel]
+    acc = acc.reshape(len(acc), len(parts), n_cols)
+    amps = acc[:, 0] if len(parts) == 1 else acc[:, 0] + 1j * acc[:, 1]
+    amps = np.exp(-1j * c * t) * amps.T
+    if diag is None:
+        amps = amps[0]
+    return amps[..., 0] if rows is not None and np.ndim(rows) == 0 else amps
+
+
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
-    """psi(t) = exp(-i H t) psi0, spectral for small dims, Krylov above."""
+    """psi(t) = exp(-i H t) psi0: spectral for small dims, Chebyshev above."""
     if sector.dim <= DENSE_LIMIT:
         amps = spectral(*sector.eigensystem(), psi0, [t])[0]
     else:
-        from scipy.sparse import csr_matrix
-        amps = expm_multiply(csr_matrix(-1j * t * sector.H), psi0.astype(complex))
+        amps = chebyshev(sector.H, psi0, t)
     return StateVector(amplitudes=amps, sector=sector)
 
 

@@ -1,11 +1,16 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionchain import cli
+import ionchain
+from ionchain import chain, cli
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -187,6 +192,15 @@ class TestLeakageCommand:
         assert cli.main(["leakage", "--config", p,
                          "--out", str(tmp_path)]) == 2
 
+    def test_total_quanta_below_s_init_rejected(self, tmp_path, capsys):
+        # the initial state would lie outside the truncated basis
+        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
+                                   "total_quanta = 1\ns_init = 2\n")
+        rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "total_quanta" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
 
 class TestTransferCommand:
     def test_idealized_sweep(self, tmp_path):
@@ -229,6 +243,34 @@ class TestNoiseCommand:
         case = report["cases"][0]
         # 5 samples only: the mean can fluctuate slightly above noiseless
         assert case["mean_F"] == pytest.approx(case["noiseless_F"], abs=0.01)
+
+
+class TestNoiseWorkingPoint:
+    def test_one_bisection_per_chain_length(self, tmp_path, monkeypatch):
+        text = "n_list = 8,12\nalpha_list = 0.2,0.4\nn_samples = 3\n" \
+               "optimize = false\n"
+        p = write_config(tmp_path, text)
+        calls = []
+        bisect = chain.max_stable_axial_frequency
+
+        def counted(template, n_ions, **kwargs):
+            calls.append(n_ions)
+            return bisect(template, n_ions, **kwargs)
+
+        monkeypatch.setattr(chain, "max_stable_axial_frequency", counted)
+        assert cli.main(["noise", "--config", p,
+                         "--out", str(tmp_path / "all")]) == 0
+        assert sorted(calls) == [8, 12]
+        _, rows = read_table(tmp_path / "all" / "noise.csv")
+        # each case on its own resolves its own working point
+        for n, alpha in ((8, 0.2), (12, 0.2), (8, 0.4), (12, 0.4)):
+            one = write_config(tmp_path, f"n_list = {n}\n"
+                               f"alpha_list = {alpha}\nn_samples = 3\n"
+                               "optimize = false\n", name="one.cfg")
+            out = tmp_path / f"{n}_{alpha}"
+            assert cli.main(["noise", "--config", one, "--out",
+                             str(out)]) == 0
+            assert read_table(out / "noise.csv")[1] == [rows.pop(0)]
 
 
 class TestThreads:
@@ -280,6 +322,17 @@ class TestOptimizerDiagnostics:
             else:
                 assert case["n_evaluations"] is None
                 assert case["seed_fidelity"] is None
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(ionchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ionchain.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestPresetsAndFlags:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ionchain import cli
 from ionchain import noise as nz
 from ionchain import protocols as pr
 from ionchain import xy
@@ -88,8 +89,6 @@ def per_sample_ensemble(j, h, cfg, noise, n_times):
 class TestEnsemble:
     @pytest.mark.parametrize("n_samples", [1, 37])
     def test_matches_per_sample_loop(self, n_samples):
-        # 37 samples of a 52-site chain are 7 chunks of 6, the last one
-        # short
         j, cfg = config(n=52)
         h = 0.01 * np.arange(52, dtype=float)
         noise = nz.NoiseConfig(t2=1e-3, n_samples=n_samples, rng_seed=5)
@@ -100,7 +99,6 @@ class TestEnsemble:
         assert out.noiseless_at_T == pytest.approx(noiseless[-1], abs=1e-13)
 
     def test_zero_variance_matches_noiseless(self):
-        # 37 samples of a 40-site chain are 4 chunks of 10, the last short
         j, cfg = config(n=40)
         noise = nz.NoiseConfig(field_variance=0.0, n_samples=37)
         out = nz.noisy_transfer_ensemble(j, None, cfg, noise)
@@ -163,3 +161,44 @@ class TestEnsemble:
         a = nz.noisy_transfer_ensemble(j, None, cfg, noise)
         b = nz.noisy_transfer_ensemble(j, None, cfg, noise)
         assert a == b
+
+
+@pytest.fixture(scope="module")
+def fig5_walks():
+    """Walk matrix and marker scale of every fig 5 case at alpha 0.2, 0.6."""
+    base = cli.resolve_config("noise", {})
+    return {(n, alpha): cli._walk_couplings(
+                dict(base, couplings="experimental", alpha_target=alpha), n)[:2]
+            for n in base["n_list"] for alpha in (0.2, 0.6)}
+
+
+class TestFig5Kernel:
+    """xy.chebyshev on the fig 5 ensembles against one eigh per sample."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.6])
+    def test_matches_per_sample_eigh(self, fig5_walks, alpha):
+        noise = nz.NoiseConfig(t2=10e-3, n_samples=20, rng_seed=0)
+        for n in range(8, 53, 4):
+            walk, scale = fig5_walks[(n, alpha)]
+            h0 = pr.search_hamiltonian(walk, pr.analytic_gamma(walk),
+                                       [0, n - 1])
+            t = pr.transfer_time(n)
+            psi0 = np.eye(n)[0]
+            offsets = np.column_stack([
+                2.0 * (nz.sample_static_fields(n, noise, k) / scale)
+                for k in range(noise.n_samples)])
+            out = xy.chebyshev(h0, psi0, t, diag=offsets, rows=n - 1)
+            ref = np.array([
+                xy.spectral(*np.linalg.eigh(h0 + np.diag(d)), psi0, [t],
+                            rows=n - 1)[0] for d in offsets.T])
+            assert np.max(np.abs(out - ref)) < 1e-13, n
+
+    def test_zero_offset_column_is_noiseless_fidelity(self, fig5_walks):
+        for (n, alpha), (walk, scale) in fig5_walks.items():
+            gamma, t = pr.analytic_gamma(walk), pr.transfer_time(n)
+            cfg = pr.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
+                                    duration=t, marker_amplitude=scale)
+            out = nz.noisy_transfer_ensemble(
+                walk, None, cfg, nz.NoiseConfig(n_samples=3))
+            direct = pr.transfer_fidelity_at(walk, gamma, t, 0, n - 1)
+            assert out.noiseless_at_T == pytest.approx(direct, abs=1e-13)

@@ -267,6 +267,86 @@ class TestSpectral:
         assert np.max(np.abs(out - ref)) < 1e-13
 
 
+class TestBessel:
+    @pytest.mark.parametrize("x", [0.0, 0.5, 5.0, 30.0, 80.0])
+    def test_miller_matches_scipy(self, x):
+        from scipy.special import jv
+        j = xy.bessel_j(x)
+        m = np.arange(len(j))
+        assert np.max(np.abs(j - jv(m, x))) < 1e-14
+        # the series stops where the coefficients have fallen below the
+        # tolerance for good
+        assert abs(j[-1]) >= xy.CHEBYSHEV_TOL
+        assert np.all(np.abs(jv(np.arange(len(j), len(j) + 40), x))
+                      < xy.CHEBYSHEV_TOL)
+
+    def test_negative_argument_flips_odd_orders(self):
+        j = xy.bessel_j(7.3)
+        assert np.array_equal(xy.bessel_j(-7.3),
+                              j * (-1.0) ** np.arange(len(j)))
+
+
+class TestChebyshev:
+    def test_interval_encloses_every_spectrum(self):
+        ham = random_real_symmetric(9, seed=61)
+        offsets = np.random.default_rng(4).normal(size=(9, 5))
+        lo, hi = xy.gershgorin_interval(ham, offsets)
+        for d in offsets.T:
+            w = np.linalg.eigvalsh(ham + np.diag(d))
+            assert lo <= w[0] and w[-1] <= hi
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 4.0, -2.5])
+    def test_complex_state_matches_spectral(self, t):
+        ham = random_real_symmetric(12, seed=67)
+        rng = np.random.default_rng(5)
+        psi0 = rng.normal(size=12) + 1j * rng.normal(size=12)
+        out = xy.chebyshev(ham, psi0, t)
+        ref = xy.spectral(*np.linalg.eigh(ham), psi0, [t])[0]
+        assert out.shape == (12,)
+        assert np.max(np.abs(out - ref)) < 1e-13
+
+    def test_offset_columns_match_per_column_eigh(self):
+        ham = random_real_symmetric(10, seed=71)
+        offsets = 0.3 * np.random.default_rng(6).normal(size=(10, 7))
+        psi0 = np.eye(10)[2]
+        out = xy.chebyshev(ham, psi0, 3.0, diag=offsets, rows=[8, 1])
+        assert out.shape == (7, 2)
+        for k, d in enumerate(offsets.T):
+            ref = xy.spectral(*np.linalg.eigh(ham + np.diag(d)), psi0, [3.0],
+                              rows=[8, 1])[0]
+            assert np.max(np.abs(out[k] - ref)) < 1e-13
+
+    def test_multiple_of_identity(self):
+        # a one-point spectral interval: the phase alone
+        psi0 = np.array([0.6, 0.8j, 0.0])
+        out = xy.chebyshev(2.0 * np.eye(3), psi0, 1.5)
+        assert out == pytest.approx(np.exp(-3j) * psi0, abs=1e-15)
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-9])
+    def test_dropping_last_term_within_bessel_tail(self, monkeypatch, tol):
+        # a loose tolerance puts the dropped term far above rounding; the
+        # amplitude moves by at most 2 sum_{m >= M} |J_m(a t)|, so F = |amp|^2
+        # by at most twice that plus its square
+        from scipy.special import jv
+        ham = random_real_symmetric(14, seed=73)
+        offsets = 0.5 * np.random.default_rng(7).normal(size=(14, 6))
+        psi0 = np.eye(14)[0]
+        t = 2.0
+        monkeypatch.setattr(xy, "CHEBYSHEV_TOL", tol)
+        full = np.abs(xy.chebyshev(ham, psi0, t, diag=offsets, rows=13)) ** 2
+        lo, hi = xy.gershgorin_interval(ham, offsets)
+        coeffs = xy.bessel_j(0.5 * (hi - lo) * t)
+        last = len(coeffs) - 1
+        tail = 2.0 * np.sum(np.abs(jv(np.arange(last, last + 60),
+                                      0.5 * (hi - lo) * t)))
+        bessel = xy.bessel_j
+        monkeypatch.setattr(xy, "bessel_j", lambda x: bessel(x)[:-1])
+        short = np.abs(xy.chebyshev(ham, psi0, t, diag=offsets,
+                                    rows=13)) ** 2
+        moved = np.max(np.abs(full - short))
+        assert 0.0 < moved <= 2.0 * tail + tail ** 2
+
+
 class TestEvolution:
     def test_matches_expm(self):
         j, h = random_couplings(6, seed=13)
