@@ -28,6 +28,7 @@ from .chain import (DELTA_K_355, NoStablePoint, NonConvergence, TrapConfig,
 from .couplings import DegenerateFit, FitConvention, ResonantDetuning
 from .leakage import FitFailure
 from .spinphonon import StepUnderflow
+from .xy import SectorTooLarge
 
 
 class ConfigError(ValueError):
@@ -716,7 +717,7 @@ COMMANDS = {
 # error
 NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
                     ResonantDetuning, DegenerateFit, FitFailure,
-                    StepUnderflow, np.linalg.LinAlgError)
+                    StepUnderflow, SectorTooLarge, np.linalg.LinAlgError)
 
 
 def build_parser() -> argparse.ArgumentParser:

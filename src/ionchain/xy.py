@@ -6,25 +6,35 @@ spin form.  Protocol timing formulas are written against walk matrices.
 
 Every spectral propagation in the package goes through spectral().  The
 other integrators are chebyshev(), which propagates without an eigensystem
-(the noise ensemble and the large-sector branch of evolve()), and the
-spin-phonon Runge-Kutta cross-check.
+(the noise ensemble and evolve()), and the spin-phonon Runge-Kutta
+cross-check.
+
+build_sector stores its matrix as a scipy.sparse CSR array: every state has
+exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
+XYSector.eigensystem() densifies it, up to DENSE_LIMIT.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
-# above this dimension evolve() switches from dense spectral propagation to
-# the eigensystem-free Chebyshev series
+# the largest sector XYSector.eigensystem() densifies for a dense eigh
 DENSE_LIMIT = 4096
 # Bessel coefficients below this size end the Chebyshev series
 CHEBYSHEV_TOL = 1e-17
+# offset columns propagated together by chebyshev(); bounds its working
+# blocks to n x CHEBYSHEV_CHUNK per part of psi0
+CHEBYSHEV_CHUNK = 1024
 
 
 class BasisMismatch(ValueError):
     pass
+
+
+class SectorTooLarge(RuntimeError):
+    """A sector too large for a dense eigensystem."""
 
 
 @dataclass
@@ -38,7 +48,7 @@ class XYSector:
     n_sites: int
     excitations: int
     basis: np.ndarray          # int64 bitmasks
-    H: np.ndarray              # Hermitian, rad/s
+    H: object                  # Hermitian, rad/s: ndarray or CSR array
     _eig: tuple | None = None
 
     @property
@@ -52,8 +62,19 @@ class XYSector:
         return i
 
     def eigensystem(self):
+        """Dense eigh of H, cached; raises SectorTooLarge above
+        DENSE_LIMIT before allocating anything."""
         if self._eig is None:
-            self._eig = np.linalg.eigh(self.H)
+            if self.dim > DENSE_LIMIT:
+                # the dense matrix and the eigenvectors, before any
+                # LAPACK workspace
+                raise SectorTooLarge(
+                    f"sector dim {self.dim} exceeds DENSE_LIMIT = "
+                    f"{DENSE_LIMIT}: a dense eigh needs at least "
+                    f"{16 * self.dim ** 2} bytes")
+            h = self.H if isinstance(self.H, np.ndarray) else \
+                self.H.toarray()
+            self._eig = np.linalg.eigh(h)
         return self._eig
 
 
@@ -103,26 +124,48 @@ def build_sector(J: np.ndarray, h: np.ndarray | None, s: int) -> XYSector:
     """Fixed-excitation block of sum_{i != j} J (sx sx + sy sy) + sum_j h sz.
 
     hop_amplitudes(J) between bitmasks related by moving one excitation;
-    diagonal sum_j h_j * (+1 if occupied else -1).
+    diagonal sum_j h_j * (+1 if occupied else -1).  H is a CSR array with
+    the diagonal and the s (n - s) hops of each row stored, in column order.
     """
+    # imported here: scipy.sparse would cost every run of the CLI start-up
+    # time, and only sector callers need it
+    from scipy.sparse import csr_array
+
     n = J.shape[0]
     if not 0 <= s <= n:
         raise ValueError("excitation count out of range")
     hop = hop_amplitudes(J)
     basis = sector_basis(n, s)
     bits = site_bits(basis, n)
+    dim = len(basis)
     # site by site, in site order, as a sequential dot product adds
-    diag = np.zeros(len(basis))
+    diag = np.zeros(dim)
     if h is not None:
         for i in range(n):
             diag += h[i] * (2 * bits[:, i] - 1)
-    ham = np.diag(diag)
-    for i, j in permutations(range(n), 2):
-        # move the excitation on i to the empty site j; each (i, j) writes
-        # its own matrix elements, none written twice
-        src = np.flatnonzero(bits[:, i] & (1 - bits[:, j]))
-        ham[np.searchsorted(basis, basis[src] ^ (1 << i) | (1 << j)),
-            src] = hop[i, j]
+    # row k: the diagonal, then its s (n - s) hops; int32 indices while
+    # they fit, as scipy's own constructors choose, halve the index traffic
+    # of every product with H
+    width = s * (n - s) + 1
+    index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
+    cols = np.empty((dim, width), dtype=index)
+    vals = np.empty((dim, width))
+    cols[:, 0] = np.arange(dim)
+    vals[:, 0] = diag
+    # each state's s occupied and n - s empty sites, in site order; a hop
+    # moves one excitation from occ[k, a] to emp[k, b], and the element
+    # between two states is hop[column's site, row's site]
+    occ = np.nonzero(bits)[1].reshape(dim, s)
+    emp = np.nonzero(1 - bits)[1].reshape(dim, n - s)
+    cols[:, 1:] = np.searchsorted(basis, (
+        (basis[:, None, None] ^ (1 << occ)[:, :, None])
+        | (1 << emp)[:, None, :]).reshape(dim, -1))
+    vals[:, 1:] = hop[emp[:, None, :], occ[:, :, None]].reshape(dim, -1)
+    order = np.argsort(cols, axis=1)
+    ham = csr_array((np.take_along_axis(vals, order, axis=1).ravel(),
+                     np.take_along_axis(cols, order, axis=1).ravel(),
+                     np.arange(0, dim * width + 1, width, dtype=index)),
+                    shape=(dim, dim))
     return XYSector(n_sites=n, excitations=s, basis=basis, H=ham)
 
 
@@ -178,29 +221,37 @@ def bessel_j(x: float) -> np.ndarray:
     return j[:np.flatnonzero(np.abs(j) >= CHEBYSHEV_TOL)[-1] + 1]
 
 
-def gershgorin_interval(h: np.ndarray, diag: np.ndarray) -> tuple:
+def gershgorin_interval(h, diag: np.ndarray) -> tuple:
     """(lo, hi) enclosing the spectrum of h + diag(d) for every column d.
 
     Gershgorin discs: centres on the diagonal, radii the off-diagonal row
-    sums of |h|.
+    sums of |h|.  h is a dense or a scipy.sparse array.
     """
-    centres = np.diag(h)[:, None] + diag
-    radii = (np.abs(h).sum(axis=1) - np.abs(np.diag(h)))[:, None]
-    return float((centres - radii).min()), float((centres + radii).max())
+    h_diag = h.diagonal()
+    # a sparse sum returns a matrix on older scipy; ravel both to 1-D
+    radii = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(h_diag)
+    # rounding is monotone, so each row's extreme disc edges come from its
+    # extreme offsets: no temporary the size of diag
+    lo = (h_diag + diag.min(axis=1)) - radii
+    hi = (h_diag + diag.max(axis=1)) + radii
+    return float(lo.min()), float(hi.max())
 
 
-def chebyshev(h0: np.ndarray, psi0: np.ndarray, t: float, diag=None,
+def chebyshev(h0, psi0: np.ndarray, t: float, diag=None,
               rows=None) -> np.ndarray:
     """Amplitudes of e^{-i(h0 + diag(d)) t} psi0 for each column d of diag.
 
     Chebyshev series with Bessel coefficients (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)): no eigensystem, only products with the real
-    symmetric h0 and elementwise products with the real n x S offset block
-    diag, all columns at once, over the spectral interval of
-    gershgorin_interval.  A complex psi0 propagates its real and imaginary
-    parts as two real columns.  Returns the amplitudes at rows (all basis
-    states when None; an int selects one), with a leading axis over the
-    columns of diag when diag is given.
+    symmetric h0 (a dense or a scipy.sparse array) and elementwise products
+    with the real n x S offset block diag, over the spectral interval of
+    gershgorin_interval for all columns.  The columns run in chunks of
+    CHEBYSHEV_CHUNK; the shared interval makes every column's series
+    independent of the chunking.  A complex psi0 propagates its real and
+    imaginary parts as two real columns, or only the real part when the
+    imaginary part is zero.  Returns the amplitudes at rows
+    (all basis states when None; an int selects one), with a leading axis
+    over the columns of diag when diag is given.
     """
     offsets = np.zeros((len(psi0), 1)) if diag is None \
         else np.asarray(diag, dtype=float)
@@ -212,11 +263,27 @@ def chebyshev(h0: np.ndarray, psi0: np.ndarray, t: float, diag=None,
     coeffs = bessel_j(a * t).astype(complex)
     coeffs *= (-1j) ** np.arange(len(coeffs))
     coeffs[1:] *= 2.0
-    parts = [psi0.real, psi0.imag] if np.iscomplexobj(psi0) else [psi0]
+    parts = [psi0.real, psi0.imag] if np.iscomplexobj(psi0) \
+        and psi0.imag.any() else [psi0.real]
+    sel = slice(None) if rows is None else np.atleast_1d(rows)
+    amps = np.concatenate([
+        _chebyshev_columns(h0, parts, offsets[:, k:k + CHEBYSHEV_CHUNK] - c,
+                           a, coeffs, sel)
+        for k in range(0, offsets.shape[1], CHEBYSHEV_CHUNK)])
+    amps = np.exp(-1j * c * t) * amps
+    if diag is None:
+        amps = amps[0]
+    return amps[..., 0] if rows is not None and np.ndim(rows) == 0 else amps
+
+
+def _chebyshev_columns(h0, parts: list, offsets: np.ndarray, a: float,
+                       coeffs: np.ndarray, sel) -> np.ndarray:
+    """The series sum_m coeffs[m] T_m(x) psi0 at rows sel, one row of the
+    result per column of the centred offset block, for
+    x = (h0 + diag(offsets)) / a."""
     # columns part-major: every offset column for each part of psi0
     n_cols = offsets.shape[1]
-    shift = np.tile(offsets - c, len(parts))
-    sel = slice(None) if rows is None else np.atleast_1d(rows)
+    shift = np.tile(offsets, len(parts))
 
     def x_times(v):
         # (h0 + diag(d) - c) v / a, with no scaled copy of h0
@@ -233,19 +300,14 @@ def chebyshev(h0: np.ndarray, psi0: np.ndarray, t: float, diag=None,
         acc += coef * cur[sel]
     acc = acc.reshape(len(acc), len(parts), n_cols)
     amps = acc[:, 0] if len(parts) == 1 else acc[:, 0] + 1j * acc[:, 1]
-    amps = np.exp(-1j * c * t) * amps.T
-    if diag is None:
-        amps = amps[0]
-    return amps[..., 0] if rows is not None and np.ndim(rows) == 0 else amps
+    return amps.T
 
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
-    """psi(t) = exp(-i H t) psi0: spectral for small dims, Chebyshev above."""
-    if sector.dim <= DENSE_LIMIT:
-        amps = spectral(*sector.eigensystem(), psi0, [t])[0]
-    else:
-        amps = chebyshev(sector.H, psi0, t)
-    return StateVector(amplitudes=amps, sector=sector)
+    """psi(t) = exp(-i H t) psi0 by the Chebyshev series: no eigensystem,
+    only products with the sector's (sparse) H."""
+    return StateVector(amplitudes=chebyshev(sector.H, psi0, t),
+                       sector=sector)
 
 
 def evolve_grid(sector: XYSector, psi0: np.ndarray,

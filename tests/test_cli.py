@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ionchain
-from ionchain import chain, cli
+from ionchain import chain, cli, xy
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -192,6 +192,16 @@ class TestLeakageCommand:
         assert cli.main(["leakage", "--config", p,
                          "--out", str(tmp_path)]) == 2
 
+    def test_sector_too_large_exits_one(self, tmp_path, capsys,
+                                        monkeypatch):
+        # the XY reference sector (dim 6) is refused its dense eigensystem
+        monkeypatch.setattr(xy, "DENSE_LIMIT", 5)
+        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
+                                   "fock_cutoff = 1\ns_init = 2\n")
+        rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "SectorTooLarge: sector dim 6" in capsys.readouterr().err
+
     def test_total_quanta_below_s_init_rejected(self, tmp_path, capsys):
         # the initial state would lie outside the truncated basis
         p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
@@ -333,6 +343,23 @@ def test_cli_import_loads_no_scipy():
          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_noise_run_loads_no_scipy(tmp_path):
+    # a whole noise case, not only the import: the sector code imports
+    # scipy.sparse lazily, and the noise path must never reach it
+    src = str(Path(ionchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cfg = write_config(tmp_path, "n_list = 8\nalpha_list = 0.4\n"
+                                 "n_samples = 3\n")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from ionchain import cli; "
+         f"rc = cli.main(['noise', '--config', {cfg!r}, '--out', "
+         f"{str(tmp_path / 'out')!r}]); print(rc, sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
 class TestPresetsAndFlags:

@@ -1,9 +1,11 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_array
 
 import ionchain as ic
 from ionchain import xy
@@ -120,13 +122,14 @@ class TestBuildSector:
     def test_matches_pauli_construction(self, n, s):
         j, h = random_couplings(n, seed=7 * n + s)
         sec = xy.build_sector(j, h, s)
+        ham = sec.H.toarray()
         full = full_xy_hamiltonian(j, h)
         # compare matrix elements between embedded sector basis states
         for k, mk in enumerate(sec.basis):
             ek = embed_sector_state(np.eye(sec.dim)[k], sec, n)
             for l, ml in enumerate(sec.basis):
                 el = embed_sector_state(np.eye(sec.dim)[l], sec, n)
-                assert sec.H[k, l] == pytest.approx(
+                assert ham[k, l] == pytest.approx(
                     np.real_if_close(ek.conj() @ full @ el), abs=1e-10)
 
     def test_full_space_block_diagonal(self):
@@ -145,8 +148,8 @@ class TestBuildSector:
 
     def test_hermitian(self):
         j, h = random_couplings(6, seed=11)
-        sec = xy.build_sector(j, h, 2)
-        assert np.allclose(sec.H, sec.H.T)
+        ham = xy.build_sector(j, h, 2).H.toarray()
+        assert np.allclose(ham, ham.T)
 
     def test_field_diagonal(self):
         h = np.array([0.3, -0.7, 1.1])
@@ -155,21 +158,29 @@ class TestBuildSector:
         expected = [h[0] - h[1] - h[2],
                     -h[0] + h[1] - h[2],
                     -h[0] - h[1] + h[2]]
-        assert np.diag(sec.H) == pytest.approx(expected)
+        assert np.diag(sec.H.toarray()) == pytest.approx(expected)
 
 
     def test_single_excitation_hops_with_hop_amplitudes(self):
         j, _ = random_couplings(5, seed=41)
         sec = xy.build_sector(j, None, 1)
-        assert np.array_equal(sec.H, xy.hop_amplitudes(j))
+        assert np.array_equal(sec.H.toarray(), xy.hop_amplitudes(j))
 
 
-@pytest.mark.parametrize("n, s", [(8, 4), (14, 5), (14, 7)])
+@pytest.mark.parametrize("n, s", [(6, 0), (6, 6), (5, 1), (8, 4), (14, 5),
+                                  (14, 7)])
 @pytest.mark.parametrize("fields", [True, False])
 def test_array_assembly_matches_mask_loop(n, s, fields):
     j, h = random_couplings(n, seed=n + s)
     sec = xy.build_sector(j, h if fields else None, s)
-    assert np.array_equal(sec.H, loop_sector(j, h if fields else None, s))
+    assert np.array_equal(sec.H.toarray(),
+                          loop_sector(j, h if fields else None, s))
+    # each element keeps its orientation hop[i, j] even where J is not
+    # exactly symmetric, as a J computed in floating point may not be
+    skew = j + np.triu(j, 1)
+    assert np.array_equal(
+        xy.build_sector(skew, h if fields else None, s).H.toarray(),
+        loop_sector(skew, h if fields else None, s))
     rng = np.random.default_rng(s)
     psi = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
     psi /= np.linalg.norm(psi)
@@ -194,7 +205,8 @@ def test_sectors_are_blocks_of_full_hamiltonian(n, seed, fields):
                for m in masks]
         sec = xy.build_sector(j, h if fields else None, s)
         assert list(sec.basis) == masks
-        assert np.max(np.abs(sec.H - full[np.ix_(idx, idx)])) < 1e-12
+        assert np.max(np.abs(sec.H.toarray() - full[np.ix_(idx, idx)])) \
+            < 1e-12
 
 
 class TestSingleExcitation:
@@ -294,6 +306,9 @@ class TestChebyshev:
         for d in offsets.T:
             w = np.linalg.eigvalsh(ham + np.diag(d))
             assert lo <= w[0] and w[-1] <= hi
+        # the same discs from a CSR matrix
+        assert xy.gershgorin_interval(csr_array(ham), offsets) \
+            == pytest.approx((lo, hi), rel=1e-15)
 
     @pytest.mark.parametrize("t", [0.0, 0.7, 4.0, -2.5])
     def test_complex_state_matches_spectral(self, t):
@@ -309,12 +324,27 @@ class TestChebyshev:
         ham = random_real_symmetric(10, seed=71)
         offsets = 0.3 * np.random.default_rng(6).normal(size=(10, 7))
         psi0 = np.eye(10)[2]
-        out = xy.chebyshev(ham, psi0, 3.0, diag=offsets, rows=[8, 1])
-        assert out.shape == (7, 2)
-        for k, d in enumerate(offsets.T):
-            ref = xy.spectral(*np.linalg.eigh(ham + np.diag(d)), psi0, [3.0],
-                              rows=[8, 1])[0]
-            assert np.max(np.abs(out[k] - ref)) < 1e-13
+        for h0 in (ham, csr_array(ham)):
+            out = xy.chebyshev(h0, psi0, 3.0, diag=offsets, rows=[8, 1])
+            assert out.shape == (7, 2)
+            for k, d in enumerate(offsets.T):
+                ref = xy.spectral(*np.linalg.eigh(ham + np.diag(d)), psi0,
+                                  [3.0], rows=[8, 1])[0]
+                assert np.max(np.abs(out[k] - ref)) < 1e-13
+
+    @pytest.mark.parametrize("rows", [None, 4, [8, 1]])
+    def test_column_chunks_match_one_block(self, monkeypatch, rows):
+        ham = random_real_symmetric(10, seed=79)
+        offsets = 0.3 * np.random.default_rng(8).normal(size=(10, 7))
+        rng = np.random.default_rng(9)
+        psi0 = rng.normal(size=10) + 1j * rng.normal(size=10)
+        psi0 /= np.linalg.norm(psi0)
+        whole = xy.chebyshev(ham, psi0, 3.0, diag=offsets, rows=rows)
+        # chunks of 3, 3 and a short last chunk of 1
+        monkeypatch.setattr(xy, "CHEBYSHEV_CHUNK", 3)
+        chunked = xy.chebyshev(ham, psi0, 3.0, diag=offsets, rows=rows)
+        assert chunked.shape == whole.shape
+        assert np.max(np.abs(chunked - whole)) < 1e-15
 
     def test_multiple_of_identity(self):
         # a one-point spectral interval: the phase alone
@@ -354,20 +384,32 @@ class TestEvolution:
         psi0 = np.zeros(sec.dim, dtype=complex)
         psi0[0] = 1.0
         for t in (0.1, 1.3):
-            ref = expm(-1j * sec.H * t) @ psi0
+            ref = expm(-1j * sec.H.toarray() * t) @ psi0
             out = xy.evolve(sec, psi0, t)
             assert out.amplitudes == pytest.approx(ref, abs=1e-10)
 
-    def test_krylov_branch_matches_dense(self, monkeypatch):
-        j, h = random_couplings(6, seed=17)
-        sec_dense = xy.build_sector(j, h, 3)
-        psi0 = np.zeros(sec_dense.dim, dtype=complex)
-        psi0[4] = 1.0
-        ref = xy.evolve(sec_dense, psi0, 0.8).amplitudes
-        monkeypatch.setattr(xy, "DENSE_LIMIT", 1)
-        sec_sparse = xy.build_sector(j, h, 3)
-        out = xy.evolve(sec_sparse, psi0, 0.8).amplitudes
-        assert out == pytest.approx(ref, abs=1e-9)
+    def test_large_sector_evolves_without_eigensystem(self):
+        # dim 12870: a dense H alone would take 1.3 GB, the CSR one 11 MB
+        j, h = random_couplings(16, seed=17)
+        tracemalloc.start()
+        try:
+            sec = xy.build_sector(j, h, 8)
+            assert sec.dim > xy.DENSE_LIMIT
+            psi0 = np.zeros(sec.dim, dtype=complex)
+            psi0[sec.index_of(0b0101010101010101)] = 1.0
+            with pytest.raises(xy.SectorTooLarge) as err:
+                xy.evolve_grid(sec, psi0, np.linspace(0.0, 1.0, 3))
+            out = xy.evolve(sec, psi0, 10.0 / np.max(np.abs(j))).amplitudes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no dim x dim array anywhere: not in the assembly, not before the
+        # refusal and not in the series
+        assert peak < 1e8
+        assert "12870" in str(err.value)
+        assert str(16 * 12870 ** 2) in str(err.value)
+        assert sec._eig is None
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_unitary(self):
         j, h = random_couplings(7, seed=19)
@@ -394,6 +436,26 @@ class TestEvolution:
         sec = xy.build_sector(j, h, 1)
         psi0 = np.eye(sec.dim, dtype=complex)[2]
         assert xy.evolve(sec, psi0, 0.0).amplitudes == pytest.approx(psi0)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**16), fields=st.booleans())
+def test_evolve_matches_eigh_spectral(n, seed, fields):
+    """The Chebyshev evolve on the CSR sector against a dense eigh and
+    spectral(), in every sector, from t = 0 to ten hopping times."""
+    j, h = random_couplings(n, seed)
+    rng = np.random.default_rng(seed)
+    j_max = np.max(np.abs(j))
+    for s in range(n + 1):
+        sec = xy.build_sector(j, h if fields else None, s)
+        psi0 = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
+        psi0 /= np.linalg.norm(psi0)
+        for t in (0.0, 0.1, 1.3, 10.0 / j_max):
+            out = xy.evolve(sec, psi0, t).amplitudes
+            # evolve builds no eigensystem
+            assert sec._eig is None
+            ref = xy.spectral(*np.linalg.eigh(sec.H.toarray()), psi0, [t])[0]
+            assert np.max(np.abs(out - ref)) < 1e-12
 
 
 class TestObservables:
