@@ -118,6 +118,14 @@ def _at_least(parse, lo):
     return checked
 
 
+def _p_span(s):
+    """A finite number > 0: a time span, or a factor on one."""
+    val = _p_float(s)
+    if not 0.0 < val < np.inf:
+        raise ConfigError(f"expected a finite number > 0, got {val}")
+    return val
+
+
 def _p_choice(*options):
     def parse(s):
         if s not in options:
@@ -157,7 +165,7 @@ SCHEMAS = {
         "fock_cutoff": (_p_int, 4),
         "total_quanta": (_p_opt_int, None),
         "s_init": (_p_int, 1),
-        "periods": (_p_float, 4.0),
+        "periods": (_p_span, 4.0),
         "n_times": (_at_least(_p_int, 2), 3000),
         "omega_c_pin_mhz": (_p_opt_float, None),
         "r_lo": (_p_float, 0.999),
@@ -176,7 +184,7 @@ SCHEMAS = {
         "couplings": (_p_choice("idealized", "experimental"), "idealized"),
         "marked": (_p_opt_int, None),
         "gamma": (_p_float_or_auto, "auto"),
-        "t_max_factor": (_p_float, 1.0),
+        "t_max_factor": (_p_span, 1.0),
         "n_times": (_at_least(_p_int, 2), 600),
     }),
     "noise": dict(TRAP_SCHEMA, **{

@@ -134,15 +134,21 @@ def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
     hs = search_hamiltonian(J, gamma, [sender, receiver], h=h)
     if extra_fields is not None:
         hs = hs + np.diag(extra_fields)
-    return _fidelity_at(np.linalg.eigh(hs), t, sender, receiver)
+    return _fidelity_at(_transfer_weights(np.linalg.eigh(hs), sender,
+                                          receiver), t)
 
 
-def _fidelity_at(eig, t: float, sender: int, receiver: int) -> float:
-    """|<f| v e^{-iwt} v^T |w>|^2 for the eigensystem eig = (w, v)."""
-    psi0 = np.zeros(len(eig[0]))
-    psi0[sender] = 1.0
-    amp = xy.spectral(*eig, psi0, [t], rows=receiver)
-    return float(np.abs(amp[0]) ** 2)
+def _transfer_weights(eig, sender: int, receiver: int) -> tuple:
+    """(w, p) with <f| e^{-iHt} |w> = sum_k p_k e^{-i w_k t}, for the
+    eigensystem eig = (w, v) of H: p = v[sender] v[receiver]."""
+    w, v = eig
+    return w, v[sender] * v[receiver]
+
+
+def _fidelity_at(weights: tuple, t: float) -> float:
+    """|sum_k p_k e^{-i w_k t}|^2 for the transfer weights (w, p)."""
+    w, p = weights
+    return float(np.abs(p @ np.exp(-1j * w * t)) ** 2)
 
 
 def run_search(J: np.ndarray, gamma: float, marked: int,
@@ -188,14 +194,15 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     t0 = transfer_time(n)
     evals = [0]
     # pattern moves in T alone revisit gamma: one eigh per distinct gamma
-    eigs = {}
+    weights = {}
 
     def objective(g, t):
         evals[0] += 1
-        if g not in eigs:
-            eigs[g] = np.linalg.eigh(
-                search_hamiltonian(J, g, [sender, receiver], h=h))
-        return _fidelity_at(eigs[g], t, sender, receiver)
+        if g not in weights:
+            weights[g] = _transfer_weights(np.linalg.eigh(
+                search_hamiltonian(J, g, [sender, receiver], h=h)),
+                sender, receiver)
+        return _fidelity_at(weights[g], t)
 
     best = (gamma0, t0, objective(gamma0, t0))
     seed_fid = best[2]

@@ -4,10 +4,11 @@ build_single_excitation takes its matrix as the walk Hamiltonian itself;
 build_sector hops with hop_amplitudes(J), the sector matrix elements of the
 spin form.  Protocol timing formulas are written against walk matrices.
 
-Every spectral propagation in the package goes through spectral().  The
-other integrators are chebyshev(), which propagates without an eigensystem
-(the noise ensemble and evolve()), and the spin-phonon Runge-Kutta
-cross-check.
+XY sectors propagate through chebyshev(), a Chebyshev series with no
+eigensystem: evolve() at one time, evolve_grid() on a time grid and the
+noise ensemble.  spectral() propagates from an eigensystem: the protocols'
+N x N walk sectors and the spin-phonon parity blocks.  The spin-phonon
+Runge-Kutta cross-check is the third integrator.
 
 build_sector stores its matrix as a scipy.sparse CSR array: every state has
 exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
@@ -27,6 +28,11 @@ CHEBYSHEV_TOL = 1e-17
 # offset columns propagated together by chebyshev(); bounds its working
 # blocks to n x CHEBYSHEV_CHUNK per part of psi0
 CHEBYSHEV_CHUNK = 1024
+# a t covered by one Chebyshev series: longer time grids run in consecutive
+# series, which bounds the Bessel table by the grid times of one series
+CHEBYSHEV_SPAN = 500.0
+# Chebyshev terms folded into the amplitudes per matrix product (even)
+CHEBYSHEV_BLOCK = 32
 
 
 class BasisMismatch(ValueError):
@@ -195,30 +201,40 @@ def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray, times,
     return amps[..., 0] if single else amps
 
 
-def bessel_j(x: float) -> np.ndarray:
-    """J_0(x), ..., J_M(x), with J_m below CHEBYSHEV_TOL for every m > M.
+def bessel_j(x) -> np.ndarray:
+    """J_0(x), ..., J_M(x) for every argument in x, with J_m below
+    CHEBYSHEV_TOL for every m > M and every argument.
 
-    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
-    far past the turning point m ~ x where J_m starts its superexponential
-    decay, and normalised with J_0 + 2 sum_k J_{2k} = 1.
+    Returns an (M + 1) x len(x) table for an array x, and its one column
+    for a scalar.  Miller's backward recurrence J_{k-1} = (2k/x) J_k -
+    J_{k+1}, run on all arguments at once from far past the turning point
+    m ~ |x| of the largest one, where J_m starts its superexponential decay,
+    and normalised per argument with J_0 + 2 sum_k J_{2k} = 1.
     """
-    ax = abs(float(x))
-    if ax == 0.0:
-        return np.ones(1)
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    top = float(ax.max(initial=0.0))
     # J_m(x) ~ Ai((m - x) (2/x)^(1/3)) past the turning point: 20 x^(1/3)
     # terms past it, J has fallen far below any double-precision term
-    start = int(ax + 20.0 * ax ** (1.0 / 3.0)) + 30
-    j = np.zeros(start + 2)
+    start = int(top + 20.0 * top ** (1.0 / 3.0)) + 30
+    # below the tolerance J_1 = x/2 is cut anyway and J_0 rounds to 1; such
+    # arguments recur with a stand-in, which also keeps 2k/x finite
+    tiny = ax < CHEBYSHEV_TOL
+    ax[tiny] = 1.0
+    j = np.zeros((start + 2, len(ax)))
     j[start] = 1.0
     for k in range(start, 0, -1):
         j[k - 1] = (2.0 * k / ax) * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e250:
+        big = np.abs(j[k - 1]) > 1e250
+        if big.any():
             # the recurrence grows towards small m; rescale before overflow
-            j[k - 1:] *= 1e-250
-    j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum())
-    if x < 0:
-        j[1::2] *= -1.0
-    return j[:np.flatnonzero(np.abs(j) >= CHEBYSHEV_TOL)[-1] + 1]
+            j[k - 1:, big] *= 1e-250
+    j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
+    j[:, tiny] = 0.0
+    j[0, tiny] = 1.0
+    j[1::2, x.ravel() < 0] *= -1.0
+    last = np.flatnonzero(np.any(np.abs(j) >= CHEBYSHEV_TOL, axis=1))[-1]
+    return j[:last + 1].reshape((last + 1,) + x.shape)
 
 
 def gershgorin_interval(h, diag: np.ndarray) -> tuple:
@@ -237,70 +253,140 @@ def gershgorin_interval(h, diag: np.ndarray) -> tuple:
     return float(lo.min()), float(hi.max())
 
 
-def chebyshev(h0, psi0: np.ndarray, t: float, diag=None,
+def chebyshev(h0, psi0: np.ndarray, t, diag=None,
               rows=None) -> np.ndarray:
-    """Amplitudes of e^{-i(h0 + diag(d)) t} psi0 for each column d of diag.
+    """Amplitudes of e^{-i(h0 + diag(d)) t} psi0 for each column d of diag,
+    at one time t or on a 1-D grid of times.
 
     Chebyshev series with Bessel coefficients (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)): no eigensystem, only products with the real
     symmetric h0 (a dense or a scipy.sparse array) and elementwise products
     with the real n x S offset block diag, over the spectral interval of
-    gershgorin_interval for all columns.  The columns run in chunks of
-    CHEBYSHEV_CHUNK; the shared interval makes every column's series
-    independent of the chunking.  A complex psi0 propagates its real and
-    imaginary parts as two real columns, or only the real part when the
-    imaginary part is zero.  Returns the amplitudes at rows
-    (all basis states when None; an int selects one), with a leading axis
-    over the columns of diag when diag is given.
+    gershgorin_interval for all columns.  Every grid time shares the term
+    vectors; only their Bessel coefficients differ.  A grid of several
+    times whose a t exceeds CHEBYSHEV_SPAN runs in consecutive series, each
+    from the end state of the one before; one time is one series at any
+    a t.  The columns run in chunks of CHEBYSHEV_CHUNK;
+    the shared interval makes every column's series independent of the
+    chunking.  Returns the amplitudes at rows (all basis states when None;
+    an int selects one), after a time axis when t is a grid, after a
+    leading axis over the columns of diag when diag is given.
     """
+    times = np.asarray(t, dtype=float)
     offsets = np.zeros((len(psi0), 1)) if diag is None \
         else np.asarray(diag, dtype=float)
     lo, hi = gershgorin_interval(h0, offsets)
     # h0 + diag(d) = c + a x with the spectrum of x inside [-1, 1]; a
     # one-point interval means h0 + diag(d) = c exactly, and any a works
     c, a = 0.5 * (hi + lo), (0.5 * (hi - lo) or 1.0)
-    # e^{-i a t x} = sum_m (2 - delta_m0) (-i)^m J_m(a t) T_m(x)
-    coeffs = bessel_j(a * t).astype(complex)
-    coeffs *= (-1j) ** np.arange(len(coeffs))
-    coeffs[1:] *= 2.0
-    parts = [psi0.real, psi0.imag] if np.iscomplexobj(psi0) \
-        and psi0.imag.any() else [psi0.real]
     sel = slice(None) if rows is None else np.atleast_1d(rows)
     amps = np.concatenate([
-        _chebyshev_columns(h0, parts, offsets[:, k:k + CHEBYSHEV_CHUNK] - c,
-                           a, coeffs, sel)
+        _chebyshev_steps(h0, psi0, offsets[:, k:k + CHEBYSHEV_CHUNK] - c, a,
+                         times.ravel(), sel)
         for k in range(0, offsets.shape[1], CHEBYSHEV_CHUNK)])
-    amps = np.exp(-1j * c * t) * amps
+    amps *= np.exp(-1j * c * times.ravel())[:, None]
+    if times.ndim == 0:
+        amps = amps[:, 0]
     if diag is None:
         amps = amps[0]
     return amps[..., 0] if rows is not None and np.ndim(rows) == 0 else amps
 
 
-def _chebyshev_columns(h0, parts: list, offsets: np.ndarray, a: float,
-                       coeffs: np.ndarray, sel) -> np.ndarray:
-    """The series sum_m coeffs[m] T_m(x) psi0 at rows sel, one row of the
-    result per column of the centred offset block, for
-    x = (h0 + diag(offsets)) / a."""
-    # columns part-major: every offset column for each part of psi0
-    n_cols = offsets.shape[1]
-    shift = np.tile(offsets, len(parts))
+def _chebyshev_steps(h0, psi0: np.ndarray, shift: np.ndarray, a: float,
+                     times: np.ndarray, sel) -> np.ndarray:
+    """e^{-i a t x} psi0 at rows sel, S x len(times) x rows, for
+    x = (h0 + diag(shift)) / a and each of the S columns of shift.
 
+    Origins k * step, step = CHEBYSHEV_SPAN / a, each reached from its
+    neighbour towards 0; origin k serves the times t with trunc(t / step)
+    = k, all within one step of it.
+    """
+    state = np.repeat(np.asarray(psi0)[:, None], shift.shape[1], axis=1)
+    if len(times) == 1:
+        # one time has a one-column Bessel table at any a t; steps would
+        # only add cost, as a complex end state runs two real series
+        return _chebyshev_series(h0, state, shift, a, times, [],
+                                 sel)[0].transpose(2, 0, 1)
+    step = CHEBYSHEV_SPAN / a
+    ks = np.trunc(times / step)
+    k_max, k_min = int(ks.max(initial=0)), int(ks.min(initial=0))
+    n_rows = len(np.arange(len(psi0))[sel])
+    out = np.empty((len(times), n_rows, shift.shape[1]), dtype=complex)
+    pending = [(0, state)]
+    while pending:
+        k, state = pending.pop()
+        inside = np.flatnonzero(ks == k)
+        moves = [d for d in (1, -1) if k_min <= k + d <= k_max
+                 and k * d >= 0]
+        if inside.size or moves:
+            out[inside], ends = _chebyshev_series(
+                h0, state, shift, a, times[inside] - k * step,
+                [d * step for d in moves], sel)
+            pending += [(k + d, end) for d, end in zip(moves, ends)]
+    return out.transpose(2, 0, 1)
+
+
+def _chebyshev_series(h0, state: np.ndarray, shift: np.ndarray, a: float,
+                      deltas: np.ndarray, ends: list, sel) -> tuple:
+    """e^{-i a dt x} state by one series: rows sel at each dt in deltas,
+    len(deltas) x rows x S, and every row at each dt in ends.
+
+    x is real, so real vectors stay real: the real and the imaginary part
+    of the n x S state run as separate real series, the imaginary one only
+    where it is nonzero.
+    """
+    # e^{-i a dt x} = sum_m (2 - delta_m0) (-i)^m J_m(a dt) T_m(x), and
+    # (-i)^m = +1, -i, -1, +i: the signs go into the real table, the -i of
+    # the odd terms into the sum
+    g = bessel_j(a * np.concatenate([deltas, ends]))
+    g[1:] *= 2.0
+    g[2::4] *= -1.0
+    g[3::4] *= -1.0
+    amps, states = 0.0, 0.0
+    for unit, part in zip((1.0, 1j), [state.real, state.imag]):
+        if unit == 1.0 or part.any():
+            on_grid, at_ends = _real_series(h0, part, shift, a, g,
+                                            len(deltas), sel)
+            amps, states = amps + unit * on_grid, states + unit * at_ends
+    return amps, list(states)
+
+
+def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
+                 g: np.ndarray, n_grid: int, sel) -> tuple:
+    """sum_m g[m, k] T_m(x) v0 for the real n x S block v0, with the odd
+    terms times -i: rows sel for the first n_grid columns k of g, every row
+    for the others.
+
+    The term vectors are reduced to the rows read and folded into the
+    amplitudes CHEBYSHEV_BLOCK terms at a time, by one real GEMM for the
+    even and one for the odd terms.
+    """
     def x_times(v):
         # (h0 + diag(d) - c) v / a, with no scaled copy of h0
         return (h0 @ v + shift * v) / a
 
-    # T_0 psi0, T_1 psi0, then T_{m+1} = 2 x T_m - T_{m-1}; only the rows
-    # read are summed
-    prev = np.repeat(np.column_stack(parts).astype(float), n_cols, axis=1)
-    cur = x_times(prev)
-    acc = coeffs[0] * prev[sel]
-    for m, coef in enumerate(coeffs[1:], start=1):
-        if m > 1:
+    n_read = len(v0[sel])
+    grid = np.zeros((2, n_grid, n_read * v0.shape[1]))
+    ends = np.zeros((2, g.shape[1] - n_grid) + v0.shape)
+    block = np.empty((CHEBYSHEV_BLOCK, grid.shape[2]))
+    # T_0 v0, T_1 v0, then T_{m+1} = 2 x T_m - T_{m-1}
+    prev, cur = None, np.asarray(v0, dtype=float)
+    for m in range(len(g)):
+        if m == 1:
+            prev, cur = cur, x_times(cur)
+        elif m > 1:
             prev, cur = cur, 2.0 * x_times(cur) - prev
-        acc += coef * cur[sel]
-    acc = acc.reshape(len(acc), len(parts), n_cols)
-    amps = acc[:, 0] if len(parts) == 1 else acc[:, 0] + 1j * acc[:, 1]
-    return amps.T
+        b = m % CHEBYSHEV_BLOCK
+        block[b] = cur[sel].ravel()
+        for e in range(len(ends[0])):
+            ends[m % 2, e] += g[m, n_grid + e] * cur
+        if b == CHEBYSHEV_BLOCK - 1 or m == len(g) - 1:
+            # CHEBYSHEV_BLOCK is even: every block starts on an even term
+            first = m - b
+            grid[0] += g[first:m + 1:2, :n_grid].T @ block[0:b + 1:2]
+            grid[1] += g[first + 1:m + 1:2, :n_grid].T @ block[1:b + 1:2]
+    on_grid = (grid[0] - 1j * grid[1]).reshape(n_grid, n_read, v0.shape[1])
+    return on_grid, ends[0] - 1j * ends[1]
 
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
@@ -312,8 +398,9 @@ def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
 
 def evolve_grid(sector: XYSector, psi0: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
-    """States on a time grid, rows psi(t_k)."""
-    return spectral(*sector.eigensystem(), psi0, times)
+    """States on a time grid, rows psi(t_k), by one Chebyshev series per
+    CHEBYSHEV_SPAN: no eigensystem, as evolve()."""
+    return chebyshev(sector.H, psi0, np.asarray(times, dtype=float))
 
 
 def occupations(psi: np.ndarray, sector: XYSector) -> np.ndarray:

@@ -88,6 +88,20 @@ omega_z_mhz = 0.9   # trailing comment
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
+    @pytest.mark.parametrize("command,key", [("leakage", "periods"),
+                                             ("search", "t_max_factor")])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_time_span_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                   command, key, value):
+        p = write_config(tmp_path, f"n_ions = 4\nalpha_target = 0.5\n"
+                                   f"{key} = {value}\n")
+        rc = cli.main([command, "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        # refused before any work: nothing written
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
     def test_defaults_fill_in(self):
         cfg = cli.resolve_config("chain", {})
         assert cfg["n_ions"] == 10
@@ -192,16 +206,6 @@ class TestLeakageCommand:
         assert cli.main(["leakage", "--config", p,
                          "--out", str(tmp_path)]) == 2
 
-    def test_sector_too_large_exits_one(self, tmp_path, capsys,
-                                        monkeypatch):
-        # the XY reference sector (dim 6) is refused its dense eigensystem
-        monkeypatch.setattr(xy, "DENSE_LIMIT", 5)
-        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
-                                   "fock_cutoff = 1\ns_init = 2\n")
-        rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
-        assert rc == 1
-        assert "SectorTooLarge: sector dim 6" in capsys.readouterr().err
-
     def test_total_quanta_below_s_init_rejected(self, tmp_path, capsys):
         # the initial state would lie outside the truncated basis
         p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
@@ -237,6 +241,15 @@ class TestSearchCommand:
         _, rows = read_table(tmp_path / "search.csv")
         probs = [float(r["marked_probability"]) for r in rows]
         assert max(probs) > 0.8
+
+    def test_sector_too_large_exits_one(self, tmp_path, capsys,
+                                        monkeypatch):
+        # the walk sector (dim 6) is refused its dense eigensystem
+        monkeypatch.setattr(xy, "DENSE_LIMIT", 5)
+        p = write_config(tmp_path, "n_ions = 6\n")
+        rc = cli.main(["search", "--config", p, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "SectorTooLarge: sector dim 6" in capsys.readouterr().err
 
 
 class TestNoiseCommand:

@@ -119,7 +119,8 @@ class TestEnsemble:
             sector = xy.build_single_excitation(hs)
             psi0 = np.zeros(8, dtype=complex)
             psi0[0] = 1.0
-            states = xy.evolve_grid(sector, psi0, times)
+            # one eigh per sample: independent of the Chebyshev kernel
+            states = xy.spectral(*sector.eigensystem(), psi0, times)
             traces.append(np.abs(states[:, 7]) ** 2)
         traces = np.array(traces)
         assert out.mean_at_T == pytest.approx(np.mean(traces[:, -1]),

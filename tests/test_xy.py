@@ -292,6 +292,20 @@ class TestBessel:
         assert np.all(np.abs(jv(np.arange(len(j), len(j) + 40), x))
                       < xy.CHEBYSHEV_TOL)
 
+    def test_table_matches_scipy_per_argument(self):
+        # one recurrence for every argument, zero and negative ones included
+        from scipy.special import jv
+        x = np.array([0.0, 1e-3, 0.5, 5.0, 30.0, 162.0, -7.0])
+        j = xy.bessel_j(x)
+        m = np.arange(len(j))
+        assert j.shape == (len(j), len(x))
+        assert np.max(np.abs(j - jv(m[:, None], x))) < 1e-14
+        # the table ends where every argument's coefficients have fallen
+        # below the tolerance for good
+        assert np.max(np.abs(j[-1])) >= xy.CHEBYSHEV_TOL
+        tail = np.arange(len(j), len(j) + 40)[:, None]
+        assert np.all(np.abs(jv(tail, x)) < xy.CHEBYSHEV_TOL)
+
     def test_negative_argument_flips_odd_orders(self):
         j = xy.bessel_j(7.3)
         assert np.array_equal(xy.bessel_j(-7.3),
@@ -331,6 +345,20 @@ class TestChebyshev:
                 ref = xy.spectral(*np.linalg.eigh(ham + np.diag(d)), psi0,
                                   [3.0], rows=[8, 1])[0]
                 assert np.max(np.abs(out[k] - ref)) < 1e-13
+
+    @pytest.mark.parametrize("rows", [[8, 1], 8])
+    def test_offset_columns_on_a_time_grid(self, rows):
+        ham = random_real_symmetric(10, seed=83)
+        offsets = 0.3 * np.random.default_rng(10).normal(size=(10, 4))
+        psi0 = np.eye(10)[2]
+        times = np.array([3.0, 0.0, 1.1, 3.0, 0.4])
+        out = xy.chebyshev(csr_array(ham), psi0, times, diag=offsets,
+                           rows=rows)
+        assert out.shape == (4, 5) + np.shape(rows)
+        for k, d in enumerate(offsets.T):
+            ref = xy.spectral(*np.linalg.eigh(ham + np.diag(d)), psi0,
+                              times, rows=rows)
+            assert np.max(np.abs(out[k] - ref)) < 1e-13
 
     @pytest.mark.parametrize("rows", [None, 4, [8, 1]])
     def test_column_chunks_match_one_block(self, monkeypatch, rows):
@@ -391,25 +419,54 @@ class TestEvolution:
     def test_large_sector_evolves_without_eigensystem(self):
         # dim 12870: a dense H alone would take 1.3 GB, the CSR one 11 MB
         j, h = random_couplings(16, seed=17)
+        t = 10.0 / np.max(np.abs(j))
+        times = np.array([t, 0.0, 0.3 * t])
         tracemalloc.start()
         try:
             sec = xy.build_sector(j, h, 8)
             assert sec.dim > xy.DENSE_LIMIT
             psi0 = np.zeros(sec.dim, dtype=complex)
             psi0[sec.index_of(0b0101010101010101)] = 1.0
-            with pytest.raises(xy.SectorTooLarge) as err:
-                xy.evolve_grid(sec, psi0, np.linspace(0.0, 1.0, 3))
-            out = xy.evolve(sec, psi0, 10.0 / np.max(np.abs(j))).amplitudes
+            grid = xy.evolve_grid(sec, psi0, times)
+            single = [xy.evolve(sec, psi0, tk).amplitudes for tk in times]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # no dim x dim array anywhere: not in the assembly, not before the
-        # refusal and not in the series
+        # no dim x dim array anywhere: not in the assembly and not in the
+        # series
         assert peak < 1e8
+        assert sec._eig is None
+        for k in range(len(times)):
+            assert np.max(np.abs(grid[k] - single[k])) < 1e-12
+        assert abs(np.linalg.norm(grid[0]) - 1.0) < 1e-12
+        # the dense eigensystem is still refused before any allocation
+        with pytest.raises(xy.SectorTooLarge) as err:
+            sec.eigensystem()
         assert "12870" in str(err.value)
         assert str(16 * 12870 ** 2) in str(err.value)
-        assert sec._eig is None
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+    def test_long_grid_runs_in_bounded_steps(self):
+        # a t_max = 1e4, twenty series of CHEBYSHEV_SPAN; a single series
+        # would hold a (1e4 + 470) x 2000 Bessel table, 168 MB
+        j, h = random_couplings(5, seed=31)
+        sec = xy.build_sector(j, h, 2)
+        lo, hi = xy.gershgorin_interval(sec.H, np.zeros((sec.dim, 1)))
+        t_max = 1e4 / (0.5 * (hi - lo))
+        assert t_max * 0.5 * (hi - lo) > 10 * xy.CHEBYSHEV_SPAN
+        rng = np.random.default_rng(3)
+        times = rng.permutation(np.concatenate(
+            [[0.0, t_max, t_max], rng.uniform(0.0, t_max, 1997)]))
+        psi0 = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
+        psi0 /= np.linalg.norm(psi0)
+        tracemalloc.start()
+        try:
+            out = xy.evolve_grid(sec, psi0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e7
+        ref = xy.spectral(*np.linalg.eigh(sec.H.toarray()), psi0, times)
+        assert np.max(np.abs(out - ref)) < 1e-10
 
     def test_unitary(self):
         j, h = random_couplings(7, seed=19)
@@ -456,6 +513,29 @@ def test_evolve_matches_eigh_spectral(n, seed, fields):
             assert sec._eig is None
             ref = xy.spectral(*np.linalg.eigh(sec.H.toarray()), psi0, [t])[0]
             assert np.max(np.abs(out - ref)) < 1e-12
+
+
+@settings(max_examples=20)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**16), fields=st.booleans())
+def test_evolve_grid_matches_eigh_spectral(n, seed, fields):
+    """The Chebyshev grid on the CSR sector against a dense eigh and
+    spectral(), in every sector, on an unsorted non-uniform grid with t = 0
+    and a repeated time."""
+    j, h = random_couplings(n, seed)
+    rng = np.random.default_rng(seed)
+    t_max = 10.0 / np.max(np.abs(j))
+    times = rng.permutation(np.concatenate(
+        [[0.0, 0.4 * t_max, 0.4 * t_max, t_max],
+         t_max * rng.random(4) ** 2]))
+    for s in range(n + 1):
+        sec = xy.build_sector(j, h if fields else None, s)
+        psi0 = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
+        psi0 /= np.linalg.norm(psi0)
+        out = xy.evolve_grid(sec, psi0, times)
+        assert sec._eig is None
+        ref = xy.spectral(*np.linalg.eigh(sec.H.toarray()), psi0, times)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) < 1e-12
 
 
 class TestObservables:
