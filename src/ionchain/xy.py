@@ -266,9 +266,8 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
     vectors; only their Bessel coefficients differ.  A grid of several
     times whose a t exceeds CHEBYSHEV_SPAN runs in consecutive series, each
     from the end state of the one before; one time is one series at any
-    a t.  The columns run in chunks of CHEBYSHEV_CHUNK;
-    the shared interval makes every column's series independent of the
-    chunking.  Returns the amplitudes at rows (all basis states when None;
+    a t.  The columns run in chunks of CHEBYSHEV_CHUNK; the shared interval
+    makes every column's series independent of the chunking.  Returns the amplitudes at rows (all basis states when None;
     an int selects one), after a time axis when t is a grid, after a
     leading axis over the columns of diag when diag is given.
     """
@@ -400,7 +399,7 @@ def evolve_grid(sector: XYSector, psi0: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
     """States on a time grid, rows psi(t_k), by one Chebyshev series per
     CHEBYSHEV_SPAN: no eigensystem, as evolve()."""
-    return chebyshev(sector.H, psi0, np.asarray(times, dtype=float))
+    return chebyshev(sector.H, psi0, times)
 
 
 def occupations(psi: np.ndarray, sector: XYSector) -> np.ndarray:
