@@ -119,10 +119,22 @@ def _at_least(parse, lo):
 
 
 def _p_span(s):
-    """A finite number > 0: a time span, or a factor on one."""
+    """A finite number > 0: a time span, a factor on one, or a rate."""
     val = _p_float(s)
     if not 0.0 < val < np.inf:
         raise ConfigError(f"expected a finite number > 0, got {val}")
+    return val
+
+
+def _p_span_or_auto(s):
+    return "auto" if s.lower() == "auto" else _p_span(s)
+
+
+def _p_fraction(s):
+    """A number strictly between 0 and 1."""
+    val = _p_float(s)
+    if not 0.0 < val < 1.0:
+        raise ConfigError(f"expected a number in (0, 1), got {val}")
     return val
 
 
@@ -178,12 +190,12 @@ SCHEMAS = {
                       "idealized"),
         "optimize": (_p_bool, True),
         "budget": (_p_int, 200),
-        "box": (_p_float, 0.30),
+        "box": (_p_fraction, 0.30),
     }),
     "search": dict(TRAP_SCHEMA, **{
         "couplings": (_p_choice("idealized", "experimental"), "idealized"),
         "marked": (_p_opt_int, None),
-        "gamma": (_p_float_or_auto, "auto"),
+        "gamma": (_p_span_or_auto, "auto"),
         "t_max_factor": (_p_span, 1.0),
         "n_times": (_at_least(_p_int, 2), 600),
     }),
@@ -649,10 +661,10 @@ def cmd_transfer(cfg, ctx: OutputContext) -> None:
 
 def cmd_search(cfg, ctx: OutputContext) -> None:
     n = cfg["n_ions"]
-    j_walk, scale, alpha_used = _walk_couplings(cfg, n)
     marked = cfg["marked"] if cfg["marked"] is not None else n // 2
     if not 0 <= marked < n:
         raise ConfigError("marked site out of range")
+    j_walk, scale, alpha_used = _walk_couplings(cfg, n)
     gamma = protocols.analytic_gamma(j_walk) if cfg["gamma"] == "auto" \
         else cfg["gamma"]
     t_max = cfg["t_max_factor"] * np.pi * np.sqrt(n)

@@ -25,8 +25,11 @@ class NoiseConfig:
     field_variance: float | None = None     # rad^2/s^2
 
     def __post_init__(self):
-        if self.t2 <= 0:
+        if not self.t2 > 0:
             raise ValueError("t2 must be > 0")
+        if self.field_variance is not None \
+                and not 0 <= self.field_variance < np.inf:
+            raise ValueError("field_variance must be finite and >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 

@@ -4,7 +4,7 @@ subspace, with the analytic reduced model and derivative-free tuning of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +24,6 @@ class ProtocolConfig:
             raise ValueError("sender and receiver must differ")
         if self.gamma <= 0 or self.duration <= 0:
             raise ValueError("gamma and duration must be > 0")
-
-
-@dataclass
-class ProtocolReport:
-    fidelity_peak: float
-    t_peak: float
-    times: np.ndarray
-    fidelity_trace: np.ndarray
-    scaled_time: float              # gamma * T
-    gamma_used: float
-    analytic_gamma: float
 
 
 def idealized_couplings(n: int, alpha: float) -> np.ndarray:
@@ -102,28 +91,35 @@ def reduced_model_matrix(n: int) -> np.ndarray:
     ])
 
 
+def _walk_weights(eig, row: int, psi0: np.ndarray) -> tuple:
+    """(w, p) with <row| e^{-iHt} |psi0> = sum_k p_k e^{-i w_k t}, for the
+    eigensystem eig = (w, v) of the real symmetric walk matrix H:
+    p = v[row] (v^T psi0)."""
+    w, v = eig
+    return w, v[row] * (psi0 @ v)
+
+
+def _walk_probability(weights: tuple, t):
+    """|sum_k p_k e^{-i w_k t}|^2 for the walk weights (w, p), at one time t
+    or on a 1-D grid of times."""
+    w, p = weights
+    return np.abs(p @ np.exp(-1j * np.multiply.outer(w, t))) ** 2
+
+
 def run_transfer(J: np.ndarray, h: np.ndarray | None,
                  config: ProtocolConfig, n_times: int = 600,
-                 t_max_factor: float = 1.0) -> ProtocolReport:
+                 t_max_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Evolve |w> under gamma*H + P_w + P_f and record fidelity onto |f>.
 
     h defaults to None: the effective local fields are assumed compensated.
-    The trace covers [0, t_max_factor * duration].
+    Returns (times, fidelity) on [0, t_max_factor * duration].
     """
     sector = xy.build_single_excitation(search_hamiltonian(
         J, config.gamma, [config.sender, config.receiver], h=h))
-    psi0 = np.zeros(sector.dim, dtype=complex)
-    psi0[config.sender] = 1.0
+    weights = _walk_weights(sector.eigensystem(), config.receiver,
+                            np.eye(sector.dim)[config.sender])
     times = np.linspace(0.0, t_max_factor * config.duration, n_times)
-    trace = np.abs(xy.spectral(*sector.eigensystem(), psi0, times,
-                               rows=config.receiver)) ** 2
-    k = int(np.argmax(trace))
-    gamma_seed = analytic_gamma(J)
-    return ProtocolReport(
-        fidelity_peak=float(trace[k]), t_peak=float(times[k]),
-        times=times, fidelity_trace=trace,
-        scaled_time=config.gamma * config.duration,
-        gamma_used=config.gamma, analytic_gamma=gamma_seed)
+    return times, _walk_probability(weights, times)
 
 
 def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
@@ -134,21 +130,9 @@ def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
     hs = search_hamiltonian(J, gamma, [sender, receiver], h=h)
     if extra_fields is not None:
         hs = hs + np.diag(extra_fields)
-    return _fidelity_at(_transfer_weights(np.linalg.eigh(hs), sender,
-                                          receiver), t)
-
-
-def _transfer_weights(eig, sender: int, receiver: int) -> tuple:
-    """(w, p) with <f| e^{-iHt} |w> = sum_k p_k e^{-i w_k t}, for the
-    eigensystem eig = (w, v) of H: p = v[sender] v[receiver]."""
-    w, v = eig
-    return w, v[sender] * v[receiver]
-
-
-def _fidelity_at(weights: tuple, t: float) -> float:
-    """|sum_k p_k e^{-i w_k t}|^2 for the transfer weights (w, p)."""
-    w, p = weights
-    return float(np.abs(p @ np.exp(-1j * w * t)) ** 2)
+    weights = _walk_weights(np.linalg.eigh(hs), receiver,
+                            np.eye(len(hs))[sender])
+    return float(_walk_probability(weights, t))
 
 
 def run_search(J: np.ndarray, gamma: float, marked: int,
@@ -161,10 +145,10 @@ def run_search(J: np.ndarray, gamma: float, marked: int,
     n = J.shape[0]
     sector = xy.build_single_excitation(
         search_hamiltonian(J, gamma, [marked], h=h))
-    psi0 = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    weights = _walk_weights(sector.eigensystem(), marked,
+                            np.full(n, 1.0 / np.sqrt(n)))
     times = np.linspace(0.0, t_max, n_times)
-    amps = xy.spectral(*sector.eigensystem(), psi0, times, rows=marked)
-    return times, np.abs(amps) ** 2
+    return times, _walk_probability(weights, times)
 
 
 @dataclass
@@ -193,16 +177,17 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     gamma0 = analytic_gamma(J)
     t0 = transfer_time(n)
     evals = [0]
+    psi0 = np.eye(n)[sender]
     # pattern moves in T alone revisit gamma: one eigh per distinct gamma
     weights = {}
 
     def objective(g, t):
         evals[0] += 1
         if g not in weights:
-            weights[g] = _transfer_weights(np.linalg.eigh(
+            weights[g] = _walk_weights(np.linalg.eigh(
                 search_hamiltonian(J, g, [sender, receiver], h=h)),
-                sender, receiver)
-        return _fidelity_at(weights[g], t)
+                receiver, psi0)
+        return float(_walk_probability(weights[g], t))
 
     best = (gamma0, t0, objective(gamma0, t0))
     seed_fid = best[2]

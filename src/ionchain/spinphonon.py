@@ -23,8 +23,10 @@ basis is kept as an independent cross-check.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -81,6 +83,22 @@ class ProductBasis:
     @property
     def dim(self) -> int:
         return len(self.masks)
+
+    @staticmethod
+    def parity_block_dims(n_sites: int, policy: TruncationPolicy,
+                          s_init: int) -> list:
+        """States of even and of odd total quanta in the basis build()
+        makes, counted per (spin count, phonon total) with math.comb instead
+        of enumerating them."""
+        qmax = policy.quanta_cutoff(s_init)
+        phonons = Counter(map(sum, product(range(policy.fock_cutoff + 1),
+                                           repeat=len(policy.phonon_modes))))
+        dims = [0, 0]
+        for s in range(min(n_sites, qmax) + 1):
+            for p, count in phonons.items():
+                if s + p <= qmax:
+                    dims[(s + p) % 2] += comb(n_sites, s) * count
+        return dims
 
     @classmethod
     def build(cls, n_sites: int, policy: TruncationPolicy,
@@ -165,6 +183,13 @@ class SpinPhononSystem:
             ch = chain
             w = chain.mode_freqs[modes]
         eta = lamb_dicke(trap, ch)[:, modes]
+        dims = ProductBasis.parity_block_dims(trap.n_ions, policy, s_init)
+        if max(dims) > xy.DENSE_LIMIT:
+            # refused before the basis is enumerated or V allocated
+            raise xy.SectorTooLarge(
+                f"spin-phonon basis dim {sum(dims)} has a parity block of "
+                f"{max(dims)} > DENSE_LIMIT = {xy.DENSE_LIMIT}: the dense "
+                f"V needs {8 * sum(dims) ** 2} bytes")
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
         d = trap.omega_eff * basis.spin_count + basis.occupations @ w
         v = np.zeros((basis.dim, basis.dim))

@@ -5,10 +5,12 @@ build_sector hops with hop_amplitudes(J), the sector matrix elements of the
 spin form.  Protocol timing formulas are written against walk matrices.
 
 XY sectors propagate through chebyshev(), a Chebyshev series with no
-eigensystem: evolve() at one time, evolve_grid() on a time grid and the
-noise ensemble.  spectral() propagates from an eigensystem: the protocols'
-N x N walk sectors and the spin-phonon parity blocks.  The spin-phonon
-Runge-Kutta cross-check is the third integrator.
+eigensystem, forward from t = 0: evolve() at one time, evolve_grid() on a
+time grid and the noise ensemble.  spectral() propagates every state of one
+eigensystem over a time grid, for the spin-phonon parity blocks.  The
+protocols read their one walk amplitude from eigensystem() weights of
+their own, and the spin-phonon Runge-Kutta cross-check is the third
+integrator.
 
 build_sector stores its matrix as a scipy.sparse CSR array: every state has
 exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
@@ -21,7 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-# the largest sector XYSector.eigensystem() densifies for a dense eigh
+# the largest sector XYSector.eigensystem() densifies for a dense eigh, and
+# the largest spin-phonon parity block SpinPhononSystem.build accepts
 DENSE_LIMIT = 4096
 # Bessel coefficients below this size end the Chebyshev series
 CHEBYSHEV_TOL = 1e-17
@@ -40,7 +43,7 @@ class BasisMismatch(ValueError):
 
 
 class SectorTooLarge(RuntimeError):
-    """A sector too large for a dense eigensystem."""
+    """A sector or spin-phonon basis too large for dense matrices."""
 
 
 @dataclass
@@ -180,25 +183,17 @@ def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return z.real @ m + 1j * (z.imag @ m)
 
 
-def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray, times,
-             rows=None) -> np.ndarray:
-    """Amplitudes of v e^{-iwt} v^T psi0 over a time grid.
+def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray,
+             times) -> np.ndarray:
+    """States v e^{-iwt} v^T psi0 over a time grid, len(times) x len(psi0).
 
     (w, v) is the eigensystem of a real symmetric H, so the eigenvectors in
     the columns of v are real and both products with v run as real GEMMs.
-    Returns a len(times) x len(rows) matrix, all basis states when rows is
-    None; an int rows gives the 1-D trace of that one amplitude.  A leading
-    stack axis on (w, v), as np.linalg.eigh returns for a stack of
-    Hamiltonians, propagates psi0 under each and leads the result too.
     """
     coeffs = _times_real(psi0, v)
-    phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None]
-                    * w[..., None, :])
-    phases *= coeffs[..., None, :]
-    single = rows is not None and np.ndim(rows) == 0
-    out_rows = v if rows is None else v[..., np.atleast_1d(rows), :]
-    amps = _times_real(phases, np.swapaxes(out_rows, -1, -2))
-    return amps[..., 0] if single else amps
+    phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None] * w)
+    phases *= coeffs
+    return _times_real(phases, v.T)
 
 
 def bessel_j(x) -> np.ndarray:
@@ -263,15 +258,18 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
     symmetric h0 (a dense or a scipy.sparse array) and elementwise products
     with the real n x S offset block diag, over the spectral interval of
     gershgorin_interval for all columns.  Every grid time shares the term
-    vectors; only their Bessel coefficients differ.  A grid of several
-    times whose a t exceeds CHEBYSHEV_SPAN runs in consecutive series, each
-    from the end state of the one before; one time is one series at any
-    a t.  The columns run in chunks of CHEBYSHEV_CHUNK; the shared interval
-    makes every column's series independent of the chunking.  Returns the amplitudes at rows (all basis states when None;
-    an int selects one), after a time axis when t is a grid, after a
-    leading axis over the columns of diag when diag is given.
+    vectors; only their Bessel coefficients differ.  Times must be >= 0.  A
+    grid of several times whose a t exceeds CHEBYSHEV_SPAN runs in
+    consecutive series, each from the end state of the one before; one time
+    is one series at any a t.  The columns run in chunks of
+    CHEBYSHEV_CHUNK; the shared interval makes every column's series
+    independent of the chunking.  Returns the amplitudes at rows (all basis
+    states when None; an int selects one), after a time axis when t is a
+    grid, after a leading axis over the columns of diag when diag is given.
     """
     times = np.asarray(t, dtype=float)
+    if not np.all(times >= 0):
+        raise ValueError("times must be >= 0")
     offsets = np.zeros((len(psi0), 1)) if diag is None \
         else np.asarray(diag, dtype=float)
     lo, hi = gershgorin_interval(h0, offsets)
@@ -296,32 +294,26 @@ def _chebyshev_steps(h0, psi0: np.ndarray, shift: np.ndarray, a: float,
     """e^{-i a t x} psi0 at rows sel, S x len(times) x rows, for
     x = (h0 + diag(shift)) / a and each of the S columns of shift.
 
-    Origins k * step, step = CHEBYSHEV_SPAN / a, each reached from its
-    neighbour towards 0; origin k serves the times t with trunc(t / step)
-    = k, all within one step of it.
+    Origins k * step, step = CHEBYSHEV_SPAN / a, each reached from the one
+    before; origin k serves the times t with floor(t / step) = k, all within
+    one step of it.  A single time has a one-column Bessel table at any a t,
+    so it is served from origin 0 (step = inf): steps would only add cost,
+    as a complex end state runs two real series.
     """
     state = np.repeat(np.asarray(psi0)[:, None], shift.shape[1], axis=1)
-    if len(times) == 1:
-        # one time has a one-column Bessel table at any a t; steps would
-        # only add cost, as a complex end state runs two real series
-        return _chebyshev_series(h0, state, shift, a, times, [],
-                                 sel)[0].transpose(2, 0, 1)
-    step = CHEBYSHEV_SPAN / a
-    ks = np.trunc(times / step)
-    k_max, k_min = int(ks.max(initial=0)), int(ks.min(initial=0))
-    n_rows = len(np.arange(len(psi0))[sel])
-    out = np.empty((len(times), n_rows, shift.shape[1]), dtype=complex)
-    pending = [(0, state)]
-    while pending:
-        k, state = pending.pop()
+    step = CHEBYSHEV_SPAN / a if len(times) > 1 else np.inf
+    ks = np.floor(times / step)
+    k_max = int(ks.max(initial=0))
+    out = np.empty((len(times), len(np.arange(len(psi0))[sel]),
+                    shift.shape[1]), dtype=complex)
+    origin = 0.0
+    for k in range(k_max + 1):
         inside = np.flatnonzero(ks == k)
-        moves = [d for d in (1, -1) if k_min <= k + d <= k_max
-                 and k * d >= 0]
-        if inside.size or moves:
-            out[inside], ends = _chebyshev_series(
-                h0, state, shift, a, times[inside] - k * step,
-                [d * step for d in moves], sel)
-            pending += [(k + d, end) for d, end in zip(moves, ends)]
+        out[inside], ends = _chebyshev_series(
+            h0, state, shift, a, times[inside] - origin,
+            [step] if k < k_max else [], sel)
+        if ends:
+            state, origin = ends[0], (k + 1) * step
     return out.transpose(2, 0, 1)
 
 

@@ -79,6 +79,18 @@ omega_z_mhz = 0.9   # trailing comment
         ("transfer", "n_list = 8\nbudget = 0\n", "budget"),
         ("noise", "n_list = 8\nn_times = 50\n", "unknown key 'n_times'"),
         ("transfer", "n_list = 8\nn_times = 50\n", "unknown key 'n_times'"),
+        ("noise", "n_list = 8\nt2_ms = nan\n", "t2"),
+        ("noise", "n_list = 8\nfield_variance = -1\n", "field_variance"),
+        ("noise", "n_list = 8\nfield_variance = nan\n", "field_variance"),
+        ("transfer", "n_list = 8\nbox = nan\n", "box"),
+        ("transfer", "n_list = 8\nbox = -0.5\n", "box"),
+        ("transfer", "n_list = 8\nbox = 0\n", "box"),
+        ("transfer", "n_list = 8\nbox = 1\n", "box"),
+        ("transfer", "n_list = 8\nbox = 5\n", "box"),
+        ("transfer", "n_list = 8\nbox = inf\n", "box"),
+        # checked before the working point, which fails on this chain
+        ("search", "n_ions = 10\nomega_z_mhz = 2.0\ncouplings = "
+                   "experimental\nmarked = 10\n", "marked"),
     ])
     def test_value_rejected_by_library_exits_two(self, tmp_path, capsys,
                                                  command, text, message):
@@ -89,7 +101,8 @@ omega_z_mhz = 0.9   # trailing comment
         assert "config error" in err and message in err
 
     @pytest.mark.parametrize("command,key", [("leakage", "periods"),
-                                             ("search", "t_max_factor")])
+                                             ("search", "t_max_factor"),
+                                             ("search", "gamma")])
     @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
     def test_time_span_must_be_finite_and_positive(self, tmp_path, capsys,
                                                    command, key, value):
@@ -214,6 +227,18 @@ class TestLeakageCommand:
         assert rc == 2
         assert "total_quanta" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    def test_basis_too_large_exits_one(self, tmp_path, capsys,
+                                       monkeypatch):
+        # n = 4, s = 1 with the default cutoffs: parity blocks of 12 and 20
+        monkeypatch.setattr(xy, "DENSE_LIMIT", 19)
+        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
+                                   "n_times = 20\n")
+        rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "SectorTooLarge: spin-phonon basis dim 32" in err
+        assert str(8 * 32 ** 2) in err
 
 
 class TestTransferCommand:

@@ -32,6 +32,11 @@ class TestNoiseConfig:
             nz.NoiseConfig(t2=0.0)
         with pytest.raises(ValueError):
             nz.NoiseConfig(n_samples=0)
+        with pytest.raises(ValueError, match="t2"):
+            nz.NoiseConfig(t2=float("nan"))
+        for variance in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="field_variance"):
+                nz.NoiseConfig(field_variance=variance)
 
 
 class TestSampling:
@@ -75,8 +80,8 @@ def per_sample_ensemble(j, h, cfg, noise, n_times):
 
     def trace_for(extra_diag):
         sector = xy.build_single_excitation(hs0 + np.diag(extra_diag))
-        return np.abs(xy.spectral(*sector.eigensystem(), psi0, times,
-                                  rows=cfg.receiver)) ** 2
+        return np.abs(xy.spectral(*sector.eigensystem(), psi0,
+                                  times)[:, cfg.receiver]) ** 2
 
     traces = np.array([
         trace_for(2.0 * (nz.sample_static_fields(n, noise, k)
@@ -190,8 +195,8 @@ class TestFig5Kernel:
                 for k in range(noise.n_samples)])
             out = xy.chebyshev(h0, psi0, t, diag=offsets, rows=n - 1)
             ref = np.array([
-                xy.spectral(*np.linalg.eigh(h0 + np.diag(d)), psi0, [t],
-                            rows=n - 1)[0] for d in offsets.T])
+                xy.spectral(*np.linalg.eigh(h0 + np.diag(d)), psi0,
+                            [t])[0, n - 1] for d in offsets.T])
             assert np.max(np.abs(out - ref)) < 1e-13, n
 
     def test_zero_offset_column_is_noiseless_fidelity(self, fig5_walks):

@@ -122,7 +122,8 @@ class TestProductBasis:
     def test_enumeration_matches_brute_force(self):
         for n, modes, fock, s_init, total in [
                 (4, (0, 1), 2, 1, 3), (5, (0,), 3, 2, None),
-                (4, (1, 0, 2), 1, 1, 2), (6, (0, 1), 4, 2, None)]:
+                (4, (1, 0, 2), 1, 1, 2), (6, (0, 1), 4, 2, None),
+                (10, (0,), 4, 5, None)]:
             policy = sp.TruncationPolicy(phonon_modes=modes, fock_cutoff=fock,
                                          total_quanta_cutoff=total)
             basis = sp.ProductBasis.build(n, policy, s_init=s_init)
@@ -133,6 +134,9 @@ class TestProductBasis:
                 if bin(mask).count("1") + sum(occ) <= qmax)
             assert [(int(m), tuple(int(x) for x in o)) for m, o in
                     zip(basis.masks, basis.occupations)] == states
+            # the parity blocks, counted without enumerating them
+            assert sp.ProductBasis.parity_block_dims(n, policy, s_init) == [
+                len(basis.parity_block(0)), len(basis.parity_block(1))]
             # qmax < n: the all-up mask is outside the basis
             for mask, occ in [(2 ** n - 1, (0,) * len(modes)),
                               (0, (fock + 1,) * len(modes))]:
@@ -171,6 +175,23 @@ class TestProductBasis:
 
 
 class TestSystemBuild:
+    def test_refused_above_dense_limit_before_enumeration(self,
+                                                          monkeypatch):
+        # n = 4, s = 1, one mode, fock 3: parity blocks of 12 and 20 states
+        monkeypatch.setattr(xy, "DENSE_LIMIT", 20)
+        assert small_system(n=4, fock=3)[2].basis.dim == 32
+        monkeypatch.setattr(xy, "DENSE_LIMIT", 19)
+
+        def enumerate_basis(*args):
+            raise AssertionError("basis enumerated before the size check")
+
+        monkeypatch.setattr(sp.ProductBasis, "build", enumerate_basis)
+        with pytest.raises(xy.SectorTooLarge) as err:
+            small_system(n=4, fock=3)
+        assert "dim 32" in str(err.value)
+        assert "parity block of 20" in str(err.value)
+        assert str(8 * 32 ** 2) in str(err.value)
+
     def test_coupling_hermitian_and_frame_diagonal_real(self):
         _, _, system = small_system()
         assert np.allclose(system.V, system.V.T)
