@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -500,17 +500,13 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     pinned = cfg["omega_c_pin_mhz"] is not None
     if pinned:
         freqs_used[0] = cfg["omega_c_pin_mhz"] * _freq_scale(cfg)
-    sol_used = chain.ChainSolution(
-        positions=sol.positions, length_scale=sol.length_scale,
-        mode_matrix=sol.mode_matrix, mode_freqs=freqs_used)
+    sol_used = replace(sol, mode_freqs=freqs_used)
     eta_used = couplings.lamb_dicke(trap, sol_used)
 
     policy = sp.TruncationPolicy(phonon_modes=tuple(subset),
                                  fock_cutoff=cfg["fock_cutoff"],
                                  total_quanta_cutoff=cfg["total_quanta"])
-    system = sp.SpinPhononSystem.build(
-        trap, sol, policy, s_init=s,
-        mode_freq_override=freqs_used[subset] if pinned else None)
+    system = sp.SpinPhononSystem.build(trap, sol_used, policy, s_init=s)
     psi0 = system.initial_state((1 << s) - 1)
 
     omega_c = freqs_used[0]
@@ -523,28 +519,20 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     traj = sp.propagate(system, psi0, times, method=cfg["integrator"])
     e_vac = sp.vacuum_overlap(traj)
     nbar = sp.phonon_occupation(traj)
+    diagnostics = sp.truncation_diagnostics(traj)
     e_meas = e_vac if s == 1 else nbar
 
-    eta_1c = abs(float(system.eta[0, 0]))
     r_bounds = (cfg["r_lo"], cfg["r_hi"])
     if cfg["modes"] == 1:
-        env = s * leakage.leakage_norm_single(eta_1c, trap.rabi, delta_c,
-                                              times)
         fit = leakage.fit_effective_frequency(
-            times, e_meas, eta_1c, trap.rabi, trap.omega_eff, omega_c,
-            r_bounds=r_bounds, scale=s)
-        env_shifted = leakage.higher_subspace_scaling(
-            s, eta_1c, trap.rabi, trap.omega_eff, omega_c, fit.r, times)
+            times, e_meas, abs(float(system.eta[0, 0])), trap.rabi,
+            trap.omega_eff, omega_c, r_bounds=r_bounds, scale=s)
     else:
-        eta_pair = eta_used[:, subset]
-        pair_freqs = freqs_used[subset]
-        env = s * leakage.leakage_norm_two_modes(
-            eta_pair, trap.rabi, pair_freqs, trap.omega_eff, times)
         fit = leakage.fit_effective_frequency_two_modes(
-            times, e_meas, eta_pair, trap.rabi, pair_freqs, trap.omega_eff,
-            r_bounds=r_bounds, scale=s)
-        env_shifted = s * leakage.leakage_norm_two_modes(
-            eta_pair, trap.rabi, pair_freqs, trap.omega_eff, times, r=fit.r)
+            times, e_meas, eta_used[:, subset], trap.rabi, freqs_used[subset],
+            trap.omega_eff, r_bounds=r_bounds, scale=s)
+    # s times the analytic envelope, at r = 1 and at the fitted r
+    env, env_shifted = fit.model(1.0), fit.model(fit.r)
 
     ren = leakage.renormalized_couplings(trap, eta_used, freqs_used, fit.r,
                                          mode_subset=subset)
@@ -578,6 +566,9 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
         "fit_residual": fit.residual,
         "J_prime_factor_mean": ren.factor_summary,
         "per_pair_factors": (ren.J_prime[iu] / j_sub[iu]).tolist(),
+        **diagnostics,
+        "fit_residual_over_power": (fit.residual / fit.power
+                                    if fit.power > 0 else 0.0),
     })
 
 

@@ -4,6 +4,7 @@ fitting and coupling renormalisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
     mode frequencies.  Includes the cross term oscillating at w_1 - w_2.
     r shifts the detuning of the first (near-resonant) mode only,
     Delta_1 = r * omega_eff - omega_1; the second mode keeps the bare
-    detuning.
+    detuning.  A column of r values gives one trace per row.
     """
     t = np.asarray(t, dtype=float)
     w1, w2 = mode_freqs
@@ -99,6 +100,23 @@ def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
 class FrequencyFit:
     r: float
     residual: float
+    power: float                # sum of e_sim^2, the trace power
+    model: Callable             # r -> the fitted envelope at that r
+
+
+# elements of one r x times array in _grid_costs: its chunks of grid values
+# stay at a few hundred kB, whatever the trace length
+_SCAN_SIZE = 2**16
+
+
+def _grid_costs(e_sim: np.ndarray, model_fn, grid: np.ndarray) -> np.ndarray:
+    """sum((model_fn(r) - e_sim)^2) at every r of grid, a chunk of grid
+    values at a time: model_fn maps a column of r values to one model trace
+    per row."""
+    rows = max(1, _SCAN_SIZE // len(e_sim))
+    return np.concatenate([
+        np.sum((model_fn(grid[k:k + rows, None]) - e_sim) ** 2, axis=-1)
+        for k in range(0, len(grid), rows)])
 
 
 def _fit_r(e_sim: np.ndarray, model_fn, r_bounds: tuple) -> FrequencyFit:
@@ -115,8 +133,7 @@ def _fit_r(e_sim: np.ndarray, model_fn, r_bounds: tuple) -> FrequencyFit:
         return float(np.sum((model_fn(r) - e_sim) ** 2))
 
     grid = np.linspace(r_bounds[0], r_bounds[1], 4001)
-    costs = [cost(r) for r in grid]
-    k = int(np.argmin(costs))
+    k = int(np.argmin(_grid_costs(e_sim, model_fn, grid)))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
     res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
@@ -125,7 +142,8 @@ def _fit_r(e_sim: np.ndarray, model_fn, r_bounds: tuple) -> FrequencyFit:
     if power > 0 and res.fun > 0.5 * power:
         raise FitFailure(
             f"residual {res.fun:.3e} exceeds 50% of trace power {power:.3e}")
-    return FrequencyFit(r=float(res.x), residual=float(res.fun))
+    return FrequencyFit(r=float(res.x), residual=float(res.fun), power=power,
+                        model=model_fn)
 
 
 def fit_effective_frequency(times: np.ndarray, e_sim: np.ndarray,
@@ -195,13 +213,3 @@ def renormalized_couplings(trap: TrapConfig, eta: np.ndarray,
     factor = float(np.mean(j_prime[iu] / j[iu]))
     return RenormalizationResult(r=r, J_prime=j_prime, factor_summary=factor,
                                  r_below_one=r < 1.0)
-
-
-def higher_subspace_scaling(s: int, eta_1c: float, omega_rabi: float,
-                            omega_eff: float, omega_c: float, r: float,
-                            t) -> np.ndarray:
-    """Predicted phonon occupation envelope s * ||E'(t)|| for s excitations."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    delta = r * omega_eff - omega_c
-    return s * leakage_norm_single(eta_1c, omega_rabi, delta, t)

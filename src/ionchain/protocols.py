@@ -169,10 +169,12 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     +-box window around the analytic values gamma = 1/lambda_max and
     T = pi sqrt(n/2).  Deterministic for a given rng_seed; the returned
     point is never worse than the analytic seed.  budget counts fidelity
-    evaluations, the analytic seed included.
+    evaluations, the analytic seed included; box is a fraction in (0, 1).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not 0.0 < box < 1.0:
+        raise ValueError(f"box must be in (0, 1), got {box}")
     n = J.shape[0]
     gamma0 = analytic_gamma(J)
     t0 = transfer_time(n)

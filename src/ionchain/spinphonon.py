@@ -8,23 +8,23 @@ The interaction-picture Hamiltonian
 is of the form e^{iDt} V e^{-iDt} with the static frame generator
 D = w_eff * N_exc + sum_m w_m n_m and the static coupling
 V = -sum_{i,m} (Omega eta_im / 2)(a_m + a_m^dag) s_i^x.  The exact
-propagator is therefore psi(t) = e^{iDt} e^{-i(D+V)t} psi(0).
+interaction-picture state is therefore e^{iDt} e^{-i(D+V)t} psi(0).
 
-Every term of V changes the spin excitation count by one and one mode's
-phonon number by one, and D is diagonal, so the parity of (spin excitations
-+ total phonons) is conserved: D + V is block diagonal in it.  The spectral
-propagator diagonalises only the parity blocks that psi(0) occupies (each
-block once, cached on the system) and leaves the other components exactly
-zero.  Within a block the eigenvectors are real, and each chunk of time
-rows goes through xy.spectral before the frame phase e^{iDt} is applied.
-
-An adaptive Runge-Kutta integrator of the time-dependent form on the full
-basis is kept as an independent cross-check.
+Every term of V changes the spin excitation count and one mode's phonon
+number by one each, and D is diagonal, so D + V conserves the parity of the
+total quanta (spin excitations + phonons).  The basis is the block of the
+initial state's parity, s_init % 2, alone, with one cached dense
+eigensystem (real eigenvectors).  Trajectories hold static-frame states
+e^{-i(D+V)t} psi(0): the frame phase e^{iDt} is left out, as observables
+read |psi|^2 or, in model_fidelity, overlaps on which D is constant.  An
+adaptive Runge-Kutta integration of H_I(t) on the block, taken to the same
+frame, is the independent cross-check.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import comb
 
@@ -65,16 +65,17 @@ class TruncationPolicy:
 
 @dataclass
 class ProductBasis:
-    """Ordered truncated spin (x) phonon basis.
+    """Ordered truncated spin (x) phonon basis of one parity block.
 
-    One entry per state: the spin bitmask, the phonon occupations
-    (dim x n_modes), the spin excitation count and the total quanta (spin
-    excitations + phonons).  States are ordered by mask, then by
-    occupations, first mode most significant.
+    One entry per state of total quanta (spin excitations + phonons) at
+    most qmax and of s_init's parity: the spin bitmask, the phonon
+    occupations (dim x n_modes), the spin count and the total quanta,
+    ordered by mask, then by occupations, first mode most significant.
     """
 
     n_sites: int
     policy: TruncationPolicy
+    qmax: int
     masks: np.ndarray
     occupations: np.ndarray
     spin_count: np.ndarray
@@ -87,9 +88,9 @@ class ProductBasis:
     @staticmethod
     def parity_block_dims(n_sites: int, policy: TruncationPolicy,
                           s_init: int) -> list:
-        """States of even and of odd total quanta in the basis build()
-        makes, counted per (spin count, phonon total) with math.comb instead
-        of enumerating them."""
+        """States of even and of odd total quanta under the truncation,
+        counted per (spin count, phonon total) with math.comb instead of
+        enumerating them; build() makes the one of s_init's parity."""
         qmax = policy.quanta_cutoff(s_init)
         phonons = Counter(map(sum, product(range(policy.fock_cutoff + 1),
                                            repeat=len(policy.phonon_modes))))
@@ -111,20 +112,16 @@ class ProductBasis:
         grid = np.array(list(product(range(policy.fock_cutoff + 1),
                                      repeat=n_modes)), dtype=np.int64)
         spin = xy.site_bits(spin_masks, n_sites).sum(axis=1)
+        quanta = spin[:, None] + grid.sum(axis=1)
         # row-major over (mask, occupation grid) is the basis order
-        rank, code = np.nonzero(spin[:, None] + grid.sum(axis=1) <= qmax)
-        occupations = grid[code]
-        return cls(n_sites=n_sites, policy=policy, masks=spin_masks[rank],
-                   occupations=occupations, spin_count=spin[rank],
-                   quanta=spin[rank] + occupations.sum(axis=1))
+        rank, code = np.nonzero((quanta <= qmax) & (quanta % 2 == s_init % 2))
+        return cls(n_sites=n_sites, policy=policy, qmax=qmax,
+                   masks=spin_masks[rank], occupations=grid[code],
+                   spin_count=spin[rank], quanta=quanta[rank, code])
 
     @property
     def phonon_count(self) -> np.ndarray:
         return self.quanta - self.spin_count
-
-    def parity_block(self, parity: int) -> np.ndarray:
-        """Indices of the states whose total quanta have the given parity."""
-        return np.flatnonzero(self.quanta % 2 == parity)
 
     def rows(self, masks, occupations) -> np.ndarray:
         """Rows of the states (masks[k], occupations[k]); KeyError if one is
@@ -157,39 +154,27 @@ class SpinPhononSystem:
     eta: np.ndarray            # N x n_modes, included columns
     D: np.ndarray              # diagonal of the frame generator
     V: np.ndarray              # static coupling matrix
-    _eig: dict = field(default_factory=dict, repr=False)
+    _eig: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, trap: TrapConfig, chain: ChainSolution,
-              policy: TruncationPolicy, s_init: int,
-              mode_freq_override: np.ndarray | None = None) -> "SpinPhononSystem":
-        """Assemble D and V on the truncated basis.
+              policy: TruncationPolicy, s_init: int) -> "SpinPhononSystem":
+        """Assemble D and V on the parity block of s_init.
 
-        mode_freq_override replaces the included mode frequencies (used to
-        pin the centre-of-mass frequency to an externally supplied value);
-        the Lamb-Dicke factors are recomputed consistently.
+        The included modes' frequencies and Lamb-Dicke factors come from
+        chain; a copy of it with other mode_freqs pins a mode's frequency.
         """
         modes = list(policy.phonon_modes)
-        if mode_freq_override is not None:
-            w = np.asarray(mode_freq_override, dtype=float)
-            if len(w) != len(modes):
-                raise ValueError("override length must match included modes")
-            ch = ChainSolution(positions=chain.positions,
-                               length_scale=chain.length_scale,
-                               mode_matrix=chain.mode_matrix,
-                               mode_freqs=chain.mode_freqs.copy())
-            ch.mode_freqs[modes] = w
-        else:
-            ch = chain
-            w = chain.mode_freqs[modes]
-        eta = lamb_dicke(trap, ch)[:, modes]
+        w = chain.mode_freqs[modes]
+        eta = lamb_dicke(trap, chain)[:, modes]
         dims = ProductBasis.parity_block_dims(trap.n_ions, policy, s_init)
-        if max(dims) > xy.DENSE_LIMIT:
+        block = dims[s_init % 2]
+        if block > xy.DENSE_LIMIT:
             # refused before the basis is enumerated or V allocated
             raise xy.SectorTooLarge(
                 f"spin-phonon basis dim {sum(dims)} has a parity block of "
-                f"{max(dims)} > DENSE_LIMIT = {xy.DENSE_LIMIT}: the dense "
-                f"V needs {8 * sum(dims) ** 2} bytes")
+                f"{block} > DENSE_LIMIT = {xy.DENSE_LIMIT}: its dense V "
+                f"needs {8 * block ** 2} bytes")
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
         d = trap.omega_eff * basis.spin_count + basis.occupations @ w
         v = np.zeros((basis.dim, basis.dim))
@@ -201,30 +186,26 @@ class SpinPhononSystem:
             lowered[:, mi] -= 1
             for i in range(trap.n_ions):
                 # (a_m + a_m^dag) s_i^x matrix element; each (mode, ion)
-                # pair writes its own elements, none written twice
+                # pair writes its own elements, none written twice; the
+                # row has the parity and at most the quanta of src
                 rows = basis.rows(basis.masks[src] ^ (1 << i), lowered)
                 el = -half * eta[i, mi] * amp
                 v[rows, src] = el
                 v[src, rows] = el
         return cls(trap=trap, basis=basis, mode_freqs=w, eta=eta, D=d, V=v)
 
-    def eigensystem(self, parity: int):
-        """(w, q) of D + V restricted to basis.parity_block(parity).
-
-        w and the real orthonormal eigenvectors q (columns) come from a
-        dense eigh of the block, done once per parity and cached.
-        """
-        if parity not in self._eig:
-            idx = self.basis.parity_block(parity)
-            h = self.V[np.ix_(idx, idx)]
-            h[np.diag_indices_from(h)] += self.D[idx]
-            self._eig[parity] = np.linalg.eigh(h)
-        return self._eig[parity]
+    def eigensystem(self):
+        """(w, q) of D + V by one dense eigh, cached; the orthonormal
+        eigenvectors in the columns of q are real."""
+        if self._eig is None:
+            h = self.V.copy()
+            h[np.diag_indices_from(h)] += self.D
+            self._eig = np.linalg.eigh(h)
+        return self._eig
 
     def initial_state(self, spin_mask: int,
                       phonons: tuple | None = None) -> np.ndarray:
-        occ = phonons if phonons is not None \
-            else (0,) * len(self.basis.policy.phonon_modes)
+        occ = phonons or (0,) * len(self.basis.policy.phonon_modes)
         psi = np.zeros(self.basis.dim, dtype=complex)
         psi[self.basis.state_index(spin_mask, occ)] = 1.0
         return psi
@@ -233,8 +214,14 @@ class SpinPhononSystem:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray         # len(times) x dim
+    states: np.ndarray         # len(times) x dim, static frame
     system: SpinPhononSystem
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """|psi|^2 of every state, len(times) x dim; computed once."""
+        pop = np.abs(self.states)
+        return np.square(pop, out=pop)
 
 
 # time rows propagated per xy.spectral call; bounds the chunk x block
@@ -245,28 +232,20 @@ _CHUNK_ROWS = 256
 def propagate(system: SpinPhononSystem, psi0: np.ndarray,
               times: np.ndarray, method: str = "spectral",
               tol: float = 1e-9) -> Trajectory:
-    """Evolve psi0 under H_I(t), sampling on the given output grid.
+    """Evolve psi0 under H_I(t) on the output grid, as the static-frame
+    states e^{-i(D+V)t} psi0.
 
-    method="spectral" uses the exact static-frame propagator, block by
-    block over the parities psi0 occupies.  method="rk" integrates the
-    time-dependent Schrodinger equation with adaptive Runge-Kutta (local
-    error per step <= tol) and exists as an independent cross-check of the
-    frame transformation.
+    method="spectral" uses the eigensystem of D + V.  method="rk"
+    integrates H_I(t) by adaptive Runge-Kutta (local error per step <= tol),
+    an independent cross-check of the frame transformation.
     """
     times = np.asarray(times, dtype=float)
     if method == "spectral":
-        states = np.zeros((len(times), len(psi0)), dtype=complex)
-        for parity in (0, 1):
-            idx = system.basis.parity_block(parity)
-            if not np.any(psi0[idx]):
-                continue
-            w, q = system.eigensystem(parity)
-            d = system.D[idx]
-            for start in range(0, len(times), _CHUNK_ROWS):
-                t = times[start:start + _CHUNK_ROWS]
-                phi = xy.spectral(w, q, psi0[idx], t)
-                phi *= np.exp(1j * d * t[:, None])
-                states[start:start + _CHUNK_ROWS, idx] = phi
+        w, q = system.eigensystem()
+        states = np.empty((len(times), len(psi0)), dtype=complex)
+        for start in range(0, len(times), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            states[rows] = xy.spectral(w, q, psi0, times[rows])
         return Trajectory(times=times, states=states, system=system)
     if method != "rk":
         raise ValueError(f"unknown method {method!r}")
@@ -289,20 +268,34 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
                     rtol=tol, atol=tol, max_step=t_fast / 4.0)
     if not sol.success:
         raise StepUnderflow(sol.message)
-    states = sol.y.T.copy().view(complex)
+    # from the interaction frame the integrator runs in to the static one
+    states = np.exp(-1j * d * times[:, None]) * sol.y.T.copy().view(complex)
     return Trajectory(times=times, states=states, system=system)
 
 
 def vacuum_overlap(traj: Trajectory) -> np.ndarray:
     """E(t): population of the all-spins-down subspace, traced over phonons."""
-    idx = np.flatnonzero(traj.system.basis.spin_count == 0)
-    return np.sum(np.abs(traj.states[:, idx]) ** 2, axis=1)
+    return traj.populations[:, traj.system.basis.spin_count == 0].sum(axis=1)
 
 
 def phonon_occupation(traj: Trajectory) -> np.ndarray:
     """nbar(t): expected total phonon number."""
     weights = traj.system.basis.phonon_count.astype(float)
-    return np.abs(traj.states) ** 2 @ weights
+    return traj.populations @ weights
+
+
+def truncation_diagnostics(traj: Trajectory) -> dict:
+    """The block's dimension; the largest population at any time on the
+    edge, the states a term of V would couple out of the basis (a mode at
+    the Fock cutoff, or the top quanta level: qmax, or qmax - 1 in the
+    other parity); and max |1 - ||psi(t)|||."""
+    basis, pop = traj.system.basis, traj.populations
+    edge = np.any(basis.occupations == basis.policy.fock_cutoff, axis=1) \
+        | (basis.quanta >= basis.qmax - 1)
+    return {"block_dim": basis.dim,
+            "edge_population_max": float(np.max(pop @ edge)),
+            "norm_drift_max": float(np.max(np.abs(1.0 - np.sqrt(
+                pop.sum(axis=1)))))}
 
 
 def model_fidelity(traj: Trajectory, xy_sector: xy.XYSector,

@@ -197,17 +197,19 @@ def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray,
 
 
 def bessel_j(x) -> np.ndarray:
-    """J_0(x), ..., J_M(x) for every argument in x, with J_m below
+    """J_0(x), ..., J_M(x) for every argument x >= 0 in x, with J_m below
     CHEBYSHEV_TOL for every m > M and every argument.
 
     Returns an (M + 1) x len(x) table for an array x, and its one column
     for a scalar.  Miller's backward recurrence J_{k-1} = (2k/x) J_k -
     J_{k+1}, run on all arguments at once from far past the turning point
-    m ~ |x| of the largest one, where J_m starts its superexponential decay,
+    m ~ x of the largest one, where J_m starts its superexponential decay,
     and normalised per argument with J_0 + 2 sum_k J_{2k} = 1.
     """
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x).ravel()
+    if np.any(x < 0):
+        raise ValueError("bessel_j takes arguments >= 0")
+    ax = x.ravel().copy()
     top = float(ax.max(initial=0.0))
     # J_m(x) ~ Ai((m - x) (2/x)^(1/3)) past the turning point: 20 x^(1/3)
     # terms past it, J has fallen far below any double-precision term
@@ -227,7 +229,6 @@ def bessel_j(x) -> np.ndarray:
     j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
     j[:, tiny] = 0.0
     j[0, tiny] = 1.0
-    j[1::2, x.ravel() < 0] *= -1.0
     last = np.flatnonzero(np.any(np.abs(j) >= CHEBYSHEV_TOL, axis=1))[-1]
     return j[:last + 1].reshape((last + 1,) + x.shape)
 
@@ -295,32 +296,34 @@ def _chebyshev_steps(h0, psi0: np.ndarray, shift: np.ndarray, a: float,
     x = (h0 + diag(shift)) / a and each of the S columns of shift.
 
     Origins k * step, step = CHEBYSHEV_SPAN / a, each reached from the one
-    before; origin k serves the times t with floor(t / step) = k, all within
-    one step of it.  A single time has a one-column Bessel table at any a t,
-    so it is served from origin 0 (step = inf): steps would only add cost,
-    as a complex end state runs two real series.
+    before; origin k serves the times t with k * step <= t, all within
+    about one step of it.  A single time has a one-column Bessel table at
+    any a t, so it is served from origin 0 (step = inf): steps would only
+    add cost, as a complex end state runs two real series.
     """
     state = np.repeat(np.asarray(psi0)[:, None], shift.shape[1], axis=1)
     step = CHEBYSHEV_SPAN / a if len(times) > 1 else np.inf
     ks = np.floor(times / step)
+    if len(times) > 1:
+        # t / step may round up to k with t < k * step: origin k - 1 serves t
+        ks[ks * step > times] -= 1
     k_max = int(ks.max(initial=0))
     out = np.empty((len(times), len(np.arange(len(psi0))[sel]),
                     shift.shape[1]), dtype=complex)
     origin = 0.0
     for k in range(k_max + 1):
         inside = np.flatnonzero(ks == k)
-        out[inside], ends = _chebyshev_series(
+        out[inside], state = _chebyshev_series(
             h0, state, shift, a, times[inside] - origin,
-            [step] if k < k_max else [], sel)
-        if ends:
-            state, origin = ends[0], (k + 1) * step
+            step if k < k_max else None, sel)
+        origin = (k + 1) * step
     return out.transpose(2, 0, 1)
 
 
 def _chebyshev_series(h0, state: np.ndarray, shift: np.ndarray, a: float,
-                      deltas: np.ndarray, ends: list, sel) -> tuple:
+                      deltas: np.ndarray, end, sel) -> tuple:
     """e^{-i a dt x} state by one series: rows sel at each dt in deltas,
-    len(deltas) x rows x S, and every row at each dt in ends.
+    len(deltas) x rows x S, and every row at dt = end (0 without one).
 
     x is real, so real vectors stay real: the real and the imaginary part
     of the n x S state run as separate real series, the imaginary one only
@@ -329,24 +332,25 @@ def _chebyshev_series(h0, state: np.ndarray, shift: np.ndarray, a: float,
     # e^{-i a dt x} = sum_m (2 - delta_m0) (-i)^m J_m(a dt) T_m(x), and
     # (-i)^m = +1, -i, -1, +i: the signs go into the real table, the -i of
     # the odd terms into the sum
-    g = bessel_j(a * np.concatenate([deltas, ends]))
+    n = len(deltas)
+    g = bessel_j(a * np.append(deltas, [] if end is None else end))
     g[1:] *= 2.0
     g[2::4] *= -1.0
     g[3::4] *= -1.0
-    amps, states = 0.0, 0.0
+    amps, state_end = 0.0, 0.0
     for unit, part in zip((1.0, 1j), [state.real, state.imag]):
         if unit == 1.0 or part.any():
-            on_grid, at_ends = _real_series(h0, part, shift, a, g,
-                                            len(deltas), sel)
-            amps, states = amps + unit * on_grid, states + unit * at_ends
-    return amps, list(states)
+            on_grid, at_end = _real_series(h0, part, shift, a, g[:, :n], sel,
+                                           None if end is None else g[:, n])
+            amps, state_end = amps + unit * on_grid, state_end + unit * at_end
+    return amps, state_end
 
 
 def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
-                 g: np.ndarray, n_grid: int, sel) -> tuple:
+                 g: np.ndarray, sel, g_end=None) -> tuple:
     """sum_m g[m, k] T_m(x) v0 for the real n x S block v0, with the odd
-    terms times -i: rows sel for the first n_grid columns k of g, every row
-    for the others.
+    terms times -i, at rows sel for every column k of g; and every row of
+    the same sum over the column g_end, 0 without one.
 
     The term vectors are reduced to the rows read and folded into the
     amplitudes CHEBYSHEV_BLOCK terms at a time, by one real GEMM for the
@@ -357,8 +361,8 @@ def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
         return (h0 @ v + shift * v) / a
 
     n_read = len(v0[sel])
-    grid = np.zeros((2, n_grid, n_read * v0.shape[1]))
-    ends = np.zeros((2, g.shape[1] - n_grid) + v0.shape)
+    grid = np.zeros((2, g.shape[1], n_read * v0.shape[1]))
+    end = 0.0 if g_end is None else np.zeros((2,) + v0.shape)
     block = np.empty((CHEBYSHEV_BLOCK, grid.shape[2]))
     # T_0 v0, T_1 v0, then T_{m+1} = 2 x T_m - T_{m-1}
     prev, cur = None, np.asarray(v0, dtype=float)
@@ -369,15 +373,15 @@ def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
             prev, cur = cur, 2.0 * x_times(cur) - prev
         b = m % CHEBYSHEV_BLOCK
         block[b] = cur[sel].ravel()
-        for e in range(len(ends[0])):
-            ends[m % 2, e] += g[m, n_grid + e] * cur
+        if g_end is not None:
+            end[m % 2] += g_end[m] * cur
         if b == CHEBYSHEV_BLOCK - 1 or m == len(g) - 1:
             # CHEBYSHEV_BLOCK is even: every block starts on an even term
             first = m - b
-            grid[0] += g[first:m + 1:2, :n_grid].T @ block[0:b + 1:2]
-            grid[1] += g[first + 1:m + 1:2, :n_grid].T @ block[1:b + 1:2]
-    on_grid = (grid[0] - 1j * grid[1]).reshape(n_grid, n_read, v0.shape[1])
-    return on_grid, ends[0] - 1j * ends[1]
+            grid[0] += g[first:m + 1:2].T @ block[0:b + 1:2]
+            grid[1] += g[first + 1:m + 1:2].T @ block[1:b + 1:2]
+    on_grid = (grid[0] - 1j * grid[1]).reshape(len(g[0]), n_read, len(v0[0]))
+    return on_grid, (end if g_end is None else end[0] - 1j * end[1])
 
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:

@@ -206,6 +206,14 @@ class TestLeakageCommand:
         _, rows = read_table(tmp_path / "leakage.csv")
         assert len(rows) == 300
         assert {"t_seconds", "E_sim", "E_norm"} <= set(rows[0])
+        # n = 4, s = 1, quanta <= 3, one mode with fock 2: 1 + 8 + 6 + 4
+        # states of odd quanta, spin count 0 to 3
+        assert report["block_dim"] == 19
+        assert 0.0 < report["edge_population_max"] < 1e-3
+        assert 0.0 <= report["norm_drift_max"] < 1e-13
+        e_sim = np.array([float(row["E_sim"]) for row in rows])
+        assert report["fit_residual_over_power"] == pytest.approx(
+            report["fit_residual"] / np.sum(e_sim ** 2), rel=1e-12)
 
     def test_requires_working_point(self, tmp_path, capsys):
         p = write_config(tmp_path, "n_ions = 4\nomega_z_mhz = 1.0\n")
@@ -230,7 +238,8 @@ class TestLeakageCommand:
 
     def test_basis_too_large_exits_one(self, tmp_path, capsys,
                                        monkeypatch):
-        # n = 4, s = 1 with the default cutoffs: parity blocks of 12 and 20
+        # n = 4, s = 1 with the default cutoffs: parity blocks of 12 and 20,
+        # and the odd one of 20 holds the initial state
         monkeypatch.setattr(xy, "DENSE_LIMIT", 19)
         p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
                                    "n_times = 20\n")
@@ -238,7 +247,7 @@ class TestLeakageCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "SectorTooLarge: spin-phonon basis dim 32" in err
-        assert str(8 * 32 ** 2) in err
+        assert str(8 * 20 ** 2) in err
 
 
 class TestTransferCommand:

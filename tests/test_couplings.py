@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ionchain as ic
+from ionchain.chain import max_stable_axial_frequency
 from ionchain.constants import HBAR
 from ionchain.couplings import (DegenerateFit, FitConvention, ResonantDetuning,
                                 fit_alpha_beta)
@@ -224,3 +226,24 @@ class TestBuildModel:
             j = ic.coupling_matrix(t, ic.lamb_dicke(t, sol), sol.mode_freqs)
             betas.append(fit_alpha_beta(j, fit_beta=True).beta)
         assert betas[1] < betas[0]
+
+
+@settings(max_examples=25)
+@given(n=st.integers(3, 20), alpha=st.floats(0.1, 1.4))
+def test_mirror_symmetry(n, alpha):
+    """The chain is symmetric under i -> N - 1 - i: J_ij = J_{N-1-i,N-1-j},
+    and every Lamb-Dicke column is even or odd under the flip, to rounding
+    (the precondition for splitting the spin-phonon blocks by mirror
+    parity)."""
+    template = ic.reference_trap(n, 2 * np.pi * 0.5e6)
+    trap = template.with_(omega_z=max_stable_axial_frequency(template, n,
+                                                             safety=1.05))
+    sol = ic.solve_chain(trap)
+    trap = trap.with_(detuning_mu=ic.detuning_for_alpha(trap, sol, alpha).mu)
+    eta = ic.lamb_dicke(trap, sol)
+    j = ic.coupling_matrix(trap, eta, sol.mode_freqs)
+    assert np.max(np.abs(j - j[::-1, ::-1])) < 1e-11 * np.max(np.abs(j))
+    for col in eta.T:
+        flip = min(np.max(np.abs(col - col[::-1])),
+                   np.max(np.abs(col + col[::-1])))
+        assert flip < 1e-11 * np.max(np.abs(col))

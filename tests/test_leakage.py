@@ -142,15 +142,33 @@ class TestLeakageNorms:
             + np.sum(e2**2) / d2**2 * (1 - np.cos(d2 * t)))
         assert shifted == pytest.approx(expected, rel=1e-12)
 
-    def test_higher_subspace_scaling(self):
-        eta, rabi = 0.05, 2 * np.pi * 1e5
-        w_eff, w_c = 2 * np.pi * 6.01e6, 2 * np.pi * 6e6
-        t = np.linspace(0, 1e-4, 30)
-        base = lk.higher_subspace_scaling(1, eta, rabi, w_eff, w_c, 1.0, t)
-        five = lk.higher_subspace_scaling(5, eta, rabi, w_eff, w_c, 1.0, t)
-        assert five == pytest.approx(5 * base, rel=1e-12)
-        with pytest.raises(ValueError):
-            lk.higher_subspace_scaling(0, eta, rabi, w_eff, w_c, 1.0, t)
+    def test_two_mode_r_column_gives_one_trace_per_row(self):
+        rng = np.random.default_rng(6)
+        eta = rng.uniform(0.02, 0.06, size=(6, 2))
+        mode_freqs = np.array([2 * np.pi * 6e6, 2 * np.pi * 5.8e6])
+        t = np.linspace(0, 3e-4, 50)
+        rs = np.linspace(0.999, 1.002, 7)
+        args = (eta, 2 * np.pi * 1e5, mode_freqs, 2 * np.pi * 6.05e6, t)
+        rows = lk.leakage_norm_two_modes(*args, r=rs[:, None])
+        assert np.array_equal(rows, [lk.leakage_norm_two_modes(*args, r=r)
+                                     for r in rs])
+
+
+def loop_fit_r(e_sim, model_fn, r_bounds):
+    """r by the scan one grid value at a time: the reference for the
+    broadcast scan of leakage._fit_r."""
+    from scipy.optimize import minimize_scalar
+
+    def cost(r):
+        return float(np.sum((model_fn(r) - e_sim) ** 2))
+
+    grid = np.linspace(r_bounds[0], r_bounds[1], 4001)
+    costs = [cost(r) for r in grid]
+    k = int(np.argmin(costs))
+    res = minimize_scalar(cost, bounds=(grid[max(k - 1, 0)],
+                                        grid[min(k + 1, len(grid) - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return costs, float(res.x)
 
 
 class TestFrequencyFit:
@@ -180,6 +198,41 @@ class TestFrequencyFit:
         noisy = e * (1 + 0.02 * rng.normal(size=len(e)))
         fit = lk.fit_effective_frequency(times, noisy, eta, rabi, w_eff, w_c)
         assert fit.r == pytest.approx(1.0006, abs=1e-5)
+
+    def test_model_is_the_scaled_envelope(self):
+        times, e, eta, rabi, w_eff, w_c = self.synth(1.0004, scale=5.0)
+        fit = lk.fit_effective_frequency(times, e, eta, rabi, w_eff, w_c,
+                                         scale=5.0)
+        for r in (1.0, fit.r):
+            assert np.array_equal(fit.model(r), 5 * lk.leakage_norm_single(
+                eta, rabi, r * w_eff - w_c, times))
+        assert fit.power == np.sum(e ** 2)
+
+    def test_broadcast_scan_matches_scalar_loop(self):
+        # 1500 times: chunks of 43 grid values, the last one short
+        times, e, eta, rabi, w_eff, w_c = self.synth(1.0007, scale=2.0)
+        noisy = e * (1 + 0.01 * np.random.default_rng(3).normal(size=len(e)))
+        mode_freqs = np.array([w_c, 2 * np.pi * 5.85e6])
+        etas = np.random.default_rng(4).uniform(0.03, 0.06, size=(8, 2))
+        fits = [
+            (lambda r: 2.0 * lk.leakage_norm_single(eta, rabi, r * w_eff - w_c,
+                                                    times),
+             lambda: lk.fit_effective_frequency(times, noisy, eta, rabi, w_eff,
+                                                w_c, scale=2.0)),
+            (lambda r: 2.0 * lk.leakage_norm_two_modes(etas, rabi, mode_freqs,
+                                                       w_eff, times, r=r),
+             lambda: lk.fit_effective_frequency_two_modes(
+                 times, noisy, etas, rabi, mode_freqs, w_eff, scale=2.0))]
+        assert 4001 % (lk._SCAN_SIZE // len(times)) != 0
+        grid = np.linspace(0.999, 1.002, 4001)
+        for model, fit in fits:
+            costs, r = loop_fit_r(noisy, model, (0.999, 1.002))
+            scan = lk._grid_costs(noisy, model, grid)
+            # a scalar r squares its detuning with C pow, which may round
+            # one ulp away from the array's x * x
+            assert np.max(np.abs(scan / costs - 1.0)) < 1e-15
+            assert np.argmin(scan) == np.argmin(costs)
+            assert fit().r == r
 
     def test_fit_failure_on_unrelated_trace(self):
         times, e, eta, rabi, w_eff, w_c = self.synth(1.0)

@@ -299,6 +299,12 @@ class TestOptimizeProtocol:
         assert out.fidelity == pr.transfer_fidelity_at(
             j, out.config.gamma, out.config.duration, 0, n - 1)
 
+    @pytest.mark.parametrize("box", [5.0, -0.5, 0.0, 1.0, np.nan, np.inf])
+    def test_box_outside_unit_interval_rejected(self, box):
+        j = normalized_walk(6, 0.3)
+        with pytest.raises(ValueError, match="box"):
+            pr.optimize_protocol(j, None, 0, 5, box=box)
+
     def test_recovers_detuned_seed(self):
         # start the search from couplings whose analytic gamma is right but
         # verify optimisation beats a deliberately perturbed evaluation

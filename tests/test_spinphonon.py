@@ -1,8 +1,10 @@
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 import ionchain as ic
 from ionchain import spinphonon as sp
@@ -22,28 +24,25 @@ def small_system(n=3, modes=(0,), fock=3, s_init=1, detune_factor=1.02,
 
 
 def reference_states(system, psi0, times):
-    """Per-time-step propagator on a dense eigh of the whole product basis."""
+    """Static-frame states by a per-time-step propagator on a dense eigh of
+    the block."""
     w, q = np.linalg.eigh(np.diag(system.D) + system.V)
     coeffs = q.conj().T @ psi0
-    return np.array([np.exp(1j * system.D * t)
-                     * (q @ (np.exp(-1j * w * t) * coeffs)) for t in times])
+    return np.array([q @ (np.exp(-1j * w * t) * coeffs) for t in times])
 
 
-def cross_parity_block(system):
-    even = system.basis.quanta % 2 == 0
-    return system.V[np.ix_(even, ~even)]
-
-
-def mixed_parity_state(system, seed=0):
-    """Normalised random superposition with weight in both parity blocks."""
+def random_state(system, seed=0):
+    """Normalised random complex superposition over the block."""
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(system.basis.dim) \
         + 1j * rng.standard_normal(system.basis.dim)
     return psi / np.linalg.norm(psi)
 
 
-def loop_states(n, policy, s_init):
-    """(mask, occupations) tuples in basis order, enumerated one by one."""
+def loop_states(n, policy, s_init, both_parities=False):
+    """(mask, occupations) tuples in basis order, enumerated one by one: the
+    block of s_init's parity, or with both_parities the whole truncated
+    product basis."""
     qmax = policy.quanta_cutoff(s_init)
     fock = range(policy.fock_cutoff + 1)
     states = []
@@ -51,9 +50,15 @@ def loop_states(n, policy, s_init):
         for c in combinations(range(n), s):
             mask = sum(1 << i for i in c)
             for occ in product(fock, repeat=len(policy.phonon_modes)):
-                if s + sum(occ) <= qmax:
+                q = s + sum(occ)
+                if q <= qmax and (both_parities or q % 2 == s_init % 2):
                     states.append((mask, occ))
     return sorted(states)
+
+
+def quanta_of(state):
+    mask, occ = state
+    return mask.bit_count() + sum(occ)
 
 
 def loop_operators(system, states):
@@ -132,14 +137,20 @@ class TestProductBasis:
                 (mask, occ) for mask in range(2 ** n)
                 for occ in product(range(fock + 1), repeat=len(modes))
                 if bin(mask).count("1") + sum(occ) <= qmax)
+            block = [st for st in states if quanta_of(st) % 2 == s_init % 2]
             assert [(int(m), tuple(int(x) for x in o)) for m, o in
-                    zip(basis.masks, basis.occupations)] == states
-            # the parity blocks, counted without enumerating them
-            assert sp.ProductBasis.parity_block_dims(n, policy, s_init) == [
-                len(basis.parity_block(0)), len(basis.parity_block(1))]
-            # qmax < n: the all-up mask is outside the basis
-            for mask, occ in [(2 ** n - 1, (0,) * len(modes)),
-                              (0, (fock + 1,) * len(modes))]:
+                    zip(basis.masks, basis.occupations)] == block
+            # both parity blocks, counted without enumerating them
+            dims = sp.ProductBasis.parity_block_dims(n, policy, s_init)
+            assert dims == [sum(quanta_of(st) % 2 == p for st in states)
+                            for p in (0, 1)]
+            assert dims[s_init % 2] == basis.dim
+            # qmax < n: the all-up mask is outside the basis, and so is the
+            # other parity
+            zeros = (0,) * len(modes)
+            for mask, occ in [(2 ** n - 1, zeros),
+                              (0, (fock + 1,) * len(modes)),
+                              (1 - s_init % 2, zeros)]:
                 with pytest.raises(KeyError):
                     basis.state_index(mask, occ)
 
@@ -157,10 +168,7 @@ class TestProductBasis:
             assert basis.spin_count[k] == bin(mask).count("1")
             assert basis.quanta[k] == bin(mask).count("1") + sum(occ)
             assert basis.phonon_count[k] == sum(occ)
-        even = basis.parity_block(0)
-        odd = basis.parity_block(1)
-        assert np.array_equal(np.sort(np.concatenate([even, odd])),
-                              np.arange(basis.dim))
+        assert np.all(basis.quanta % 2 == 0)
 
     def test_index_round_trip(self):
         for n, modes, fock, s_init in [(3, (0,), 3, 1), (5, (0, 2), 2, 2),
@@ -177,10 +185,13 @@ class TestProductBasis:
 class TestSystemBuild:
     def test_refused_above_dense_limit_before_enumeration(self,
                                                           monkeypatch):
-        # n = 4, s = 1, one mode, fock 3: parity blocks of 12 and 20 states
+        # n = 4, one mode, fock 3, quanta <= 3: parity blocks of 12 even
+        # and 20 odd states; the limit applies to the initial state's block
         monkeypatch.setattr(xy, "DENSE_LIMIT", 20)
-        assert small_system(n=4, fock=3)[2].basis.dim == 32
+        assert small_system(n=4, fock=3)[2].basis.dim == 20
         monkeypatch.setattr(xy, "DENSE_LIMIT", 19)
+        assert small_system(n=4, fock=3, s_init=2,
+                            total_quanta=3)[2].basis.dim == 12
 
         def enumerate_basis(*args):
             raise AssertionError("basis enumerated before the size check")
@@ -190,7 +201,7 @@ class TestSystemBuild:
             small_system(n=4, fock=3)
         assert "dim 32" in str(err.value)
         assert "parity block of 20" in str(err.value)
-        assert str(8 * 32 ** 2) in str(err.value)
+        assert str(8 * 20 ** 2) in str(err.value)
 
     def test_coupling_hermitian_and_frame_diagonal_real(self):
         _, _, system = small_system()
@@ -224,26 +235,26 @@ class TestSystemBuild:
             assert ds == 1 and dp == 1
 
     def test_coupling_conserves_quanta_parity(self):
+        # V on the whole two-parity product basis: no element joins the
+        # blocks, so the block of the initial state evolves alone
         _, _, system = small_system(modes=(0, 1), fock=2)
-        assert np.all(cross_parity_block(system) == 0.0)
+        states = loop_states(3, system.basis.policy, 1, both_parities=True)
+        _, v = loop_operators(system, states)
+        even = np.array([quanta_of(st) % 2 == 0 for st in states])
+        assert even.any() and (~even).any()
+        assert np.all(v[np.ix_(even, ~even)] == 0.0)
 
-    def test_mode_override_changes_frame_and_eta(self):
+    def test_pinned_mode_changes_frame_and_eta(self):
         trap, chain, system = small_system()
-        policy = system.basis.policy
-        w_new = np.array([chain.mode_freqs[0] * 1.05])
-        pinned = sp.SpinPhononSystem.build(trap, chain, policy, s_init=1,
-                                           mode_freq_override=w_new)
-        assert pinned.mode_freqs[0] == pytest.approx(w_new[0])
+        freqs = chain.mode_freqs.copy()
+        freqs[0] *= 1.05
+        pinned = sp.SpinPhononSystem.build(
+            trap, replace(chain, mode_freqs=freqs), system.basis.policy,
+            s_init=1)
+        assert pinned.mode_freqs[0] == freqs[0]
         assert abs(pinned.eta[0, 0]) < abs(system.eta[0, 0])
         # the original chain solution is untouched
-        assert chain.mode_freqs[0] != pytest.approx(w_new[0])
-
-    def test_mode_override_length_checked(self):
-        trap, chain, system = small_system()
-        with pytest.raises(ValueError):
-            sp.SpinPhononSystem.build(trap, chain, system.basis.policy,
-                                      s_init=1,
-                                      mode_freq_override=np.array([1.0, 2.0]))
+        assert chain.mode_freqs[0] != pytest.approx(freqs[0])
 
     def test_initial_state(self):
         _, _, system = small_system()
@@ -301,29 +312,17 @@ class TestPropagation:
         b = sp.propagate(system, psi0, times, method="rk", tol=1e-11)
         assert np.max(np.abs(a.states - b.states)) < 1e-7
 
-    def test_spectral_matches_full_basis_loop(self):
+    def test_spectral_matches_per_step_loop(self):
         _, _, system = small_system(modes=(0, 1), fock=2)
-        psi0 = mixed_parity_state(system)
+        psi0 = random_state(system)
         times = np.linspace(0, 2e-5, 30)
         traj = sp.propagate(system, psi0, times)
         ref = reference_states(system, psi0, times)
         assert np.max(np.abs(traj.states - ref)) < 1e-12
 
-    def test_other_parity_stays_exactly_zero(self):
-        _, _, system = small_system(modes=(0, 1), fock=2)
-        for parity, mask in ((1, 0b001), (0, 0b011)):
-            psi0 = system.initial_state(mask)
-            assert system.basis.quanta[np.flatnonzero(psi0)[0]] % 2 == parity
-            traj = sp.propagate(system, psi0, np.linspace(0, 2e-5, 12))
-            own = system.basis.parity_block(parity)
-            other = system.basis.parity_block(1 - parity)
-            assert np.all(traj.states[:, other] == 0.0)
-            # the state has spread within its own block
-            assert np.count_nonzero(traj.states[-1, own]) > 1
-
     def test_chunked_matches_unchunked(self, monkeypatch):
         _, _, system = small_system()
-        psi0 = mixed_parity_state(system, seed=1)
+        psi0 = random_state(system, seed=1)
         times = np.linspace(0, 2e-5, 2 * sp._CHUNK_ROWS + 37)
         chunked = sp.propagate(system, psi0, times).states
         monkeypatch.setattr(sp, "_CHUNK_ROWS", len(times))
@@ -363,25 +362,71 @@ class TestPropagation:
 @given(n=st.integers(2, 5), fock=st.integers(1, 3), n_modes=st.integers(1, 2),
        s_init=st.integers(1, 2), seed=st.integers(0, 2**16))
 def test_structure_and_norm_properties(n, fock, n_modes, s_init, seed):
+    s_init = min(s_init, n)
     _, _, system = small_system(n=n, modes=tuple(range(n_modes)), fock=fock,
-                                s_init=min(s_init, n))
+                                s_init=s_init)
     h = np.diag(system.D) + system.V
     assert np.array_equal(h, h.conj().T)
-    assert np.all(cross_parity_block(system) == 0.0)
-    psi0 = mixed_parity_state(system, seed)
+    assert np.all(system.basis.quanta % 2 == s_init % 2)
+    psi0 = random_state(system, seed)
     traj = sp.propagate(system, psi0, np.linspace(0, 2e-5, 9))
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("s_init", [1, 2])
+def test_block_matches_full_two_parity_basis(s_init):
+    """The one-block path against the design it replaced: the whole
+    two-parity product basis, propagated in the interaction frame, here by
+    expm."""
+    n, mask0 = 3, (1 << s_init) - 1
+    trap, chain, system = small_system(n=n, modes=(0, 1), fock=2,
+                                       s_init=s_init, total_quanta=3)
+    full = loop_states(n, system.basis.policy, s_init, both_parities=True)
+    d, v = loop_operators(system, full)
+    own = np.array([quanta_of(st) % 2 == s_init % 2 for st in full])
+    assert [full[k] for k in np.flatnonzero(own)] == [
+        (int(m), tuple(int(x) for x in o))
+        for m, o in zip(system.basis.masks, system.basis.occupations)]
+    psi_full = np.zeros(len(full), dtype=complex)
+    psi_full[full.index((mask0, (0, 0)))] = 1.0
+    times = np.linspace(0, 2e-5, 9)
+    ref = np.array([np.exp(1j * d * t) * (expm(-1j * (np.diag(d) + v) * t)
+                                          @ psi_full) for t in times])
+    assert np.all(ref[:, ~own] == 0.0)
+
+    traj = sp.propagate(system, system.initial_state(mask0), times)
+    # the block states are static-frame: e^{iDt} takes them to the old one
+    framed = np.exp(1j * system.D * times[:, None]) * traj.states
+    assert np.max(np.abs(framed - ref[:, own])) < 1e-12
+
+    old = sp.Trajectory(times=times, states=ref, system=None)
+    pop = np.abs(ref) ** 2
+    spins = np.array([mask.bit_count() for mask, _ in full])
+    phonons = np.array([sum(occ) for _, occ in full])
+    assert np.max(np.abs(sp.vacuum_overlap(traj)
+                         - pop[:, spins == 0].sum(axis=1))) < 1e-12
+    assert np.max(np.abs(sp.phonon_occupation(traj) - pop @ phonons)) < 1e-12
+    eta = ic.lamb_dicke(trap, chain)
+    sector = xy.build_sector(
+        ic.coupling_matrix(trap, eta, chain.mode_freqs),
+        ic.local_fields(trap, eta, chain.mode_freqs), s_init)
+    psi_xy0 = np.zeros(sector.dim, dtype=complex)
+    psi_xy0[sector.index_of(mask0)] = 1.0
+    assert np.max(np.abs(sp.model_fidelity(traj, sector, psi_xy0)
+                         - loop_model_fidelity(old, full, sector, psi_xy0))) \
+        < 1e-12
+
+
 class TestObservables:
     def test_vacuum_overlap_initial(self):
+        # one system per parity: the all-down state is in the even block
         _, _, system = small_system()
         traj = sp.propagate(system, system.initial_state(0b010),
                             np.array([0.0]))
         assert sp.vacuum_overlap(traj)[0] == pytest.approx(0.0)
-        traj0 = sp.propagate(system, system.initial_state(0),
-                             np.array([0.0]))
+        _, _, even = small_system(s_init=2)
+        traj0 = sp.propagate(even, even.initial_state(0), np.array([0.0]))
         assert sp.vacuum_overlap(traj0)[0] == pytest.approx(1.0)
 
     def test_phonon_occupation_initial(self):
@@ -438,3 +483,36 @@ class TestObservables:
         f = sp.model_fidelity(traj, sector, psi_xy0)
         assert np.all(f <= 1.0 + 1e-12)
         assert f[0] == pytest.approx(1.0)
+
+
+class TestTruncationDiagnostics:
+    def test_keys_against_state_loops(self):
+        _, _, system = small_system(fock=2)
+        basis = system.basis
+        traj = sp.propagate(system, system.initial_state(0b001),
+                            np.linspace(0, 3e-5, 20))
+        diag = sp.truncation_diagnostics(traj)
+        assert diag["block_dim"] == basis.dim == len(traj.states[0])
+        # qmax = 3: the edge is n_0 = 2 or quanta = 3
+        edge = [k for k, (mask, occ) in enumerate(zip(basis.masks,
+                                                      basis.occupations))
+                if occ[0] == 2 or bin(mask).count("1") + occ[0] == 3]
+        on_edge = np.sum(np.abs(traj.states[:, edge]) ** 2, axis=1)
+        assert on_edge[0] < 1e-20 and on_edge.max() > 1e-12
+        assert diag["edge_population_max"] == pytest.approx(on_edge.max(),
+                                                            rel=1e-12)
+        drift = np.abs(1.0 - np.linalg.norm(traj.states, axis=1))
+        assert diag["norm_drift_max"] == pytest.approx(drift.max(), abs=1e-15)
+        assert diag["norm_drift_max"] < 1e-13
+
+    def test_edge_is_the_top_level_of_the_block(self):
+        # quanta <= 4 in the odd block: its top level, quanta 3, is the edge
+        _, _, system = small_system(fock=4, total_quanta=4)
+        basis = system.basis
+        for k in range(basis.dim):
+            states = np.zeros((1, basis.dim), dtype=complex)
+            states[0, k] = 1.0
+            traj = sp.Trajectory(times=np.zeros(1), states=states,
+                                 system=system)
+            assert sp.truncation_diagnostics(traj)["edge_population_max"] \
+                == float(basis.quanta[k] == 3 or basis.occupations[k, 0] == 4)

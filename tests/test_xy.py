@@ -279,9 +279,9 @@ class TestBessel:
                       < xy.CHEBYSHEV_TOL)
 
     def test_table_matches_scipy_per_argument(self):
-        # one recurrence for every argument, zero and negative ones included
+        # one recurrence for every argument, zero and tiny ones included
         from scipy.special import jv
-        x = np.array([0.0, 1e-3, 0.5, 5.0, 30.0, 162.0, -7.0])
+        x = np.array([0.0, 1e-3, 0.5, 5.0, 30.0, 162.0, 1e-20])
         j = xy.bessel_j(x)
         m = np.arange(len(j))
         assert j.shape == (len(j), len(x))
@@ -292,10 +292,10 @@ class TestBessel:
         tail = np.arange(len(j), len(j) + 40)[:, None]
         assert np.all(np.abs(jv(tail, x)) < xy.CHEBYSHEV_TOL)
 
-    def test_negative_argument_flips_odd_orders(self):
-        j = xy.bessel_j(7.3)
-        assert np.array_equal(xy.bessel_j(-7.3),
-                              j * (-1.0) ** np.arange(len(j)))
+    @pytest.mark.parametrize("x", [-7.3, [0.5, -1e-30]])
+    def test_negative_argument_rejected(self, x):
+        with pytest.raises(ValueError):
+            xy.bessel_j(x)
 
 
 class TestChebyshev:
@@ -359,6 +359,31 @@ class TestChebyshev:
         chunked = xy.chebyshev(ham, psi0, 3.0, diag=offsets, rows=rows)
         assert chunked.shape == whole.shape
         assert np.max(np.abs(chunked - whole)) < 1e-15
+
+    def test_grid_with_empty_spans(self):
+        # times 0 and 3.5 spans later: two series in between serve no time
+        # and only carry the state on
+        ham = random_real_symmetric(8, seed=89)
+        psi0 = np.eye(8)[3]
+        lo, hi = xy.gershgorin_interval(ham, np.zeros((8, 1)))
+        times = np.array([0.0, 3.5 * xy.CHEBYSHEV_SPAN / (0.5 * (hi - lo))])
+        out = xy.chebyshev(ham, psi0, times)
+        ref = xy.spectral(*np.linalg.eigh(ham), psi0, times)
+        assert np.max(np.abs(out - ref)) < 1e-12
+
+    def test_time_just_below_an_origin(self):
+        # a t whose t / step rounds up to k while t < k * step is served
+        # from origin k - 1, never with a negative time step
+        ham = random_real_symmetric(8, seed=90)
+        psi0 = np.eye(8)[1]
+        lo, hi = xy.gershgorin_interval(ham, np.zeros((8, 1)))
+        step = xy.CHEBYSHEV_SPAN / (0.5 * (hi - lo))
+        t = next(t for t in (np.nextafter(k * step, 0.0)
+                             for k in range(1, 200))
+                 if np.floor(t / step) * step > t)
+        out = xy.chebyshev(ham, psi0, np.array([0.0, t]))
+        ref = xy.spectral(*np.linalg.eigh(ham), psi0, [0.0, t])
+        assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_multiple_of_identity(self):
         # a one-point spectral interval: the phase alone
