@@ -506,7 +506,9 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     policy = sp.TruncationPolicy(phonon_modes=tuple(subset),
                                  fock_cutoff=cfg["fock_cutoff"],
                                  total_quanta_cutoff=cfg["total_quanta"])
-    system = sp.SpinPhononSystem.build(trap, sol_used, policy, s_init=s)
+    system = sp.SpinPhononSystem.build(
+        trap, sol, policy, s_init=s,
+        mode_freq_override=freqs_used[subset] if pinned else None)
     psi0 = system.initial_state((1 << s) - 1)
 
     omega_c = freqs_used[0]

@@ -213,3 +213,13 @@ def renormalized_couplings(trap: TrapConfig, eta: np.ndarray,
     factor = float(np.mean(j_prime[iu] / j[iu]))
     return RenormalizationResult(r=r, J_prime=j_prime, factor_summary=factor,
                                  r_below_one=r < 1.0)
+
+
+def higher_subspace_scaling(s: int, eta_1c: float, omega_rabi: float,
+                            omega_eff: float, omega_c: float, r: float,
+                            t) -> np.ndarray:
+    """Predicted phonon occupation envelope s * ||E'(t)|| for s excitations."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    delta = r * omega_eff - omega_c
+    return s * leakage_norm_single(eta_1c, omega_rabi, delta, t)

@@ -12,19 +12,16 @@ interaction-picture state is therefore e^{iDt} e^{-i(D+V)t} psi(0).
 
 Every term of V changes the spin excitation count and one mode's phonon
 number by one each, and D is diagonal, so D + V conserves the parity of the
-total quanta (spin excitations + phonons).  The basis is the block of the
-initial state's parity, s_init % 2, alone, with one cached dense
-eigensystem (real eigenvectors).  Trajectories hold static-frame states
-e^{-i(D+V)t} psi(0): the frame phase e^{iDt} is left out, as observables
-read |psi|^2 or, in model_fidelity, overlaps on which D is constant.  An
-adaptive Runge-Kutta integration of H_I(t) on the block, taken to the same
-frame, is the independent cross-check.
+total quanta (spin excitations + phonons).  The basis is the block of
+s_init % 2 alone, with one cached dense eigensystem.  Trajectories hold the
+static-frame states e^{-i(D+V)t} psi(0), without the phase e^{iDt}: the
+observables read |psi|^2, or overlaps on which D is constant.  Adaptive
+Runge-Kutta on H_I(t), taken to the same frame, is the cross-check.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import comb
 
@@ -75,7 +72,7 @@ class ProductBasis:
 
     n_sites: int
     policy: TruncationPolicy
-    qmax: int
+    s_init: int
     masks: np.ndarray
     occupations: np.ndarray
     spin_count: np.ndarray
@@ -84,6 +81,10 @@ class ProductBasis:
     @property
     def dim(self) -> int:
         return len(self.masks)
+
+    @property
+    def qmax(self) -> int:
+        return self.policy.quanta_cutoff(self.s_init)
 
     @staticmethod
     def parity_block_dims(n_sites: int, policy: TruncationPolicy,
@@ -115,7 +116,7 @@ class ProductBasis:
         quanta = spin[:, None] + grid.sum(axis=1)
         # row-major over (mask, occupation grid) is the basis order
         rank, code = np.nonzero((quanta <= qmax) & (quanta % 2 == s_init % 2))
-        return cls(n_sites=n_sites, policy=policy, qmax=qmax,
+        return cls(n_sites=n_sites, policy=policy, s_init=s_init,
                    masks=spin_masks[rank], occupations=grid[code],
                    spin_count=spin[rank], quanta=quanta[rank, code])
 
@@ -141,6 +142,11 @@ class ProductBasis:
         return rows
 
     def state_index(self, spin_mask: int, phonons: tuple) -> int:
+        parity = (bin(spin_mask).count("1") + sum(phonons)) % 2
+        if parity != self.s_init % 2:
+            raise KeyError(f"state of quanta parity {parity} outside the "
+                           f"basis, the parity block {self.s_init % 2} of "
+                           f"s_init = {self.s_init}")
         return int(self.rows([spin_mask], [phonons])[0])
 
 
@@ -158,13 +164,20 @@ class SpinPhononSystem:
 
     @classmethod
     def build(cls, trap: TrapConfig, chain: ChainSolution,
-              policy: TruncationPolicy, s_init: int) -> "SpinPhononSystem":
+              policy: TruncationPolicy, s_init: int,
+              mode_freq_override: np.ndarray | None = None) -> "SpinPhononSystem":
         """Assemble D and V on the parity block of s_init.
 
-        The included modes' frequencies and Lamb-Dicke factors come from
-        chain; a copy of it with other mode_freqs pins a mode's frequency.
+        mode_freq_override replaces the included mode frequencies (to pin
+        the centre-of-mass one) and the Lamb-Dicke factors with them.
         """
         modes = list(policy.phonon_modes)
+        if mode_freq_override is not None:
+            if len(mode_freq_override) != len(modes):
+                raise ValueError("override length must match included modes")
+            freqs = chain.mode_freqs.copy()
+            freqs[modes] = mode_freq_override
+            chain = replace(chain, mode_freqs=freqs)
         w = chain.mode_freqs[modes]
         eta = lamb_dicke(trap, chain)[:, modes]
         dims = ProductBasis.parity_block_dims(trap.n_ions, policy, s_init)
@@ -205,7 +218,8 @@ class SpinPhononSystem:
 
     def initial_state(self, spin_mask: int,
                       phonons: tuple | None = None) -> np.ndarray:
-        occ = phonons or (0,) * len(self.basis.policy.phonon_modes)
+        occ = phonons if phonons is not None \
+            else (0,) * len(self.basis.policy.phonon_modes)
         psi = np.zeros(self.basis.dim, dtype=complex)
         psi[self.basis.state_index(spin_mask, occ)] = 1.0
         return psi
@@ -216,12 +230,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray         # len(times) x dim, static frame
     system: SpinPhononSystem
-
-    @cached_property
-    def populations(self) -> np.ndarray:
-        """|psi|^2 of every state, len(times) x dim; computed once."""
-        pop = np.abs(self.states)
-        return np.square(pop, out=pop)
 
 
 # time rows propagated per xy.spectral call; bounds the chunk x block
@@ -275,13 +283,14 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
 
 def vacuum_overlap(traj: Trajectory) -> np.ndarray:
     """E(t): population of the all-spins-down subspace, traced over phonons."""
-    return traj.populations[:, traj.system.basis.spin_count == 0].sum(axis=1)
+    idx = np.flatnonzero(traj.system.basis.spin_count == 0)
+    return np.sum(np.abs(traj.states[:, idx]) ** 2, axis=1)
 
 
 def phonon_occupation(traj: Trajectory) -> np.ndarray:
     """nbar(t): expected total phonon number."""
     weights = traj.system.basis.phonon_count.astype(float)
-    return traj.populations @ weights
+    return np.abs(traj.states) ** 2 @ weights
 
 
 def truncation_diagnostics(traj: Trajectory) -> dict:
@@ -289,7 +298,8 @@ def truncation_diagnostics(traj: Trajectory) -> dict:
     edge, the states a term of V would couple out of the basis (a mode at
     the Fock cutoff, or the top quanta level: qmax, or qmax - 1 in the
     other parity); and max |1 - ||psi(t)|||."""
-    basis, pop = traj.system.basis, traj.populations
+    basis = traj.system.basis
+    pop = np.abs(traj.states) ** 2
     edge = np.any(basis.occupations == basis.policy.fock_cutoff, axis=1) \
         | (basis.quanta >= basis.qmax - 1)
     return {"block_dim": basis.dim,

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -244,23 +243,44 @@ class TestSystemBuild:
         assert even.any() and (~even).any()
         assert np.all(v[np.ix_(even, ~even)] == 0.0)
 
-    def test_pinned_mode_changes_frame_and_eta(self):
+    def test_mode_override_changes_frame_and_eta(self):
         trap, chain, system = small_system()
-        freqs = chain.mode_freqs.copy()
-        freqs[0] *= 1.05
-        pinned = sp.SpinPhononSystem.build(
-            trap, replace(chain, mode_freqs=freqs), system.basis.policy,
-            s_init=1)
-        assert pinned.mode_freqs[0] == freqs[0]
+        policy = system.basis.policy
+        w_new = np.array([chain.mode_freqs[0] * 1.05])
+        pinned = sp.SpinPhononSystem.build(trap, chain, policy, s_init=1,
+                                           mode_freq_override=w_new)
+        assert pinned.mode_freqs[0] == pytest.approx(w_new[0])
         assert abs(pinned.eta[0, 0]) < abs(system.eta[0, 0])
         # the original chain solution is untouched
-        assert chain.mode_freqs[0] != pytest.approx(freqs[0])
+        assert chain.mode_freqs[0] != pytest.approx(w_new[0])
+
+    def test_mode_override_length_checked(self):
+        trap, chain, system = small_system()
+        with pytest.raises(ValueError):
+            sp.SpinPhononSystem.build(trap, chain, system.basis.policy,
+                                      s_init=1,
+                                      mode_freq_override=np.array([1.0, 2.0]))
 
     def test_initial_state(self):
         _, _, system = small_system()
         psi = system.initial_state(0b010)
         assert np.linalg.norm(psi) == 1.0
         assert psi[system.basis.state_index(0b010, (0,))] == 1.0
+
+    def test_initial_state_takes_a_phonon_array(self):
+        _, _, system = small_system(modes=(0, 1), fock=2)
+        psi = system.initial_state(0b100, np.array([1, 1]))
+        assert psi[system.basis.state_index(0b100, (1, 1))] == 1.0
+
+    def test_other_parity_names_the_block(self):
+        # s_init = 1 builds the odd block: the all-down vacuum is even
+        _, _, system = small_system()
+        with pytest.raises(KeyError, match="quanta parity 0 outside the "
+                                           "basis, the parity block 1 of "
+                                           "s_init = 1"):
+            system.initial_state(0)
+        with pytest.raises(KeyError, match="parity block 1 of s_init = 1"):
+            system.basis.state_index(0b001, (1,))
 
 
 # (phonon modes, s_init) of the N = 10 leakage presets' product bases
