@@ -209,10 +209,13 @@ class TestFrequencyFit:
         fit = lk.fit_effective_frequency(times, noisy, eta, rabi, w_eff, w_c)
         assert fit.r == pytest.approx(1.0006, abs=1e-5)
 
-    def test_power_is_the_trace_power(self):
+    def test_model_is_the_scaled_envelope(self):
         times, e, eta, rabi, w_eff, w_c = self.synth(1.0004, scale=5.0)
         fit = lk.fit_effective_frequency(times, e, eta, rabi, w_eff, w_c,
                                          scale=5.0)
+        for r in (1.0, fit.r):
+            assert np.array_equal(fit.model(r), lk.higher_subspace_scaling(
+                5, eta, rabi, w_eff, w_c, r, times))
         assert fit.power == np.sum(e ** 2)
 
     def test_broadcast_scan_matches_scalar_loop(self):
