@@ -674,6 +674,8 @@ def cmd_search(cfg, ctx: OutputContext) -> None:
 
 
 def cmd_noise(cfg, ctx: OutputContext) -> None:
+    # the largest ensemble is refused before any chain is solved
+    noise.check_ensemble_size(max(cfg["n_list"]), cfg["n_samples"])
     noise_cfg = noise.NoiseConfig(t2=cfg["t2_ms"] * 1e-3,
                                   n_samples=cfg["n_samples"],
                                   rng_seed=ctx.seed,
@@ -730,7 +732,8 @@ COMMANDS = {
 # error
 NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
                     ResonantDetuning, DegenerateFit, FitFailure,
-                    StepUnderflow, SectorTooLarge, np.linalg.LinAlgError)
+                    StepUnderflow, SectorTooLarge, noise.EnsembleTooLarge,
+                    np.linalg.LinAlgError)
 
 
 def build_parser() -> argparse.ArgumentParser:

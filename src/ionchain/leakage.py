@@ -64,10 +64,14 @@ def dyson_beta(omega_eff: float, omega_l: float, omega_m: float,
 
 def leakage_norm_single(eta_1c: float, omega_rabi: float, delta_c: float,
                         t) -> np.ndarray:
-    """|| E(t) || = Omega^2 eta_1c^2 (1 - cos(Delta_c t)) / (2 Delta_c^2)."""
+    """|| E(t) || = Omega^2 eta_1c^2 (1 - cos(Delta_c t)) / (2 Delta_c^2).
+
+    Delta_c is squared as a product: for a scalar np.float64, ** is C pow,
+    which may round one ulp away from the x * x of a column of detunings.
+    """
     t = np.asarray(t, dtype=float)
     return (omega_rabi**2 * eta_1c**2 * (1.0 - np.cos(delta_c * t))
-            / (2.0 * delta_c**2))
+            / (2.0 * (delta_c * delta_c)))
 
 
 def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
@@ -79,7 +83,8 @@ def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
     mode frequencies.  Includes the cross term oscillating at w_1 - w_2.
     r shifts the detuning of the first (near-resonant) mode only,
     Delta_1 = r * omega_eff - omega_1; the second mode keeps the bare
-    detuning.  A column of r values gives one trace per row.
+    detuning.  A column of r values gives one trace per row; the
+    detunings are squared as products, as in leakage_norm_single.
     """
     t = np.asarray(t, dtype=float)
     w1, w2 = mode_freqs
@@ -90,9 +95,9 @@ def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
     c1 = 1.0 - np.cos(d1 * t)
     c2 = 1.0 - np.cos(d2 * t)
     cx = 1.0 - np.cos(d1 * t) - np.cos(d2 * t) + np.cos((w1 - w2) * t)
-    s11 = np.sum(e1**2) / d1**2
+    s11 = np.sum(e1**2) / (d1 * d1)
     s12 = np.sum(e1 * e2) / (d1 * d2)
-    s22 = np.sum(e2**2) / d2**2
+    s22 = np.sum(e2**2) / (d2 * d2)
     return omega_rabi**2 / (2.0 * n) * (s11 * c1 + s12 * cx + s22 * c2)
 
 

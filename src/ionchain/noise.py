@@ -9,6 +9,25 @@ import numpy as np
 
 from . import protocols, xy
 
+# the largest n x (n_samples + 1) block of float64 field offsets that
+# noisy_transfer_ensemble allocates: 256 MiB, 645 000 samples at N = 52
+ENSEMBLE_BYTES_LIMIT = 2**28
+
+
+class EnsembleTooLarge(RuntimeError):
+    """A noise ensemble whose offset block exceeds ENSEMBLE_BYTES_LIMIT."""
+
+
+def check_ensemble_size(n: int, n_samples: int) -> None:
+    """Raise EnsembleTooLarge, before anything is allocated or sampled, if
+    the ensemble's n x (n_samples + 1) offset block exceeds
+    ENSEMBLE_BYTES_LIMIT."""
+    nbytes = 8 * n * (n_samples + 1)
+    if nbytes > ENSEMBLE_BYTES_LIMIT:
+        raise EnsembleTooLarge(
+            f"{n_samples} samples at N = {n} need a {nbytes}-byte offset "
+            f"block, above ENSEMBLE_BYTES_LIMIT = {ENSEMBLE_BYTES_LIMIT}")
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -65,8 +84,10 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     and are converted with the configured marker amplitude.  All samples
     share the protocol matrix and differ only in their diagonal, so one
     xy.chebyshev call propagates them together to T, with the noiseless
-    protocol as a zero-offset column.
+    protocol as a zero-offset column.  check_ensemble_size refuses an
+    oversized ensemble first.
     """
+    check_ensemble_size(len(J), noise.n_samples)
     # the noiseless protocol, the same sector run_transfer propagates
     sector = xy.build_single_excitation(protocols.search_hamiltonian(
         J, config.gamma, [config.sender, config.receiver], h=h))

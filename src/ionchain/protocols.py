@@ -5,10 +5,15 @@ subspace, with the analytic reduced model and derivative-free tuning of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import xy
+
+# the relative asymmetry under the site reversal up to which the couplings
+# and the diagonal of a transfer walk count as mirror-symmetric
+MIRROR_TOL = 1e-12
 
 
 @dataclass
@@ -38,23 +43,28 @@ def idealized_couplings(n: int, alpha: float) -> np.ndarray:
 
 def search_hamiltonian(h_walk: np.ndarray, gamma: float, marked_sites,
                        h: np.ndarray | None = None) -> np.ndarray:
-    """gamma * H plus unit projectors on the marked sites.
+    """gamma * H plus the _search_diagonal of the marked sites and fields."""
+    hs = gamma * np.array(h_walk, dtype=float)
+    hs[np.diag_indices(len(hs))] += _search_diagonal(len(hs), marked_sites,
+                                                     h)
+    return hs
 
-    Local z fields h_j sigma_j^z, if given, add 2 h_j to the diagonal (the
-    single-excitation sector with the global shift dropped).
-    """
+
+def _search_diagonal(n: int, marked_sites, h=None) -> np.ndarray:
+    """Unit projectors on the marked sites; local z fields h_j sigma_j^z,
+    if given, add 2 h_j (the single-excitation sector with the global
+    shift dropped)."""
     marked = list(marked_sites)
     if len(set(marked)) != len(marked):
         raise ValueError("marked sites must be distinct")
-    n = h_walk.shape[0]
-    hs = gamma * np.array(h_walk, dtype=float)
+    diag = np.zeros(n)
     for m in marked:
         if not 0 <= m < n:
             raise ValueError(f"marked site {m} out of range")
-        hs[m, m] += 1.0
+        diag[m] = 1.0
     if h is not None:
-        hs[np.diag_indices(n)] += 2.0 * np.asarray(h)
-    return hs
+        diag += 2.0 * np.asarray(h)
+    return diag
 
 
 def analytic_gamma(h_walk: np.ndarray) -> float:
@@ -99,6 +109,47 @@ def _walk_weights(eig, row: int, psi0: np.ndarray) -> tuple:
     return w, v[row] * (psi0 @ v)
 
 
+@lru_cache(maxsize=None)
+def _walk_orbits(n: int, mirrored: bool) -> list:
+    """xy.mirror_orbits of the site reversal of n sites, or of the
+    identity; shared by every walk matrix of that size."""
+    rows = np.arange(n)
+    return xy.mirror_orbits(rows[::-1] if mirrored else rows, np.ones(n))
+
+
+def _transfer_split(J: np.ndarray, diag: np.ndarray) -> tuple:
+    """(orbits, blocks): the mirror orbits of the transfer walk
+    gamma J + diag(diag) and the xy.mirror_blocks of J on them, shared by
+    every gamma.
+
+    The walk splits when J and diag commute with the site reversal to
+    MIRROR_TOL relative: mirror-symmetric couplings, sender and receiver a
+    mirror pair, no fields.  Otherwise the identity's one half is the
+    whole walk.
+    """
+    J = np.asarray(J, dtype=float)
+    mirrored = abs(J - J[::-1, ::-1]).max() <= MIRROR_TOL * abs(J).max() \
+        and abs(diag - diag[::-1]).max() <= MIRROR_TOL * abs(diag).max()
+    orbits = _walk_orbits(len(J), bool(mirrored))
+    return orbits, xy.mirror_blocks(J, orbits)
+
+
+def _transfer_weights(split: tuple, gamma: float, diag: np.ndarray,
+                      sender: int, receiver: int) -> tuple:
+    """_walk_weights of <receiver| e^{-i(gamma J + diag(diag))t} |sender>
+    from the _transfer_split of J and diag: p = v[receiver] v[sender] for
+    the full-basis eigenvectors coef * q[idx] of each half.  For sender 0
+    and receiver n - 1 on a split walk that is
+    p = [v_e[0]^2 / 2, -v_o[0]^2 / 2], from two eigh of about n/2."""
+    orbits, blocks = split
+    halves = xy.mirror_eigensystems([gamma * b for b in blocks], orbits,
+                                    diag)
+    return (np.concatenate([w for w, _, _, _ in halves]),
+            np.concatenate([q[idx[receiver]] * q[idx[sender]]
+                            * (coef[receiver] * coef[sender])
+                            for _, q, idx, coef in halves]))
+
+
 def _walk_probability(weights: tuple, t):
     """|sum_k p_k e^{-i w_k t}|^2 for the walk weights (w, p), at one time t
     or on a 1-D grid of times."""
@@ -126,12 +177,13 @@ def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
                          sender: int, receiver: int,
                          h: np.ndarray | None = None,
                          extra_fields: np.ndarray | None = None) -> float:
-    """|<f| exp(-i H_s t) |w>|^2 at a single (gamma, t)."""
-    hs = search_hamiltonian(J, gamma, [sender, receiver], h=h)
+    """|<f| exp(-i H_s t) |w>|^2 at a single (gamma, t), from the walk's
+    mirror halves where it splits (_transfer_split), else one full eigh."""
+    diag = _search_diagonal(len(J), [sender, receiver], h)
     if extra_fields is not None:
-        hs = hs + np.diag(extra_fields)
-    weights = _walk_weights(np.linalg.eigh(hs), receiver,
-                            np.eye(len(hs))[sender])
+        diag = diag + extra_fields
+    weights = _transfer_weights(_transfer_split(J, diag), gamma, diag,
+                                sender, receiver)
     return float(_walk_probability(weights, t))
 
 
@@ -170,6 +222,9 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     T = pi sqrt(n/2).  Deterministic for a given rng_seed; the returned
     point is never worse than the analytic seed.  budget counts fidelity
     evaluations, the analytic seed included; box is a fraction in (0, 1).
+    Each distinct gamma costs one eigensystem of gamma J + diag, from the
+    mirror half blocks of J built once per call (_transfer_split): two
+    eigh of about n/2 for a mirror-symmetric walk, else one of n.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -179,16 +234,16 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     gamma0 = analytic_gamma(J)
     t0 = transfer_time(n)
     evals = [0]
-    psi0 = np.eye(n)[sender]
-    # pattern moves in T alone revisit gamma: one eigh per distinct gamma
+    diag = _search_diagonal(n, [sender, receiver], h)
+    split = _transfer_split(J, diag)
+    # pattern moves in T alone revisit gamma: one eigensystem per distinct
+    # gamma
     weights = {}
 
     def objective(g, t):
         evals[0] += 1
         if g not in weights:
-            weights[g] = _walk_weights(np.linalg.eigh(
-                search_hamiltonian(J, g, [sender, receiver], h=h)),
-                receiver, psi0)
+            weights[g] = _transfer_weights(split, g, diag, sender, receiver)
         return float(_walk_probability(weights[g], t))
 
     best = (gamma0, t0, objective(gamma0, t0))

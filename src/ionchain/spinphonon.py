@@ -13,10 +13,14 @@ interaction-picture state is therefore e^{iDt} e^{-i(D+V)t} psi(0).
 Every term of V changes the spin excitation count and one mode's phonon
 number by one each, and D is diagonal, so D + V conserves the parity of the
 total quanta (spin excitations + phonons).  The basis is the block of
-s_init % 2 alone, with one cached dense eigensystem.  Trajectories hold the
-static-frame states e^{-i(D+V)t} psi(0), without the phase e^{iDt}: the
-observables read |psi|^2, or overlaps on which D is constant.  Adaptive
-Runge-Kutta on H_I(t), taken to the same frame, is the cross-check.
+s_init % 2 alone.  A symmetric chain makes every Lamb-Dicke column even or
+odd under the site reflection, and D + V then commutes with it: the block
+splits into mirror halves, each with a cached dense eigensystem of about
+half the size, propagated by xy.spectral and gathered back into the
+product basis.  Trajectories hold the static-frame states
+e^{-i(D+V)t} psi(0), without the phase e^{iDt}: the observables read
+|psi|^2, or overlaps on which D is constant.  Adaptive Runge-Kutta on
+H_I(t), taken to the same frame, is the cross-check.
 """
 from __future__ import annotations
 
@@ -30,6 +34,11 @@ import numpy as np
 from .chain import ChainSolution, TrapConfig
 from .couplings import lamb_dicke
 from . import xy
+
+
+# the relative asymmetry up to which a Lamb-Dicke column counts as even or
+# odd under the site reflection
+MIRROR_TOL = 1e-11
 
 
 class StepUnderflow(RuntimeError):
@@ -160,7 +169,7 @@ class SpinPhononSystem:
     eta: np.ndarray            # N x n_modes, included columns
     D: np.ndarray              # diagonal of the frame generator
     V: np.ndarray              # static coupling matrix
-    _eig: tuple | None = field(default=None, repr=False)
+    _eig: list | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, trap: TrapConfig, chain: ChainSolution,
@@ -207,13 +216,32 @@ class SpinPhononSystem:
                 v[src, rows] = el
         return cls(trap=trap, basis=basis, mode_freqs=w, eta=eta, D=d, V=v)
 
-    def eigensystem(self):
-        """(w, q) of D + V by one dense eigh, cached; the orthonormal
-        eigenvectors in the columns of q are real."""
+    def reflection(self) -> tuple:
+        """(partner, sign) of the site reflection i -> N - 1 - i on the
+        basis: (mask, occ) -> (reversed mask, occ) with the sign
+        prod_m pi_m^{n_m}, pi_m = +-1 the parity of Lamb-Dicke column m.
+        D + V commutes with it when every column is even or odd; if one is
+        neither to MIRROR_TOL relative, the identity is returned instead."""
+        basis, eta = self.basis, self.eta
+        tol = MIRROR_TOL * np.max(np.abs(eta), axis=0)
+        even = np.all(np.abs(eta[::-1] - eta) <= tol, axis=0)
+        odd = np.all(np.abs(eta[::-1] + eta) <= tol, axis=0)
+        if not np.all(even | odd):
+            return np.arange(basis.dim), np.ones(basis.dim)
+        n = basis.n_sites
+        reversed_masks = xy.site_bits(basis.masks, n)[:, ::-1] \
+            @ (1 << np.arange(n))
+        partner = basis.rows(reversed_masks, basis.occupations)
+        return partner, (-1.0) ** basis.occupations[:, ~even].sum(axis=1)
+
+    def eigensystem(self) -> list:
+        """xy.mirror_eigensystems of D + V over reflection(), cached: the
+        eigensystems of its even and odd halves, or of the whole block when
+        the reflection is the identity."""
         if self._eig is None:
-            h = self.V.copy()
-            h[np.diag_indices_from(h)] += self.D
-            self._eig = np.linalg.eigh(h)
+            orbits = xy.mirror_orbits(*self.reflection())
+            self._eig = xy.mirror_eigensystems(
+                xy.mirror_blocks(self.V, orbits), orbits, self.D)
         return self._eig
 
     def initial_state(self, spin_mask: int,
@@ -249,11 +277,19 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     if method == "spectral":
-        w, q = system.eigensystem()
-        states = np.empty((len(times), len(psi0)), dtype=complex)
+        halves = system.eigensystem()
+        # psi0 over each half's orbit basis
+        parts = []
+        for w, _, idx, coef in halves:
+            parts.append(np.zeros(len(w), dtype=complex))
+            np.add.at(parts[-1], idx, coef * psi0)
+        states = np.zeros((len(times), len(psi0)), dtype=complex)
         for start in range(0, len(times), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            states[rows] = xy.spectral(w, q, psi0, times[rows])
+            for (w, q, idx, coef), part in zip(halves, parts):
+                # back to the product basis by one column gather per half
+                states[rows] += xy.spectral(w, q, part,
+                                            times[rows])[:, idx] * coef
         return Trajectory(times=times, states=states, system=system)
     if method != "rk":
         raise ValueError(f"unknown method {method!r}")
@@ -294,15 +330,18 @@ def phonon_occupation(traj: Trajectory) -> np.ndarray:
 
 
 def truncation_diagnostics(traj: Trajectory) -> dict:
-    """The block's dimension; the largest population at any time on the
-    edge, the states a term of V would couple out of the basis (a mode at
-    the Fock cutoff, or the top quanta level: qmax, or qmax - 1 in the
+    """The block's dimension and those of its mirror halves (the block's
+    alone when it does not split); the largest population at any time on
+    the edge, the states a term of V would couple out of the basis (a mode
+    at the Fock cutoff, or the top quanta level: qmax, or qmax - 1 in the
     other parity); and max |1 - ||psi(t)|||."""
     basis = traj.system.basis
     pop = np.abs(traj.states) ** 2
     edge = np.any(basis.occupations == basis.policy.fock_cutoff, axis=1) \
         | (basis.quanta >= basis.qmax - 1)
+    halves = xy.mirror_orbits(*traj.system.reflection())
     return {"block_dim": basis.dim,
+            "mirror_block_dims": [len(half[0]) for half in halves],
             "edge_population_max": float(np.max(pop @ edge)),
             "norm_drift_max": float(np.max(np.abs(1.0 - np.sqrt(
                 pop.sum(axis=1)))))}

@@ -7,10 +7,16 @@ spin form.  Protocol timing formulas are written against walk matrices.
 XY sectors propagate through chebyshev(), a Chebyshev series with no
 eigensystem, forward from t = 0: evolve() at one time, evolve_grid() on a
 time grid and the noise ensemble.  spectral() propagates every state of one
-eigensystem over a time grid, for the spin-phonon parity blocks.  The
-protocols read their one walk amplitude from eigensystem() weights of
-their own, and the spin-phonon Runge-Kutta cross-check is the third
-integrator.
+eigensystem over a time grid, for the mirror halves of the spin-phonon
+parity blocks.  The protocols read their one walk amplitude from
+eigensystem() weights of their own, and the spin-phonon Runge-Kutta
+cross-check is the third integrator.
+
+A matrix that commutes with a signed row involution R|k> = sign_k
+|partner_k>, such as a site reflection, splits into the blocks of R's even
+and odd halves: mirror_orbits() builds their orbit bases, mirror_blocks()
+the half blocks and mirror_eigensystems() their eigh, with the map back to
+the full basis.
 
 build_sector stores its matrix as a scipy.sparse CSR array: every state has
 exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
@@ -194,6 +200,83 @@ def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray,
     phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None] * w)
     phases *= coeffs
     return _times_real(phases, v.T)
+
+
+# each entry of a pair orbit (|k> + t |p>) / sqrt(2)
+_PAIR_NORM = np.sqrt(0.5)
+
+
+def mirror_orbits(partner: np.ndarray, sign: np.ndarray) -> list:
+    """Orbit bases of the even and the odd half of the signed row
+    involution R|k> = sign_k |partner_k>, of the halves that hold states.
+
+    Per half (keep, p, t, idx, coef): orbit j is |keep_j> for a fixed point
+    partner_k = k whose sign is the half's, and for each of the len(p)
+    pairs, which come first, (|keep_j> + t_j |p_j>) / sqrt(2) with
+    keep_j < p_j; t = sign in the even half and -sign in the odd one.  Row
+    k of the full basis is coef[k] times orbit idx[k] of the half, with
+    coef[k] = 0 where the half holds no share of row k.
+    """
+    partner, sign = np.asarray(partner), np.asarray(sign)
+    n = len(partner)
+    rows = np.arange(n)
+    pairs, fixed = rows[rows < partner], rows[rows == partner]
+    p = partner[pairs]
+    halves = []
+    for parity in (1.0, -1.0):
+        keep = np.concatenate([pairs, fixed[sign[fixed] == parity]])
+        if len(keep):
+            t = parity * sign[pairs]
+            idx, coef = np.zeros(n, dtype=np.intp), np.zeros(n)
+            idx[keep] = np.arange(len(keep))
+            idx[p] = idx[pairs]
+            coef[keep] = 1.0
+            coef[pairs] = _PAIR_NORM
+            coef[p] = t * _PAIR_NORM
+            halves.append((keep, p, t, idx, coef))
+    return halves
+
+
+def mirror_blocks(h: np.ndarray, orbits: list) -> list:
+    """<orbit i| h |orbit j> on each half of orbits, the mirror_orbits of
+    a signed row involution that the real symmetric h commutes with.
+
+    Row gathers of h, then column gathers of the half-height rows.  All
+    four quadrants of h enter, so an h that commutes with the involution
+    only to rounding gives the blocks of its symmetric part.
+    """
+    blocks = []
+    for keep, p, t, _, _ in orbits:
+        m = len(p)
+        # rows (1 + t R) h, then columns h (1 + t R), of the m pair orbits
+        u = h.take(keep, axis=0)
+        u[:m] += h.take(p, axis=0) * t[:, None]
+        block = u.take(keep, axis=1)
+        block[:, :m] += u.take(p, axis=1) * t
+        # the pair orbits' norm, on both sides
+        block[:m] *= _PAIR_NORM
+        block[:, :m] *= _PAIR_NORM
+        blocks.append(block)
+    return blocks
+
+
+def mirror_eigensystems(blocks: list, orbits: list,
+                        diag: np.ndarray) -> list:
+    """Eigensystems of h + diag(diag) from its mirror_blocks on orbits;
+    the diagonal is added to the blocks in place.
+
+    h and the diagonal commute with the involution of orbits; the callers
+    decide that from their inputs and pass the orbits of the identity, one
+    half, where it fails.  Two eigh of about n/2 cost a quarter of one of
+    n.  Per half (w, q, idx, coef): eigenvalues and the orthonormal
+    eigenvectors in the columns of q over the orbit basis; row k of those
+    eigenvectors over the full basis is coef[k] * q[idx[k]].
+    """
+    halves = []
+    for block, (keep, _, _, idx, coef) in zip(blocks, orbits):
+        block.flat[::len(keep) + 1] += diag[keep]
+        halves.append((*np.linalg.eigh(block), idx, coef))
+    return halves
 
 
 def bessel_j(x) -> np.ndarray:

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ionchain
-from ionchain import chain, cli, xy
+from ionchain import chain, cli, noise, xy
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -300,6 +301,29 @@ class TestNoiseCommand:
         case = report["cases"][0]
         # 5 samples only: the mean can fluctuate slightly above noiseless
         assert case["mean_F"] == pytest.approx(case["noiseless_F"], abs=0.01)
+
+
+    def test_huge_ensemble_refused_before_any_work(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # 10^15 samples would need an 8 * 8 * (10^15 + 1)-byte offset block
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        monkeypatch.setattr(cli, "solve_trap", no_work)
+        monkeypatch.setattr(noise, "sample_static_fields", no_work)
+        p = write_config(tmp_path, "n_list = 8\nalpha_list = 0.3\n"
+                                   "n_samples = 1000000000000000\n")
+        tracemalloc.start()
+        try:
+            rc = cli.main(["noise", "--config", p, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert "EnsembleTooLarge: 1000000000000000 samples at N = 8" \
+            in capsys.readouterr().err
+        assert peak < 2**20
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
 class TestNoiseWorkingPoint:

@@ -238,11 +238,27 @@ class TestFrequencyFit:
         for model, fit in fits:
             costs, r = loop_fit_r(noisy, model, (0.999, 1.002))
             scan = lk._grid_costs(noisy, model, grid)
-            # a scalar r squares its detuning with C pow, which may round
-            # one ulp away from the array's x * x
-            assert np.max(np.abs(scan / costs - 1.0)) < 1e-15
+            # a scalar r and a column of them square the detuning alike
+            assert np.array_equal(scan, costs)
             assert np.argmin(scan) == np.argmin(costs)
             assert fit().r == r
+
+    def test_scalar_and_column_r_bit_identical(self):
+        # grid[269] of the scan: there C pow rounded the scalar detuning's
+        # square one ulp away from the column's x * x
+        times, _, eta, rabi, w_eff, w_c = self.synth(1.0007)
+        r = np.linspace(0.999, 1.002, 4001)[269:270]
+        mode_freqs = np.array([w_c, 2 * np.pi * 5.85e6])
+        etas = np.random.default_rng(4).uniform(0.03, 0.06, size=(8, 2))
+        assert np.array_equal(
+            lk.leakage_norm_single(eta, rabi, r[0] * w_eff - w_c, times),
+            lk.leakage_norm_single(eta, rabi, r[:, None] * w_eff - w_c,
+                                   times)[0])
+        assert np.array_equal(
+            lk.leakage_norm_two_modes(etas, rabi, mode_freqs, w_eff, times,
+                                      r=r[0]),
+            lk.leakage_norm_two_modes(etas, rabi, mode_freqs, w_eff, times,
+                                      r=r[:, None])[0])
 
     def test_fit_failure_on_unrelated_trace(self):
         times, e, eta, rabi, w_eff, w_c = self.synth(1.0)

@@ -161,6 +161,20 @@ class TestEnsemble:
         assert out.mean_at_T < out.noiseless_at_T
         assert out.noiseless_at_T > 0.97
 
+    def test_oversized_ensemble_refused_before_sampling(self, monkeypatch):
+        j, cfg = config(n=8)
+        limit = nz.ENSEMBLE_BYTES_LIMIT // (8 * 8) - 1
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr(nz, "sample_static_fields", no_sampling)
+        with pytest.raises(nz.EnsembleTooLarge, match="offset block"):
+            nz.noisy_transfer_ensemble(j, None, cfg,
+                                       nz.NoiseConfig(n_samples=limit + 1))
+        # the limit itself is accepted
+        nz.check_ensemble_size(8, limit)
+
     def test_deterministic_given_seed(self):
         j, cfg = config(n=8)
         noise = nz.NoiseConfig(field_variance=0.01, n_samples=10, rng_seed=2)

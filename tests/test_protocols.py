@@ -192,6 +192,72 @@ class TestRunSearch:
         assert np.max(np.abs(prob - ref)) < 1e-12
 
 
+def full_transfer_weights(hs, sender, receiver):
+    """Walk weights from one full eigh: the path the mirror split replaces."""
+    w, v = np.linalg.eigh(hs)
+    return w, v[receiver] * v[sender]
+
+
+class TestMirrorTransferWeights:
+    def eigh_sizes(self, monkeypatch, fn, *args, **kwargs):
+        """fn(*args, **kwargs) and the sizes of the eigh calls it made."""
+        sizes, eigh = [], np.linalg.eigh
+
+        def counting_eigh(a, *a_args, **a_kwargs):
+            sizes.append(len(a))
+            return eigh(a, *a_args, **a_kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        out = fn(*args, **kwargs)
+        monkeypatch.undo()
+        return out, sizes
+
+    def weights(self, j, gamma, sender, receiver, diag):
+        return pr._transfer_weights(pr._transfer_split(j, diag), gamma, diag,
+                                    sender, receiver)
+
+    @pytest.mark.parametrize("n", [7, 8, 11, 12])
+    def test_split_matches_full_eigh(self, monkeypatch, n):
+        j = normalized_walk(n, 0.4)
+        diag = pr._search_diagonal(n, [0, n - 1])
+        (w, p), sizes = self.eigh_sizes(monkeypatch, self.weights, j, 0.9, 0,
+                                        n - 1, diag)
+        assert sizes == [(n + 1) // 2, n // 2]
+        w_full, p_full = full_transfer_weights(
+            pr.search_hamiltonian(j, 0.9, [0, n - 1]), 0, n - 1)
+        assert np.max(np.abs(np.sort(w) - w_full)) < 1e-14
+        # p = [v_e[0]^2 / 2, -v_o[0]^2 / 2]
+        assert np.all(p[:sizes[0]] > 0) and np.all(p[sizes[0]:] < 0)
+        times = np.linspace(0.0, 3 * pr.transfer_time(n), 50)
+        assert np.max(np.abs(pr._walk_probability((w, p), times)
+                             - pr._walk_probability((w_full, p_full), times))) \
+            < 1e-13
+
+    @pytest.mark.parametrize("case", ["fields", "pair", "couplings", "extra"])
+    def test_fallback_is_the_full_eigh(self, monkeypatch, case):
+        n = 10
+        j = normalized_walk(n, 0.4)
+        h, receiver, extra = None, n - 1, None
+        if case == "fields":
+            h = 0.02 * np.arange(n, dtype=float)
+        elif case == "pair":
+            receiver = n - 2
+        elif case == "couplings":
+            j = j.copy()
+            j[0, 1] = j[1, 0] = j[0, 1] * (1 + 1e-9)
+        else:
+            extra = 0.01 * np.random.default_rng(0).standard_normal(n)
+        f, sizes = self.eigh_sizes(monkeypatch, pr.transfer_fidelity_at, j,
+                                   0.9, 2.3, 0, receiver, h=h,
+                                   extra_fields=extra)
+        assert sizes == [n]
+        hs = pr.search_hamiltonian(j, 0.9, [0, receiver], h=h)
+        if extra is not None:
+            hs = hs + np.diag(extra)
+        assert f == float(pr._walk_probability(
+            full_transfer_weights(hs, 0, receiver), 2.3))
+
+
 def uncached_search(j, sender, receiver, box=0.30, budget=200, rng_seed=0):
     """optimize_protocol's search with a fresh eigh at every evaluation."""
     n = j.shape[0]
@@ -241,24 +307,25 @@ class TestOptimizeProtocol:
         n = 12
         j = normalized_walk(n, 0.3)
         gammas = []
-        eigh_calls = [0]
-        search_hamiltonian, eigh = pr.search_hamiltonian, np.linalg.eigh
+        eigh_sizes = []
+        transfer_weights, eigh = pr._transfer_weights, np.linalg.eigh
 
-        def recording_hamiltonian(h_walk, gamma, marked, h=None):
+        def recording_weights(split, gamma, *args):
             gammas.append(gamma)
-            return search_hamiltonian(h_walk, gamma, marked, h=h)
+            return transfer_weights(split, gamma, *args)
 
         def counting_eigh(a, *args, **kwargs):
-            eigh_calls[0] += 1
+            eigh_sizes.append(len(a))
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(pr, "search_hamiltonian", recording_hamiltonian)
+        monkeypatch.setattr(pr, "_transfer_weights", recording_weights)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         out = pr.optimize_protocol(j, None, 0, n - 1, budget=120)
         monkeypatch.undo()
-        # every eigh is a searched gamma, each one diagonalised once
+        # every searched gamma is diagonalised once, as its two mirror
+        # halves
         assert len(set(gammas)) == len(gammas)
-        assert eigh_calls[0] == len(gammas)
+        assert eigh_sizes == [n // 2] * (2 * len(gammas))
         assert out.config.gamma in gammas
         assert out.n_evaluations > len(gammas)
 

@@ -536,3 +536,50 @@ class TestTruncationDiagnostics:
                                  system=system)
             assert sp.truncation_diagnostics(traj)["edge_population_max"] \
                 == float(basis.quanta[k] == 3 or basis.occupations[k, 0] == 4)
+
+
+class TestMirrorHalves:
+    @pytest.mark.parametrize("n, modes, s_init", [
+        (3, (0,), 1), (4, (0,), 2), (4, (0, 1), 1), (5, (0, 1), 2)])
+    def test_split_matches_full_block_eigh(self, n, modes, s_init):
+        _, _, system = small_system(n=n, modes=modes, fock=2, s_init=s_init)
+        partner, sign = system.reflection()
+        assert not np.array_equal(partner, np.arange(system.basis.dim))
+        # the second mode is mirror-odd: odd occupations of it flip sign
+        assert np.any(sign < 0) == (len(modes) == 2)
+        halves = system.eigensystem()
+        dims = [len(w) for w, _, _, _ in halves]
+        assert len(dims) == 2 and sum(dims) == system.basis.dim
+        # both paths round phases w t of about 2e3 rad at 1e-5 s: each is
+        # within ~6e-13 of the exact states
+        times = np.linspace(0, 1e-5, 30)
+        for psi0 in (random_state(system, seed=n),
+                     system.initial_state((1 << s_init) - 1)):
+            traj = sp.propagate(system, psi0, times)
+            ref = reference_states(system, psi0, times)
+            assert np.max(np.abs(traj.states - ref)) < 1e-12
+        assert sp.truncation_diagnostics(traj)["mirror_block_dims"] == dims
+
+    def test_eta_of_neither_parity_keeps_the_whole_block(self, monkeypatch):
+        lamb_dicke = sp.lamb_dicke
+
+        def lopsided(trap, chain):
+            eta = lamb_dicke(trap, chain)
+            eta[0, 0] *= 1.01
+            return eta
+
+        monkeypatch.setattr(sp, "lamb_dicke", lopsided)
+        _, _, system = small_system(n=4, modes=(0, 1), fock=2)
+        dim = system.basis.dim
+        partner, sign = system.reflection()
+        assert np.array_equal(partner, np.arange(dim)) and np.all(sign == 1)
+        (w, _, idx, coef), = system.eigensystem()
+        assert np.array_equal(w, np.linalg.eigh(np.diag(system.D)
+                                                + system.V)[0])
+        assert np.array_equal(idx, np.arange(dim)) and np.all(coef == 1.0)
+        psi0 = random_state(system, seed=3)
+        times = np.linspace(0, 2e-5, 30)
+        traj = sp.propagate(system, psi0, times)
+        assert np.max(np.abs(traj.states
+                             - reference_states(system, psi0, times))) < 1e-12
+        assert sp.truncation_diagnostics(traj)["mirror_block_dims"] == [dim]

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_array
 
@@ -263,6 +263,104 @@ class TestSpectral:
         assert out.shape == (1, 2)
         ref = expm(-1j * ham * 1.7) @ psi0
         assert out[0] == pytest.approx(ref[[5, 1]], abs=1e-12)
+
+
+def signed_involution(n, n_pairs, fixed_sign, rng):
+    """(partner, sign) pairing n_pairs random row pairs; the other rows are
+    fixed points of sign fixed_sign, or of random signs when it is 0."""
+    perm = rng.permutation(n)
+    first, second = perm[:n_pairs], perm[n_pairs:2 * n_pairs]
+    partner = np.arange(n)
+    partner[first], partner[second] = second, first
+    sign = rng.choice([-1.0, 1.0], size=n) if fixed_sign == 0 \
+        else np.full(n, float(fixed_sign))
+    sign[second] = sign[first]
+    return partner, sign
+
+
+def full_basis_eigenvectors(halves):
+    return np.concatenate([coef[:, None] * q[idx]
+                           for _, q, idx, coef in halves], axis=1)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 40), pair_share=st.floats(0.0, 1.0),
+       fixed_sign=st.sampled_from([0, 1, -1]), split_diag=st.booleans(),
+       seed=st.integers(0, 2**16))
+# fixed points of both signs; fixed points alone, all odd: no even half
+@example(n=9, pair_share=0.5, fixed_sign=0, split_diag=True, seed=1)
+@example(n=5, pair_share=0.0, fixed_sign=-1, split_diag=False, seed=2)
+def test_mirror_halves_match_full_eigh(n, pair_share, fixed_sign,
+                                       split_diag, seed):
+    rng = np.random.default_rng(seed)
+    partner, sign = signed_involution(n, int(pair_share * (n // 2)),
+                                      fixed_sign, rng)
+    r = np.zeros((n, n))
+    r[partner, np.arange(n)] = sign
+    a = random_real_symmetric(n, seed)
+    # commutes with r exactly: r a r only permutes a and flips signs
+    h = 0.5 * (a + r @ a @ r)
+    diag = np.zeros(n)
+    if split_diag:
+        diag, h = np.diag(h).copy(), h - np.diag(np.diag(h))
+    orbits = xy.mirror_orbits(partner, sign)
+    halves = xy.mirror_eigensystems(xy.mirror_blocks(h, orbits), orbits,
+                                    diag)
+    full = h + np.diag(diag)
+    scale = np.linalg.norm(full, 2)
+
+    dims = [len(w) for w, _, _, _ in halves]
+    assert sum(dims) == n and min(dims) > 0
+    assert dims == [len(half[0]) for half in orbits]
+    w = np.concatenate([w for w, _, _, _ in halves])
+    assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(full))) \
+        <= 1e-12 * scale
+    v = full_basis_eigenvectors(halves)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
+    assert np.max(np.abs(full @ v - v * w)) <= 1e-12 * scale
+
+
+class TestMirrorEigensystems:
+    def test_halves_are_reflection_eigenspaces(self):
+        rng = np.random.default_rng(5)
+        partner, sign = signed_involution(9, 3, 0, rng)
+        r = np.zeros((9, 9))
+        r[partner, np.arange(9)] = sign
+        a = random_real_symmetric(9, 5)
+        orbits = xy.mirror_orbits(partner, sign)
+        halves = xy.mirror_eigensystems(
+            xy.mirror_blocks(0.5 * (a + r @ a @ r), orbits), orbits,
+            np.zeros(9))
+        for (_, q, idx, coef), parity in zip(halves, (1.0, -1.0)):
+            v = coef[:, None] * q[idx]
+            assert np.max(np.abs(r @ v - parity * v)) < 1e-15
+
+    @pytest.mark.parametrize("fixed_sign", [1.0, -1.0])
+    def test_fixed_points_go_to_the_half_of_their_sign(self, fixed_sign):
+        # one pair (1, 3) and the fixed points 0, 2, 4
+        partner = np.array([0, 3, 2, 1, 4])
+        sign = np.full(5, fixed_sign)
+        (even, p_even, t_even, _, _), (odd, p_odd, t_odd, _, _) = \
+            xy.mirror_orbits(partner, sign)
+        big, small = (even, odd) if fixed_sign > 0 else (odd, even)
+        assert big.tolist() == [1, 0, 2, 4] and small.tolist() == [1]
+        # the pair (1, 3) leads each half, with t = +-sign
+        assert p_even.tolist() == p_odd.tolist() == [3]
+        assert t_even.tolist() == [fixed_sign]
+        assert t_odd.tolist() == [-fixed_sign]
+        # fixed points alone, all of one sign: the other half is empty
+        (only, _, _, _, _), = xy.mirror_orbits(np.arange(3), sign[:3])
+        assert only.tolist() == [0, 1, 2]
+
+    def test_identity_involution_is_the_full_eigh(self):
+        h = random_real_symmetric(6, 11)
+        orbits = xy.mirror_orbits(np.arange(6), np.ones(6))
+        (w, q, idx, coef), = xy.mirror_eigensystems(
+            xy.mirror_blocks(h, orbits), orbits, np.zeros(6))
+        ref = np.linalg.eigh(h)
+        assert np.array_equal(w, ref[0]) and np.array_equal(q, ref[1])
+        assert np.array_equal(idx, np.arange(6))
+        assert np.array_equal(coef, np.ones(6))
 
 
 class TestBessel:
