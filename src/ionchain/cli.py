@@ -489,6 +489,10 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
         # the initial state alone holds s_init quanta
         raise ConfigError(f"total_quanta ({cfg['total_quanta']}) must be "
                           f">= s_init ({s})")
+    r_bounds = (cfg["r_lo"], cfg["r_hi"])
+    if not (np.all(np.isfinite(r_bounds)) and r_bounds[0] < r_bounds[1]):
+        raise ConfigError(f"the fit window needs finite r_lo < r_hi, got "
+                          f"r_lo = {r_bounds[0]}, r_hi = {r_bounds[1]}")
     trap, sol, info = resolve_working_point(cfg)
 
     eta_bare = couplings.lamb_dicke(trap, sol)
@@ -506,9 +510,7 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     policy = sp.TruncationPolicy(phonon_modes=tuple(subset),
                                  fock_cutoff=cfg["fock_cutoff"],
                                  total_quanta_cutoff=cfg["total_quanta"])
-    system = sp.SpinPhononSystem.build(
-        trap, sol, policy, s_init=s,
-        mode_freq_override=freqs_used[subset] if pinned else None)
+    system = sp.SpinPhononSystem.build(trap, sol_used, policy, s_init=s)
     psi0 = system.initial_state((1 << s) - 1)
 
     omega_c = freqs_used[0]
@@ -524,7 +526,6 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     diagnostics = sp.truncation_diagnostics(traj)
     e_meas = e_vac if s == 1 else nbar
 
-    r_bounds = (cfg["r_lo"], cfg["r_hi"])
     if cfg["modes"] == 1:
         fit = leakage.fit_effective_frequency(
             times, e_meas, abs(float(system.eta[0, 0])), trap.rabi,
@@ -654,6 +655,9 @@ def cmd_transfer(cfg, ctx: OutputContext) -> None:
 
 def cmd_search(cfg, ctx: OutputContext) -> None:
     n = cfg["n_ions"]
+    if n < 2:
+        # a one-site walk has lambda_max = 0: no analytic gamma, no search
+        raise ConfigError(f"search needs n_ions >= 2, got {n}")
     marked = cfg["marked"] if cfg["marked"] is not None else n // 2
     if not 0 <= marked < n:
         raise ConfigError("marked site out of range")

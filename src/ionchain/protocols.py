@@ -5,7 +5,6 @@ subspace, with the analytic reduced model and derivative-free tuning of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,53 +100,54 @@ def reduced_model_matrix(n: int) -> np.ndarray:
     ])
 
 
-def _walk_weights(eig, row: int, psi0: np.ndarray) -> tuple:
-    """(w, p) with <row| e^{-iHt} |psi0> = sum_k p_k e^{-i w_k t}, for the
-    eigensystem eig = (w, v) of the real symmetric walk matrix H:
-    p = v[row] (v^T psi0)."""
-    w, v = eig
-    return w, v[row] * (psi0 @ v)
+def _site_state(n: int, site: int) -> np.ndarray:
+    """The walk state with the excitation on site."""
+    psi = np.zeros(n)
+    psi[site] = 1.0
+    return psi
 
 
-@lru_cache(maxsize=None)
-def _walk_orbits(n: int, mirrored: bool) -> list:
-    """xy.mirror_orbits of the site reversal of n sites, or of the
-    identity; shared by every walk matrix of that size."""
-    rows = np.arange(n)
-    return xy.mirror_orbits(rows[::-1] if mirrored else rows, np.ones(n))
-
-
-def _transfer_split(J: np.ndarray, diag: np.ndarray) -> tuple:
-    """(orbits, blocks): the mirror orbits of the transfer walk
-    gamma J + diag(diag) and the xy.mirror_blocks of J on them, shared by
-    every gamma.
+def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
+    """(orbits, blocks, parts) of the walk gamma J + diag(diag) from psi0,
+    shared by every gamma: its mirror orbits, the xy.mirror_blocks of J on
+    them and psi0 over each half's orbits (xy.mirror_part).
 
     The walk splits when J and diag commute with the site reversal to
-    MIRROR_TOL relative: mirror-symmetric couplings, sender and receiver a
-    mirror pair, no fields.  Otherwise the identity's one half is the
-    whole walk.
+    MIRROR_TOL relative: mirror-symmetric couplings and markers, no fields.
+    Otherwise the identity's one half is the whole walk.  A walk above
+    xy.DENSE_LIMIT is refused before any block is built.
     """
     J = np.asarray(J, dtype=float)
+    n = len(J)
+    if n > xy.DENSE_LIMIT:
+        raise xy.SectorTooLarge(
+            f"sector dim {n} exceeds DENSE_LIMIT = {xy.DENSE_LIMIT}: a dense "
+            f"eigh needs at least {16 * n ** 2} bytes")
     mirrored = abs(J - J[::-1, ::-1]).max() <= MIRROR_TOL * abs(J).max() \
         and abs(diag - diag[::-1]).max() <= MIRROR_TOL * abs(diag).max()
-    orbits = _walk_orbits(len(J), bool(mirrored))
-    return orbits, xy.mirror_blocks(J, orbits)
+    rows = np.arange(n)
+    orbits = xy.mirror_orbits(rows[::-1] if mirrored else rows, np.ones(n))
+    parts = [xy.mirror_part(psi0, idx, coef, len(keep))
+             for keep, _, _, idx, coef in orbits]
+    return orbits, xy.mirror_blocks(J, orbits), parts
 
 
-def _transfer_weights(split: tuple, gamma: float, diag: np.ndarray,
-                      sender: int, receiver: int) -> tuple:
-    """_walk_weights of <receiver| e^{-i(gamma J + diag(diag))t} |sender>
-    from the _transfer_split of J and diag: p = v[receiver] v[sender] for
-    the full-basis eigenvectors coef * q[idx] of each half.  For sender 0
-    and receiver n - 1 on a split walk that is
-    p = [v_e[0]^2 / 2, -v_o[0]^2 / 2], from two eigh of about n/2."""
-    orbits, blocks = split
+def _walk_weights(split: tuple, gamma: float, diag: np.ndarray,
+                  row: int) -> tuple:
+    """(w, p) with <row| e^{-i(gamma J + diag(diag))t} |psi0> =
+    sum_k p_k e^{-i w_k t}, from the _walk_split of J, diag and psi0.
+
+    Each half's eigenvectors over the full basis are coef * q[idx], so
+    p = v[row] (v^T psi0) = coef[row] q[idx[row]] (part^T q): two eigh of
+    about n/2 for a split walk, the full eigh of n otherwise.
+    """
+    orbits, blocks, parts = split
     halves = xy.mirror_eigensystems([gamma * b for b in blocks], orbits,
                                     diag)
     return (np.concatenate([w for w, _, _, _ in halves]),
-            np.concatenate([q[idx[receiver]] * q[idx[sender]]
-                            * (coef[receiver] * coef[sender])
-                            for _, q, idx, coef in halves]))
+            np.concatenate([coef[row] * q[idx[row]] * (part @ q)
+                            for (_, q, idx, coef), part in zip(halves,
+                                                                parts)]))
 
 
 def _walk_probability(weights: tuple, t):
@@ -165,10 +165,11 @@ def run_transfer(J: np.ndarray, h: np.ndarray | None,
     h defaults to None: the effective local fields are assumed compensated.
     Returns (times, fidelity) on [0, t_max_factor * duration].
     """
-    sector = xy.build_single_excitation(search_hamiltonian(
-        J, config.gamma, [config.sender, config.receiver], h=h))
-    weights = _walk_weights(sector.eigensystem(), config.receiver,
-                            np.eye(sector.dim)[config.sender])
+    n = len(J)
+    diag = _search_diagonal(n, [config.sender, config.receiver], h)
+    weights = _walk_weights(
+        _walk_split(J, diag, _site_state(n, config.sender)), config.gamma,
+        diag, config.receiver)
     times = np.linspace(0.0, t_max_factor * config.duration, n_times)
     return times, _walk_probability(weights, times)
 
@@ -177,13 +178,12 @@ def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
                          sender: int, receiver: int,
                          h: np.ndarray | None = None,
                          extra_fields: np.ndarray | None = None) -> float:
-    """|<f| exp(-i H_s t) |w>|^2 at a single (gamma, t), from the walk's
-    mirror halves where it splits (_transfer_split), else one full eigh."""
+    """|<f| exp(-i H_s t) |w>|^2 at a single (gamma, t)."""
     diag = _search_diagonal(len(J), [sender, receiver], h)
     if extra_fields is not None:
         diag = diag + extra_fields
-    weights = _transfer_weights(_transfer_split(J, diag), gamma, diag,
-                                sender, receiver)
+    weights = _walk_weights(_walk_split(J, diag, _site_state(len(J), sender)),
+                            gamma, diag, receiver)
     return float(_walk_probability(weights, t))
 
 
@@ -194,11 +194,10 @@ def run_search(J: np.ndarray, gamma: float, marked: int,
 
     Returns (times, probability on the marked site).
     """
-    n = J.shape[0]
-    sector = xy.build_single_excitation(
-        search_hamiltonian(J, gamma, [marked], h=h))
-    weights = _walk_weights(sector.eigensystem(), marked,
-                            np.full(n, 1.0 / np.sqrt(n)))
+    n = len(J)
+    diag = _search_diagonal(n, [marked], h)
+    weights = _walk_weights(_walk_split(J, diag, np.full(n, 1.0 / np.sqrt(n))),
+                            gamma, diag, marked)
     times = np.linspace(0.0, t_max, n_times)
     return times, _walk_probability(weights, times)
 
@@ -223,19 +222,20 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     point is never worse than the analytic seed.  budget counts fidelity
     evaluations, the analytic seed included; box is a fraction in (0, 1).
     Each distinct gamma costs one eigensystem of gamma J + diag, from the
-    mirror half blocks of J built once per call (_transfer_split): two
-    eigh of about n/2 for a mirror-symmetric walk, else one of n.
+    _walk_split of J built once per call: two eigh of about n/2 for a
+    mirror-symmetric walk, else one of n.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not 0.0 < box < 1.0:
         raise ValueError(f"box must be in (0, 1), got {box}")
     n = J.shape[0]
+    diag = _search_diagonal(n, [sender, receiver], h)
+    # first: it refuses a walk above xy.DENSE_LIMIT before any eigensolver
+    split = _walk_split(J, diag, _site_state(n, sender))
     gamma0 = analytic_gamma(J)
     t0 = transfer_time(n)
     evals = [0]
-    diag = _search_diagonal(n, [sender, receiver], h)
-    split = _transfer_split(J, diag)
     # pattern moves in T alone revisit gamma: one eigensystem per distinct
     # gamma
     weights = {}
@@ -243,7 +243,7 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     def objective(g, t):
         evals[0] += 1
         if g not in weights:
-            weights[g] = _transfer_weights(split, g, diag, sender, receiver)
+            weights[g] = _walk_weights(split, g, diag, receiver)
         return float(_walk_probability(weights[g], t))
 
     best = (gamma0, t0, objective(gamma0, t0))

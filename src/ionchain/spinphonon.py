@@ -25,7 +25,7 @@ H_I(t), taken to the same frame, is the cross-check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from math import comb
 
@@ -173,20 +173,10 @@ class SpinPhononSystem:
 
     @classmethod
     def build(cls, trap: TrapConfig, chain: ChainSolution,
-              policy: TruncationPolicy, s_init: int,
-              mode_freq_override: np.ndarray | None = None) -> "SpinPhononSystem":
-        """Assemble D and V on the parity block of s_init.
-
-        mode_freq_override replaces the included mode frequencies (to pin
-        the centre-of-mass one) and the Lamb-Dicke factors with them.
-        """
+              policy: TruncationPolicy, s_init: int) -> "SpinPhononSystem":
+        """Assemble D and V on the parity block of s_init, with the mode
+        frequencies of chain and the Lamb-Dicke factors they give."""
         modes = list(policy.phonon_modes)
-        if mode_freq_override is not None:
-            if len(mode_freq_override) != len(modes):
-                raise ValueError("override length must match included modes")
-            freqs = chain.mode_freqs.copy()
-            freqs[modes] = mode_freq_override
-            chain = replace(chain, mode_freqs=freqs)
         w = chain.mode_freqs[modes]
         eta = lamb_dicke(trap, chain)[:, modes]
         dims = ProductBasis.parity_block_dims(trap.n_ions, policy, s_init)
@@ -278,11 +268,8 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
     times = np.asarray(times, dtype=float)
     if method == "spectral":
         halves = system.eigensystem()
-        # psi0 over each half's orbit basis
-        parts = []
-        for w, _, idx, coef in halves:
-            parts.append(np.zeros(len(w), dtype=complex))
-            np.add.at(parts[-1], idx, coef * psi0)
+        parts = [xy.mirror_part(psi0, idx, coef, len(w))
+                 for w, _, idx, coef in halves]
         states = np.zeros((len(times), len(psi0)), dtype=complex)
         for start in range(0, len(times), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)

@@ -8,15 +8,16 @@ XY sectors propagate through chebyshev(), a Chebyshev series with no
 eigensystem, forward from t = 0: evolve() at one time, evolve_grid() on a
 time grid and the noise ensemble.  spectral() propagates every state of one
 eigensystem over a time grid, for the mirror halves of the spin-phonon
-parity blocks.  The protocols read their one walk amplitude from
-eigensystem() weights of their own, and the spin-phonon Runge-Kutta
+parity blocks.  The protocols read their one walk amplitude from the
+eigensystems of the walk's mirror halves, and the spin-phonon Runge-Kutta
 cross-check is the third integrator.
 
 A matrix that commutes with a signed row involution R|k> = sign_k
 |partner_k>, such as a site reflection, splits into the blocks of R's even
-and odd halves: mirror_orbits() builds their orbit bases, mirror_blocks()
-the half blocks and mirror_eigensystems() their eigh, with the map back to
-the full basis.
+and odd halves: mirror_orbits() builds their orbit bases, mirror_part() a
+state's components on them, mirror_blocks() the half blocks and
+mirror_eigensystems() their eigh, with the map back to the full basis.
+The spin-phonon blocks and the protocol walks both split this way.
 
 build_sector stores its matrix as a scipy.sparse CSR array: every state has
 exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
@@ -29,8 +30,9 @@ from itertools import combinations
 
 import numpy as np
 
-# the largest sector XYSector.eigensystem() densifies for a dense eigh, and
-# the largest spin-phonon parity block SpinPhononSystem.build accepts
+# the largest sector XYSector.eigensystem() densifies for a dense eigh, the
+# largest protocol walk, and the largest spin-phonon parity block
+# SpinPhononSystem.build accepts
 DENSE_LIMIT = 4096
 # Bessel coefficients below this size end the Chebyshev series
 CHEBYSHEV_TOL = 1e-17
@@ -235,6 +237,16 @@ def mirror_orbits(partner: np.ndarray, sign: np.ndarray) -> list:
             coef[p] = t * _PAIR_NORM
             halves.append((keep, p, t, idx, coef))
     return halves
+
+
+def mirror_part(psi0: np.ndarray, idx: np.ndarray, coef: np.ndarray,
+                size: int) -> np.ndarray:
+    """psi0 over the size orbits of one half (idx, coef of mirror_orbits):
+    component j is <orbit j|psi0>, the sum of coef[k] psi0[k] over the rows
+    k with idx[k] = j."""
+    part = np.zeros(size, dtype=np.result_type(psi0, coef))
+    np.add.at(part, idx, coef * psi0)
+    return part
 
 
 def mirror_blocks(h: np.ndarray, orbits: list) -> list:

@@ -237,6 +237,43 @@ class TestLeakageCommand:
         assert "total_quanta" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
+    @pytest.mark.parametrize("window", [("1.001", "1.001"),
+                                        ("1.002", "0.999"), ("nan", "1.002"),
+                                        ("0.999", "inf")])
+    def test_fit_window_rejected_up_front(self, tmp_path, capsys,
+                                          monkeypatch, window):
+        def no_working_point(*args, **kwargs):
+            raise AssertionError("working point resolved")
+
+        monkeypatch.setattr(cli, "resolve_working_point", no_working_point)
+        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
+                                   f"r_lo = {window[0]}\nr_hi = {window[1]}\n")
+        rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "r_lo < r_hi" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    def test_pinned_com_frequency(self, tmp_path):
+        base = "n_ions = 4\nalpha_target = 0.5\nfock_cutoff = 2\n" \
+            "n_times = 50\n"
+        tables = []
+        for pin in ("none", "5.999"):
+            out = tmp_path / pin
+            p = write_config(tmp_path, base + f"omega_c_pin_mhz = {pin}\n")
+            assert cli.main(["leakage", "--config", p, "--out",
+                             str(out)]) == 0
+            report = json.loads((out / "leakage_report.json").read_text())
+            tables.append(read_table(out / "leakage.csv")[1])
+        assert report["omega_c_pinned"] is True
+        assert report["omega_c_rad_s"] == pytest.approx(
+            2 * np.pi * 5.999e6, rel=1e-15)
+        assert report["delta_c_rad_s"] == pytest.approx(
+            report["trap"]["omega_eff_rad_s"] - report["omega_c_rad_s"],
+            rel=1e-12)
+        # the pin reaches the spin-phonon simulation
+        assert [r["E_sim"] for r in tables[0]] \
+            != [r["E_sim"] for r in tables[1]]
+
     def test_basis_too_large_exits_one(self, tmp_path, capsys,
                                        monkeypatch):
         # n = 4, s = 1 with the default cutoffs: parity blocks of 12 and 20,
@@ -276,6 +313,14 @@ class TestSearchCommand:
         _, rows = read_table(tmp_path / "search.csv")
         probs = [float(r["marked_probability"]) for r in rows]
         assert max(probs) > 0.8
+
+    def test_one_site_rejected(self, tmp_path, capsys):
+        # a one-site walk has lambda_max = 0 and no analytic gamma
+        p = write_config(tmp_path, "n_ions = 1\n")
+        rc = cli.main(["search", "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "n_ions >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
     def test_sector_too_large_exits_one(self, tmp_path, capsys,
                                         monkeypatch):

@@ -142,16 +142,6 @@ class TestLeakageNorms:
             + np.sum(e2**2) / d2**2 * (1 - np.cos(d2 * t)))
         assert shifted == pytest.approx(expected, rel=1e-12)
 
-    def test_higher_subspace_scaling(self):
-        eta, rabi = 0.05, 2 * np.pi * 1e5
-        w_eff, w_c = 2 * np.pi * 6.01e6, 2 * np.pi * 6e6
-        t = np.linspace(0, 1e-4, 30)
-        base = lk.higher_subspace_scaling(1, eta, rabi, w_eff, w_c, 1.0, t)
-        five = lk.higher_subspace_scaling(5, eta, rabi, w_eff, w_c, 1.0, t)
-        assert five == pytest.approx(5 * base, rel=1e-12)
-        with pytest.raises(ValueError):
-            lk.higher_subspace_scaling(0, eta, rabi, w_eff, w_c, 1.0, t)
-
     def test_two_mode_r_column_gives_one_trace_per_row(self):
         rng = np.random.default_rng(6)
         eta = rng.uniform(0.02, 0.06, size=(6, 2))
@@ -214,8 +204,8 @@ class TestFrequencyFit:
         fit = lk.fit_effective_frequency(times, e, eta, rabi, w_eff, w_c,
                                          scale=5.0)
         for r in (1.0, fit.r):
-            assert np.array_equal(fit.model(r), lk.higher_subspace_scaling(
-                5, eta, rabi, w_eff, w_c, r, times))
+            assert np.array_equal(fit.model(r), 5 * lk.leakage_norm_single(
+                eta, rabi, r * w_eff - w_c, times))
         assert fit.power == np.sum(e ** 2)
 
     def test_broadcast_scan_matches_scalar_loop(self):

@@ -198,30 +198,31 @@ def full_transfer_weights(hs, sender, receiver):
     return w, v[receiver] * v[sender]
 
 
+def eigh_sizes(monkeypatch, fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the sizes of the eigh calls it made."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def counting_eigh(a, *a_args, **a_kwargs):
+        sizes.append(len(a))
+        return eigh(a, *a_args, **a_kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    out = fn(*args, **kwargs)
+    monkeypatch.undo()
+    return out, sizes
+
+
 class TestMirrorTransferWeights:
-    def eigh_sizes(self, monkeypatch, fn, *args, **kwargs):
-        """fn(*args, **kwargs) and the sizes of the eigh calls it made."""
-        sizes, eigh = [], np.linalg.eigh
-
-        def counting_eigh(a, *a_args, **a_kwargs):
-            sizes.append(len(a))
-            return eigh(a, *a_args, **a_kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        out = fn(*args, **kwargs)
-        monkeypatch.undo()
-        return out, sizes
-
     def weights(self, j, gamma, sender, receiver, diag):
-        return pr._transfer_weights(pr._transfer_split(j, diag), gamma, diag,
-                                    sender, receiver)
+        split = pr._walk_split(j, diag, pr._site_state(len(j), sender))
+        return pr._walk_weights(split, gamma, diag, receiver)
 
     @pytest.mark.parametrize("n", [7, 8, 11, 12])
     def test_split_matches_full_eigh(self, monkeypatch, n):
         j = normalized_walk(n, 0.4)
         diag = pr._search_diagonal(n, [0, n - 1])
-        (w, p), sizes = self.eigh_sizes(monkeypatch, self.weights, j, 0.9, 0,
-                                        n - 1, diag)
+        (w, p), sizes = eigh_sizes(monkeypatch, self.weights, j, 0.9, 0,
+                                   n - 1, diag)
         assert sizes == [(n + 1) // 2, n // 2]
         w_full, p_full = full_transfer_weights(
             pr.search_hamiltonian(j, 0.9, [0, n - 1]), 0, n - 1)
@@ -247,15 +248,93 @@ class TestMirrorTransferWeights:
             j[0, 1] = j[1, 0] = j[0, 1] * (1 + 1e-9)
         else:
             extra = 0.01 * np.random.default_rng(0).standard_normal(n)
-        f, sizes = self.eigh_sizes(monkeypatch, pr.transfer_fidelity_at, j,
-                                   0.9, 2.3, 0, receiver, h=h,
-                                   extra_fields=extra)
+        f, sizes = eigh_sizes(monkeypatch, pr.transfer_fidelity_at, j, 0.9,
+                              2.3, 0, receiver, h=h, extra_fields=extra)
         assert sizes == [n]
         hs = pr.search_hamiltonian(j, 0.9, [0, receiver], h=h)
         if extra is not None:
             hs = hs + np.diag(extra)
         assert f == float(pr._walk_probability(
             full_transfer_weights(hs, 0, receiver), 2.3))
+
+
+def full_walk_probability(hs, row, psi0, times):
+    """The walk amplitude's probability from one full eigh of hs: the
+    reference for a walk that runs as the identity's one half."""
+    w, v = np.linalg.eigh(hs)
+    return pr._walk_probability((w, v[row] * (psi0 @ v)), times)
+
+
+class TestWalkEntryPoints:
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_search_centre_of_odd_chain_splits(self, monkeypatch, n):
+        # an odd chain marked at its centre is mirror-symmetric; the
+        # uniform state lies in the even half
+        j = normalized_walk(n, 0.4)
+        t_max = 3 * pr.transfer_time(n)
+        (times, prob), sizes = eigh_sizes(monkeypatch, pr.run_search, j, 0.9,
+                                          n // 2, t_max, n_times=37)
+        assert sizes == [(n + 1) // 2, n // 2]
+        hs = pr.search_hamiltonian(j, 0.9, [n // 2])
+        psi0 = np.full(n, 1.0 / np.sqrt(n))
+        ref = [abs((expm(-1j * hs * t) @ psi0)[n // 2]) ** 2 for t in times]
+        assert np.max(np.abs(prob - ref)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["search_even", "search_off_centre",
+                                      "search_fields", "transfer_pair",
+                                      "transfer_fields"])
+    def test_identity_fallback_is_the_full_eigh(self, monkeypatch, case):
+        n = 10 if case == "search_even" else 9
+        j = normalized_walk(n, 0.3)
+        h = 0.02 * np.arange(n, dtype=float) if "fields" in case else None
+        if case.startswith("search"):
+            marked = 2 if case == "search_off_centre" else n // 2
+            psi0 = np.full(n, 1.0 / np.sqrt(n))
+            (times, prob), sizes = eigh_sizes(
+                monkeypatch, pr.run_search, j, 0.9, marked,
+                2 * pr.transfer_time(n), n_times=41, h=h)
+            hs, row = pr.search_hamiltonian(j, 0.9, [marked], h=h), marked
+        else:
+            receiver = n - 2 if case == "transfer_pair" else n - 1
+            cfg = pr.ProtocolConfig(gamma=0.9, sender=0, receiver=receiver,
+                                    duration=pr.transfer_time(n))
+            (times, prob), sizes = eigh_sizes(
+                monkeypatch, pr.run_transfer, j, h, cfg, n_times=41)
+            hs, row = pr.search_hamiltonian(j, 0.9, [0, receiver], h=h), \
+                receiver
+            psi0 = pr._site_state(n, 0)
+        assert sizes == [n]
+        assert np.array_equal(prob, full_walk_probability(hs, row, psi0,
+                                                          times))
+
+    @pytest.mark.parametrize("entry", ["transfer_fidelity_at",
+                                       "optimize_protocol", "run_transfer",
+                                       "run_search"])
+    def test_oversized_walk_refused_before_any_eigensolver(self, monkeypatch,
+                                                           entry):
+        n = 8
+        j = normalized_walk(n, 0.3)
+        calls = []
+
+        def no_solver(a, *args, **kwargs):
+            calls.append(len(a))
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(xy, "DENSE_LIMIT", n - 1)
+        monkeypatch.setattr(np.linalg, "eigh", no_solver)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
+        cfg = pr.ProtocolConfig(gamma=0.9, sender=0, receiver=n - 1,
+                                duration=pr.transfer_time(n))
+        run = {"transfer_fidelity_at":
+               lambda: pr.transfer_fidelity_at(j, 0.9, 2.3, 0, n - 1),
+               "optimize_protocol":
+               lambda: pr.optimize_protocol(j, None, 0, n - 1, budget=8),
+               "run_transfer": lambda: pr.run_transfer(j, None, cfg),
+               "run_search": lambda: pr.run_search(j, 0.9, 3, 5.0)}[entry]
+        with pytest.raises(xy.SectorTooLarge,
+                           match=f"sector dim {n} exceeds DENSE_LIMIT"):
+            run()
+        assert calls == []
 
 
 def uncached_search(j, sender, receiver, box=0.30, budget=200, rng_seed=0):
@@ -307,25 +386,25 @@ class TestOptimizeProtocol:
         n = 12
         j = normalized_walk(n, 0.3)
         gammas = []
-        eigh_sizes = []
-        transfer_weights, eigh = pr._transfer_weights, np.linalg.eigh
+        solved_sizes = []
+        walk_weights, eigh = pr._walk_weights, np.linalg.eigh
 
         def recording_weights(split, gamma, *args):
             gammas.append(gamma)
-            return transfer_weights(split, gamma, *args)
+            return walk_weights(split, gamma, *args)
 
         def counting_eigh(a, *args, **kwargs):
-            eigh_sizes.append(len(a))
+            solved_sizes.append(len(a))
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(pr, "_transfer_weights", recording_weights)
+        monkeypatch.setattr(pr, "_walk_weights", recording_weights)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         out = pr.optimize_protocol(j, None, 0, n - 1, budget=120)
         monkeypatch.undo()
         # every searched gamma is diagonalised once, as its two mirror
         # halves
         assert len(set(gammas)) == len(gammas)
-        assert eigh_sizes == [n // 2] * (2 * len(gammas))
+        assert solved_sizes == [n // 2] * (2 * len(gammas))
         assert out.config.gamma in gammas
         assert out.n_evaluations > len(gammas)
 

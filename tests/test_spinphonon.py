@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -244,22 +245,18 @@ class TestSystemBuild:
         assert np.all(v[np.ix_(even, ~even)] == 0.0)
 
     def test_mode_override_changes_frame_and_eta(self):
+        # a chain with the COM frequency pinned, as cmd_leakage builds it
         trap, chain, system = small_system()
-        policy = system.basis.policy
-        w_new = np.array([chain.mode_freqs[0] * 1.05])
-        pinned = sp.SpinPhononSystem.build(trap, chain, policy, s_init=1,
-                                           mode_freq_override=w_new)
-        assert pinned.mode_freqs[0] == pytest.approx(w_new[0])
+        freqs = chain.mode_freqs.copy()
+        freqs[0] *= 1.05
+        pinned = sp.SpinPhononSystem.build(
+            trap, replace(chain, mode_freqs=freqs), system.basis.policy,
+            s_init=1)
+        assert pinned.mode_freqs[0] == freqs[0]
         assert abs(pinned.eta[0, 0]) < abs(system.eta[0, 0])
-        # the original chain solution is untouched
-        assert chain.mode_freqs[0] != pytest.approx(w_new[0])
-
-    def test_mode_override_length_checked(self):
-        trap, chain, system = small_system()
-        with pytest.raises(ValueError):
-            sp.SpinPhononSystem.build(trap, chain, system.basis.policy,
-                                      s_init=1,
-                                      mode_freq_override=np.array([1.0, 2.0]))
+        shift = system.basis.occupations[:, 0] * (freqs[0]
+                                                  - chain.mode_freqs[0])
+        assert pinned.D == pytest.approx(system.D + shift, rel=1e-14)
 
     def test_initial_state(self):
         _, _, system = small_system()
