@@ -391,7 +391,8 @@ def resolve_working_point(cfg, trap_and_chain=None):
         trap = trap.with_(detuning_mu=res.mu)
         info.update(alpha_target=cfg["alpha_target"],
                     alpha_achieved=res.alpha_achieved,
-                    alpha_target_unreachable=res.target_unreachable)
+                    alpha_target_unreachable=res.target_unreachable,
+                    detuning_steps=res.steps)
     elif cfg["mu_mhz"] == "auto":
         trap = trap.with_(detuning_mu=info["mu_min_rad_s"])
     else:
@@ -581,21 +582,23 @@ def _walk_couplings(cfg, n: int, trap_and_chain=None):
     The walk matrix of the physical XY Hamiltonian is xy.hop_amplitudes(J),
     divided here by its largest eigenvalue so the analytic gamma is 1 and
     scaled times are comparable across N.  Returns
-    (J_walk, scale_rad_s, alpha_used); scale_rad_s converts walk time units
-    to seconds (None for idealized couplings, which have no physical scale).
-    trap_and_chain is passed on to resolve_working_point.
+    (J_walk, scale_rad_s, alpha_used, detuning_steps); scale_rad_s converts
+    walk time units to seconds, and it and detuning_steps, the alpha
+    evaluations of the detuning bisection, are None for idealized couplings,
+    which have no physical scale.  trap_and_chain is passed on to
+    resolve_working_point.
     """
     alpha = cfg["alpha_target"] if cfg["alpha_target"] is not None else 0.2
     if cfg["couplings"] == "idealized":
         j = protocols.idealized_couplings(n, alpha)
         lam = 1.0 / protocols.analytic_gamma(j)
-        return j / lam, None, alpha
+        return j / lam, None, alpha, None
     sub = dict(cfg, n_ions=n, alpha_target=alpha)
     trap, sol, info = resolve_working_point(sub, trap_and_chain)
     model = couplings.build_coupling_model(trap, sol)
     j_phys = xy.hop_amplitudes(model.J)
     lam = 1.0 / protocols.analytic_gamma(j_phys)
-    return j_phys / lam, lam, info["alpha_achieved"]
+    return j_phys / lam, lam, info["alpha_achieved"], info["detuning_steps"]
 
 
 def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int, **opt_kwargs):
@@ -616,18 +619,20 @@ def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int, **opt_kwargs):
 
 def _one_transfer(cfg, ctx, n: int, source: str):
     sub = dict(cfg, couplings=source)
-    j_walk, scale, alpha_used = _walk_couplings(sub, n)
+    j_walk, scale, alpha_used, steps = _walk_couplings(sub, n)
     gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n, box=cfg["box"])
     fid = opt.fidelity if opt is not None else \
         protocols.transfer_fidelity_at(j_walk, gamma, t, 0, n - 1)
-    return {"n": n, "source": source, "alpha": alpha_used, "gamma": gamma,
-            "T": t, "T_tilde": gamma * t, "F_peak": fid,
-            "scale_rad_s": scale, **_optimizer_stats(opt)}
+    return {"n": n, "source": source, "alpha": alpha_used,
+            "detuning_steps": steps, "gamma": gamma, "T": t,
+            "T_tilde": gamma * t, "F_peak": fid, "scale_rad_s": scale,
+            **_optimizer_stats(opt)}
 
 
 def _optimizer_stats(opt) -> dict:
     """Report fields of an optimize_protocol run, null without one."""
     return {"n_evaluations": opt.n_evaluations if opt is not None else None,
+            "n_gamma_solves": opt.n_gamma_solves if opt is not None else None,
             "seed_fidelity": opt.seed_fidelity if opt is not None else None}
 
 
@@ -661,7 +666,7 @@ def cmd_search(cfg, ctx: OutputContext) -> None:
     marked = cfg["marked"] if cfg["marked"] is not None else n // 2
     if not 0 <= marked < n:
         raise ConfigError("marked site out of range")
-    j_walk, scale, alpha_used = _walk_couplings(cfg, n)
+    j_walk, scale, alpha_used, _ = _walk_couplings(cfg, n)
     gamma = protocols.analytic_gamma(j_walk) if cfg["gamma"] == "auto" \
         else cfg["gamma"]
     t_max = cfg["t_max_factor"] * np.pi * np.sqrt(n)
@@ -685,6 +690,9 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
                                   rng_seed=ctx.seed,
                                   field_variance=cfg["field_variance"])
     cases = [(n, a) for a in cfg["alpha_list"] for n in cfg["n_list"]]
+    # each sample's field is drawn once, at the longest chain; a case reads
+    # its first N sites
+    fields = noise.static_field_block(max(cfg["n_list"]), noise_cfg)
     # the trap and its chain depend on N, not on alpha: solved once per N
     chains = {n: solve_trap(dict(cfg, n_ions=n))
               for n in dict.fromkeys(cfg["n_list"])}
@@ -692,12 +700,14 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
     def run_case(case):
         n, alpha = case
         sub = dict(cfg, couplings="experimental", alpha_target=alpha)
-        j_walk, scale, alpha_used = _walk_couplings(sub, n, chains[n])
+        j_walk, scale, alpha_used, steps = _walk_couplings(sub, n, chains[n])
         gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
         pc = protocols.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
                                       duration=t, marker_amplitude=scale)
-        ens = noise.noisy_transfer_ensemble(j_walk, None, pc, noise_cfg)
+        ens = noise.noisy_transfer_ensemble(j_walk, None, pc, noise_cfg,
+                                            fields)
         return {"n": n, "alpha_target": alpha, "alpha_achieved": alpha_used,
+                "detuning_steps": steps,
                 "mean_F": ens.mean_at_T, "std_F": ens.std_at_T,
                 "noiseless_F": ens.noiseless_at_T, "duration_s": t / scale,
                 **_optimizer_stats(opt)}

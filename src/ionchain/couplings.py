@@ -135,8 +135,9 @@ def fit_alpha_beta(J: np.ndarray,
                    positions: np.ndarray | None = None) -> FitResult:
     """Least-squares fit ln|J| = c - alpha ln r - beta r over the pair set.
 
-    Pure power-law mode (fit_beta=False) constrains beta = 0.  Negative J
-    entries enter via |J| and are counted in n_negative.
+    Pure power-law mode (fit_beta=False) constrains beta = 0 and fits in
+    closed form (_power_law_fit).  Negative J entries enter via |J| and are
+    counted in n_negative.
     """
     n = J.shape[0]
     if n < 3:
@@ -144,21 +145,38 @@ def fit_alpha_beta(J: np.ndarray,
     i, j, r = _fit_pairs(n, convention, positions)
     vals = J[i, j]
     n_negative = int(np.sum(vals < 0))
-    mags = np.abs(vals)
-    keep = mags > 0
-    r, mags = r[keep], mags[keep]
-    if len(np.unique(r)) < 2:
-        raise DegenerateFit("fewer than 2 distinct distances")
-    y = np.log(mags)
-    cols = [np.ones_like(r), -np.log(r)]
-    if fit_beta:
-        cols.append(-r)
-    a = np.column_stack(cols)
+    if not fit_beta:
+        alpha, resid = _power_law_fit(r, vals)
+        return FitResult(alpha=alpha, beta=0.0, residual=resid,
+                         n_negative=n_negative)
+    r, y = _log_magnitudes(r, vals)
+    a = np.column_stack([np.ones_like(r), -np.log(r), -r])
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
-    beta = float(coef[2]) if fit_beta else 0.0
-    return FitResult(alpha=float(coef[1]), beta=beta, residual=resid,
-                     n_negative=n_negative)
+    return FitResult(alpha=float(coef[1]), beta=float(coef[2]),
+                     residual=resid, n_negative=n_negative)
+
+
+def _log_magnitudes(r: np.ndarray, vals: np.ndarray) -> tuple:
+    """(r, ln|vals|) over the pairs with vals != 0; DegenerateFit unless
+    at least two distinct distances remain."""
+    mags = np.abs(vals)
+    keep = mags > 0
+    r = r[keep]
+    if len(np.unique(r)) < 2:
+        raise DegenerateFit("fewer than 2 distinct distances")
+    return r, np.log(mags[keep])
+
+
+def _power_law_fit(r: np.ndarray, vals: np.ndarray) -> tuple:
+    """(alpha, rms residual) of the least-squares line ln|vals| =
+    c - alpha ln r over the pairs with vals != 0, in closed form: alpha is
+    minus the regression slope of ln|vals| on ln r."""
+    r, y = _log_magnitudes(r, vals)
+    u = np.log(r)
+    du, dy = u - u.mean(), y - y.mean()
+    alpha = -float(du @ dy) / float(du @ du)
+    return alpha, float(np.sqrt(np.mean((dy + alpha * du) ** 2)))
 
 
 def build_coupling_model(trap: TrapConfig, chain: ChainSolution,
@@ -183,21 +201,15 @@ def min_detuning(trap: TrapConfig, chain: ChainSolution) -> float:
     """Smallest usable detuning mu_min.
 
     Defined by omega_eff(mu_min) = 3 Omega eta_com + omega_com, with eta_com
-    the (uniform) coupling of each ion to the centre-of-mass mode.
+    the (uniform) coupling of each ion to the centre-of-mass mode.  Where
+    Omega alone already exceeds that bound, every mu >= 0 meets it and
+    mu_min = 0.
     """
     omega_com = chain.mode_freqs[0]
     eta = lamb_dicke(trap, chain)
     eta_com = float(np.abs(eta[0, 0]))
     target = 3.0 * trap.rabi * eta_com + omega_com
-    return float(np.sqrt(target**2 - trap.rabi**2))
-
-
-def _alpha_at_mu(trap: TrapConfig, chain: ChainSolution, mu: float,
-                 convention: FitConvention) -> float:
-    t = trap.with_(detuning_mu=mu)
-    eta = lamb_dicke(t, chain)
-    j = coupling_matrix(t, eta, chain.mode_freqs)
-    return fit_alpha_beta(j, convention).alpha
+    return float(np.sqrt(max(target**2 - trap.rabi**2, 0.0)))
 
 
 @dataclass
@@ -205,6 +217,7 @@ class DetuningResult:
     mu: float
     alpha_achieved: float
     target_unreachable: bool
+    steps: int              # alpha evaluations of the bisection
 
 
 def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
@@ -216,28 +229,46 @@ def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
 
     alpha(mu) is monotonically non-decreasing on this interval for
     reference-parameter chains; when mu_min binds, the result is clamped there
-    and flagged.
+    and flagged.  Each step is the fit_alpha_beta alpha of the
+    coupling_matrix at mu, with the resonance check, on the fit
+    convention's pairs alone (chain.positions_m for the axial one): their
+    Lamb-Dicke products and distances are built once per bisection.  The bracket stops shrinking below 1e-6 of
+    max(mu_lo, omega_com), so a bracket from mu_min = 0 ends too.
     """
     if alpha_target <= 0:
         raise ValueError("alpha_target must be > 0")
+    n = trap.n_ions
+    if n < 3:
+        raise DegenerateFit("need N >= 3")
+    i, j, r = _fit_pairs(n, convention, chain.positions_m)
+    eta = lamb_dicke(trap, chain)
+    products = eta[i] * eta[j]
+    w = chain.mode_freqs
+    steps = 0
+
+    def alpha_at(mu):
+        nonlocal steps
+        steps += 1
+        omega_eff = np.hypot(trap.rabi, mu)
+        _check_resonance(omega_eff, w, 1e-5)
+        vals = trap.rabi**2 * (products @ (w / (8.0 * (omega_eff**2 - w**2))))
+        return _power_law_fit(r, vals)[0]
+
     mu_lo = min_detuning(trap, chain)
-    mu_hi = mu_max_factor * chain.mode_freqs[0]
-    a_lo = _alpha_at_mu(trap, chain, mu_lo, convention)
+    mu_hi = mu_max_factor * w[0]
+    a_lo = alpha_at(mu_lo)
     if a_lo >= alpha_target:
-        return DetuningResult(mu=mu_lo, alpha_achieved=a_lo,
-                              target_unreachable=True)
-    a_hi = _alpha_at_mu(trap, chain, mu_hi, convention)
+        return DetuningResult(mu_lo, a_lo, True, steps)
+    a_hi = alpha_at(mu_hi)
     if a_hi <= alpha_target:
-        return DetuningResult(mu=mu_hi, alpha_achieved=a_hi,
-                              target_unreachable=True)
+        return DetuningResult(mu_hi, a_hi, True, steps)
     while True:
         mu_mid = 0.5 * (mu_lo + mu_hi)
-        a_mid = _alpha_at_mu(trap, chain, mu_mid, convention)
-        if abs(a_mid - alpha_target) < tol or (mu_hi - mu_lo) < 1e-6 * mu_lo:
-            return DetuningResult(mu=mu_mid, alpha_achieved=a_mid,
-                                  target_unreachable=False)
+        a_mid = alpha_at(mu_mid)
+        if abs(a_mid - alpha_target) < tol \
+                or (mu_hi - mu_lo) < 1e-6 * max(mu_lo, w[0]):
+            return DetuningResult(mu_mid, a_mid, False, steps)
         if a_mid < alpha_target:
             mu_lo = mu_mid
         else:
             mu_hi = mu_mid
-

@@ -66,6 +66,17 @@ def sample_static_fields(n: int, config: NoiseConfig,
     return config.sigma * rng.standard_normal(n)
 
 
+def static_field_block(n: int, config: NoiseConfig) -> np.ndarray:
+    """n x n_samples block whose column k is sample_static_fields(n, config,
+    k): drawn once per run at the longest chain, of which a chain of m <= n
+    sites reads the first m rows (each sample's standard_normal(m) is a
+    prefix of its standard_normal(n))."""
+    fields = np.empty((n, config.n_samples))
+    for k in range(config.n_samples):
+        fields[:, k] = sample_static_fields(n, config, k)
+    return fields
+
+
 @dataclass
 class EnsembleResult:
     mean_at_T: float
@@ -75,7 +86,8 @@ class EnsembleResult:
 
 def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
                             config: protocols.ProtocolConfig,
-                            noise: NoiseConfig) -> EnsembleResult:
+                            noise: NoiseConfig,
+                            fields: np.ndarray | None = None) -> EnsembleResult:
     """Mean/std of the transfer fidelity at T over static-field samples.
 
     Each sample adds 2*field_j to the protocol diagonal (z-field convention
@@ -84,8 +96,10 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     and are converted with the configured marker amplitude.  All samples
     share the protocol matrix and differ only in their diagonal, so one
     xy.chebyshev call propagates them together to T, with the noiseless
-    protocol as a zero-offset column.  check_ensemble_size refuses an
-    oversized ensemble first.
+    protocol as a zero-offset column.  fields, a static_field_block of
+    noise with at least len(J) rows, supplies the samples; without it the
+    block is drawn here.  check_ensemble_size refuses an oversized ensemble
+    first.
     """
     check_ensemble_size(len(J), noise.n_samples)
     # the noiseless protocol, the same sector run_transfer propagates
@@ -94,11 +108,12 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     n = sector.dim
     psi0 = np.zeros(n)
     psi0[config.sender] = 1.0
+    if fields is None:
+        fields = static_field_block(n, noise)
     # column 0 stays the noiseless protocol, column k + 1 is sample k
     offsets = np.zeros((n, noise.n_samples + 1))
-    for k in range(noise.n_samples):
-        offsets[:, k + 1] = 2.0 * (sample_static_fields(n, noise, k)
-                                   / config.marker_amplitude)
+    np.divide(fields[:n], config.marker_amplitude, out=offsets[:, 1:])
+    offsets[:, 1:] *= 2.0
     amps = xy.chebyshev(sector.H, psi0, config.duration, diag=offsets,
                         rows=config.receiver)
     noiseless, fids = np.abs(amps[0]) ** 2, np.abs(amps[1:]) ** 2

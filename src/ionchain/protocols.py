@@ -14,6 +14,8 @@ from . import xy
 # and the diagonal of a transfer walk count as mirror-symmetric
 MIRROR_TOL = 1e-12
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass
 class ProtocolConfig:
@@ -108,14 +110,20 @@ def _site_state(n: int, site: int) -> np.ndarray:
 
 
 def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
-    """(orbits, blocks, parts) of the walk gamma J + diag(diag) from psi0,
-    shared by every gamma: its mirror orbits, the xy.mirror_blocks of J on
-    them and psi0 over each half's orbits (xy.mirror_part).
+    """(orbits, blocks, parts, trailing) of the walk gamma J + diag(diag)
+    from psi0, shared by every gamma: its mirror orbits, the
+    xy.mirror_blocks of J on them, psi0 over each half's orbits
+    (xy.mirror_part) and the eigenvalue-only data of _walk_weights, or
+    None.
 
     The walk splits when J and diag commute with the site reversal to
     MIRROR_TOL relative: mirror-symmetric couplings and markers, no fields.
-    Otherwise the identity's one half is the whole walk.  A walk above
-    xy.DENSE_LIMIT is refused before any block is built.
+    Otherwise the identity's one half is the whole walk.  When the diagonal
+    and the psi0 part of every half sit on its first orbit alone (every
+    0 -> n - 1 transfer without fields), trailing holds per half the
+    ascending eigenvalues of its J block without that orbit and their
+    _partners.  A walk above xy.DENSE_LIMIT is refused before any block is
+    built.
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
@@ -129,7 +137,13 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     orbits = xy.mirror_orbits(rows[::-1] if mirrored else rows, np.ones(n))
     parts = [xy.mirror_part(psi0, idx, coef, len(keep))
              for keep, _, _, idx, coef in orbits]
-    return orbits, xy.mirror_blocks(J, orbits), parts
+    blocks = xy.mirror_blocks(J, orbits)
+    trailing = None
+    if not any(diag[keep[1:]].any() or part[1:].any()
+               for (keep, _, _, _, _), part in zip(orbits, parts)):
+        trailing = [(np.linalg.eigvalsh(b[1:, 1:]) if len(b) > 1
+                     else np.empty(0), _partners(len(b))) for b in blocks]
+    return orbits, blocks, parts, trailing
 
 
 def _walk_weights(split: tuple, gamma: float, diag: np.ndarray,
@@ -139,15 +153,69 @@ def _walk_weights(split: tuple, gamma: float, diag: np.ndarray,
 
     Each half's eigenvectors over the full basis are coef * q[idx], so
     p = v[row] (v^T psi0) = coef[row] q[idx[row]] (part^T q): two eigh of
-    about n/2 for a split walk, the full eigh of n otherwise.
+    about n/2 for a split walk, the full eigh of n otherwise.  With
+    trailing data and row on every half's first orbit, only q[0]^2 is read:
+    p = coef[row] part[0] q[0]^2 from _gauss_weights, one eigvalsh per half
+    instead.
     """
-    orbits, blocks, parts = split
-    halves = xy.mirror_eigensystems([gamma * b for b in blocks], orbits,
-                                    diag)
-    return (np.concatenate([w for w, _, _, _ in halves]),
-            np.concatenate([coef[row] * q[idx[row]] * (part @ q)
-                            for (_, q, idx, coef), part in zip(halves,
-                                                                parts)]))
+    orbits, blocks, parts, trailing = split
+    if trailing is None or any(idx[row] for _, _, _, idx, _ in orbits):
+        halves = xy.mirror_eigensystems([gamma * b for b in blocks], orbits,
+                                        diag)
+        return (np.concatenate([w for w, _, _, _ in halves]),
+                np.concatenate([coef[row] * q[idx[row]] * (part @ q)
+                                for (_, q, idx, coef), part in zip(halves,
+                                                                    parts)]))
+    ws, ps = [], []
+    for block, (_, _, _, _, coef), part, (nu, partners) in zip(
+            blocks, orbits, parts, trailing):
+        h = gamma * block
+        # the first orbit, site 0's, is the only one with a diagonal
+        h[0, 0] += diag[0]
+        w, g = _gauss_weights(np.linalg.eigvalsh(h),
+                              gamma * (nu if gamma >= 0 else nu[::-1]),
+                              partners)
+        ws.append(w)
+        ps.append(coef[row] * part[0] * g)
+    return np.concatenate(ws), np.concatenate(ps)
+
+
+def _partners(m: int) -> np.ndarray:
+    """The m x (m - 1) index of the eigenvalue that _gauss_weights pairs
+    with nu_j in row k: j for j < k, j + 1 for j >= k."""
+    j = np.arange(m - 1)
+    return j + (j >= np.arange(m)[:, None])
+
+
+def _gauss_weights(x: np.ndarray, nu: np.ndarray,
+                   partners: np.ndarray) -> tuple:
+    """(x, g) with g_k = <e0|x_k>^2 for a real symmetric h with ascending
+    eigenvalues x, from x and the ascending eigenvalues nu of h[1:, 1:]
+    alone (Golub & Welsch, Math. Comp. 23, 221 (1969)):
+
+        g_k = prod_j (x_k - nu_j) / prod_{l != k} (x_k - x_l).
+
+    Cauchy interlacing, x_j <= nu_j <= x_{j+1}, pairs nu_j with x_j for
+    j < k and with x_{j+1} for j >= k (the _partners of len(x)), so each
+    factor is a ratio in [0, 1].  An x_k that coincides with a nu_j to
+    rounding is invisible from e0; it is merged with that nu_j and dropped
+    from x, so exact degeneracies give no 0/0.
+    """
+    # max(-x[0], x[-1]) is max |x| for ascending x
+    tol = len(x) * _EPS * max(-x[0], x[-1])
+    num = x[:, None] - nu
+    if len(nu) and abs(num).min() <= tol:
+        # by interlacing, only x_j and x_{j+1} can meet nu_j
+        left, right = abs(x[:-1] - nu) <= tol, abs(x[1:] - nu) <= tol
+        keep_x, keep_nu = np.ones(len(x), bool), np.ones(len(nu), bool)
+        for j in np.flatnonzero(left | right):
+            if left[j] and keep_x[j]:
+                keep_x[j] = keep_nu[j] = False
+            elif right[j]:
+                keep_x[j + 1] = keep_nu[j] = False
+        x, nu = x[keep_x], nu[keep_nu]
+        num, partners = x[:, None] - nu, _partners(len(x))
+    return x, (num / (x[:, None] - x.take(partners))).prod(axis=1)
 
 
 def _walk_probability(weights: tuple, t):
@@ -208,6 +276,7 @@ class OptimizeResult:
     fidelity: float                 # at exactly (gamma, T) of config
     n_evaluations: int
     seed_fidelity: float
+    n_gamma_solves: int             # distinct gamma whose walk was solved
 
 
 def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
@@ -221,9 +290,9 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     T = pi sqrt(n/2).  Deterministic for a given rng_seed; the returned
     point is never worse than the analytic seed.  budget counts fidelity
     evaluations, the analytic seed included; box is a fraction in (0, 1).
-    Each distinct gamma costs one eigensystem of gamma J + diag, from the
-    _walk_split of J built once per call: two eigh of about n/2 for a
-    mirror-symmetric walk, else one of n.
+    Each distinct gamma costs one solve of gamma J + diag, from the
+    _walk_split of J built once per call: eigenvalues of the two mirror
+    halves alone for a 0 -> n - 1 transfer without fields, else eigh.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -286,4 +355,4 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     config = ProtocolConfig(gamma=g, sender=sender, receiver=receiver,
                             duration=t)
     return OptimizeResult(config=config, fidelity=f, n_evaluations=evals[0],
-                          seed_fidelity=seed_fid)
+                          seed_fidelity=seed_fid, n_gamma_solves=len(weights))

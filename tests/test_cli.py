@@ -181,6 +181,25 @@ class TestCouplingsCommand:
         assert len(table["rows"]) == 4 * 3 // 2
 
 
+class TestStrongDrive:
+    """Omega above 3 Omega eta_com + omega_com: mu_min clamps at 0."""
+
+    @pytest.mark.parametrize("line", ["mu_mhz = auto", "alpha_target = 0.5"])
+    def test_working_point_at_zero_detuning(self, tmp_path, capsys, line):
+        p = write_config(tmp_path, f"n_ions = 8\nrabi_total_mhz = 400\n"
+                                   f"{line}\n")
+        rc = cli.main(["couplings", "--config", p, "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        point = json.loads((tmp_path / "couplings_report.json")
+                           .read_text())["working_point"]
+        assert point["mu_min_rad_s"] == point["mu_rad_s"] == 0.0
+        if "alpha_target" in line:
+            # alpha(0) is already above the target
+            assert point["alpha_target_unreachable"] is True
+            assert point["alpha_achieved"] > 0.5
+            assert point["detuning_steps"] == 1
+
+
 class TestAlphaScanCommand:
     def test_alpha_monotone_in_mu(self, tmp_path):
         p = write_config(tmp_path, "n_ions = 6\nomega_z_mhz = 0.9\n"
@@ -450,6 +469,46 @@ class TestOptimizerDiagnostics:
                 assert case["seed_fidelity"] is None
 
 
+class TestRunDiagnostics:
+    @pytest.mark.parametrize("command, key, extra", [
+        ("noise", "cases", "n_samples = 3\n"),
+        ("transfer", "results", "couplings = both\n"),
+    ], ids=["noise", "transfer"])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_detuning_steps_and_gamma_solves(self, tmp_path, command, key,
+                                             extra, optimize):
+        p = write_config(tmp_path, f"n_list = 8\nbudget = 25\n{extra}"
+                                   f"optimize = {str(optimize).lower()}\n")
+        assert cli.main([command, "--config", p,
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"{command}_report.json")
+                            .read_text())
+        for case in report[key]:
+            if case.get("source") == "idealized":
+                # no trap, no bisection
+                assert case["detuning_steps"] is None
+            else:
+                assert 2 <= case["detuning_steps"] <= 60
+            if optimize:
+                assert 0 < case["n_gamma_solves"] <= case["n_evaluations"]
+            else:
+                assert case["n_gamma_solves"] is None
+
+    def test_reruns_in_one_process_do_not_leak(self, tmp_path):
+        # seed 0, seed 1, then seed 0 again in one process: nothing cached
+        # in one run reaches the next
+        p = write_config(tmp_path, "n_list = 8,12\nalpha_list = 0.3\n"
+                                   "n_samples = 4\nbudget = 30\n")
+        for seed, out in (("0", "a"), ("1", "b"), ("0", "c")):
+            assert cli.main(["noise", "--config", p, "--seed", seed,
+                             "--out", str(tmp_path / out)]) == 0
+        for name in ("noise.csv", "noise_report.json"):
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "c" / name,
+                               shallow=False)
+            assert not filecmp.cmp(tmp_path / "a" / name,
+                                   tmp_path / "b" / name, shallow=False)
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(ionchain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -472,6 +531,23 @@ def test_noise_run_loads_no_scipy(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", "import sys; from ionchain import cli; "
          f"rc = cli.main(['noise', '--config', {cfg!r}, '--out', "
+         f"{str(tmp_path / 'out')!r}]); print(rc, sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_transfer_run_loads_no_scipy(tmp_path):
+    # the walk weights of the tuner and of transfer_fidelity_at stay
+    # numpy-only: importing scipy.linalg would add 20 MB of peak RSS
+    src = str(Path(ionchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cfg = write_config(tmp_path, "n_list = 8\ncouplings = both\n"
+                                 "budget = 30\n")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from ionchain import cli; "
+         f"rc = cli.main(['transfer', '--config', {cfg!r}, '--out', "
          f"{str(tmp_path / 'out')!r}]); print(rc, sorted("
          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)

@@ -6,7 +6,7 @@ import ionchain as ic
 from ionchain.chain import max_stable_axial_frequency
 from ionchain.constants import HBAR
 from ionchain.couplings import (DegenerateFit, FitConvention, ResonantDetuning,
-                                fit_alpha_beta)
+                                _fit_pairs, fit_alpha_beta)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,55 @@ class TestFit:
         with pytest.raises(DegenerateFit):
             fit_alpha_beta(self.synthetic(2, 0.5))
 
+    @pytest.mark.parametrize("conv", list(FitConvention))
+    def test_power_law_matches_lstsq(self, working_point, conv):
+        # the closed-form beta = 0 fit against numpy's least squares on the
+        # same pairs, for a physical J that no power law fits exactly
+        trap, sol = working_point
+        j = ic.coupling_matrix(trap, ic.lamb_dicke(trap, sol), sol.mode_freqs)
+        j[0, 3] = j[3, 0] = 0.0
+        fit = fit_alpha_beta(j, convention=conv, positions=sol.positions_m)
+        i, k, r = _fit_pairs(len(j), conv, sol.positions_m)
+        keep = j[i, k] != 0
+        a = np.column_stack([np.ones(keep.sum()), -np.log(r[keep])])
+        y = np.log(np.abs(j[i, k][keep]))
+        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+        assert fit.alpha == pytest.approx(coef[1], rel=1e-13)
+        assert fit.residual == pytest.approx(
+            np.sqrt(np.mean((a @ coef - y) ** 2)), rel=1e-10)
+
+
+def full_matrix_bisection(trap, sol, target, conv, tol=1e-3, factor=20.0):
+    """(mu, alpha, steps) of the detuning bisection with the whole J and a
+    least-squares fit at every step: the path detuning_for_alpha replaces."""
+    steps = []
+
+    def alpha_at(mu):
+        steps.append(mu)
+        t = trap.with_(detuning_mu=mu)
+        j = ic.coupling_matrix(t, ic.lamb_dicke(t, sol), sol.mode_freqs)
+        i, k, r = _fit_pairs(len(j), conv, sol.positions_m)
+        a = np.column_stack([np.ones_like(r), -np.log(r)])
+        coef, *_ = np.linalg.lstsq(a, np.log(np.abs(j[i, k])), rcond=None)
+        return coef[1]
+
+    mu_lo, mu_hi = ic.min_detuning(trap, sol), factor * sol.mode_freqs[0]
+    a_lo = alpha_at(mu_lo)
+    if a_lo >= target:
+        return mu_lo, a_lo, len(steps)
+    a_hi = alpha_at(mu_hi)
+    if a_hi <= target:
+        return mu_hi, a_hi, len(steps)
+    while True:
+        mu = 0.5 * (mu_lo + mu_hi)
+        a = alpha_at(mu)
+        if abs(a - target) < tol or (mu_hi - mu_lo) < 1e-6 * mu_lo:
+            return mu, a, len(steps)
+        if a < target:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+
 
 class TestDetuningSelection:
     def test_min_detuning_definition(self, working_point):
@@ -195,6 +244,42 @@ class TestDetuningSelection:
         trap, sol = working_point
         with pytest.raises(ValueError):
             ic.detuning_for_alpha(trap, sol, 0.0)
+
+    @pytest.mark.parametrize("conv", list(FitConvention))
+    def test_matches_full_matrix_bisection(self, working_point, conv):
+        trap, sol = working_point
+        for target in (0.3, 0.6, 1.0, 5.0):
+            mu, alpha, steps = full_matrix_bisection(trap, sol, target, conv)
+            res = ic.detuning_for_alpha(trap, sol, target, convention=conv)
+            assert res.mu == mu
+            assert res.steps == steps
+            # at mu_max = 20 omega_com the far pairs' J is a sum over modes
+            # that nearly cancels, so its rounding depends on the order of
+            # summation
+            assert res.alpha_achieved == pytest.approx(
+                alpha, rel=1e-10 if target == 5.0 else 1e-13)
+
+    def test_min_detuning_clamps_at_zero(self, working_point):
+        # Omega alone above 3 Omega eta_com + omega_com: every mu meets
+        # the bound
+        trap, sol = working_point
+        strong = trap.with_(rabi_total=2 * np.pi * 400e6)
+        assert ic.min_detuning(strong, sol) == 0.0
+        res = ic.detuning_for_alpha(strong, sol, 0.5)
+        assert (res.mu, res.target_unreachable, res.steps) == (0.0, True, 1)
+
+    def test_bracket_from_zero_detuning_ends(self, working_point):
+        # a target just above alpha(0) with no alpha tolerance: the bracket
+        # [0, mu_max] halves down to 1e-6 of omega_com, not of mu_lo
+        trap, sol = working_point
+        strong = trap.with_(rabi_total=2 * np.pi * 400e6)
+        a0 = ic.detuning_for_alpha(strong, sol, 0.5).alpha_achieved
+        res = ic.detuning_for_alpha(strong, sol, a0 + 1e-9, tol=0.0)
+        assert not res.target_unreachable
+        assert 0.0 < res.mu < 1e-2 * sol.mode_freqs[0]
+        # each step checks the bracket before halving it: 26 midpoints
+        # take 20 omega_com below 1e-6 omega_com
+        assert res.steps == 2 + 26
 
 
 class TestBuildModel:

@@ -61,6 +61,18 @@ class TestSampling:
         long = nz.sample_static_fields(9, c, 2)
         assert np.array_equal(short, long[:6])
 
+    def test_field_block_is_the_per_sample_draws(self):
+        # each sample's draw at m sites is a prefix of its draw at 52, so
+        # one block per run serves every chain length bit for bit
+        for seed in range(5):
+            c = nz.NoiseConfig(rng_seed=seed, n_samples=200)
+            block = nz.static_field_block(52, c)
+            assert block.shape == (52, 200)
+            for k in range(200):
+                for m in (1, 2, 3, 8, 13, 51, 52):
+                    assert np.array_equal(block[:m, k],
+                                          nz.sample_static_fields(m, c, k))
+
     def test_moments(self):
         c = nz.NoiseConfig(t2=10e-3, rng_seed=1)
         draws = np.concatenate(
@@ -174,6 +186,14 @@ class TestEnsemble:
                                        nz.NoiseConfig(n_samples=limit + 1))
         # the limit itself is accepted
         nz.check_ensemble_size(8, limit)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_longer_field_block_gives_the_same_ensemble(self, n):
+        j, cfg = config(n=n)
+        noise = nz.NoiseConfig(t2=1e-3, n_samples=30, rng_seed=4)
+        block = nz.static_field_block(52, noise)
+        assert nz.noisy_transfer_ensemble(j, None, cfg, noise, block) \
+            == nz.noisy_transfer_ensemble(j, None, cfg, noise)
 
     def test_deterministic_given_seed(self):
         j, cfg = config(n=8)

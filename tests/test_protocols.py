@@ -200,16 +200,27 @@ def full_transfer_weights(hs, sender, receiver):
 
 def eigh_sizes(monkeypatch, fn, *args, **kwargs):
     """fn(*args, **kwargs) and the sizes of the eigh calls it made."""
-    sizes, eigh = [], np.linalg.eigh
+    out, sizes, _ = solver_sizes(monkeypatch, fn, *args, **kwargs)
+    return out, sizes
 
-    def counting_eigh(a, *a_args, **a_kwargs):
-        sizes.append(len(a))
-        return eigh(a, *a_args, **a_kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+def solver_sizes(monkeypatch, fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the sizes of the matrices it passed to eigh
+    and to eigvalsh."""
+    calls = {"eigh": [], "eigvalsh": []}
+
+    def counting(name, solver):
+        def solve(a, *a_args, **a_kwargs):
+            calls[name].append(len(a))
+            return solver(a, *a_args, **a_kwargs)
+        return solve
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
     out = fn(*args, **kwargs)
     monkeypatch.undo()
-    return out, sizes
+    return out, calls["eigh"], calls["eigvalsh"]
 
 
 class TestMirrorTransferWeights:
@@ -221,14 +232,17 @@ class TestMirrorTransferWeights:
     def test_split_matches_full_eigh(self, monkeypatch, n):
         j = normalized_walk(n, 0.4)
         diag = pr._search_diagonal(n, [0, n - 1])
-        (w, p), sizes = eigh_sizes(monkeypatch, self.weights, j, 0.9, 0,
-                                   n - 1, diag)
-        assert sizes == [(n + 1) // 2, n // 2]
+        half = (n + 1) // 2
+        (w, p), eigh, eigvalsh = solver_sizes(monkeypatch, self.weights, j,
+                                              0.9, 0, n - 1, diag)
+        # each half's block without its first orbit, then each half
+        assert eigh == []
+        assert eigvalsh == [half - 1, n // 2 - 1, half, n // 2]
         w_full, p_full = full_transfer_weights(
             pr.search_hamiltonian(j, 0.9, [0, n - 1]), 0, n - 1)
         assert np.max(np.abs(np.sort(w) - w_full)) < 1e-14
         # p = [v_e[0]^2 / 2, -v_o[0]^2 / 2]
-        assert np.all(p[:sizes[0]] > 0) and np.all(p[sizes[0]:] < 0)
+        assert np.all(p[:half] > 0) and np.all(p[half:] < 0)
         times = np.linspace(0.0, 3 * pr.transfer_time(n), 50)
         assert np.max(np.abs(pr._walk_probability((w, p), times)
                              - pr._walk_probability((w_full, p_full), times))) \
@@ -256,6 +270,65 @@ class TestMirrorTransferWeights:
             hs = hs + np.diag(extra)
         assert f == float(pr._walk_probability(
             full_transfer_weights(hs, 0, receiver), 2.3))
+
+
+def walk_amplitude(weights, times):
+    w, p = weights
+    return p @ np.exp(-1j * np.multiply.outer(w, times))
+
+
+class TestGaussWeights:
+    """The eigenvalue-only weights of a 0 -> n - 1 transfer walk."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 52, 200])
+    def test_amplitudes_match_full_eigh(self, monkeypatch, n):
+        times = np.linspace(0.0, 3 * pr.transfer_time(n), 41)
+        diag = pr._search_diagonal(n, [0, n - 1])
+
+        def errors():
+            for alpha in (0.05, 0.4, 3.0):
+                j = normalized_walk(n, alpha)
+                split = pr._walk_split(j, diag, pr._site_state(n, 0))
+                assert split[3] is not None
+                for gamma in (0.5, 1.0, 1.7):
+                    ref = full_transfer_weights(
+                        pr.search_hamiltonian(j, gamma, [0, n - 1]), 0, n - 1)
+                    yield np.max(np.abs(
+                        walk_amplitude(pr._walk_weights(split, gamma, diag,
+                                                        n - 1), times)
+                        - walk_amplitude(ref, times)))
+
+        out, eigh, _ = solver_sizes(monkeypatch, lambda: list(errors()))
+        assert eigh == [n] * 9
+        assert max(out) < 1e-12
+
+    def test_negative_gamma_matches_expm(self):
+        n = 9
+        j = normalized_walk(n, 0.4)
+        hs = pr.search_hamiltonian(j, -0.8, [0, n - 1])
+        f = pr.transfer_fidelity_at(j, -0.8, 2.3, 0, n - 1)
+        assert f == pytest.approx(abs(expm(-1j * hs * 2.3)[n - 1, 0]) ** 2,
+                                  abs=1e-13)
+
+    def test_decoupled_mirror_pairs(self):
+        # two mirror pairs with no couplings: each half holds two exactly
+        # degenerate eigenvalues, shared with its trailing block, that
+        # site 0 cannot see
+        n = 10
+        j = normalized_walk(n, 0.4)
+        for site in (2, 3):
+            j[[site, n - 1 - site]] = 0.0
+            j[:, [site, n - 1 - site]] = 0.0
+        diag = pr._search_diagonal(n, [0, n - 1])
+        split = pr._walk_split(j, diag, pr._site_state(n, 0))
+        w, p = pr._walk_weights(split, 0.9, diag, n - 1)
+        assert np.all(np.isfinite(p)) and len(w) == n - 4
+        hs = pr.search_hamiltonian(j, 0.9, [0, n - 1])
+        for t in (0.5, 2.3, 7.0, 20.0):
+            ref = expm(-1j * hs * t)[n - 1, 0]
+            assert abs(walk_amplitude((w, p), t) - ref) < 1e-13
+            assert pr.transfer_fidelity_at(j, 0.9, t, 0, n - 1) \
+                == pytest.approx(abs(ref) ** 2, abs=1e-13)
 
 
 def full_walk_probability(hs, row, psi0, times):
@@ -386,25 +459,22 @@ class TestOptimizeProtocol:
         n = 12
         j = normalized_walk(n, 0.3)
         gammas = []
-        solved_sizes = []
-        walk_weights, eigh = pr._walk_weights, np.linalg.eigh
+        walk_weights = pr._walk_weights
 
         def recording_weights(split, gamma, *args):
             gammas.append(gamma)
             return walk_weights(split, gamma, *args)
 
-        def counting_eigh(a, *args, **kwargs):
-            solved_sizes.append(len(a))
-            return eigh(a, *args, **kwargs)
-
         monkeypatch.setattr(pr, "_walk_weights", recording_weights)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        out = pr.optimize_protocol(j, None, 0, n - 1, budget=120)
-        monkeypatch.undo()
-        # every searched gamma is diagonalised once, as its two mirror
-        # halves
-        assert len(set(gammas)) == len(gammas)
-        assert solved_sizes == [n // 2] * (2 * len(gammas))
+        out, eigh, eigvalsh = solver_sizes(monkeypatch, pr.optimize_protocol,
+                                           j, None, 0, n - 1, budget=120)
+        # the halves without their first orbit and the analytic gamma's
+        # walk once, then every searched gamma once, as its two mirror
+        # halves, eigenvalues only
+        assert len(set(gammas)) == len(gammas) == out.n_gamma_solves
+        assert eigh == []
+        assert eigvalsh == [n // 2 - 1] * 2 + [n] \
+            + [n // 2] * (2 * len(gammas))
         assert out.config.gamma in gammas
         assert out.n_evaluations > len(gammas)
 
