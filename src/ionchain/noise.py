@@ -9,24 +9,28 @@ import numpy as np
 
 from . import protocols, xy
 
-# the largest n x (n_samples + 1) block of float64 field offsets that
-# noisy_transfer_ensemble allocates: 256 MiB, 645 000 samples at N = 52
+# the largest float64 n x n_samples field block and n x (n_samples + 1)
+# offset block that a noise ensemble holds at once: 256 MiB, about 322 000
+# samples at N = 52
 ENSEMBLE_BYTES_LIMIT = 2**28
 
 
 class EnsembleTooLarge(RuntimeError):
-    """A noise ensemble whose offset block exceeds ENSEMBLE_BYTES_LIMIT."""
+    """A noise ensemble whose field and offset blocks exceed
+    ENSEMBLE_BYTES_LIMIT."""
 
 
 def check_ensemble_size(n: int, n_samples: int) -> None:
     """Raise EnsembleTooLarge, before anything is allocated or sampled, if
-    the ensemble's n x (n_samples + 1) offset block exceeds
+    the ensemble's n x n_samples field block and n x (n_samples + 1)
+    offset block, both alive while it propagates, exceed
     ENSEMBLE_BYTES_LIMIT."""
-    nbytes = 8 * n * (n_samples + 1)
+    nbytes = 8 * n * (2 * n_samples + 1)
     if nbytes > ENSEMBLE_BYTES_LIMIT:
         raise EnsembleTooLarge(
-            f"{n_samples} samples at N = {n} need a {nbytes}-byte offset "
-            f"block, above ENSEMBLE_BYTES_LIMIT = {ENSEMBLE_BYTES_LIMIT}")
+            f"{n_samples} samples at N = {n} need {nbytes} bytes of field "
+            f"and offset blocks, above ENSEMBLE_BYTES_LIMIT = "
+            f"{ENSEMBLE_BYTES_LIMIT}")
 
 
 @dataclass(frozen=True)

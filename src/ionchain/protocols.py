@@ -4,6 +4,7 @@ subspace, with the analytic reduced model and derivative-free tuning of
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,12 @@ from . import xy
 MIRROR_TOL = 1e-12
 
 _EPS = np.finfo(float).eps
+
+# the bytes of gamma-scaled mirror blocks that one eigvalsh stack of
+# _walk_weights may hold; the products' two temporaries are about as large.
+# At N = 52 (six gammas per stack) a 1 MiB stack of all 24 scatter gammas
+# ran no faster and held 0.25 MB more at peak
+_STACK_BYTES = 1 << 16
 
 
 @dataclass
@@ -120,10 +127,11 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     MIRROR_TOL relative: mirror-symmetric couplings and markers, no fields.
     Otherwise the identity's one half is the whole walk.  When the diagonal
     and the psi0 part of every half sit on its first orbit alone (every
-    0 -> n - 1 transfer without fields), trailing holds per half the
-    ascending eigenvalues of its J block without that orbit and their
-    _partners.  A walk above xy.DENSE_LIMIT is refused before any block is
-    built.
+    0 -> n - 1 transfer without fields), trailing holds per size of the
+    halves (one for an even n) their stacked J blocks, the ascending
+    eigenvalues of each block without its first orbit, their _partners and
+    each half's coef and first part entry.  A walk above xy.DENSE_LIMIT is
+    refused before any block is built.
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
@@ -133,51 +141,105 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
             f"eigh needs at least {16 * n ** 2} bytes")
     mirrored = abs(J - J[::-1, ::-1]).max() <= MIRROR_TOL * abs(J).max() \
         and abs(diag - diag[::-1]).max() <= MIRROR_TOL * abs(diag).max()
-    rows = np.arange(n)
-    orbits = xy.mirror_orbits(rows[::-1] if mirrored else rows, np.ones(n))
+    orbits = _walk_orbits(n, bool(mirrored))
     parts = [xy.mirror_part(psi0, idx, coef, len(keep))
              for keep, _, _, idx, coef in orbits]
     blocks = xy.mirror_blocks(J, orbits)
     trailing = None
     if not any(diag[keep[1:]].any() or part[1:].any()
                for (keep, _, _, _, _), part in zip(orbits, parts)):
-        trailing = [(np.linalg.eigvalsh(b[1:, 1:]) if len(b) > 1
-                     else np.empty(0), _partners(len(b))) for b in blocks]
+        trailing = []
+        # the halves of an even walk have one size and are solved as one
+        # stack; a half of its own size keeps no stack axis
+        for m in dict.fromkeys(map(len, blocks)):
+            group = [i for i, b in enumerate(blocks) if len(b) == m]
+            stack, coefs, part0 = (
+                np.stack(a) if len(group) > 1 else a[0]
+                for a in ([blocks[i] for i in group],
+                          [orbits[i][4] for i in group],
+                          [parts[i][0] for i in group]))
+            if len(group) > 1:
+                # the blocks become views of their stack, held once
+                for i, block in zip(group, stack):
+                    blocks[i] = block
+            nu = np.linalg.eigvalsh(stack[..., 1:, 1:]) if m > 1 \
+                else np.empty(stack.shape[:-2] + (0,))
+            trailing.append((stack, nu, _partners(m), coefs, part0))
     return orbits, blocks, parts, trailing
 
 
-def _walk_weights(split: tuple, gamma: float, diag: np.ndarray,
-                  row: int) -> tuple:
+@functools.lru_cache(maxsize=64)
+def _walk_orbits(n: int, mirrored: bool) -> tuple:
+    """xy.mirror_orbits of the reversal of n sites, or of the identity (one
+    half) for a walk that is not mirrored: built once per process,
+    read-only."""
+    rows = np.arange(n)
+    orbits = tuple(xy.mirror_orbits(rows[::-1] if mirrored else rows,
+                                    np.ones(n)))
+    for half in orbits:
+        for a in half:
+            a.flags.writeable = False
+    return orbits
+
+
+def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int):
     """(w, p) with <row| e^{-i(gamma J + diag(diag))t} |psi0> =
-    sum_k p_k e^{-i w_k t}, from the _walk_split of J, diag and psi0.
+    sum_k p_k e^{-i w_k t}, from the _walk_split of J, diag and psi0; for a
+    1-D array of gammas, the list of their (w, p).
 
     Each half's eigenvectors over the full basis are coef * q[idx], so
     p = v[row] (v^T psi0) = coef[row] q[idx[row]] (part^T q): two eigh of
-    about n/2 for a split walk, the full eigh of n otherwise.  With
-    trailing data and row on every half's first orbit, only q[0]^2 is read:
-    p = coef[row] part[0] q[0]^2 from _gauss_weights, one eigvalsh per half
-    instead.
+    about n/2 per gamma for a split walk, the full eigh of n otherwise.
+    With trailing data and row on every half's first orbit, only q[0]^2 is
+    read: p = coef[row] part[0] q[0]^2 from _gauss_weights, one eigvalsh
+    per half for all the gammas at once instead, and each gamma's (w, p)
+    bit for bit as when it is solved alone.
     """
     orbits, blocks, parts, trailing = split
     if trailing is None or any(idx[row] for _, _, _, idx, _ in orbits):
+        if np.ndim(gamma):
+            return [_walk_weights(split, g, diag, row) for g in gamma]
         halves = xy.mirror_eigensystems([gamma * b for b in blocks], orbits,
                                         diag)
         return (np.concatenate([w for w, _, _, _ in halves]),
                 np.concatenate([coef[row] * q[idx[row]] * (part @ q)
                                 for (_, q, idx, coef), part in zip(halves,
                                                                     parts)]))
-    ws, ps = [], []
-    for block, (_, _, _, _, coef), part, (nu, partners) in zip(
-            blocks, orbits, parts, trailing):
-        h = gamma * block
+    gamma = np.asarray(gamma, dtype=float)
+    # at most _STACK_BYTES of gamma-scaled blocks at once: a large walk
+    # solves its stack a few gammas (or one) at a time
+    rows = max(1, _STACK_BYTES // sum(stack.nbytes for stack, *_ in trailing))
+    if gamma.ndim and len(gamma) > rows:
+        return [wp for i in range(0, len(gamma), rows)
+                for wp in _walk_weights(split, gamma[i:i + rows], diag, row)]
+    ws, ps, keeps = [], [], []
+    for stack, nu, partners, coefs, part0 in trailing:
+        h = np.multiply.outer(gamma, stack)
         # the first orbit, site 0's, is the only one with a diagonal
-        h[0, 0] += diag[0]
-        w, g = _gauss_weights(np.linalg.eigvalsh(h),
-                              gamma * (nu if gamma >= 0 else nu[::-1]),
-                              partners)
-        ws.append(w)
-        ps.append(coef[row] * part[0] * g)
-    return np.concatenate(ws), np.concatenate(ps)
+        h[..., 0, 0] += diag[0]
+        x = np.linalg.eigvalsh(h)
+        # freed before the products' temporaries, of about its size
+        del h
+        nus = np.multiply.outer(gamma, nu)
+        # reverses gamma nu to ascending order where gamma < 0
+        nus.sort()
+        g, keep = _gauss_weights(x, nus, partners)
+        # a stack's halves side by side, in the order of orbits
+        shape = gamma.shape + (-1,)
+        ws.append(x.reshape(shape))
+        ps.append(((coefs[..., row] * part0)[..., None] * g).reshape(shape))
+        keeps.append(keep if keep is None else keep.reshape(shape))
+    w, p = np.concatenate(ws, axis=-1), np.concatenate(ps, axis=-1)
+    keep = None if all(k is None for k in keeps) else np.concatenate(
+        [np.ones(x.shape, bool) if k is None else k
+         for x, k in zip(ws, keeps)], axis=-1)
+    if w.ndim == 1:
+        return (w, p) if keep is None else (w[keep], p[keep])
+    out = list(zip(w, p))
+    if keep is not None:
+        for s in np.flatnonzero(~keep.all(axis=-1)):
+            out[s] = w[s, keep[s]], p[s, keep[s]]
+    return out
 
 
 def _partners(m: int) -> np.ndarray:
@@ -189,33 +251,53 @@ def _partners(m: int) -> np.ndarray:
 
 def _gauss_weights(x: np.ndarray, nu: np.ndarray,
                    partners: np.ndarray) -> tuple:
-    """(x, g) with g_k = <e0|x_k>^2 for a real symmetric h with ascending
-    eigenvalues x, from x and the ascending eigenvalues nu of h[1:, 1:]
-    alone (Golub & Welsch, Math. Comp. 23, 221 (1969)):
+    """(g, keep) with g_k = <e0|x_k>^2 for a real symmetric h with
+    ascending eigenvalues x, from x and the ascending eigenvalues nu of
+    h[1:, 1:] alone (Golub & Welsch, Math. Comp. 23, 221 (1969)):
 
         g_k = prod_j (x_k - nu_j) / prod_{l != k} (x_k - x_l).
 
     Cauchy interlacing, x_j <= nu_j <= x_{j+1}, pairs nu_j with x_j for
-    j < k and with x_{j+1} for j >= k (the _partners of len(x)), so each
-    factor is a ratio in [0, 1].  An x_k that coincides with a nu_j to
-    rounding is invisible from e0; it is merged with that nu_j and dropped
-    from x, so exact degeneracies give no 0/0.
+    j < k and with x_{j+1} for j >= k (the _partners of x.shape[-1]), so
+    each factor is a ratio in [0, 1].  An x_k that coincides with a nu_j to
+    rounding is invisible from e0; it is merged with that nu_j and
+    dropped, so exact degeneracies give no 0/0.  keep is None when no x is
+    dropped, else the mask of the x kept (g is 0 off it).  Leading axes of
+    x and nu stack several h.
     """
+    m = x.shape[-1]
     # max(-x[0], x[-1]) is max |x| for ascending x
-    tol = len(x) * _EPS * max(-x[0], x[-1])
-    num = x[:, None] - nu
-    if len(nu) and abs(num).min() <= tol:
+    tol = m * _EPS * np.maximum(-x[..., :1], x[..., -1:])
+    num = x[..., :, None] - nu[..., None, :]
+    if not (abs(num) <= tol[..., None]).any():
+        return _interlaced_products(x, num, partners), None
+    # each h may drop a different count: one at a time
+    g, keep = np.zeros_like(x), np.ones(x.shape, bool)
+    for xs, ns, t, gs, ks in zip(x.reshape(-1, m), nu.reshape(-1, m - 1),
+                                 tol.ravel(), g.reshape(-1, m),
+                                 keep.reshape(-1, m)):
         # by interlacing, only x_j and x_{j+1} can meet nu_j
-        left, right = abs(x[:-1] - nu) <= tol, abs(x[1:] - nu) <= tol
-        keep_x, keep_nu = np.ones(len(x), bool), np.ones(len(nu), bool)
+        left, right = abs(xs[:-1] - ns) <= t, abs(xs[1:] - ns) <= t
+        keep_nu = np.ones(m - 1, bool)
         for j in np.flatnonzero(left | right):
-            if left[j] and keep_x[j]:
-                keep_x[j] = keep_nu[j] = False
+            if left[j] and ks[j]:
+                ks[j] = keep_nu[j] = False
             elif right[j]:
-                keep_x[j + 1] = keep_nu[j] = False
-        x, nu = x[keep_x], nu[keep_nu]
-        num, partners = x[:, None] - nu, _partners(len(x))
-    return x, (num / (x[:, None] - x.take(partners))).prod(axis=1)
+                ks[j + 1] = keep_nu[j] = False
+        xs, ns = xs[ks], ns[keep_nu]
+        gs[ks] = _interlaced_products(xs, xs[:, None] - ns,
+                                      _partners(len(xs)))
+    return g, keep
+
+
+def _interlaced_products(x: np.ndarray, num: np.ndarray,
+                         partners: np.ndarray) -> np.ndarray:
+    """The _gauss_weights products for x, with num = x[..., :, None] - nu;
+    num is overwritten."""
+    # one buffer for the denominators, then the ratios in num
+    den = np.take(x, partners, axis=-1)
+    np.subtract(x[..., :, None], den, out=den)
+    return np.divide(num, den, out=num).prod(axis=-1)
 
 
 def _walk_probability(weights: tuple, t):
@@ -292,7 +374,8 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     evaluations, the analytic seed included; box is a fraction in (0, 1).
     Each distinct gamma costs one solve of gamma J + diag, from the
     _walk_split of J built once per call: eigenvalues of the two mirror
-    halves alone for a 0 -> n - 1 transfer without fields, else eigh.
+    halves alone for a 0 -> n - 1 transfer without fields, else eigh.  The
+    scatter's gammas are solved together, the pattern search's one by one.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -326,8 +409,13 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
         width = box / n_scatter
         g_frac = rng.permutation(lows) + width * rng.random(n_scatter)
         t_frac = rng.permutation(lows) + width * rng.random(n_scatter)
-        for gf, tf in zip(g_frac, t_frac):
-            g, t = gamma0 * (1 + gf), t0 * (1 + tf)
+        gs, ts = gamma0 * (1 + g_frac), t0 * (1 + t_frac)
+        # every scatter gamma is known up front: the new ones are solved
+        # as one stack
+        new = [g for g in dict.fromkeys(gs.tolist()) if g not in weights]
+        weights.update(zip(new, _walk_weights(split, np.array(new), diag,
+                                              receiver)))
+        for g, t in zip(gs, ts):
             f = objective(g, t)
             if f > best[2]:
                 best = (g, t, f)

@@ -225,10 +225,9 @@ def fresh_equilibrium(n):
     return 0.5 * (u - u[::-1])
 
 
-def fresh_stable(t):
-    """Linear stability from a fresh solve and the full mode spectrum."""
-    if t.n_ions == 1:
-        return True
+def fresh_margin(t):
+    """The lowest squared transverse mode frequency of n >= 2 ions from a
+    fresh solve and the full mode spectrum."""
     u = fresh_equilibrium(t.n_ions)
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
@@ -236,7 +235,12 @@ def fresh_stable(t):
     k = inv3.copy()
     np.fill_diagonal(k, (min(t.omega_x, t.omega_y) / t.omega_z) ** 2
                      - np.sum(inv3, axis=1))
-    return np.min(np.linalg.eigh(k)[0] * t.omega_z**2) > 0
+    return np.min(np.linalg.eigh(k)[0] * t.omega_z**2)
+
+
+def fresh_stable(t):
+    """Linear stability from a fresh solve and the full mode spectrum."""
+    return t.n_ions == 1 or fresh_margin(t) > 0
 
 
 def fresh_max_stable(template, n):
@@ -255,10 +259,32 @@ def fresh_max_stable(template, n):
 
 
 class TestStability:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 52])
+    # every preset N (8 to 52 in steps of 4, 10 and 14) and a few more
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 10, 12, 14, 16, 20, 24, 28,
+                                   32, 36, 40, 44, 48, 52])
     def test_bisection_matches_fresh_solves(self, n):
+        for wx, wy in ((6.0, 5.0), (3.9, 3.25)):
+            t = trap(n, 0.5, wx_mhz=wx, wy_mhz=wy)
+            assert max_stable_axial_frequency(t, n) == fresh_max_stable(t, n)
+
+    @pytest.mark.parametrize("n", [3, 10, 31, 52])
+    def test_margin_matches_fresh_spectrum(self, n):
+        # the cached Coulomb floor against a full eigh at each omega_z of a
+        # sweep across the zig-zag boundary
         t = trap(n, 0.5)
-        assert max_stable_axial_frequency(t, n) == fresh_max_stable(t, n)
+        boundary = max_stable_axial_frequency(t, n)
+        omega_soft = min(t.omega_x, t.omega_y)
+        verdicts = []
+        sweep = np.concatenate([np.linspace(0.5, 1.5, 21),
+                                1 + np.linspace(-1e-3, 1e-3, 21)])
+        for wz in boundary * sweep:
+            tz = t.with_(n_ions=n, omega_z=min(wz, 0.999 * omega_soft))
+            ok, margin = ic.is_linear_stable(tz)
+            fresh = fresh_margin(tz)
+            assert abs(margin - fresh) <= 1e-12 * omega_soft**2
+            assert ok == (fresh > 0)
+            verdicts.append(ok)
+        assert True in verdicts and False in verdicts
 
     def test_known_stable_and_unstable_points(self):
         # the N=10 zig-zag boundary sits near omega_z = 2 pi * 1.088 MHz

@@ -213,6 +213,21 @@ class TestAlphaScanCommand:
         assert np.all(np.diff(mu) > 0)
         assert np.all(np.diff(alpha) > 0)
 
+    def test_zero_min_detuning_starts_at_zero(self, tmp_path):
+        # Omega alone exceeds the detuning bound: mu_min = 0, and the grid
+        # runs linearly from there
+        p = write_config(tmp_path, "n_ions = 8\nrabi_total_mhz = 400\n"
+                                   "scan_points = 6\n")
+        rc = cli.main(["alpha-scan", "--config", p, "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "alpha_scan_report.json").read_text())
+        assert report["mu_min_rad_s"] == 0.0
+        _, rows = read_table(tmp_path / "alpha_scan.csv")
+        mu = [float(r["mu_rad_s"]) for r in rows]
+        assert len(mu) == 6 and mu[0] == 0.0
+        assert np.all(np.diff(mu) > 0)
+        assert np.all(np.isfinite([float(r["alpha"]) for r in rows]))
+
 
 class TestLeakageCommand:
     def test_small_run(self, tmp_path):

@@ -175,7 +175,8 @@ class TestEnsemble:
 
     def test_oversized_ensemble_refused_before_sampling(self, monkeypatch):
         j, cfg = config(n=8)
-        limit = nz.ENSEMBLE_BYTES_LIMIT // (8 * 8) - 1
+        # the n x n_samples fields and the n x (n_samples + 1) offsets
+        limit = (nz.ENSEMBLE_BYTES_LIMIT // (8 * 8) - 1) // 2
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the size check")

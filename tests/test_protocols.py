@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -199,19 +201,23 @@ def full_transfer_weights(hs, sender, receiver):
 
 
 def eigh_sizes(monkeypatch, fn, *args, **kwargs):
-    """fn(*args, **kwargs) and the sizes of the eigh calls it made."""
-    out, sizes, _ = solver_sizes(monkeypatch, fn, *args, **kwargs)
-    return out, sizes
+    """fn(*args, **kwargs) and the sizes of the eigh calls it made, each
+    on a single matrix."""
+    out, calls, _ = solver_sizes(monkeypatch, fn, *args, **kwargs)
+    assert all(depth == 1 for _, depth in calls)
+    return out, [size for size, _ in calls]
 
 
 def solver_sizes(monkeypatch, fn, *args, **kwargs):
-    """fn(*args, **kwargs) and the sizes of the matrices it passed to eigh
-    and to eigvalsh."""
+    """fn(*args, **kwargs) and, per call to eigh and to eigvalsh, the
+    (size, stack depth) of the matrices it passed: depth 1 for a single
+    matrix, the count of matrices for a stack."""
     calls = {"eigh": [], "eigvalsh": []}
 
     def counting(name, solver):
         def solve(a, *a_args, **a_kwargs):
-            calls[name].append(len(a))
+            a = np.asarray(a)
+            calls[name].append((a.shape[-1], int(np.prod(a.shape[:-2]))))
             return solver(a, *a_args, **a_kwargs)
         return solve
 
@@ -235,9 +241,12 @@ class TestMirrorTransferWeights:
         half = (n + 1) // 2
         (w, p), eigh, eigvalsh = solver_sizes(monkeypatch, self.weights, j,
                                               0.9, 0, n - 1, diag)
-        # each half's block without its first orbit, then each half
+        # each half's block without its first orbit, then each half; two
+        # halves of one size as one stack
         assert eigh == []
-        assert eigvalsh == [half - 1, n // 2 - 1, half, n // 2]
+        assert eigvalsh == ([(half - 1, 1), (n // 2 - 1, 1), (half, 1),
+                             (n // 2, 1)] if n % 2 else
+                            [(half - 1, 2), (half, 2)])
         w_full, p_full = full_transfer_weights(
             pr.search_hamiltonian(j, 0.9, [0, n - 1]), 0, n - 1)
         assert np.max(np.abs(np.sort(w) - w_full)) < 1e-14
@@ -299,8 +308,52 @@ class TestGaussWeights:
                         - walk_amplitude(ref, times)))
 
         out, eigh, _ = solver_sizes(monkeypatch, lambda: list(errors()))
-        assert eigh == [n] * 9
+        assert eigh == [(n, 1)] * 9
         assert max(out) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 52, 200])
+    def test_stack_matches_single_gammas(self, n):
+        # one stacked eigvalsh per half size gives each gamma's weights bit
+        # for bit as when it is solved alone
+        diag = pr._search_diagonal(n, [0, n - 1])
+        gammas = [0.5, 1.0, 1.7, -0.8, 1.0 + 2e-16]
+        for alpha in (0.05, 0.4, 3.0):
+            split = pr._walk_split(normalized_walk(n, alpha), diag,
+                                   pr._site_state(n, 0))
+            stack = pr._walk_weights(split, gammas, diag, n - 1)
+            assert len(stack) == len(gammas)
+            for gamma, (w, p) in zip(gammas, stack):
+                w1, p1 = pr._walk_weights(split, gamma, diag, n - 1)
+                assert np.array_equal(w, w1) and np.array_equal(p, p1)
+
+    @pytest.mark.parametrize("n, rows", [(60, 4), (300, 1)])
+    def test_large_walk_stack_is_chunked(self, monkeypatch, n, rows):
+        # one gamma's two scaled halves take 16 (n / 2)^2 bytes: 14.4 kB at
+        # n = 60, so the tuner's 24 scatter gammas are solved four at a
+        # time; 360 kB at n = 300, so one at a time, not as one 8.6 MB
+        # stack with products' temporaries as large again
+        j = normalized_walk(n, 0.4)
+        tracemalloc.start()
+        try:
+            out, eigh, eigvalsh = solver_sizes(
+                monkeypatch, pr.optimize_protocol, j, None, 0, n - 1,
+                budget=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eigh == []
+        assert rows == max(1, pr._STACK_BYTES // (16 * (n // 2) ** 2))
+        # the split's trailing halves, the analytic gamma's walk, the seed,
+        # then the scatter
+        assert eigvalsh[:3] == [(n // 2 - 1, 2), (n, 1), (n // 2, 2)]
+        stacks = 24 // rows
+        assert eigvalsh[3:3 + stacks] == [(n // 2, 2 * rows)] * stacks
+        assert peak < 4 << 20
+        (g, t, f), n_evals, seed_fid, n_gammas = uncached_search(
+            j, 0, n - 1, budget=100)
+        assert (out.config.gamma, out.config.duration, out.fidelity,
+                out.n_evaluations, out.seed_fidelity, out.n_gamma_solves) \
+            == (g, t, f, n_evals, seed_fid, n_gammas)
 
     def test_negative_gamma_matches_expm(self):
         n = 9
@@ -321,14 +374,41 @@ class TestGaussWeights:
             j[:, [site, n - 1 - site]] = 0.0
         diag = pr._search_diagonal(n, [0, n - 1])
         split = pr._walk_split(j, diag, pr._site_state(n, 0))
-        w, p = pr._walk_weights(split, 0.9, diag, n - 1)
-        assert np.all(np.isfinite(p)) and len(w) == n - 4
-        hs = pr.search_hamiltonian(j, 0.9, [0, n - 1])
-        for t in (0.5, 2.3, 7.0, 20.0):
-            ref = expm(-1j * hs * t)[n - 1, 0]
-            assert abs(walk_amplitude((w, p), t) - ref) < 1e-13
-            assert pr.transfer_fidelity_at(j, 0.9, t, 0, n - 1) \
-                == pytest.approx(abs(ref) ** 2, abs=1e-13)
+        gammas = [0.9, 1.3, -0.7]
+        stack = pr._walk_weights(split, gammas, diag, n - 1)
+        for gamma, row in zip(gammas, stack):
+            w, p = pr._walk_weights(split, gamma, diag, n - 1)
+            assert np.all(np.isfinite(p)) and len(w) == n - 4
+            # every row of the stack merges, each one by itself
+            assert np.array_equal(row[0], w) and np.array_equal(row[1], p)
+            hs = pr.search_hamiltonian(j, gamma, [0, n - 1])
+            for t in (0.5, 2.3, 7.0, 20.0):
+                ref = expm(-1j * hs * t)[n - 1, 0]
+                assert abs(walk_amplitude((w, p), t) - ref) < 1e-13
+                assert pr.transfer_fidelity_at(j, gamma, t, 0, n - 1) \
+                    == pytest.approx(abs(ref) ** 2, abs=1e-13)
+
+    def test_merge_rows_among_clean_rows(self):
+        # a stack whose second row meets its trailing spectrum: the clean
+        # rows keep every eigenvalue and their stacked products, the merge
+        # row drops the one site 0 cannot see
+        n = 7
+        b = normalized_walk(n, 0.4)
+        decoupled = b.copy()
+        decoupled[3] = decoupled[:, 3] = 0.0
+        x = np.stack([np.linalg.eigvalsh(h) for h in (b, decoupled, 2 * b)])
+        nu = np.stack([np.linalg.eigvalsh(h[1:, 1:])
+                       for h in (b, decoupled, 2 * b)])
+        g, keep = pr._gauss_weights(x, nu, pr._partners(n))
+        assert keep.sum(axis=1).tolist() == [n, n - 1, n]
+        for s in range(3):
+            gs, ks = pr._gauss_weights(x[s], nu[s], pr._partners(n))
+            assert np.array_equal(gs, g[s])
+            assert (ks is None) == keep[s].all()
+        for h, gs, ks in zip((b, decoupled, 2 * b), g, keep):
+            v0 = np.linalg.eigh(h)[1][0]
+            assert np.max(np.abs(gs[ks] - v0[ks] ** 2)) < 1e-13
+            assert np.all(np.abs(v0[~ks]) < 1e-13)
 
 
 def full_walk_probability(hs, row, psi0, times):
@@ -411,13 +491,16 @@ class TestWalkEntryPoints:
 
 
 def uncached_search(j, sender, receiver, box=0.30, budget=200, rng_seed=0):
-    """optimize_protocol's search with a fresh eigh at every evaluation."""
+    """optimize_protocol's search with a fresh eigh at every evaluation:
+    (best, evaluations, seed fidelity, distinct gammas evaluated)."""
     n = j.shape[0]
     gamma0, t0 = pr.analytic_gamma(j), pr.transfer_time(n)
     evals = [0]
+    gammas = set()
 
     def objective(g, t):
         evals[0] += 1
+        gammas.add(g)
         return pr.transfer_fidelity_at(j, g, t, sender, receiver)
 
     best = (gamma0, t0, objective(gamma0, t0))
@@ -451,39 +534,59 @@ def uncached_search(j, sender, receiver, box=0.30, budget=200, rng_seed=0):
         if not improved:
             step_g /= 2
             step_t /= 2
-    return best, evals[0], seed_fid
+    return best, evals[0], seed_fid, len(gammas)
 
 
 class TestOptimizeProtocol:
     def test_one_eigh_per_distinct_gamma(self, monkeypatch):
         n = 12
         j = normalized_walk(n, 0.3)
-        gammas = []
+        gammas, depths = [], []
         walk_weights = pr._walk_weights
 
-        def recording_weights(split, gamma, *args):
-            gammas.append(gamma)
-            return walk_weights(split, gamma, *args)
+        def recording_weights(split, stack, *args):
+            gammas.extend(np.atleast_1d(stack))
+            depths.append(np.size(stack))
+            return walk_weights(split, stack, *args)
 
         monkeypatch.setattr(pr, "_walk_weights", recording_weights)
         out, eigh, eigvalsh = solver_sizes(monkeypatch, pr.optimize_protocol,
                                            j, None, 0, n - 1, budget=120)
         # the halves without their first orbit and the analytic gamma's
-        # walk once, then every searched gamma once, as its two mirror
-        # halves, eigenvalues only
+        # walk once; then the seed's gamma alone, the 24 scatter gammas as
+        # one stack and each pattern move's gamma alone, every one solved
+        # once as its two mirror halves (one stack at even n), eigenvalues
+        # only
         assert len(set(gammas)) == len(gammas) == out.n_gamma_solves
+        assert depths == [1, 24] + [1] * (len(gammas) - 25)
         assert eigh == []
-        assert eigvalsh == [n // 2 - 1] * 2 + [n] \
-            + [n // 2] * (2 * len(gammas))
+        assert eigvalsh == [(n // 2 - 1, 2), (n, 1)] \
+            + [(n // 2, 2 * depth) for depth in depths]
         assert out.config.gamma in gammas
         assert out.n_evaluations > len(gammas)
 
-        (g, t, f), n_evals, seed_fid = uncached_search(j, 0, n - 1,
-                                                       budget=120)
+        (g, t, f), n_evals, seed_fid, _ = uncached_search(j, 0, n - 1,
+                                                          budget=120)
         assert (out.config.gamma, out.config.duration) == (g, t)
         assert out.fidelity == f
         assert out.n_evaluations == n_evals
         assert out.seed_fidelity == seed_fid
+
+    @pytest.mark.parametrize("n", [8, 12, 31, 52, 10])
+    def test_matches_uncached_search(self, n):
+        j = normalized_walk(n, 0.4)
+        if n == 10:
+            # two decoupled mirror pairs: every scatter row merges
+            j[[2, 3, 6, 7]] = j[:, [2, 3, 6, 7]] = 0.0
+        for seed in range(4):
+            out = pr.optimize_protocol(j, None, 0, n - 1, rng_seed=seed)
+            (g, t, f), n_evals, seed_fid, n_gammas = uncached_search(
+                j, 0, n - 1, rng_seed=seed)
+            assert out.config == pr.ProtocolConfig(gamma=g, sender=0,
+                                                   receiver=n - 1,
+                                                   duration=t)
+            assert (out.fidelity, out.n_evaluations, out.seed_fidelity,
+                    out.n_gamma_solves) == (f, n_evals, seed_fid, n_gammas)
 
     def test_deterministic_and_never_worse_than_seed(self):
         n = 14
@@ -500,7 +603,8 @@ class TestOptimizeProtocol:
         n = 10
         j = normalized_walk(n, 0.3)
         out = pr.optimize_protocol(j, None, 0, n - 1, budget=budget)
-        (g, t, f), n_evals, _ = uncached_search(j, 0, n - 1, budget=budget)
+        (g, t, f), n_evals, _, _ = uncached_search(j, 0, n - 1,
+                                                   budget=budget)
         assert (out.config.gamma, out.config.duration, out.fidelity) \
             == (g, t, f)
         assert out.n_evaluations == n_evals <= budget
