@@ -219,20 +219,17 @@ def _transverse_floor(n: int) -> float:
     eigvalsh per n gives the lowest transverse mode of every trap.
     """
     u = _equilibrium_positions(n, EQUILIBRIUM_TOL, EQUILIBRIUM_MAX_ITER)
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    k = 1.0 / np.abs(d) ** 3
-    np.fill_diagonal(k, -np.sum(k, axis=1))
-    return float(np.linalg.eigvalsh(k)[0])
+    return float(np.linalg.eigvalsh(_transverse_hessian(u, 0.0))[0])
 
 
-def _transverse_hessian(trap: TrapConfig, positions: np.ndarray,
-                        omega_t: float) -> np.ndarray:
-    """Transverse Hessian in units of omega_z^2 for trap frequency omega_t."""
+def _transverse_hessian(positions: np.ndarray,
+                        ratio_sq: float) -> np.ndarray:
+    """Transverse Hessian in units of omega_z^2, ratio_sq I + C_n, for
+    ratio_sq = (omega_t / omega_z)^2."""
     d = positions[:, None] - positions[None, :]
     np.fill_diagonal(d, np.inf)
     k = 1.0 / np.abs(d) ** 3
-    np.fill_diagonal(k, (omega_t / trap.omega_z) ** 2 - np.sum(k, axis=1))
+    np.fill_diagonal(k, ratio_sq - np.sum(k, axis=1))
     return k
 
 
@@ -243,7 +240,8 @@ def _transverse_eigensystem(trap: TrapConfig, positions: np.ndarray,
     Returns (omega_sq, vectors) with omega_sq in rad^2/s^2, columns sorted by
     descending frequency with a deterministic tie-break.
     """
-    lam, vec = np.linalg.eigh(_transverse_hessian(trap, positions, omega_t))
+    lam, vec = np.linalg.eigh(
+        _transverse_hessian(positions, (omega_t / trap.omega_z) ** 2))
     omega_sq = lam * trap.omega_z**2
     order = np.argsort(-omega_sq, kind="stable")
     omega_sq = omega_sq[order]

@@ -81,30 +81,19 @@ def _p_bool(s):
     raise ConfigError(f"expected boolean, got '{s}'")
 
 
-def _p_float_or_auto(s):
-    return "auto" if s.lower() == "auto" else _p_float(s)
+def _or(word, value, parse):
+    """value for the word (any case), else parse."""
+    return lambda s: value if s.lower() == word else parse(s)
 
 
-def _p_opt_float(s):
-    return None if s.lower() == "none" else _p_float(s)
-
-
-def _p_opt_int(s):
-    return None if s.lower() == "none" else _p_int(s)
-
-
-def _p_int_list(s):
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("empty list")
-    return [_p_int(p) for p in parts]
-
-
-def _p_float_list(s):
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("empty list")
-    return [_p_float(p) for p in parts]
+def _list_of(parse):
+    """A non-empty comma-separated list of parse."""
+    def parse_list(s):
+        parts = [p.strip() for p in s.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError("empty list")
+        return [parse(p) for p in parts]
+    return parse_list
 
 
 def _at_least(parse, lo):
@@ -124,10 +113,6 @@ def _p_span(s):
     if not 0.0 < val < np.inf:
         raise ConfigError(f"expected a finite number > 0, got {val}")
     return val
-
-
-def _p_span_or_auto(s):
-    return "auto" if s.lower() == "auto" else _p_span(s)
 
 
 def _p_fraction(s):
@@ -151,13 +136,13 @@ TRAP_SCHEMA = {
     "mass_amu": (_p_float, 171.0),
     "omega_x_mhz": (_p_float, 6.0),
     "omega_y_mhz": (_p_float, 5.0),
-    "omega_z_mhz": (_p_float_or_auto, "auto"),
+    "omega_z_mhz": (_or("auto", "auto", _p_float), "auto"),
     "rabi_total_mhz": (_p_float, 1.0),
-    "mu_mhz": (_p_float_or_auto, 0.0),
-    "alpha_target": (_p_opt_float, None),
+    "mu_mhz": (_or("auto", "auto", _p_float), 0.0),
+    "alpha_target": (_or("none", None, _p_float), None),
     "delta_k": (_p_float, DELTA_K_355),
     "angular": (_p_bool, False),
-    "stability_safety": (_p_float, 1.0),
+    "stability_safety": (_p_span, 1.0),
 }
 
 SCHEMAS = {
@@ -169,23 +154,23 @@ SCHEMAS = {
         "fit_beta": (_p_bool, False),
     }),
     "alpha-scan": dict(TRAP_SCHEMA, **{
-        "scan_points": (_p_int, 25),
-        "mu_max_factor": (_p_float, 20.0),
+        "scan_points": (_at_least(_p_int, 1), 25),
+        "mu_max_factor": (_p_span, 20.0),
     }),
     "leakage": dict(TRAP_SCHEMA, **{
         "modes": (_p_int, 1),
         "fock_cutoff": (_p_int, 4),
-        "total_quanta": (_p_opt_int, None),
+        "total_quanta": (_or("none", None, _p_int), None),
         "s_init": (_p_int, 1),
         "periods": (_p_span, 4.0),
         "n_times": (_at_least(_p_int, 2), 3000),
-        "omega_c_pin_mhz": (_p_opt_float, None),
+        "omega_c_pin_mhz": (_or("none", None, _p_span), None),
         "r_lo": (_p_float, 0.999),
         "r_hi": (_p_float, 1.002),
         "integrator": (_p_choice("spectral", "rk"), "spectral"),
     }),
     "transfer": dict(TRAP_SCHEMA, **{
-        "n_list": (_at_least(_p_int_list, 3), list(range(8, 53, 4))),
+        "n_list": (_at_least(_list_of(_p_int), 3), list(range(8, 53, 4))),
         "couplings": (_p_choice("idealized", "experimental", "both"),
                       "idealized"),
         "optimize": (_p_bool, True),
@@ -194,17 +179,17 @@ SCHEMAS = {
     }),
     "search": dict(TRAP_SCHEMA, **{
         "couplings": (_p_choice("idealized", "experimental"), "idealized"),
-        "marked": (_p_opt_int, None),
-        "gamma": (_p_span_or_auto, "auto"),
+        "marked": (_or("none", None, _p_int), None),
+        "gamma": (_or("auto", "auto", _p_span), "auto"),
         "t_max_factor": (_p_span, 1.0),
         "n_times": (_at_least(_p_int, 2), 600),
     }),
     "noise": dict(TRAP_SCHEMA, **{
-        "n_list": (_at_least(_p_int_list, 3), list(range(8, 53, 4))),
-        "alpha_list": (_p_float_list, [0.2, 0.4, 0.6]),
+        "n_list": (_at_least(_list_of(_p_int), 3), list(range(8, 53, 4))),
+        "alpha_list": (_list_of(_p_float), [0.2, 0.4, 0.6]),
         "t2_ms": (_p_float, 10.0),
         "n_samples": (_p_int, 500),
-        "field_variance": (_p_opt_float, None),
+        "field_variance": (_or("none", None, _p_float), None),
         "optimize": (_p_bool, True),
         "budget": (_p_int, 200),
     }),
@@ -498,17 +483,16 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
                           f"r_lo = {r_bounds[0]}, r_hi = {r_bounds[1]}")
     trap, sol, info = resolve_working_point(cfg)
 
-    eta_bare = couplings.lamb_dicke(trap, sol)
-    subset = [0]
-    if cfg["modes"] == 2:
-        subset.append(_second_mode(trap, eta_bare, sol.mode_freqs))
-
     freqs_used = sol.mode_freqs.copy()
     pinned = cfg["omega_c_pin_mhz"] is not None
     if pinned:
         freqs_used[0] = cfg["omega_c_pin_mhz"] * _freq_scale(cfg)
     sol_used = replace(sol, mode_freqs=freqs_used)
     eta_used = couplings.lamb_dicke(trap, sol_used)
+    # the pin moves mode 0 alone, which _second_mode never picks
+    subset = [0]
+    if cfg["modes"] == 2:
+        subset.append(_second_mode(trap, eta_used, freqs_used))
 
     policy = sp.TruncationPolicy(phonon_modes=tuple(subset),
                                  fock_cutoff=cfg["fock_cutoff"],

@@ -106,12 +106,10 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     first.
     """
     check_ensemble_size(len(J), noise.n_samples)
-    # the noiseless protocol, the same sector run_transfer propagates
     sector = xy.build_single_excitation(protocols.search_hamiltonian(
         J, config.gamma, [config.sender, config.receiver], h=h))
     n = sector.dim
-    psi0 = np.zeros(n)
-    psi0[config.sender] = 1.0
+    psi0 = protocols._site_state(n, config.sender)
     if fields is None:
         fields = static_field_block(n, noise)
     # column 0 stays the noiseless protocol, column k + 1 is sample k

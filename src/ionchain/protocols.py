@@ -135,19 +135,16 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
-    if n > xy.DENSE_LIMIT:
-        raise xy.SectorTooLarge(
-            f"sector dim {n} exceeds DENSE_LIMIT = {xy.DENSE_LIMIT}: a dense "
-            f"eigh needs at least {16 * n ** 2} bytes")
+    xy.refuse_dense(n)
     mirrored = abs(J - J[::-1, ::-1]).max() <= MIRROR_TOL * abs(J).max() \
         and abs(diag - diag[::-1]).max() <= MIRROR_TOL * abs(diag).max()
     orbits = _walk_orbits(n, bool(mirrored))
-    parts = [xy.mirror_part(psi0, idx, coef, len(keep))
-             for keep, _, _, idx, coef in orbits]
+    parts = [xy.mirror_part(psi0, idx, coef, len(sites))
+             for sites, _, _, idx, coef in orbits]
     blocks = xy.mirror_blocks(J, orbits)
     trailing = None
-    if not any(diag[keep[1:]].any() or part[1:].any()
-               for (keep, _, _, _, _), part in zip(orbits, parts)):
+    if not any(diag[sites[1:]].any() or part[1:].any()
+               for (sites, _, _, _, _), part in zip(orbits, parts)):
         trailing = []
         # the halves of an even walk have one size and are solved as one
         # stack; a half of its own size keeps no stack axis
@@ -182,10 +179,11 @@ def _walk_orbits(n: int, mirrored: bool) -> tuple:
     return orbits
 
 
-def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int):
+def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int) -> tuple:
     """(w, p) with <row| e^{-i(gamma J + diag(diag))t} |psi0> =
-    sum_k p_k e^{-i w_k t}, from the _walk_split of J, diag and psi0; for a
-    1-D array of gammas, the list of their (w, p).
+    sum_k p_k e^{-i w_k t}, from the _walk_split of J, diag and psi0: arrays
+    of n entries for a float gamma, and of one row of n per gamma for a
+    1-D array of gammas.
 
     Each half's eigenvectors over the full basis are coef * q[idx], so
     p = v[row] (v^T psi0) = coef[row] q[idx[row]] (part^T q): two eigh of
@@ -196,9 +194,18 @@ def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int):
     bit for bit as when it is solved alone.
     """
     orbits, blocks, parts, trailing = split
-    if trailing is None or any(idx[row] for _, _, _, idx, _ in orbits):
-        if np.ndim(gamma):
-            return [_walk_weights(split, g, diag, row) for g in gamma]
+    full = trailing is None or any(idx[row] for _, _, _, idx, _ in orbits)
+    # at most _STACK_BYTES of gamma-scaled blocks at once: a large walk
+    # solves its stack a few gammas (or one) at a time, eigh one at a time
+    rows = 1 if full else max(1, _STACK_BYTES // sum(
+        stack.nbytes for stack, *_ in trailing))
+    if np.ndim(gamma) and (full or len(gamma) > rows):
+        w, p = np.empty((2, len(gamma), len(diag)))
+        for i in range(0, len(gamma), rows):
+            w[i:i + rows], p[i:i + rows] = _walk_weights(
+                split, gamma[i] if full else gamma[i:i + rows], diag, row)
+        return w, p
+    if full:
         halves = xy.mirror_eigensystems([gamma * b for b in blocks], orbits,
                                         diag)
         return (np.concatenate([w for w, _, _, _ in halves]),
@@ -206,13 +213,7 @@ def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int):
                                 for (_, q, idx, coef), part in zip(halves,
                                                                     parts)]))
     gamma = np.asarray(gamma, dtype=float)
-    # at most _STACK_BYTES of gamma-scaled blocks at once: a large walk
-    # solves its stack a few gammas (or one) at a time
-    rows = max(1, _STACK_BYTES // sum(stack.nbytes for stack, *_ in trailing))
-    if gamma.ndim and len(gamma) > rows:
-        return [wp for i in range(0, len(gamma), rows)
-                for wp in _walk_weights(split, gamma[i:i + rows], diag, row)]
-    ws, ps, keeps = [], [], []
+    ws, ps = [], []
     for stack, nu, partners, coefs, part0 in trailing:
         h = np.multiply.outer(gamma, stack)
         # the first orbit, site 0's, is the only one with a diagonal
@@ -223,23 +224,12 @@ def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int):
         nus = np.multiply.outer(gamma, nu)
         # reverses gamma nu to ascending order where gamma < 0
         nus.sort()
-        g, keep = _gauss_weights(x, nus, partners)
+        g = _gauss_weights(x, nus, partners)
         # a stack's halves side by side, in the order of orbits
         shape = gamma.shape + (-1,)
         ws.append(x.reshape(shape))
         ps.append(((coefs[..., row] * part0)[..., None] * g).reshape(shape))
-        keeps.append(keep if keep is None else keep.reshape(shape))
-    w, p = np.concatenate(ws, axis=-1), np.concatenate(ps, axis=-1)
-    keep = None if all(k is None for k in keeps) else np.concatenate(
-        [np.ones(x.shape, bool) if k is None else k
-         for x, k in zip(ws, keeps)], axis=-1)
-    if w.ndim == 1:
-        return (w, p) if keep is None else (w[keep], p[keep])
-    out = list(zip(w, p))
-    if keep is not None:
-        for s in np.flatnonzero(~keep.all(axis=-1)):
-            out[s] = w[s, keep[s]], p[s, keep[s]]
-    return out
+    return np.concatenate(ws, axis=-1), np.concatenate(ps, axis=-1)
 
 
 def _partners(m: int) -> np.ndarray:
@@ -250,44 +240,42 @@ def _partners(m: int) -> np.ndarray:
 
 
 def _gauss_weights(x: np.ndarray, nu: np.ndarray,
-                   partners: np.ndarray) -> tuple:
-    """(g, keep) with g_k = <e0|x_k>^2 for a real symmetric h with
-    ascending eigenvalues x, from x and the ascending eigenvalues nu of
-    h[1:, 1:] alone (Golub & Welsch, Math. Comp. 23, 221 (1969)):
+                   partners: np.ndarray) -> np.ndarray:
+    """g_k = <e0|x_k>^2 for a real symmetric h with ascending eigenvalues
+    x, from x and the ascending eigenvalues nu of h[1:, 1:] alone (Golub &
+    Welsch, Math. Comp. 23, 221 (1969)):
 
         g_k = prod_j (x_k - nu_j) / prod_{l != k} (x_k - x_l).
 
     Cauchy interlacing, x_j <= nu_j <= x_{j+1}, pairs nu_j with x_j for
     j < k and with x_{j+1} for j >= k (the _partners of x.shape[-1]), so
     each factor is a ratio in [0, 1].  An x_k that coincides with a nu_j to
-    rounding is invisible from e0; it is merged with that nu_j and
-    dropped, so exact degeneracies give no 0/0.  keep is None when no x is
-    dropped, else the mask of the x kept (g is 0 off it).  Leading axes of
-    x and nu stack several h.
+    rounding is invisible from e0; it is merged with that nu_j and keeps
+    g_k = 0, so exact degeneracies give no 0/0.  Leading axes of x and nu
+    stack several h.
     """
     m = x.shape[-1]
     # max(-x[0], x[-1]) is max |x| for ascending x
     tol = m * _EPS * np.maximum(-x[..., :1], x[..., -1:])
     num = x[..., :, None] - nu[..., None, :]
     if not (abs(num) <= tol[..., None]).any():
-        return _interlaced_products(x, num, partners), None
-    # each h may drop a different count: one at a time
-    g, keep = np.zeros_like(x), np.ones(x.shape, bool)
-    for xs, ns, t, gs, ks in zip(x.reshape(-1, m), nu.reshape(-1, m - 1),
-                                 tol.ravel(), g.reshape(-1, m),
-                                 keep.reshape(-1, m)):
+        return _interlaced_products(x, num, partners)
+    # each h may merge a different count: one at a time
+    g = np.zeros_like(x)
+    for xs, ns, t, gs in zip(x.reshape(-1, m), nu.reshape(-1, m - 1),
+                             tol.ravel(), g.reshape(-1, m)):
         # by interlacing, only x_j and x_{j+1} can meet nu_j
         left, right = abs(xs[:-1] - ns) <= t, abs(xs[1:] - ns) <= t
-        keep_nu = np.ones(m - 1, bool)
+        keep, keep_nu = np.ones(m, bool), np.ones(m - 1, bool)
         for j in np.flatnonzero(left | right):
-            if left[j] and ks[j]:
-                ks[j] = keep_nu[j] = False
+            if left[j] and keep[j]:
+                keep[j] = keep_nu[j] = False
             elif right[j]:
-                ks[j + 1] = keep_nu[j] = False
-        xs, ns = xs[ks], ns[keep_nu]
-        gs[ks] = _interlaced_products(xs, xs[:, None] - ns,
-                                      _partners(len(xs)))
-    return g, keep
+                keep[j + 1] = keep_nu[j] = False
+        xs, ns = xs[keep], ns[keep_nu]
+        gs[keep] = _interlaced_products(xs, xs[:, None] - ns,
+                                        _partners(len(xs)))
+    return g
 
 
 def _interlaced_products(x: np.ndarray, num: np.ndarray,
@@ -413,8 +401,8 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
         # every scatter gamma is known up front: the new ones are solved
         # as one stack
         new = [g for g in dict.fromkeys(gs.tolist()) if g not in weights]
-        weights.update(zip(new, _walk_weights(split, np.array(new), diag,
-                                              receiver)))
+        weights.update(zip(new, zip(*_walk_weights(split, np.array(new),
+                                                   diag, receiver))))
         for g, t in zip(gs, ts):
             f = objective(g, t)
             if f > best[2]:

@@ -54,6 +54,15 @@ class SectorTooLarge(RuntimeError):
     """A sector or spin-phonon basis too large for dense matrices."""
 
 
+def refuse_dense(dim: int) -> None:
+    """Raise SectorTooLarge if a dense eigh of dim exceeds DENSE_LIMIT."""
+    if dim > DENSE_LIMIT:
+        # the dense matrix and the eigenvectors, before any LAPACK workspace
+        raise SectorTooLarge(
+            f"sector dim {dim} exceeds DENSE_LIMIT = {DENSE_LIMIT}: a dense "
+            f"eigh needs at least {16 * dim ** 2} bytes")
+
+
 @dataclass
 class XYSector:
     """Fixed-excitation block of the XY Hamiltonian.
@@ -82,13 +91,7 @@ class XYSector:
         """Dense eigh of H, cached; raises SectorTooLarge above
         DENSE_LIMIT before allocating anything."""
         if self._eig is None:
-            if self.dim > DENSE_LIMIT:
-                # the dense matrix and the eigenvectors, before any
-                # LAPACK workspace
-                raise SectorTooLarge(
-                    f"sector dim {self.dim} exceeds DENSE_LIMIT = "
-                    f"{DENSE_LIMIT}: a dense eigh needs at least "
-                    f"{16 * self.dim ** 2} bytes")
+            refuse_dense(self.dim)
             h = self.H if isinstance(self.H, np.ndarray) else \
                 self.H.toarray()
             self._eig = np.linalg.eigh(h)

@@ -116,6 +116,25 @@ omega_z_mhz = 0.9   # trailing comment
         # refused before any work: nothing written
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("chain", "stability_safety", "0"),
+        ("leakage", "omega_c_pin_mhz", "-1"),
+        ("leakage", "omega_c_pin_mhz", "0"),
+        ("alpha-scan", "scan_points", "0"),
+        ("alpha-scan", "mu_max_factor", "0"),
+    ])
+    def test_out_of_range_value_exits_two(self, tmp_path, capsys, command,
+                                          key, value):
+        # each used to end in a traceback, a NaN cast, an empty table or
+        # numpy's message
+        p = write_config(tmp_path, f"n_ions = 4\nalpha_target = 0.5\n"
+                                   f"{key} = {value}\n")
+        rc = cli.main([command, "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"key '{key}'" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
     def test_defaults_fill_in(self):
         cfg = cli.resolve_config("chain", {})
         assert cfg["n_ions"] == 10

@@ -312,19 +312,27 @@ class TestGaussWeights:
         assert max(out) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 52, 200])
-    def test_stack_matches_single_gammas(self, n):
-        # one stacked eigvalsh per half size gives each gamma's weights bit
+    def test_stack_matches_single_gammas(self, monkeypatch, n):
+        # one stacked eigvalsh per half size (or, for a receiver that is
+        # not mirrored, one eigh per gamma) gives each gamma's weights bit
         # for bit as when it is solved alone
-        diag = pr._search_diagonal(n, [0, n - 1])
         gammas = [0.5, 1.0, 1.7, -0.8, 1.0 + 2e-16]
-        for alpha in (0.05, 0.4, 3.0):
-            split = pr._walk_split(normalized_walk(n, alpha), diag,
-                                   pr._site_state(n, 0))
-            stack = pr._walk_weights(split, gammas, diag, n - 1)
-            assert len(stack) == len(gammas)
-            for gamma, (w, p) in zip(gammas, stack):
-                w1, p1 = pr._walk_weights(split, gamma, diag, n - 1)
-                assert np.array_equal(w, w1) and np.array_equal(p, p1)
+        for receiver in range(max(1, n - 2), n):
+            diag = pr._search_diagonal(n, [0, receiver])
+            for alpha in (0.05, 0.4, 3.0):
+                split = pr._walk_split(normalized_walk(n, alpha), diag,
+                                       pr._site_state(n, 0))
+                (w, p), eigh, _ = solver_sizes(
+                    monkeypatch, pr._walk_weights, split, np.array(gammas),
+                    diag, receiver)
+                assert w.shape == p.shape == (len(gammas), n)
+                assert eigh == ([] if receiver == n - 1
+                                else [(n, 1)] * len(gammas))
+                for gamma, w_row, p_row in zip(gammas, w, p):
+                    w1, p1 = pr._walk_weights(split, gamma, diag, receiver)
+                    assert w1.shape == p1.shape == (n,)
+                    assert np.array_equal(w_row, w1)
+                    assert np.array_equal(p_row, p1)
 
     @pytest.mark.parametrize("n, rows", [(60, 4), (300, 1)])
     def test_large_walk_stack_is_chunked(self, monkeypatch, n, rows):
@@ -375,12 +383,15 @@ class TestGaussWeights:
         diag = pr._search_diagonal(n, [0, n - 1])
         split = pr._walk_split(j, diag, pr._site_state(n, 0))
         gammas = [0.9, 1.3, -0.7]
-        stack = pr._walk_weights(split, gammas, diag, n - 1)
-        for gamma, row in zip(gammas, stack):
+        w_stack, p_stack = pr._walk_weights(split, np.array(gammas), diag,
+                                            n - 1)
+        for gamma, w_row, p_row in zip(gammas, w_stack, p_stack):
             w, p = pr._walk_weights(split, gamma, diag, n - 1)
-            assert np.all(np.isfinite(p)) and len(w) == n - 4
+            # the four merged eigenvalues keep their slots, at weight 0
+            assert np.all(np.isfinite(p)) and len(w) == n
+            assert np.count_nonzero(p == 0.0) == 4
             # every row of the stack merges, each one by itself
-            assert np.array_equal(row[0], w) and np.array_equal(row[1], p)
+            assert np.array_equal(w_row, w) and np.array_equal(p_row, p)
             hs = pr.search_hamiltonian(j, gamma, [0, n - 1])
             for t in (0.5, 2.3, 7.0, 20.0):
                 ref = expm(-1j * hs * t)[n - 1, 0]
@@ -390,8 +401,8 @@ class TestGaussWeights:
 
     def test_merge_rows_among_clean_rows(self):
         # a stack whose second row meets its trailing spectrum: the clean
-        # rows keep every eigenvalue and their stacked products, the merge
-        # row drops the one site 0 cannot see
+        # rows keep their stacked products, the merge row gives the one
+        # eigenvalue site 0 cannot see a weight of exactly 0
         n = 7
         b = normalized_walk(n, 0.4)
         decoupled = b.copy()
@@ -399,16 +410,17 @@ class TestGaussWeights:
         x = np.stack([np.linalg.eigvalsh(h) for h in (b, decoupled, 2 * b)])
         nu = np.stack([np.linalg.eigvalsh(h[1:, 1:])
                        for h in (b, decoupled, 2 * b)])
-        g, keep = pr._gauss_weights(x, nu, pr._partners(n))
-        assert keep.sum(axis=1).tolist() == [n, n - 1, n]
+        g = pr._gauss_weights(x, nu, pr._partners(n))
+        assert g.shape == (3, n)
+        assert np.count_nonzero(g == 0.0, axis=1).tolist() == [0, 1, 0]
         for s in range(3):
-            gs, ks = pr._gauss_weights(x[s], nu[s], pr._partners(n))
-            assert np.array_equal(gs, g[s])
-            assert (ks is None) == keep[s].all()
-        for h, gs, ks in zip((b, decoupled, 2 * b), g, keep):
+            assert np.array_equal(pr._gauss_weights(x[s], nu[s],
+                                                    pr._partners(n)), g[s])
+        for h, gs in zip((b, decoupled, 2 * b), g):
             v0 = np.linalg.eigh(h)[1][0]
-            assert np.max(np.abs(gs[ks] - v0[ks] ** 2)) < 1e-13
-            assert np.all(np.abs(v0[~ks]) < 1e-13)
+            assert np.max(np.abs(gs - v0 ** 2)) < 1e-13
+            # a merged slot belongs to an eigenvector site 0 cannot see
+            assert np.all(np.abs(v0[gs == 0]) < 1e-13)
 
 
 def full_walk_probability(hs, row, psi0, times):
