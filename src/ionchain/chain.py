@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import AMU, E_CHARGE, EPSILON_0
 
-# solve_equilibrium's default residual target and Newton step limit
+# the Newton iteration's residual target and step limit
 EQUILIBRIUM_TOL = 1e-13
 EQUILIBRIUM_MAX_ITER = 200
 
@@ -83,8 +83,7 @@ class TrapConfig:
 DELTA_K_355 = 4 * np.pi / 355e-9
 
 
-def reference_trap(n_ions: int, omega_z: float, detuning_mu: float = 0.0,
-               mass_amu: float = 171.0) -> TrapConfig:
+def reference_trap(n_ions: int, omega_z: float) -> TrapConfig:
     """Trap with the fixed Yb-171 experimental parameters used throughout.
 
     omega_x = 2pi*6 MHz, omega_y = 2pi*5 MHz, Omega_total = 2pi*1 MHz,
@@ -92,13 +91,13 @@ def reference_trap(n_ions: int, omega_z: float, detuning_mu: float = 0.0,
     """
     return TrapConfig(
         n_ions=n_ions,
-        ion_mass=mass_amu * AMU,
+        ion_mass=171.0 * AMU,
         omega_x=2 * np.pi * 6e6,
         omega_y=2 * np.pi * 5e6,
         omega_z=omega_z,
         delta_k=DELTA_K_355,
         rabi_total=2 * np.pi * 1e6,
-        detuning_mu=detuning_mu,
+        detuning_mu=0.0,
     )
 
 
@@ -159,8 +158,18 @@ def _axial_hessian(u: np.ndarray) -> np.ndarray:
     return h
 
 
+def _equilibrium_gate(u: np.ndarray) -> float:
+    """Largest force on an ion at which positions u are an equilibrium:
+    1e-12 max(1, |u|), or the rounding floor of the O(N) Coulomb sums,
+    N eps max_i sum_j 1/d_ij^2 (Higham 2002, ch. 4), where larger."""
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    floor = len(u) * np.finfo(float).eps * np.max(np.sum(d**-2, axis=1))
+    return max(1e-12 * max(1.0, float(np.max(np.abs(u)))), float(floor))
+
+
 @functools.lru_cache(maxsize=64)
-def _equilibrium_positions(n: int, tol: float, max_iter: int) -> np.ndarray:
+def _equilibrium_positions(n: int) -> np.ndarray:
     """Dimensionless equilibrium of n >= 2 ions, read-only.
 
     The dimensionless potential depends on n alone, so one solve serves every
@@ -170,7 +179,7 @@ def _equilibrium_positions(n: int, tol: float, max_iter: int) -> np.ndarray:
     g = _gradient(u)
     res = np.max(np.abs(g))
     it = 0
-    while it < max_iter and res > tol:
+    while it < EQUILIBRIUM_MAX_ITER and res > EQUILIBRIUM_TOL:
         step = np.linalg.solve(_axial_hessian(u), g)
         lam = 1.0
         while lam > 1e-8:
@@ -185,9 +194,7 @@ def _equilibrium_positions(n: int, tol: float, max_iter: int) -> np.ndarray:
         else:
             break
         it += 1
-    # the stall level of the residual grows with the force on the end ions,
-    # which equals their distance from the trap centre
-    if res > 1e-12 * max(1.0, float(np.max(np.abs(u)))):
+    if res > _equilibrium_gate(u):
         raise NonConvergence(res, it)
     # enforce exact reflection symmetry of the symmetric minimiser
     u = 0.5 * (u - u[::-1])
@@ -195,16 +202,15 @@ def _equilibrium_positions(n: int, tol: float, max_iter: int) -> np.ndarray:
     return u
 
 
-def solve_equilibrium(trap: TrapConfig, tol: float = EQUILIBRIUM_TOL,
-                      max_iter: int = EQUILIBRIUM_MAX_ITER) -> ChainSolution:
+def solve_equilibrium(trap: TrapConfig) -> ChainSolution:
     """Minimise the dimensionless axial potential with damped Newton iteration.
 
     Initial guess: even spacing with half-extent scaling as N^0.56.  The
-    iteration stops at residual tol or after max_iter steps; it fails if the
-    residual is then above 1e-12 times the largest force on an ion.
+    iteration stops at residual EQUILIBRIUM_TOL or after EQUILIBRIUM_MAX_ITER
+    steps; it fails if the residual is then above _equilibrium_gate.
     """
     n = trap.n_ions
-    u = np.zeros(1) if n == 1 else _equilibrium_positions(n, tol, max_iter)
+    u = np.zeros(1) if n == 1 else _equilibrium_positions(n)
     return ChainSolution(positions=u.copy(), length_scale=length_scale(trap))
 
 
@@ -212,13 +218,13 @@ def solve_equilibrium(trap: TrapConfig, tol: float = EQUILIBRIUM_TOL,
 def _transverse_floor(n: int) -> float:
     """Lowest eigenvalue of the Coulomb part C_n = K - diag(K 1) of the
     transverse Hessian of n >= 2 ions, K_ij = 1/|u_i - u_j|^3 at the
-    positions solve_equilibrium gives at its default tol and max_iter.
+    positions solve_equilibrium gives.
 
     The Hessian in units of omega_z^2 is (omega_t / omega_z)^2 I + C_n, and
     C_n depends on n alone (James, Appl. Phys. B 66, 181 (1998)), so one
     eigvalsh per n gives the lowest transverse mode of every trap.
     """
-    u = _equilibrium_positions(n, EQUILIBRIUM_TOL, EQUILIBRIUM_MAX_ITER)
+    u = _equilibrium_positions(n)
     return float(np.linalg.eigvalsh(_transverse_hessian(u, 0.0))[0])
 
 
@@ -262,19 +268,15 @@ def transverse_phonon_modes(trap: TrapConfig, chain: ChainSolution,
     axis selects the transverse trap frequency; the laser couples to x.
     Raises UnstableChain if any squared frequency is non-positive.
     """
-    if np.max(np.abs(_gradient(chain.positions))) > 1e-10 and trap.n_ions > 1:
+    u = chain.positions
+    if trap.n_ions > 1 and np.max(np.abs(_gradient(u))) > _equilibrium_gate(u):
         raise ValueError("positions are not an equilibrium configuration")
     omega_t = {"x": trap.omega_x, "y": trap.omega_y}[axis]
-    omega_sq, vec = _transverse_eigensystem(trap, chain.positions, omega_t)
+    omega_sq, vec = _transverse_eigensystem(trap, u, omega_t)
     if np.min(omega_sq) <= 0:
         raise UnstableChain(
             f"lowest transverse eigenvalue {np.min(omega_sq):.3e} <= 0")
-    return ChainSolution(
-        positions=chain.positions,
-        length_scale=chain.length_scale,
-        mode_matrix=vec,
-        mode_freqs=np.sqrt(omega_sq),
-    )
+    return replace(chain, mode_matrix=vec, mode_freqs=np.sqrt(omega_sq))
 
 
 def is_linear_stable(trap: TrapConfig) -> tuple[bool, float]:
@@ -286,9 +288,7 @@ def is_linear_stable(trap: TrapConfig) -> tuple[bool, float]:
     """
     if trap.n_ions == 1:
         return True, min(trap.omega_x, trap.omega_y) ** 2
-    # the margin needs only _transverse_floor, which raises the same
-    # NonConvergence; the call is kept because perfbench/test_perfbench.py
-    # asserts the traced chain
+    # unused: perfbench asserts the traced chain
     # max_stable_axial_frequency -> is_linear_stable -> solve_equilibrium
     solve_equilibrium(trap)
     omega_soft = min(trap.omega_x, trap.omega_y)
@@ -303,8 +303,7 @@ def solve_chain(trap: TrapConfig) -> ChainSolution:
 
 
 def max_stable_axial_frequency(trap_template: TrapConfig, n_ions: int,
-                               safety: float = 1.0,
-                               rel_tol: float = 1e-4) -> float:
+                               safety: float = 1.0) -> float:
     """Largest omega_z keeping the linear chain stable, found by bisection.
 
     The exponential decay factor beta of the couplings decreases
@@ -320,7 +319,7 @@ def max_stable_axial_frequency(trap_template: TrapConfig, n_ions: int,
         raise NoStablePoint(f"chain unstable even at omega_z={lo:.3e}")
     if is_linear_stable(trap.with_(omega_z=hi))[0]:
         return hi / safety
-    while (hi - lo) > rel_tol * lo:
+    while (hi - lo) > 1e-4 * lo:
         mid = 0.5 * (lo + hi)
         if is_linear_stable(trap.with_(omega_z=mid))[0]:
             lo = mid

@@ -133,14 +133,14 @@ def _p_choice(*options):
 
 TRAP_SCHEMA = {
     "n_ions": (_p_int, 10),
-    "mass_amu": (_p_float, 171.0),
-    "omega_x_mhz": (_p_float, 6.0),
-    "omega_y_mhz": (_p_float, 5.0),
-    "omega_z_mhz": (_or("auto", "auto", _p_float), "auto"),
-    "rabi_total_mhz": (_p_float, 1.0),
+    "mass_amu": (_p_span, 171.0),
+    "omega_x_mhz": (_p_span, 6.0),
+    "omega_y_mhz": (_p_span, 5.0),
+    "omega_z_mhz": (_or("auto", "auto", _p_span), "auto"),
+    "rabi_total_mhz": (_p_span, 1.0),
     "mu_mhz": (_or("auto", "auto", _p_float), 0.0),
     "alpha_target": (_or("none", None, _p_float), None),
-    "delta_k": (_p_float, DELTA_K_355),
+    "delta_k": (_p_span, DELTA_K_355),
     "angular": (_p_bool, False),
     "stability_safety": (_p_span, 1.0),
 }
@@ -440,10 +440,11 @@ def cmd_alpha_scan(cfg, ctx: OutputContext) -> None:
     # a geometric grid cannot start at mu_min = 0 (a strong Rabi frequency)
     mu_grid = np.geomspace(mu_min, mu_max, cfg["scan_points"]) if mu_min > 0 \
         else np.linspace(0.0, mu_max, cfg["scan_points"])
+    # the Lamb-Dicke matrix does not depend on mu
+    eta = couplings.lamb_dicke(trap, sol)
     rows = []
     for mu in mu_grid:
         t = trap.with_(detuning_mu=float(mu))
-        eta = couplings.lamb_dicke(t, sol)
         j = couplings.coupling_matrix(t, eta, sol.mode_freqs)
         fit = couplings.fit_alpha_beta(j)
         rows.append((float(mu), t.omega_eff, fit.alpha))
@@ -526,11 +527,9 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
 
     ren = leakage.renormalized_couplings(trap, eta_used, freqs_used, fit.r,
                                          mode_subset=subset)
-    j_sub = couplings.coupling_matrix(trap, eta_used, freqs_used,
-                                      mode_subset=subset)
     h_sub = couplings.local_fields(trap, eta_used, freqs_used,
                                    mode_subset=subset)
-    sector = xy.build_sector(j_sub, h_sub, s)
+    sector = xy.build_sector(ren.J, h_sub, s)
     sector_ren = xy.build_sector(ren.J_prime, h_sub, s)
     psi_xy0 = np.zeros(sector.dim, dtype=complex)
     psi_xy0[sector.index_of((1 << s) - 1)] = 1.0
@@ -555,7 +554,7 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
         "r_minus_1": fit.r - 1.0,
         "fit_residual": fit.residual,
         "J_prime_factor_mean": ren.factor_summary,
-        "per_pair_factors": (ren.J_prime[iu] / j_sub[iu]).tolist(),
+        "per_pair_factors": (ren.J_prime[iu] / ren.J[iu]).tolist(),
         **diagnostics,
         "fit_residual_over_power": (fit.residual / fit.power
                                     if fit.power > 0 else 0.0),
@@ -565,14 +564,12 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
 def _walk_couplings(cfg, n: int, trap_and_chain=None):
     """Normalised walk matrix for one chain length; experimental or ideal.
 
-    The walk matrix of the physical XY Hamiltonian is xy.hop_amplitudes(J),
-    divided here by its largest eigenvalue so the analytic gamma is 1 and
-    scaled times are comparable across N.  Returns
-    (J_walk, scale_rad_s, alpha_used, detuning_steps); scale_rad_s converts
-    walk time units to seconds, and it and detuning_steps, the alpha
-    evaluations of the detuning bisection, are None for idealized couplings,
-    which have no physical scale.  trap_and_chain is passed on to
-    resolve_working_point.
+    xy.hop_amplitudes(J), the walk matrix of the physical XY Hamiltonian,
+    over its largest eigenvalue: the analytic gamma is 1 and scaled times
+    compare across N.  Returns (J_walk, scale_rad_s, alpha_used,
+    detuning_steps); scale_rad_s converts walk time units to seconds, and it
+    and detuning_steps (alpha evaluations of the detuning bisection) are None
+    for idealized couplings.  trap_and_chain goes to resolve_working_point.
     """
     alpha = cfg["alpha_target"] if cfg["alpha_target"] is not None else 0.2
     if cfg["couplings"] == "idealized":
@@ -581,8 +578,8 @@ def _walk_couplings(cfg, n: int, trap_and_chain=None):
         return j / lam, None, alpha, None
     sub = dict(cfg, n_ions=n, alpha_target=alpha)
     trap, sol, info = resolve_working_point(sub, trap_and_chain)
-    model = couplings.build_coupling_model(trap, sol)
-    j_phys = xy.hop_amplitudes(model.J)
+    j_phys = xy.hop_amplitudes(couplings.coupling_matrix(
+        trap, couplings.lamb_dicke(trap, sol), sol.mode_freqs))
     lam = 1.0 / protocols.analytic_gamma(j_phys)
     return j_phys / lam, lam, info["alpha_achieved"], info["detuning_steps"]
 

@@ -11,6 +11,9 @@ import numpy as np
 from .chain import ChainSolution, TrapConfig
 from .constants import HBAR
 
+# omega_eff may come no closer to a mode than this fraction of its frequency
+RESONANCE_TOL = 1e-5
+
 
 class ResonantDetuning(RuntimeError):
     """omega_eff is too close to a phonon mode frequency."""
@@ -66,23 +69,26 @@ def lamb_dicke(trap: TrapConfig, chain: ChainSolution) -> np.ndarray:
     return trap.delta_k * b * np.sqrt(HBAR / (2.0 * trap.ion_mass * w))[None, :]
 
 
-def _check_resonance(omega_eff: float, mode_freqs: np.ndarray,
-                     eps_res: float) -> None:
-    bad = np.abs(omega_eff - mode_freqs) < eps_res * mode_freqs
+def _resonant(omega_eff: float, mode_freqs: np.ndarray) -> np.ndarray:
+    return np.abs(omega_eff - mode_freqs) < RESONANCE_TOL * mode_freqs
+
+
+def _check_resonance(omega_eff: float, mode_freqs: np.ndarray) -> None:
+    bad = _resonant(omega_eff, mode_freqs)
     if np.any(bad):
         m = int(np.argmax(bad))
         raise ResonantDetuning(
-            f"omega_eff={omega_eff:.6e} within {eps_res:.1e} of mode "
+            f"omega_eff={omega_eff:.6e} within {RESONANCE_TOL:.1e} of mode "
             f"{m} at {mode_freqs[m]:.6e} rad/s")
 
 
 def coupling_matrix(trap: TrapConfig, eta: np.ndarray, mode_freqs: np.ndarray,
-                    mode_subset=None, eps_res: float = 1e-5) -> np.ndarray:
+                    mode_subset=None) -> np.ndarray:
     """J_ij = sum_m Omega^2 eta_im eta_jm omega_m / (8 (omega_eff^2 - omega_m^2))."""
     modes = np.arange(len(mode_freqs)) if mode_subset is None \
         else np.asarray(mode_subset, dtype=int)
     w = mode_freqs[modes]
-    _check_resonance(trap.omega_eff, w, eps_res)
+    _check_resonance(trap.omega_eff, w)
     e = eta[:, modes]
     weights = w / (8.0 * (trap.omega_eff**2 - w**2))
     j = trap.rabi**2 * (e * weights[None, :]) @ e.T
@@ -92,13 +98,12 @@ def coupling_matrix(trap: TrapConfig, eta: np.ndarray, mode_freqs: np.ndarray,
 
 
 def local_fields(trap: TrapConfig, eta: np.ndarray, mode_freqs: np.ndarray,
-                 n_init: int = 0, mode_subset=None,
-                 eps_res: float = 1e-5) -> np.ndarray:
+                 n_init: int = 0, mode_subset=None) -> np.ndarray:
     """h_j = sum_m Omega^2 eta_jm^2 omega_eff / (4 (omega_eff^2 - omega_m^2)) (2n+1)."""
     modes = np.arange(len(mode_freqs)) if mode_subset is None \
         else np.asarray(mode_subset, dtype=int)
     w = mode_freqs[modes]
-    _check_resonance(trap.omega_eff, w, eps_res)
+    _check_resonance(trap.omega_eff, w)
     e = eta[:, modes]
     weights = trap.omega_eff / (4.0 * (trap.omega_eff**2 - w**2))
     return trap.rabi**2 * (2 * n_init + 1) * (e**2) @ weights
@@ -203,13 +208,19 @@ def min_detuning(trap: TrapConfig, chain: ChainSolution) -> float:
     Defined by omega_eff(mu_min) = 3 Omega eta_com + omega_com, with eta_com
     the (uniform) coupling of each ion to the centre-of-mass mode.  Where
     Omega alone already exceeds that bound, every mu >= 0 meets it and
-    mu_min = 0.
+    mu_min = 0.  Where that lies inside the resonance guard (at large N), the
+    guard's edge, raised by ulps until _check_resonance passes, is used.
     """
     omega_com = chain.mode_freqs[0]
     eta = lamb_dicke(trap, chain)
     eta_com = float(np.abs(eta[0, 0]))
     target = 3.0 * trap.rabi * eta_com + omega_com
-    return float(np.sqrt(max(target**2 - trap.rabi**2, 0.0)))
+    mu = float(np.sqrt(max(target**2 - trap.rabi**2, 0.0)))
+    edge = omega_com * (1.0 + RESONANCE_TOL)
+    while np.any(_resonant(np.hypot(trap.rabi, mu), chain.mode_freqs)):
+        mu = float(np.sqrt(max(edge**2 - trap.rabi**2, 0.0)))
+        edge = np.nextafter(edge, np.inf)
+    return mu
 
 
 @dataclass
@@ -223,17 +234,15 @@ class DetuningResult:
 def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
                        alpha_target: float,
                        convention: FitConvention = FitConvention.END_ION_CHAIN_INDEX,
-                       tol: float = 1e-3,
-                       mu_max_factor: float = 20.0) -> DetuningResult:
-    """Bisection on mu over [mu_min, mu_max] to hit a target power-law alpha.
+                       tol: float = 1e-3) -> DetuningResult:
+    """Bisection on mu over [mu_min, 20 omega_com] for a target power-law alpha.
 
     alpha(mu) is monotonically non-decreasing on this interval for
     reference-parameter chains; when mu_min binds, the result is clamped there
-    and flagged.  Each step is the fit_alpha_beta alpha of the
-    coupling_matrix at mu, with the resonance check, on the fit
-    convention's pairs alone (chain.positions_m for the axial one): their
-    Lamb-Dicke products and distances are built once per bisection.  The bracket stops shrinking below 1e-6 of
-    max(mu_lo, omega_com), so a bracket from mu_min = 0 ends too.
+    and flagged.  Each step is the fit_alpha_beta alpha of the resonance-
+    checked coupling_matrix at mu on the fit convention's pairs alone, whose
+    Lamb-Dicke products and distances are built once.  The bracket stops
+    below 1e-6 of max(mu_lo, omega_com), so one from mu_min = 0 ends too.
     """
     if alpha_target <= 0:
         raise ValueError("alpha_target must be > 0")
@@ -250,12 +259,12 @@ def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
         nonlocal steps
         steps += 1
         omega_eff = np.hypot(trap.rabi, mu)
-        _check_resonance(omega_eff, w, 1e-5)
+        _check_resonance(omega_eff, w)
         vals = trap.rabi**2 * (products @ (w / (8.0 * (omega_eff**2 - w**2))))
         return _power_law_fit(r, vals)[0]
 
     mu_lo = min_detuning(trap, chain)
-    mu_hi = mu_max_factor * w[0]
+    mu_hi = 20.0 * w[0]
     a_lo = alpha_at(mu_lo)
     if a_lo >= alpha_target:
         return DetuningResult(mu_lo, a_lo, True, steps)

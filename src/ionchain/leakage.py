@@ -188,10 +188,9 @@ def fit_effective_frequency_two_modes(times: np.ndarray, e_sim: np.ndarray,
 
 @dataclass
 class RenormalizationResult:
-    r: float
+    J: np.ndarray               # bare couplings over the included modes
     J_prime: np.ndarray
     factor_summary: float       # mean of J'_ij / J_ij over pairs
-    r_below_one: bool = False
 
 
 def renormalized_couplings(trap: TrapConfig, eta: np.ndarray,
@@ -216,6 +215,5 @@ def renormalized_couplings(trap: TrapConfig, eta: np.ndarray,
         + coupling_matrix(trap, eta, mode_freqs, mode_subset=plain)
     iu = np.triu_indices(j.shape[0], k=1)
     factor = float(np.mean(j_prime[iu] / j[iu]))
-    return RenormalizationResult(r=r, J_prime=j_prime, factor_summary=factor,
-                                 r_below_one=r < 1.0)
+    return RenormalizationResult(J=j, J_prime=j_prime, factor_summary=factor)
 

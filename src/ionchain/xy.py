@@ -72,7 +72,6 @@ class XYSector:
     """
 
     n_sites: int
-    excitations: int
     basis: np.ndarray          # int64 bitmasks
     H: object                  # Hermitian, rad/s: ndarray or CSR array
     _eig: tuple | None = None
@@ -101,7 +100,6 @@ class XYSector:
 @dataclass
 class StateVector:
     amplitudes: np.ndarray
-    sector: XYSector | None = None
 
     @property
     def norm(self) -> float:
@@ -136,7 +134,7 @@ def build_single_excitation(J: np.ndarray) -> XYSector:
     kept.
     """
     n = J.shape[0]
-    return XYSector(n_sites=n, excitations=1, basis=sector_basis(n, 1),
+    return XYSector(n_sites=n, basis=sector_basis(n, 1),
                     H=np.array(J, dtype=float))
 
 
@@ -186,7 +184,7 @@ def build_sector(J: np.ndarray, h: np.ndarray | None, s: int) -> XYSector:
                      np.take_along_axis(cols, order, axis=1).ravel(),
                      np.arange(0, dim * width + 1, width, dtype=index)),
                     shape=(dim, dim))
-    return XYSector(n_sites=n, excitations=s, basis=basis, H=ham)
+    return XYSector(n_sites=n, basis=basis, H=ham)
 
 
 def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -485,8 +483,7 @@ def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
     """psi(t) = exp(-i H t) psi0 by the Chebyshev series: no eigensystem,
     only products with the sector's (sparse) H."""
-    return StateVector(amplitudes=chebyshev(sector.H, psi0, t),
-                       sector=sector)
+    return StateVector(amplitudes=chebyshev(sector.H, psi0, t))
 
 
 def evolve_grid(sector: XYSector, psi0: np.ndarray,

@@ -5,8 +5,8 @@ from scipy.optimize import minimize
 import ionchain as ic
 from ionchain import chain as chain_module
 from ionchain.chain import (NoStablePoint, NonConvergence, UnstableChain,
-                            _axial_hessian, _gradient, _potential,
-                            max_stable_axial_frequency)
+                            _axial_hessian, _equilibrium_gate, _gradient,
+                            _potential, max_stable_axial_frequency)
 from ionchain.constants import AMU, E_CHARGE, EPSILON_0
 
 
@@ -95,21 +95,32 @@ class TestEquilibrium:
         assert sol.positions_m == pytest.approx(
             sol.positions * ic.length_scale(t))
 
-    def test_nonconvergence_reports_residual(self):
-        with pytest.raises(NonConvergence):
-            ic.solve_equilibrium(trap(30, 1.0), max_iter=1)
+    @pytest.fixture
+    def fresh_solves(self):
+        # the cached equilibria were solved with the unpatched solver
+        chain_module._equilibrium_positions.cache_clear()
+        yield
+        chain_module._equilibrium_positions.cache_clear()
 
-    def test_nonconvergence_reports_steps_taken(self, monkeypatch):
+    def test_nonconvergence_reports_residual(self, monkeypatch,
+                                             fresh_solves):
+        monkeypatch.setattr(chain_module, "EQUILIBRIUM_MAX_ITER", 1)
+        with pytest.raises(NonConvergence):
+            ic.solve_equilibrium(trap(30, 1.0))
+
+    def test_nonconvergence_reports_steps_taken(self, monkeypatch,
+                                                fresh_solves):
         # force errors of 1e-9, drawn afresh on every evaluation, that no
-        # step can remove: the line search gives up long before max_iter
+        # step can remove: the line search gives up long before the limit
         rng = np.random.default_rng(0)
 
         def noisy_gradient(u):
             return _gradient(u) + 1e-9 * rng.standard_normal(len(u))
 
         monkeypatch.setattr(chain_module, "_gradient", noisy_gradient)
+        monkeypatch.setattr(chain_module, "EQUILIBRIUM_MAX_ITER", 199)
         with pytest.raises(NonConvergence) as err:
-            ic.solve_equilibrium(trap(31, 1.0), max_iter=199)
+            ic.solve_equilibrium(trap(31, 1.0))
         assert 0 < err.value.iterations < 199
         assert f"after {err.value.iterations} iterations" in str(err.value)
 
@@ -121,6 +132,13 @@ class TestEquilibrium:
         assert np.all(np.diff(u) > 0)
         assert np.array_equal(u, -u[::-1])
         assert np.max(np.abs(_gradient(u))) < 1e-12 * u[-1]
+
+    def test_gate_accepts_solved_positions(self):
+        # the rounding floor of the Coulomb sums sets the gate from about
+        # N = 200; N = 600 and 1000 stall above 1e-12 |u|
+        for n in [*range(2, 101), 600, 1000]:
+            u = ic.solve_equilibrium(trap(n, 1.0)).positions
+            assert np.max(np.abs(_gradient(u))) <= _equilibrium_gate(u)
 
     def test_returned_positions_are_private(self):
         t = trap(6, 1.0)
@@ -179,6 +197,8 @@ class TestTransverseModes:
         eq = ic.solve_equilibrium(t)
         bad = ic.ChainSolution(positions=eq.positions * 1.5,
                                length_scale=eq.length_scale)
+        assert np.max(np.abs(_gradient(bad.positions))) \
+            > _equilibrium_gate(bad.positions)
         with pytest.raises(ValueError):
             ic.transverse_phonon_modes(t, bad)
 

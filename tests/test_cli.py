@@ -135,6 +135,21 @@ omega_z_mhz = 0.9   # trailing comment
         assert "config error" in err and f"key '{key}'" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
+    @pytest.mark.parametrize("key", ["mass_amu", "omega_x_mhz", "omega_y_mhz",
+                                     "omega_z_mhz", "rabi_total_mhz",
+                                     "delta_k"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_trap_key_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                  key, value):
+        # several used to end in DegenerateFit or NoStablePoint (exit 1),
+        # and rabi_total_mhz = -1 in a run on a negative Rabi frequency
+        p = write_config(tmp_path, f"n_ions = 4\n{key} = {value}\n")
+        rc = cli.main(["couplings", "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"key '{key}'" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
     def test_defaults_fill_in(self):
         cfg = cli.resolve_config("chain", {})
         assert cfg["n_ions"] == 10
@@ -327,6 +342,25 @@ class TestLeakageCommand:
         assert [r["E_sim"] for r in tables[0]] \
             != [r["E_sim"] for r in tables[1]]
 
+    @pytest.mark.parametrize("s_init,quanta", [(1, 3), (2, 4)])
+    def test_r_converged_in_total_quanta(self, tmp_path, s_init, quanta):
+        # the block holds states of one quanta parity, so the next cutoff
+        # is two up; the fock_cutoff of 4 never binds below 5 quanta
+        reports = []
+        for q in (quanta, quanta + 2):
+            p = write_config(tmp_path, f"n_ions = 8\nalpha_target = 0.2\n"
+                                       f"s_init = {s_init}\n"
+                                       f"total_quanta = {q}\n")
+            out = tmp_path / str(q)
+            assert cli.main(["leakage", "--config", p, "--out",
+                             str(out)]) == 0
+            reports.append(json.loads(
+                (out / "leakage_report.json").read_text()))
+        low, high = reports
+        assert high["block_dim"] > low["block_dim"]
+        assert high["r_minus_1"] == pytest.approx(low["r_minus_1"], rel=1e-8)
+        assert high["edge_population_max"] < low["edge_population_max"]
+
     def test_basis_too_large_exits_one(self, tmp_path, capsys,
                                        monkeypatch):
         # n = 4, s = 1 with the default cutoffs: parity blocks of 12 and 20,
@@ -350,6 +384,18 @@ class TestTransferCommand:
         assert len(rows) == 2
         for r in rows:
             assert float(r["F_peak"]) > 0.9
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_large_experimental_chain(self, tmp_path, n):
+        # these used to end in ResonantDetuning (300) and NonConvergence
+        # (600); mu_min now binds, at alpha above the 0.2 target
+        p = write_config(tmp_path, f"n_list = {n}\ncouplings = experimental\n"
+                                   "optimize = false\n")
+        rc = cli.main(["transfer", "--config", p, "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_table(tmp_path / "transfer.csv")
+        assert float(rows[0]["alpha"]) > 0.2
+        assert 0.0 < float(rows[0]["F_peak"]) <= 1.0
 
     def test_empty_n_list_rejected(self, tmp_path):
         p = write_config(tmp_path, "n_list =\n")

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 import ionchain as ic
 from ionchain.chain import max_stable_axial_frequency
 from ionchain.constants import HBAR
-from ionchain.couplings import (DegenerateFit, FitConvention, ResonantDetuning,
-                                _fit_pairs, fit_alpha_beta)
+from ionchain.couplings import (RESONANCE_TOL, DegenerateFit, FitConvention,
+                                ResonantDetuning, _check_resonance,
+                                _fit_pairs, _resonant, fit_alpha_beta)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +217,28 @@ class TestDetuningSelection:
         omega_eff = np.hypot(trap.rabi, mu_min)
         assert omega_eff == pytest.approx(
             3 * trap.rabi * eta_com + sol.mode_freqs[0], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [150, 200, 250, 300, 400])
+    def test_min_detuning_outside_resonance_guard(self, n):
+        # 3 Omega eta_com / omega_com falls as 1/N^1.5 and crosses the guard
+        # near N = 250 at the reference trap
+        template = ic.reference_trap(n, 2 * np.pi * 1e6)
+        trap = template.with_(omega_z=max_stable_axial_frequency(template, n))
+        sol = ic.solve_chain(trap)
+        mu = ic.min_detuning(trap, sol)
+        omega_eff = np.hypot(trap.rabi, mu)
+        _check_resonance(omega_eff, sol.mode_freqs)
+        eta_com = abs(ic.lamb_dicke(trap, sol)[0, 0])
+        target = 3 * trap.rabi * eta_com + sol.mode_freqs[0]
+        bare = float(np.sqrt(max(target**2 - trap.rabi**2, 0.0)))
+        inside = _resonant(np.hypot(trap.rabi, bare), sol.mode_freqs).any()
+        assert inside == (n > 200)
+        if inside:
+            # the guard's edge, up to rounding
+            margin = omega_eff / sol.mode_freqs[0] - 1.0
+            assert RESONANCE_TOL <= margin < RESONANCE_TOL + 1e-15
+        else:
+            assert mu == bare
 
     def test_alpha_monotone_in_mu(self, working_point):
         trap, sol = working_point
