@@ -97,12 +97,13 @@ def _list_of(parse):
 
 
 def _at_least(parse, lo):
-    """parse, then reject a value (or any list item) below lo."""
+    """parse, then reject a value (or any list item) below lo or not
+    finite."""
     def checked(s):
         val = parse(s)
         for x in val if isinstance(val, list) else [val]:
-            if x < lo:
-                raise ConfigError(f"expected values >= {lo}, got {x}")
+            if not lo <= x < np.inf:
+                raise ConfigError(f"expected finite values >= {lo}, got {x}")
         return val
     return checked
 
@@ -138,8 +139,8 @@ TRAP_SCHEMA = {
     "omega_y_mhz": (_p_span, 5.0),
     "omega_z_mhz": (_or("auto", "auto", _p_span), "auto"),
     "rabi_total_mhz": (_p_span, 1.0),
-    "mu_mhz": (_or("auto", "auto", _p_float), 0.0),
-    "alpha_target": (_or("none", None, _p_float), None),
+    "mu_mhz": (_or("auto", "auto", _at_least(_p_float, 0.0)), 0.0),
+    "alpha_target": (_or("none", None, _p_span), None),
     "delta_k": (_p_span, DELTA_K_355),
     "angular": (_p_bool, False),
     "stability_safety": (_p_span, 1.0),
@@ -148,7 +149,7 @@ TRAP_SCHEMA = {
 SCHEMAS = {
     "chain": dict(TRAP_SCHEMA),
     "couplings": dict(TRAP_SCHEMA, **{
-        "n_init": (_p_int, 0),
+        "n_init": (_at_least(_p_int, 0), 0),
         "fit_convention": (_p_choice(*[c.value for c in FitConvention]),
                            FitConvention.END_ION_CHAIN_INDEX.value),
         "fit_beta": (_p_bool, False),
@@ -186,7 +187,7 @@ SCHEMAS = {
     }),
     "noise": dict(TRAP_SCHEMA, **{
         "n_list": (_at_least(_list_of(_p_int), 3), list(range(8, 53, 4))),
-        "alpha_list": (_list_of(_p_float), [0.2, 0.4, 0.6]),
+        "alpha_list": (_list_of(_p_span), [0.2, 0.4, 0.6]),
         "t2_ms": (_p_float, 10.0),
         "n_samples": (_p_int, 500),
         "field_variance": (_or("none", None, _p_float), None),
@@ -594,8 +595,7 @@ def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int, **opt_kwargs):
     if not cfg["optimize"]:
         return (protocols.analytic_gamma(j_walk), protocols.transfer_time(n),
                 None)
-    opt = protocols.optimize_protocol(j_walk, None, 0, n - 1,
-                                      budget=cfg["budget"],
+    opt = protocols.optimize_protocol(j_walk, 0, n - 1, budget=cfg["budget"],
                                       rng_seed=ctx.seed, **opt_kwargs)
     return opt.config.gamma, opt.config.duration, opt
 
@@ -687,8 +687,7 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
         gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
         pc = protocols.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
                                       duration=t, marker_amplitude=scale)
-        ens = noise.noisy_transfer_ensemble(j_walk, None, pc, noise_cfg,
-                                            fields)
+        ens = noise.noisy_transfer_ensemble(j_walk, pc, noise_cfg, fields)
         return {"n": n, "alpha_target": alpha, "alpha_achieved": alpha_used,
                 "detuning_steps": steps,
                 "mean_F": ens.mean_at_T, "std_F": ens.std_at_T,
@@ -758,6 +757,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         raw = parse_config_file(args.config) if args.config else {}
         if args.paper_fig is not None:
             fig_cmd, overrides = PAPER_FIGS[args.paper_fig]

@@ -88,8 +88,7 @@ class EnsembleResult:
     noiseless_at_T: float
 
 
-def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
-                            config: protocols.ProtocolConfig,
+def noisy_transfer_ensemble(J: np.ndarray, config: protocols.ProtocolConfig,
                             noise: NoiseConfig,
                             fields: np.ndarray | None = None) -> EnsembleResult:
     """Mean/std of the transfer fidelity at T over static-field samples.
@@ -107,7 +106,7 @@ def noisy_transfer_ensemble(J: np.ndarray, h: np.ndarray | None,
     """
     check_ensemble_size(len(J), noise.n_samples)
     sector = xy.build_single_excitation(protocols.search_hamiltonian(
-        J, config.gamma, [config.sender, config.receiver], h=h))
+        J, config.gamma, [config.sender, config.receiver]))
     n = sector.dim
     psi0 = protocols._site_state(n, config.sender)
     if fields is None:

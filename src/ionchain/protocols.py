@@ -49,19 +49,17 @@ def idealized_couplings(n: int, alpha: float) -> np.ndarray:
     return j
 
 
-def search_hamiltonian(h_walk: np.ndarray, gamma: float, marked_sites,
-                       h: np.ndarray | None = None) -> np.ndarray:
-    """gamma * H plus the _search_diagonal of the marked sites and fields."""
+def search_hamiltonian(h_walk: np.ndarray, gamma: float,
+                       marked_sites) -> np.ndarray:
+    """gamma * H plus the _search_diagonal of the marked sites."""
     hs = gamma * np.array(h_walk, dtype=float)
-    hs[np.diag_indices(len(hs))] += _search_diagonal(len(hs), marked_sites,
-                                                     h)
+    hs[np.diag_indices(len(hs))] += _search_diagonal(len(hs), marked_sites)
     return hs
 
 
-def _search_diagonal(n: int, marked_sites, h=None) -> np.ndarray:
-    """Unit projectors on the marked sites; local z fields h_j sigma_j^z,
-    if given, add 2 h_j (the single-excitation sector with the global
-    shift dropped)."""
+def _search_diagonal(n: int, marked_sites) -> np.ndarray:
+    """Unit projectors on the marked sites: the residual local fields are
+    taken as compensated."""
     marked = list(marked_sites)
     if len(set(marked)) != len(marked):
         raise ValueError("marked sites must be distinct")
@@ -70,8 +68,6 @@ def _search_diagonal(n: int, marked_sites, h=None) -> np.ndarray:
         if not 0 <= m < n:
             raise ValueError(f"marked site {m} out of range")
         diag[m] = 1.0
-    if h is not None:
-        diag += 2.0 * np.asarray(h)
     return diag
 
 
@@ -80,11 +76,11 @@ def analytic_gamma(h_walk: np.ndarray) -> float:
     return 1.0 / np.linalg.eigvalsh(h_walk)[-1]
 
 
-def transfer_time(n: int, marker_amplitude: float = 1.0) -> float:
+def transfer_time(n: int) -> float:
     """T = pi sqrt(n/2) in units where the marker amplitude is 1."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return np.pi * np.sqrt(n / 2.0) / marker_amplitude
+    return np.pi * np.sqrt(n / 2.0)
 
 
 def analytic_transfer_fidelity(n: int, t) -> np.ndarray:
@@ -124,14 +120,14 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     None.
 
     The walk splits when J and diag commute with the site reversal to
-    MIRROR_TOL relative: mirror-symmetric couplings and markers, no fields.
-    Otherwise the identity's one half is the whole walk.  When the diagonal
-    and the psi0 part of every half sit on its first orbit alone (every
-    0 -> n - 1 transfer without fields), trailing holds per size of the
-    halves (one for an even n) their stacked J blocks, the ascending
-    eigenvalues of each block without its first orbit, their _partners and
-    each half's coef and first part entry.  A walk above xy.DENSE_LIMIT is
-    refused before any block is built.
+    MIRROR_TOL relative: mirror-symmetric couplings, markers and
+    extra_fields.  Otherwise the identity's one half is the whole walk.
+    When the diagonal and the psi0 part of every half sit on its first
+    orbit alone (every 0 -> n - 1 transfer without extra_fields), trailing
+    holds per size of the halves (one for an even n) their stacked J
+    blocks, the ascending eigenvalues of each block without its first
+    orbit, their _partners and each half's coef and first part entry.  A
+    walk above xy.DENSE_LIMIT is refused before any block is built.
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
@@ -295,16 +291,14 @@ def _walk_probability(weights: tuple, t):
     return np.abs(p @ np.exp(-1j * np.multiply.outer(w, t))) ** 2
 
 
-def run_transfer(J: np.ndarray, h: np.ndarray | None,
-                 config: ProtocolConfig, n_times: int = 600,
+def run_transfer(J: np.ndarray, config: ProtocolConfig, n_times: int = 600,
                  t_max_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Evolve |w> under gamma*H + P_w + P_f and record fidelity onto |f>.
 
-    h defaults to None: the effective local fields are assumed compensated.
     Returns (times, fidelity) on [0, t_max_factor * duration].
     """
     n = len(J)
-    diag = _search_diagonal(n, [config.sender, config.receiver], h)
+    diag = _search_diagonal(n, [config.sender, config.receiver])
     weights = _walk_weights(
         _walk_split(J, diag, _site_state(n, config.sender)), config.gamma,
         diag, config.receiver)
@@ -314,10 +308,10 @@ def run_transfer(J: np.ndarray, h: np.ndarray | None,
 
 def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
                          sender: int, receiver: int,
-                         h: np.ndarray | None = None,
                          extra_fields: np.ndarray | None = None) -> float:
-    """|<f| exp(-i H_s t) |w>|^2 at a single (gamma, t)."""
-    diag = _search_diagonal(len(J), [sender, receiver], h)
+    """|<f| exp(-i H_s t) |w>|^2 at a single (gamma, t); extra_fields, if
+    given, add to the walk diagonal."""
+    diag = _search_diagonal(len(J), [sender, receiver])
     if extra_fields is not None:
         diag = diag + extra_fields
     weights = _walk_weights(_walk_split(J, diag, _site_state(len(J), sender)),
@@ -325,15 +319,14 @@ def transfer_fidelity_at(J: np.ndarray, gamma: float, t: float,
     return float(_walk_probability(weights, t))
 
 
-def run_search(J: np.ndarray, gamma: float, marked: int,
-               t_max: float, n_times: int = 600,
-               h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def run_search(J: np.ndarray, gamma: float, marked: int, t_max: float,
+               n_times: int = 600) -> tuple[np.ndarray, np.ndarray]:
     """Evolve the uniform superposition under gamma*H + |w><w|.
 
     Returns (times, probability on the marked site).
     """
     n = len(J)
-    diag = _search_diagonal(n, [marked], h)
+    diag = _search_diagonal(n, [marked])
     weights = _walk_weights(_walk_split(J, diag, np.full(n, 1.0 / np.sqrt(n))),
                             gamma, diag, marked)
     times = np.linspace(0.0, t_max, n_times)
@@ -349,8 +342,7 @@ class OptimizeResult:
     n_gamma_solves: int             # distinct gamma whose walk was solved
 
 
-def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
-                      sender: int, receiver: int,
+def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
                       box: float = 0.30, budget: int = 200,
                       rng_seed: int = 0) -> OptimizeResult:
     """Derivative-free maximisation of transfer fidelity over (gamma, T).
@@ -362,15 +354,15 @@ def optimize_protocol(J: np.ndarray, h: np.ndarray | None,
     evaluations, the analytic seed included; box is a fraction in (0, 1).
     Each distinct gamma costs one solve of gamma J + diag, from the
     _walk_split of J built once per call: eigenvalues of the two mirror
-    halves alone for a 0 -> n - 1 transfer without fields, else eigh.  The
-    scatter's gammas are solved together, the pattern search's one by one.
+    halves alone for a 0 -> n - 1 transfer, else eigh.  The scatter's
+    gammas are solved together, the pattern search's one by one.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not 0.0 < box < 1.0:
         raise ValueError(f"box must be in (0, 1), got {box}")
     n = J.shape[0]
-    diag = _search_diagonal(n, [sender, receiver], h)
+    diag = _search_diagonal(n, [sender, receiver])
     # first: it refuses a walk above xy.DENSE_LIMIT before any eigensolver
     split = _walk_split(J, diag, _site_state(n, sender))
     gamma0 = analytic_gamma(J)

@@ -101,10 +101,6 @@ class XYSector:
 class StateVector:
     amplitudes: np.ndarray
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def sector_basis(n_sites: int, s: int) -> np.ndarray:
     masks = [sum(1 << i for i in c) for c in combinations(range(n_sites), s)]

@@ -125,7 +125,7 @@ def transfer_sweep():
                 walk = idealized_walk(n, 0.2)
             else:
                 walk, _ = experimental_walk(n, 0.2)
-            opt = pr.optimize_protocol(walk, None, 0, n - 1, budget=120,
+            opt = pr.optimize_protocol(walk, 0, n - 1, budget=120,
                                        rng_seed=0)
             row[source] = {"F": opt.fidelity,
                            "T_tilde": opt.config.gamma * opt.config.duration}
@@ -403,7 +403,7 @@ def test_criterion_11_noise_ensemble():
                             receiver=7, duration=pr.transfer_time(8),
                             marker_amplitude=scale)
     zv = nz.noisy_transfer_ensemble(
-        walk, None, cfg, nz.NoiseConfig(field_variance=0.0, n_samples=3))
+        walk, cfg, nz.NoiseConfig(field_variance=0.0, n_samples=3))
     zero_ok = abs(zv.mean_at_T - zv.noiseless_at_T) < 1e-12
     # standard error of the ensemble mean scales as 1/sqrt(n_samples)
     gamma = pr.analytic_gamma(walk)

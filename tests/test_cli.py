@@ -122,13 +122,23 @@ omega_z_mhz = 0.9   # trailing comment
         ("leakage", "omega_c_pin_mhz", "0"),
         ("alpha-scan", "scan_points", "0"),
         ("alpha-scan", "mu_max_factor", "0"),
+        ("couplings", "mu_mhz", "nan"),
+        ("couplings", "mu_mhz", "inf"),
+        ("couplings", "mu_mhz", "-1"),
+        ("couplings", "alpha_target", "nan"),
+        ("couplings", "alpha_target", "inf"),
+        ("noise", "alpha_list", "nan"),
+        ("noise", "alpha_list", "0.2,inf"),
+        ("couplings", "n_init", "-1"),
     ])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, command,
                                           key, value):
-        # each used to end in a traceback, a NaN cast, an empty table or
-        # numpy's message
-        p = write_config(tmp_path, f"n_ions = 4\nalpha_target = 0.5\n"
-                                   f"{key} = {value}\n")
+        # each used to end in a traceback, a NaN cast, an empty table,
+        # numpy's message, DegenerateFit, or a run on the bad value; mu_mhz
+        # is used only without an alpha_target, which takes precedence
+        target = "" if key in ("mu_mhz", "alpha_target") \
+            else "alpha_target = 0.5\n"
+        p = write_config(tmp_path, f"n_ions = 4\n{target}{key} = {value}\n")
         rc = cli.main([command, "--config", p, "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -524,6 +534,15 @@ class TestThreads:
         rc = cli.main(["noise", "--threads", threads, "--out", str(tmp_path)])
         assert rc == 2
         assert "--threads" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["noise", "transfer", "search"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # noise and transfer used to stop in numpy without naming the flag,
+        # search to run with seed -1 in its headers
+        rc = cli.main([command, "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

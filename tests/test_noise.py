@@ -81,11 +81,10 @@ class TestSampling:
         assert np.std(draws) == pytest.approx(10.0, rel=0.02)
 
 
-def per_sample_ensemble(j, h, cfg, noise, n_times):
+def per_sample_ensemble(j, cfg, noise, n_times):
     """One eigh and one propagation per sample, as before stacking."""
     n = j.shape[0]
-    hs0 = pr.search_hamiltonian(j, cfg.gamma, [cfg.sender, cfg.receiver],
-                                h=h)
+    hs0 = pr.search_hamiltonian(j, cfg.gamma, [cfg.sender, cfg.receiver])
     times = np.linspace(0.0, cfg.duration, n_times)
     psi0 = np.zeros(n, dtype=complex)
     psi0[cfg.sender] = 1.0
@@ -107,10 +106,9 @@ class TestEnsemble:
     @pytest.mark.parametrize("n_samples", [1, 37])
     def test_matches_per_sample_loop(self, n_samples):
         j, cfg = config(n=52)
-        h = 0.01 * np.arange(52, dtype=float)
         noise = nz.NoiseConfig(t2=1e-3, n_samples=n_samples, rng_seed=5)
-        out = nz.noisy_transfer_ensemble(j, h, cfg, noise)
-        mean, std, noiseless = per_sample_ensemble(j, h, cfg, noise, 200)
+        out = nz.noisy_transfer_ensemble(j, cfg, noise)
+        mean, std, noiseless = per_sample_ensemble(j, cfg, noise, 200)
         assert out.mean_at_T == pytest.approx(mean[-1], abs=1e-13)
         assert out.std_at_T == pytest.approx(std[-1], abs=1e-13)
         assert out.noiseless_at_T == pytest.approx(noiseless[-1], abs=1e-13)
@@ -118,7 +116,7 @@ class TestEnsemble:
     def test_zero_variance_matches_noiseless(self):
         j, cfg = config(n=40)
         noise = nz.NoiseConfig(field_variance=0.0, n_samples=37)
-        out = nz.noisy_transfer_ensemble(j, None, cfg, noise)
+        out = nz.noisy_transfer_ensemble(j, cfg, noise)
         assert out.mean_at_T == pytest.approx(out.noiseless_at_T, abs=1e-12)
         # coinciding samples have exactly zero spread, with no clamp
         assert out.std_at_T == 0.0
@@ -126,7 +124,7 @@ class TestEnsemble:
     def test_matches_manual_loop(self):
         j, cfg = config(n=8)
         noise = nz.NoiseConfig(t2=1e-4, n_samples=5, rng_seed=7)
-        out = nz.noisy_transfer_ensemble(j, None, cfg, noise)
+        out = nz.noisy_transfer_ensemble(j, cfg, noise)
         times = np.linspace(0.0, cfg.duration, 40)
         traces = []
         for k in range(5):
@@ -146,13 +144,19 @@ class TestEnsemble:
                                              abs=1e-15)
 
     def test_local_fields_enter_with_factor_two(self):
+        # a sampled z field h_j sigma_j^z offsets the walk diagonal by
+        # 2 h_j in marker units, as criterion 11's extra_fields reference
+        # reads it
         j, cfg = config(n=6)
+        cfg = pr.ProtocolConfig(gamma=cfg.gamma, sender=0, receiver=5,
+                                duration=cfg.duration, marker_amplitude=4.0)
         h = 0.05 * np.arange(6, dtype=float)
-        noise = nz.NoiseConfig(field_variance=0.0, n_samples=1)
-        out = nz.noisy_transfer_ensemble(j, h, cfg, noise)
+        out = nz.noisy_transfer_ensemble(j, cfg, nz.NoiseConfig(n_samples=1),
+                                         h[:, None])
         direct = pr.transfer_fidelity_at(j, cfg.gamma, cfg.duration, 0, 5,
-                                         h=h)
-        assert out.noiseless_at_T == pytest.approx(direct, abs=1e-12)
+                                         extra_fields=2.0 * h / 4.0)
+        assert out.mean_at_T == pytest.approx(direct, abs=1e-12)
+        assert out.mean_at_T != pytest.approx(out.noiseless_at_T, abs=1e-6)
 
     def test_marker_amplitude_scales_fields(self):
         # doubling the marker amplitude halves the effective noise, which
@@ -162,14 +166,14 @@ class TestEnsemble:
         weak_cfg = pr.ProtocolConfig(gamma=cfg.gamma, sender=0, receiver=9,
                                      duration=cfg.duration,
                                      marker_amplitude=2.0)
-        strong = nz.noisy_transfer_ensemble(j, None, cfg, noise)
-        weak = nz.noisy_transfer_ensemble(j, None, weak_cfg, noise)
+        strong = nz.noisy_transfer_ensemble(j, cfg, noise)
+        weak = nz.noisy_transfer_ensemble(j, weak_cfg, noise)
         assert weak.mean_at_T > strong.mean_at_T
 
     def test_noise_degrades_mean_fidelity(self):
         j, cfg = config(n=12)
         noise = nz.NoiseConfig(field_variance=0.01, n_samples=60)
-        out = nz.noisy_transfer_ensemble(j, None, cfg, noise)
+        out = nz.noisy_transfer_ensemble(j, cfg, noise)
         assert out.mean_at_T < out.noiseless_at_T
         assert out.noiseless_at_T > 0.97
 
@@ -183,7 +187,7 @@ class TestEnsemble:
 
         monkeypatch.setattr(nz, "sample_static_fields", no_sampling)
         with pytest.raises(nz.EnsembleTooLarge, match="offset block"):
-            nz.noisy_transfer_ensemble(j, None, cfg,
+            nz.noisy_transfer_ensemble(j, cfg,
                                        nz.NoiseConfig(n_samples=limit + 1))
         # the limit itself is accepted
         nz.check_ensemble_size(8, limit)
@@ -193,14 +197,14 @@ class TestEnsemble:
         j, cfg = config(n=n)
         noise = nz.NoiseConfig(t2=1e-3, n_samples=30, rng_seed=4)
         block = nz.static_field_block(52, noise)
-        assert nz.noisy_transfer_ensemble(j, None, cfg, noise, block) \
-            == nz.noisy_transfer_ensemble(j, None, cfg, noise)
+        assert nz.noisy_transfer_ensemble(j, cfg, noise, block) \
+            == nz.noisy_transfer_ensemble(j, cfg, noise)
 
     def test_deterministic_given_seed(self):
         j, cfg = config(n=8)
         noise = nz.NoiseConfig(field_variance=0.01, n_samples=10, rng_seed=2)
-        a = nz.noisy_transfer_ensemble(j, None, cfg, noise)
-        b = nz.noisy_transfer_ensemble(j, None, cfg, noise)
+        a = nz.noisy_transfer_ensemble(j, cfg, noise)
+        b = nz.noisy_transfer_ensemble(j, cfg, noise)
         assert a == b
 
 
@@ -239,7 +243,7 @@ class TestFig5Kernel:
             gamma, t = pr.analytic_gamma(walk), pr.transfer_time(n)
             cfg = pr.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
                                     duration=t, marker_amplitude=scale)
-            out = nz.noisy_transfer_ensemble(
-                walk, None, cfg, nz.NoiseConfig(n_samples=3))
+            out = nz.noisy_transfer_ensemble(walk, cfg,
+                                             nz.NoiseConfig(n_samples=3))
             direct = pr.transfer_fidelity_at(walk, gamma, t, 0, n - 1)
             assert out.noiseless_at_T == pytest.approx(direct, abs=1e-13)

@@ -13,6 +13,14 @@ def normalized_walk(n, alpha):
     return j / np.linalg.eigvalsh(j)[-1]
 
 
+def asymmetric_walk(n, alpha):
+    """normalized_walk with its first bond 10 % stronger: couplings that
+    break the mirror symmetry."""
+    j = normalized_walk(n, alpha)
+    j[0, 1] = j[1, 0] = 1.1 * j[0, 1]
+    return j
+
+
 class TestIdealizedCouplings:
     def test_values(self):
         j = pr.idealized_couplings(5, 0.7)
@@ -33,15 +41,6 @@ class TestSearchHamiltonian:
         assert hs - np.diag(np.diag(hs)) == pytest.approx(0.3 * j)
         assert np.diag(hs) == pytest.approx([0, 1, 0, 0, 1])
 
-    def test_z_fields_add_twice_h_to_diagonal(self):
-        j = pr.idealized_couplings(5, 0.5)
-        h = np.array([0.1, -0.2, 0.3, 0.0, 0.5])
-        hs = pr.search_hamiltonian(j, 0.3, [1, 4], h=h)
-        bare = pr.search_hamiltonian(j, 0.3, [1, 4])
-        assert np.array_equal(hs - np.diag(np.diag(hs)),
-                              bare - np.diag(np.diag(bare)))
-        assert np.diag(hs) == pytest.approx(np.diag(bare) + 2.0 * h)
-
     def test_duplicate_marked_rejected(self):
         with pytest.raises(ValueError):
             pr.search_hamiltonian(np.zeros((3, 3)), 1.0, [1, 1])
@@ -61,8 +60,6 @@ class TestAnalyticGamma:
 class TestAnalyticModel:
     def test_transfer_time_formula(self):
         assert pr.transfer_time(8) == pytest.approx(np.pi * 2.0)
-        assert pr.transfer_time(8, marker_amplitude=2.0) == \
-            pytest.approx(np.pi)
         with pytest.raises(ValueError):
             pr.transfer_time(1)
 
@@ -110,7 +107,7 @@ class TestRunTransfer:
         cfg = pr.ProtocolConfig(gamma=pr.analytic_gamma(j), sender=0,
                                 receiver=n - 1,
                                 duration=pr.transfer_time(n))
-        times, fid = pr.run_transfer(j, None, cfg, n_times=400)
+        times, fid = pr.run_transfer(j, cfg, n_times=400)
         k = int(np.argmax(fid))
         assert fid[k] > 0.97
         assert times[k] == pytest.approx(cfg.duration, rel=0.1)
@@ -118,25 +115,25 @@ class TestRunTransfer:
     def test_trace_matches_single_point_evaluator(self):
         n = 10
         j = normalized_walk(n, 0.4)
-        h = 0.01 * np.arange(n, dtype=float)
         cfg = pr.ProtocolConfig(gamma=0.9, sender=0, receiver=n - 1,
                                 duration=pr.transfer_time(n))
-        times, fid = pr.run_transfer(j, h, cfg, n_times=50)
+        times, fid = pr.run_transfer(j, cfg, n_times=50)
         for k in (0, 17, 49):
-            direct = pr.transfer_fidelity_at(j, 0.9, times[k],
-                                             0, n - 1, h=h)
+            direct = pr.transfer_fidelity_at(j, 0.9, times[k], 0, n - 1)
             assert fid[k] == pytest.approx(direct, abs=1e-10)
 
-    @pytest.mark.parametrize("fields", [False, True])
-    def test_trace_matches_expm(self, fields):
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_trace_matches_expm(self, monkeypatch, asymmetric):
+        # mirrored: two half eigh; couplings that break the mirror
+        # symmetry: the identity's one half, a full eigh
         n = 9
-        j = normalized_walk(n, 0.3)
-        h = 0.03 * np.arange(n, dtype=float) if fields else None
+        j = asymmetric_walk(n, 0.3) if asymmetric else normalized_walk(n, 0.3)
         cfg = pr.ProtocolConfig(gamma=0.85, sender=1, receiver=n - 2,
                                 duration=pr.transfer_time(n))
-        times, fid = pr.run_transfer(j, h, cfg, n_times=31,
-                                     t_max_factor=1.5)
-        hs = pr.search_hamiltonian(j, 0.85, [1, n - 2], h=h)
+        (times, fid), sizes = eigh_sizes(monkeypatch, pr.run_transfer, j, cfg,
+                                         n_times=31, t_max_factor=1.5)
+        assert sizes == ([n] if asymmetric else [(n + 1) // 2, n // 2])
+        hs = pr.search_hamiltonian(j, 0.85, [1, n - 2])
         ref = [abs(expm(-1j * hs * t)[n - 2, 1]) ** 2 for t in times]
         assert times[-1] == pytest.approx(1.5 * cfg.duration, rel=1e-15)
         assert np.max(np.abs(fid - ref)) < 1e-12
@@ -144,23 +141,12 @@ class TestRunTransfer:
     def test_single_point_matches_expm(self):
         n = 7
         j = normalized_walk(n, 0.5)
-        h = 0.02 * np.arange(n, dtype=float)
         extra = np.linspace(-0.1, 0.1, n)
-        hs = pr.search_hamiltonian(j, 0.8, [0, n - 1], h=h) + np.diag(extra)
+        hs = pr.search_hamiltonian(j, 0.8, [0, n - 1]) + np.diag(extra)
         ref = abs(expm(-1j * hs * 2.3)[n - 1, 0]) ** 2
-        f = pr.transfer_fidelity_at(j, 0.8, 2.3, 0, n - 1, h=h,
+        f = pr.transfer_fidelity_at(j, 0.8, 2.3, 0, n - 1,
                                     extra_fields=extra)
         assert f == pytest.approx(ref, abs=1e-12)
-
-    def test_fields_change_outcome(self):
-        n = 12
-        j = normalized_walk(n, 0.3)
-        cfg = pr.ProtocolConfig(gamma=pr.analytic_gamma(j), sender=0,
-                                receiver=n - 1,
-                                duration=pr.transfer_time(n))
-        _, clean = pr.run_transfer(j, None, cfg)
-        _, noisy = pr.run_transfer(j, 0.2 * np.arange(n, dtype=float), cfg)
-        assert np.max(noisy) < np.max(clean)
 
 
 class TestRunSearch:
@@ -181,14 +167,15 @@ class TestRunSearch:
         _, prob = pr.run_search(j, 1.0, 3, 1.0, n_times=5)
         assert prob[0] == pytest.approx(1.0 / n, rel=1e-12)
 
-    @pytest.mark.parametrize("fields", [False, True])
-    def test_trace_matches_expm(self, fields):
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_trace_matches_expm(self, asymmetric):
+        # an off-centre mark, on mirrored couplings or on couplings that
+        # break the mirror symmetry: the identity's one half either way
         n = 11
-        j = normalized_walk(n, 0.4)
-        h = 0.02 * np.arange(n, dtype=float) if fields else None
+        j = asymmetric_walk(n, 0.4) if asymmetric else normalized_walk(n, 0.4)
         times, prob = pr.run_search(j, 0.9, 4, 3 * pr.transfer_time(n),
-                                    n_times=37, h=h)
-        hs = pr.search_hamiltonian(j, 0.9, [4], h=h)
+                                    n_times=37)
+        hs = pr.search_hamiltonian(j, 0.9, [4])
         psi0 = np.full(n, 1.0 / np.sqrt(n))
         ref = [abs((expm(-1j * hs * t) @ psi0)[4]) ** 2 for t in times]
         assert np.max(np.abs(prob - ref)) < 1e-12
@@ -257,14 +244,12 @@ class TestMirrorTransferWeights:
                              - pr._walk_probability((w_full, p_full), times))) \
             < 1e-13
 
-    @pytest.mark.parametrize("case", ["fields", "pair", "couplings", "extra"])
+    @pytest.mark.parametrize("case", ["pair", "couplings", "extra"])
     def test_fallback_is_the_full_eigh(self, monkeypatch, case):
         n = 10
         j = normalized_walk(n, 0.4)
-        h, receiver, extra = None, n - 1, None
-        if case == "fields":
-            h = 0.02 * np.arange(n, dtype=float)
-        elif case == "pair":
+        receiver, extra = n - 1, None
+        if case == "pair":
             receiver = n - 2
         elif case == "couplings":
             j = j.copy()
@@ -272,9 +257,9 @@ class TestMirrorTransferWeights:
         else:
             extra = 0.01 * np.random.default_rng(0).standard_normal(n)
         f, sizes = eigh_sizes(monkeypatch, pr.transfer_fidelity_at, j, 0.9,
-                              2.3, 0, receiver, h=h, extra_fields=extra)
+                              2.3, 0, receiver, extra_fields=extra)
         assert sizes == [n]
-        hs = pr.search_hamiltonian(j, 0.9, [0, receiver], h=h)
+        hs = pr.search_hamiltonian(j, 0.9, [0, receiver])
         if extra is not None:
             hs = hs + np.diag(extra)
         assert f == float(pr._walk_probability(
@@ -344,8 +329,7 @@ class TestGaussWeights:
         tracemalloc.start()
         try:
             out, eigh, eigvalsh = solver_sizes(
-                monkeypatch, pr.optimize_protocol, j, None, 0, n - 1,
-                budget=100)
+                monkeypatch, pr.optimize_protocol, j, 0, n - 1, budget=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,27 +430,26 @@ class TestWalkEntryPoints:
         assert np.max(np.abs(prob - ref)) < 1e-12
 
     @pytest.mark.parametrize("case", ["search_even", "search_off_centre",
-                                      "search_fields", "transfer_pair",
-                                      "transfer_fields"])
+                                      "search_couplings", "transfer_pair",
+                                      "transfer_couplings"])
     def test_identity_fallback_is_the_full_eigh(self, monkeypatch, case):
         n = 10 if case == "search_even" else 9
-        j = normalized_walk(n, 0.3)
-        h = 0.02 * np.arange(n, dtype=float) if "fields" in case else None
+        j = asymmetric_walk(n, 0.3) if "couplings" in case \
+            else normalized_walk(n, 0.3)
         if case.startswith("search"):
             marked = 2 if case == "search_off_centre" else n // 2
             psi0 = np.full(n, 1.0 / np.sqrt(n))
             (times, prob), sizes = eigh_sizes(
                 monkeypatch, pr.run_search, j, 0.9, marked,
-                2 * pr.transfer_time(n), n_times=41, h=h)
-            hs, row = pr.search_hamiltonian(j, 0.9, [marked], h=h), marked
+                2 * pr.transfer_time(n), n_times=41)
+            hs, row = pr.search_hamiltonian(j, 0.9, [marked]), marked
         else:
             receiver = n - 2 if case == "transfer_pair" else n - 1
             cfg = pr.ProtocolConfig(gamma=0.9, sender=0, receiver=receiver,
                                     duration=pr.transfer_time(n))
             (times, prob), sizes = eigh_sizes(
-                monkeypatch, pr.run_transfer, j, h, cfg, n_times=41)
-            hs, row = pr.search_hamiltonian(j, 0.9, [0, receiver], h=h), \
-                receiver
+                monkeypatch, pr.run_transfer, j, cfg, n_times=41)
+            hs, row = pr.search_hamiltonian(j, 0.9, [0, receiver]), receiver
             psi0 = pr._site_state(n, 0)
         assert sizes == [n]
         assert np.array_equal(prob, full_walk_probability(hs, row, psi0,
@@ -493,8 +476,8 @@ class TestWalkEntryPoints:
         run = {"transfer_fidelity_at":
                lambda: pr.transfer_fidelity_at(j, 0.9, 2.3, 0, n - 1),
                "optimize_protocol":
-               lambda: pr.optimize_protocol(j, None, 0, n - 1, budget=8),
-               "run_transfer": lambda: pr.run_transfer(j, None, cfg),
+               lambda: pr.optimize_protocol(j, 0, n - 1, budget=8),
+               "run_transfer": lambda: pr.run_transfer(j, cfg),
                "run_search": lambda: pr.run_search(j, 0.9, 3, 5.0)}[entry]
         with pytest.raises(xy.SectorTooLarge,
                            match=f"sector dim {n} exceeds DENSE_LIMIT"):
@@ -563,7 +546,7 @@ class TestOptimizeProtocol:
 
         monkeypatch.setattr(pr, "_walk_weights", recording_weights)
         out, eigh, eigvalsh = solver_sizes(monkeypatch, pr.optimize_protocol,
-                                           j, None, 0, n - 1, budget=120)
+                                           j, 0, n - 1, budget=120)
         # the halves without their first orbit and the analytic gamma's
         # walk once; then the seed's gamma alone, the 24 scatter gammas as
         # one stack and each pattern move's gamma alone, every one solved
@@ -591,7 +574,7 @@ class TestOptimizeProtocol:
             # two decoupled mirror pairs: every scatter row merges
             j[[2, 3, 6, 7]] = j[:, [2, 3, 6, 7]] = 0.0
         for seed in range(4):
-            out = pr.optimize_protocol(j, None, 0, n - 1, rng_seed=seed)
+            out = pr.optimize_protocol(j, 0, n - 1, rng_seed=seed)
             (g, t, f), n_evals, seed_fid, n_gammas = uncached_search(
                 j, 0, n - 1, rng_seed=seed)
             assert out.config == pr.ProtocolConfig(gamma=g, sender=0,
@@ -603,8 +586,8 @@ class TestOptimizeProtocol:
     def test_deterministic_and_never_worse_than_seed(self):
         n = 14
         j = normalized_walk(n, 0.4)
-        a = pr.optimize_protocol(j, None, 0, n - 1, budget=60)
-        b = pr.optimize_protocol(j, None, 0, n - 1, budget=60)
+        a = pr.optimize_protocol(j, 0, n - 1, budget=60)
+        b = pr.optimize_protocol(j, 0, n - 1, budget=60)
         assert a.fidelity == b.fidelity
         assert a.config.gamma == b.config.gamma
         assert a.fidelity >= a.seed_fidelity
@@ -614,7 +597,7 @@ class TestOptimizeProtocol:
     def test_small_scatter_draws_same_stream(self, budget):
         n = 10
         j = normalized_walk(n, 0.3)
-        out = pr.optimize_protocol(j, None, 0, n - 1, budget=budget)
+        out = pr.optimize_protocol(j, 0, n - 1, budget=budget)
         (g, t, f), n_evals, _, _ = uncached_search(j, 0, n - 1,
                                                    budget=budget)
         assert (out.config.gamma, out.config.duration, out.fidelity) \
@@ -625,7 +608,7 @@ class TestOptimizeProtocol:
     def test_small_budget_skips_scatter(self, budget):
         n = 10
         j = normalized_walk(n, 0.3)
-        out = pr.optimize_protocol(j, None, 0, n - 1, budget=budget)
+        out = pr.optimize_protocol(j, 0, n - 1, budget=budget)
         assert out.n_evaluations <= budget
         assert out.fidelity >= out.seed_fidelity
         assert out.fidelity == pr.transfer_fidelity_at(
@@ -635,14 +618,14 @@ class TestOptimizeProtocol:
     def test_box_outside_unit_interval_rejected(self, box):
         j = normalized_walk(6, 0.3)
         with pytest.raises(ValueError, match="box"):
-            pr.optimize_protocol(j, None, 0, 5, box=box)
+            pr.optimize_protocol(j, 0, 5, box=box)
 
     def test_recovers_detuned_seed(self):
         # start the search from couplings whose analytic gamma is right but
         # verify optimisation beats a deliberately perturbed evaluation
         n = 12
         j = normalized_walk(n, 0.2)
-        out = pr.optimize_protocol(j, None, 0, n - 1, budget=150)
+        out = pr.optimize_protocol(j, 0, n - 1, budget=150)
         cfg = out.config
         detuned = pr.transfer_fidelity_at(j, cfg.gamma * 1.2,
                                           cfg.duration, 0, n - 1)

@@ -584,7 +584,8 @@ class TestEvolution:
         psi0 = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
         psi0 /= np.linalg.norm(psi0)
         out = xy.evolve(sec, psi0, 5.0)
-        assert out.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0,
+                                                              abs=1e-12)
 
     def test_evolve_grid_consistent(self):
         j, h = random_couplings(5, seed=23)
