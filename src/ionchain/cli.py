@@ -273,19 +273,15 @@ def make_context(args, subcommand: str, cfg: dict) -> OutputContext:
 
 def write_table(ctx: OutputContext, stem: str, header: list,
                 rows: list) -> Path:
-    if ctx.fmt == "csv":
-        path = ctx.outdir / f"{stem}.csv"
-        with open(path, "w", newline="\n") as f:
-            for key, val in ctx.meta:
-                f.write(f"# {key}: {val}\n")
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt_value(x) for x in row) + "\n")
-    else:
-        path = ctx.outdir / f"{stem}.json"
-        payload = {"meta": dict(ctx.meta), "columns": header,
-                   "rows": [[_json_safe(x) for x in row] for row in rows]}
-        _dump_json(path, payload)
+    if ctx.fmt == "json":
+        return write_report(ctx, stem, {"columns": header, "rows": rows})
+    path = ctx.outdir / f"{stem}.csv"
+    with open(path, "w", newline="\n") as f:
+        for key, val in ctx.meta:
+            f.write(f"# {key}: {val}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt_value(x) for x in row) + "\n")
     ctx.written.append(path)
     return path
 
@@ -306,15 +302,12 @@ def _json_safe(x):
     return x
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def write_report(ctx: OutputContext, stem: str, payload: dict) -> Path:
     path = ctx.outdir / f"{stem}.json"
-    _dump_json(path, {"meta": dict(ctx.meta), **_json_safe(payload)})
+    with open(path, "w", newline="\n") as f:
+        json.dump({"meta": dict(ctx.meta), **_json_safe(payload)}, f,
+                  indent=2, sort_keys=True)
+        f.write("\n")
     ctx.written.append(path)
     return path
 
@@ -369,6 +362,9 @@ def resolve_working_point(cfg, trap_and_chain=None):
     configuration that differs at most in alpha_target or mu_mhz, skips the
     omega_z bisection and the equilibrium.
     """
+    if cfg["alpha_target"] is not None and cfg["n_ions"] < 3:
+        raise ConfigError(f"an alpha fit needs n_ions >= 3, got "
+                          f"{cfg['n_ions']}")
     trap, sol = trap_and_chain or solve_trap(cfg)
     info = {"omega_z_rad_s": trap.omega_z,
             "mu_min_rad_s": couplings.min_detuning(trap, sol)}
@@ -435,6 +431,9 @@ def cmd_couplings(cfg, ctx: OutputContext) -> None:
 
 
 def cmd_alpha_scan(cfg, ctx: OutputContext) -> None:
+    if cfg["n_ions"] < 3:
+        raise ConfigError(f"an alpha fit needs n_ions >= 3, got "
+                          f"{cfg['n_ions']}")
     trap, sol = solve_trap(cfg)
     mu_min = couplings.min_detuning(trap, sol)
     mu_max = cfg["mu_max_factor"] * sol.mode_freqs[0]
@@ -573,28 +572,28 @@ def _walk_couplings(cfg, n: int, trap_and_chain=None):
     for idealized couplings.  trap_and_chain goes to resolve_working_point.
     """
     alpha = cfg["alpha_target"] if cfg["alpha_target"] is not None else 0.2
-    if cfg["couplings"] == "idealized":
+    ideal, steps = cfg["couplings"] == "idealized", None
+    if ideal:
         j = protocols.idealized_couplings(n, alpha)
-        lam = 1.0 / protocols.analytic_gamma(j)
-        return j / lam, None, alpha, None
-    sub = dict(cfg, n_ions=n, alpha_target=alpha)
-    trap, sol, info = resolve_working_point(sub, trap_and_chain)
-    j_phys = xy.hop_amplitudes(couplings.coupling_matrix(
-        trap, couplings.lamb_dicke(trap, sol), sol.mode_freqs))
-    lam = 1.0 / protocols.analytic_gamma(j_phys)
-    return j_phys / lam, lam, info["alpha_achieved"], info["detuning_steps"]
+    else:
+        sub = dict(cfg, n_ions=n, alpha_target=alpha)
+        trap, sol, info = resolve_working_point(sub, trap_and_chain)
+        j = xy.hop_amplitudes(couplings.coupling_matrix(
+            trap, couplings.lamb_dicke(trap, sol), sol.mode_freqs))
+        alpha, steps = info["alpha_achieved"], info["detuning_steps"]
+    lam = 1.0 / protocols.analytic_gamma(j)
+    return j / lam, None if ideal else lam, alpha, steps
 
 
 def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int, **opt_kwargs):
     """(gamma, T, optimizer result or None) for transfer from 0 to n - 1.
 
-    With optimize = true the optimizer, given opt_kwargs, tunes (gamma, T)
-    around the analytic point; otherwise gamma = 1/lambda_max and
-    T = pi sqrt(n/2).
+    j_walk is the normalised walk of _walk_couplings.  With optimize = true
+    the optimizer, given opt_kwargs, tunes (gamma, T) around the analytic
+    point; otherwise that point: gamma = 1 and T = pi sqrt(n/2).
     """
     if not cfg["optimize"]:
-        return (protocols.analytic_gamma(j_walk), protocols.transfer_time(n),
-                None)
+        return 1.0, protocols.transfer_time(n), None
     opt = protocols.optimize_protocol(j_walk, 0, n - 1, budget=cfg["budget"],
                                       rng_seed=ctx.seed, **opt_kwargs)
     return opt.config.gamma, opt.config.duration, opt
@@ -650,8 +649,7 @@ def cmd_search(cfg, ctx: OutputContext) -> None:
     if not 0 <= marked < n:
         raise ConfigError("marked site out of range")
     j_walk, scale, alpha_used, _ = _walk_couplings(cfg, n)
-    gamma = protocols.analytic_gamma(j_walk) if cfg["gamma"] == "auto" \
-        else cfg["gamma"]
+    gamma = 1.0 if cfg["gamma"] == "auto" else cfg["gamma"]
     t_max = cfg["t_max_factor"] * np.pi * np.sqrt(n)
     times, prob = protocols.run_search(j_walk, gamma, marked, t_max,
                                        n_times=cfg["n_times"])

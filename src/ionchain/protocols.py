@@ -348,14 +348,15 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
     """Derivative-free maximisation of transfer fidelity over (gamma, T).
 
     Pattern search with a Latin-hypercube-style scatter seed inside a
-    +-box window around the analytic values gamma = 1/lambda_max and
-    T = pi sqrt(n/2).  Deterministic for a given rng_seed; the returned
-    point is never worse than the analytic seed.  budget counts fidelity
-    evaluations, the analytic seed included; box is a fraction in (0, 1).
-    Each distinct gamma costs one solve of gamma J + diag, from the
-    _walk_split of J built once per call: eigenvalues of the two mirror
-    halves alone for a 0 -> n - 1 transfer, else eigh.  The scatter's
-    gammas are solved together, the pattern search's one by one.
+    +-box window around the analytic point gamma = 1, T = pi sqrt(n/2) of
+    J, a walk normalised to lambda_max = 1.  Deterministic for a given
+    rng_seed; the returned point is never worse than the analytic seed.
+    budget counts fidelity evaluations, the analytic seed included; box is
+    a fraction in (0, 1).  Each distinct gamma costs one solve of
+    gamma J + diag, from the _walk_split of J built once per call:
+    eigenvalues of the two mirror halves alone for a 0 -> n - 1 transfer,
+    else eigh.  The scatter's gammas are solved together, the pattern
+    search's one by one.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -365,7 +366,6 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
     diag = _search_diagonal(n, [sender, receiver])
     # first: it refuses a walk above xy.DENSE_LIMIT before any eigensolver
     split = _walk_split(J, diag, _site_state(n, sender))
-    gamma0 = analytic_gamma(J)
     t0 = transfer_time(n)
     evals = [0]
     # pattern moves in T alone revisit gamma: one eigensystem per distinct
@@ -378,7 +378,7 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
             weights[g] = _walk_weights(split, g, diag, receiver)
         return float(_walk_probability(weights[g], t))
 
-    best = (gamma0, t0, objective(gamma0, t0))
+    best = (1.0, t0, objective(1.0, t0))
     seed_fid = best[2]
 
     n_scatter = min(24, budget // 4)
@@ -389,7 +389,7 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
         width = box / n_scatter
         g_frac = rng.permutation(lows) + width * rng.random(n_scatter)
         t_frac = rng.permutation(lows) + width * rng.random(n_scatter)
-        gs, ts = gamma0 * (1 + g_frac), t0 * (1 + t_frac)
+        gs, ts = 1 + g_frac, t0 * (1 + t_frac)
         # every scatter gamma is known up front: the new ones are solved
         # as one stack
         new = [g for g in dict.fromkeys(gs.tolist()) if g not in weights]
@@ -400,8 +400,8 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
             if f > best[2]:
                 best = (g, t, f)
 
-    step_g, step_t = box * gamma0 / 2, box * t0 / 2
-    while evals[0] < budget and (step_g / gamma0 > 1e-5 or step_t / t0 > 1e-5):
+    step_g, step_t = box / 2, box * t0 / 2
+    while evals[0] < budget and (step_g > 1e-5 or step_t / t0 > 1e-5):
         g, t, f = best
         improved = False
         for dg, dt in ((step_g, 0), (-step_g, 0), (0, step_t), (0, -step_t)):

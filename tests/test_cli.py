@@ -160,6 +160,23 @@ omega_z_mhz = 0.9   # trailing comment
         assert "config error" in err and f"key '{key}'" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
+    @pytest.mark.parametrize("command, extra", [
+        ("search", "couplings = experimental\n"),
+        ("couplings", "alpha_target = 0.5\n"),
+        ("leakage", "alpha_target = 0.3\n"),
+        ("alpha-scan", ""),
+    ], ids=["search", "couplings", "leakage", "alpha-scan"])
+    def test_alpha_fit_on_two_ions_exits_two(self, tmp_path, capsys,
+                                             command, extra):
+        # two ions have one distance, too few for an alpha fit; each used to
+        # exit 1 with "DegenerateFit: need N >= 3" after solving the chain
+        p = write_config(tmp_path, f"n_ions = 2\n{extra}")
+        rc = cli.main([command, "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_ions >= 3" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
     def test_defaults_fill_in(self):
         cfg = cli.resolve_config("chain", {})
         assert cfg["n_ions"] == 10
@@ -411,6 +428,37 @@ class TestTransferCommand:
         p = write_config(tmp_path, "n_list =\n")
         assert cli.main(["transfer", "--config", p,
                          "--out", str(tmp_path)]) == 2
+
+
+class TestNormalisedWalk:
+    @pytest.mark.parametrize("source", ["idealized", "experimental"])
+    @pytest.mark.parametrize("n", [3, 8, 9, 52])
+    def test_top_eigenvalue_is_one(self, source, n):
+        # the protocols read the analytic gamma as 1 without solving the
+        # walk again
+        cfg = cli.resolve_config("transfer", {"couplings": source})
+        walk = cli._walk_couplings(cfg, n)[0]
+        assert abs(np.linalg.eigvalsh(walk)[-1] - 1.0) \
+            <= 16 * np.finfo(float).eps
+
+    def test_analytic_point_is_gamma_one(self, tmp_path):
+        # the analytic point of the normalised walk is exactly gamma = 1,
+        # not 1 / lambda_max solved again, so T_tilde = gamma T is T
+        p = write_config(tmp_path, "n_list = 3,9,33\noptimize = false\n"
+                                   "couplings = both\n")
+        assert cli.main(["transfer", "--config", p,
+                         "--out", str(tmp_path)]) == 0
+        _, rows = read_table(tmp_path / "transfer.csv")
+        assert len(rows) == 6
+        for r in rows:
+            assert float(r["gamma"]) == 1.0
+            assert float(r["T_tilde"]) == float(r["T"])
+        p = write_config(tmp_path, "n_ions = 11\ncouplings = experimental\n",
+                         name="search.cfg")
+        assert cli.main(["search", "--config", p,
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "search_report.json").read_text())
+        assert report["gamma"] == 1.0
 
 
 class TestSearchCommand:

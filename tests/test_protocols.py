@@ -335,11 +335,10 @@ class TestGaussWeights:
             tracemalloc.stop()
         assert eigh == []
         assert rows == max(1, pr._STACK_BYTES // (16 * (n // 2) ** 2))
-        # the split's trailing halves, the analytic gamma's walk, the seed,
-        # then the scatter
-        assert eigvalsh[:3] == [(n // 2 - 1, 2), (n, 1), (n // 2, 2)]
+        # the split's trailing halves, the seed, then the scatter
+        assert eigvalsh[:2] == [(n // 2 - 1, 2), (n // 2, 2)]
         stacks = 24 // rows
-        assert eigvalsh[3:3 + stacks] == [(n // 2, 2 * rows)] * stacks
+        assert eigvalsh[2:2 + stacks] == [(n // 2, 2 * rows)] * stacks
         assert peak < 4 << 20
         (g, t, f), n_evals, seed_fid, n_gammas = uncached_search(
             j, 0, n - 1, budget=100)
@@ -487,9 +486,10 @@ class TestWalkEntryPoints:
 
 def uncached_search(j, sender, receiver, box=0.30, budget=200, rng_seed=0):
     """optimize_protocol's search with a fresh eigh at every evaluation:
-    (best, evaluations, seed fidelity, distinct gammas evaluated)."""
+    (best, evaluations, seed fidelity, distinct gammas evaluated).  j is
+    normalised to lambda_max = 1, so the analytic gamma is 1."""
     n = j.shape[0]
-    gamma0, t0 = pr.analytic_gamma(j), pr.transfer_time(n)
+    gamma0, t0 = 1.0, pr.transfer_time(n)
     evals = [0]
     gammas = set()
 
@@ -547,15 +547,15 @@ class TestOptimizeProtocol:
         monkeypatch.setattr(pr, "_walk_weights", recording_weights)
         out, eigh, eigvalsh = solver_sizes(monkeypatch, pr.optimize_protocol,
                                            j, 0, n - 1, budget=120)
-        # the halves without their first orbit and the analytic gamma's
-        # walk once; then the seed's gamma alone, the 24 scatter gammas as
+        # the halves without their first orbit once, and no solve of the
+        # whole walk; then the seed's gamma alone, the 24 scatter gammas as
         # one stack and each pattern move's gamma alone, every one solved
         # once as its two mirror halves (one stack at even n), eigenvalues
         # only
         assert len(set(gammas)) == len(gammas) == out.n_gamma_solves
         assert depths == [1, 24] + [1] * (len(gammas) - 25)
         assert eigh == []
-        assert eigvalsh == [(n // 2 - 1, 2), (n, 1)] \
+        assert eigvalsh == [(n // 2 - 1, 2)] \
             + [(n // 2, 2 * depth) for depth in depths]
         assert out.config.gamma in gammas
         assert out.n_evaluations > len(gammas)
