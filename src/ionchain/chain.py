@@ -239,15 +239,14 @@ def _transverse_hessian(positions: np.ndarray,
     return k
 
 
-def _transverse_eigensystem(trap: TrapConfig, positions: np.ndarray,
-                            omega_t: float):
-    """Eigendecomposition of the transverse Hessian for trap frequency omega_t.
+def _transverse_eigensystem(trap: TrapConfig, positions: np.ndarray):
+    """Eigendecomposition of the x transverse Hessian.
 
     Returns (omega_sq, vectors) with omega_sq in rad^2/s^2, columns sorted by
     descending frequency with a deterministic tie-break.
     """
     lam, vec = np.linalg.eigh(
-        _transverse_hessian(positions, (omega_t / trap.omega_z) ** 2))
+        _transverse_hessian(positions, (trap.omega_x / trap.omega_z) ** 2))
     omega_sq = lam * trap.omega_z**2
     order = np.argsort(-omega_sq, kind="stable")
     omega_sq = omega_sq[order]
@@ -261,18 +260,17 @@ def _transverse_eigensystem(trap: TrapConfig, positions: np.ndarray,
     return omega_sq, vec
 
 
-def transverse_phonon_modes(trap: TrapConfig, chain: ChainSolution,
-                            axis: str = "x") -> ChainSolution:
-    """Transverse phonon modes b_im and frequencies omega_m at equilibrium.
+def transverse_phonon_modes(trap: TrapConfig,
+                            chain: ChainSolution) -> ChainSolution:
+    """Transverse x phonon modes b_im and frequencies omega_m at equilibrium.
 
-    axis selects the transverse trap frequency; the laser couples to x.
+    The laser couples to x; is_linear_stable checks the softer axis.
     Raises UnstableChain if any squared frequency is non-positive.
     """
     u = chain.positions
     if trap.n_ions > 1 and np.max(np.abs(_gradient(u))) > _equilibrium_gate(u):
         raise ValueError("positions are not an equilibrium configuration")
-    omega_t = {"x": trap.omega_x, "y": trap.omega_y}[axis]
-    omega_sq, vec = _transverse_eigensystem(trap, u, omega_t)
+    omega_sq, vec = _transverse_eigensystem(trap, u)
     if np.min(omega_sq) <= 0:
         raise UnstableChain(
             f"lowest transverse eigenvalue {np.min(omega_sq):.3e} <= 0")

@@ -469,6 +469,9 @@ def _second_mode(trap: TrapConfig, eta: np.ndarray,
 def cmd_leakage(cfg, ctx: OutputContext) -> None:
     if cfg["alpha_target"] is None and cfg["mu_mhz"] == 0.0:
         raise ConfigError("leakage needs alpha_target or a nonzero mu_mhz")
+    if cfg["n_ions"] < 2:
+        # one ion has no pair to couple
+        raise ConfigError(f"leakage needs n_ions >= 2, got {cfg['n_ions']}")
     if cfg["modes"] not in (1, 2):
         raise ConfigError("modes must be 1 or 2")
     s = cfg["s_init"]
@@ -484,24 +487,27 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
                           f"r_lo = {r_bounds[0]}, r_hi = {r_bounds[1]}")
     trap, sol, info = resolve_working_point(cfg)
 
-    freqs_used = sol.mode_freqs.copy()
     pinned = cfg["omega_c_pin_mhz"] is not None
     if pinned:
-        freqs_used[0] = cfg["omega_c_pin_mhz"] * _freq_scale(cfg)
-    sol_used = replace(sol, mode_freqs=freqs_used)
-    eta_used = couplings.lamb_dicke(trap, sol_used)
-    # the pin moves mode 0 alone, which _second_mode never picks
+        freqs = sol.mode_freqs.copy()
+        freqs[0] = cfg["omega_c_pin_mhz"] * _freq_scale(cfg)
+        sol = replace(sol, mode_freqs=freqs)
+    # the modes are chosen here alone, COM first: everything below reads
+    # their columns from system.eta and system.mode_freqs. The pin moves
+    # mode 0 alone, which _second_mode never picks
     subset = [0]
     if cfg["modes"] == 2:
-        subset.append(_second_mode(trap, eta_used, freqs_used))
+        subset.append(_second_mode(trap, couplings.lamb_dicke(trap, sol),
+                                   sol.mode_freqs))
 
     policy = sp.TruncationPolicy(phonon_modes=tuple(subset),
                                  fock_cutoff=cfg["fock_cutoff"],
                                  total_quanta_cutoff=cfg["total_quanta"])
-    system = sp.SpinPhononSystem.build(trap, sol_used, policy, s_init=s)
+    system = sp.SpinPhononSystem.build(trap, sol, policy, s_init=s)
+    eta, freqs = system.eta, system.mode_freqs
     psi0 = system.initial_state((1 << s) - 1)
 
-    omega_c = freqs_used[0]
+    omega_c = freqs[0]
     delta_c = trap.omega_eff - omega_c
     if delta_c <= 0:
         raise ResonantDetuning(
@@ -516,21 +522,19 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
 
     if cfg["modes"] == 1:
         fit = leakage.fit_effective_frequency(
-            times, e_meas, abs(float(system.eta[0, 0])), trap.rabi,
+            times, e_meas, abs(float(eta[0, 0])), trap.rabi,
             trap.omega_eff, omega_c, r_bounds=r_bounds, scale=s)
     else:
         fit = leakage.fit_effective_frequency_two_modes(
-            times, e_meas, eta_used[:, subset], trap.rabi, freqs_used[subset],
-            trap.omega_eff, r_bounds=r_bounds, scale=s)
+            times, e_meas, eta, trap.rabi, freqs, trap.omega_eff,
+            r_bounds=r_bounds, scale=s)
     # s times the analytic envelope, at r = 1 and at the fitted r
     env, env_shifted = fit.model(1.0), fit.model(fit.r)
 
-    ren = leakage.renormalized_couplings(trap, eta_used, freqs_used, fit.r,
-                                         mode_subset=subset)
-    h_sub = couplings.local_fields(trap, eta_used, freqs_used,
-                                   mode_subset=subset)
-    sector = xy.build_sector(ren.J, h_sub, s)
-    sector_ren = xy.build_sector(ren.J_prime, h_sub, s)
+    ren = leakage.renormalized_couplings(trap, eta, freqs, fit.r)
+    h = couplings.local_fields(trap, eta, freqs)
+    sector = xy.build_sector(ren.J, h, s)
+    sector_ren = xy.build_sector(ren.J_prime, h, s)
     psi_xy0 = np.zeros(sector.dim, dtype=complex)
     psi_xy0[sector.index_of((1 << s) - 1)] = 1.0
     f_bare = sp.model_fidelity(traj, sector, psi_xy0)

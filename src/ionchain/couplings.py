@@ -82,31 +82,28 @@ def _check_resonance(omega_eff: float, mode_freqs: np.ndarray) -> None:
             f"{m} at {mode_freqs[m]:.6e} rad/s")
 
 
-def coupling_matrix(trap: TrapConfig, eta: np.ndarray, mode_freqs: np.ndarray,
-                    mode_subset=None) -> np.ndarray:
-    """J_ij = sum_m Omega^2 eta_im eta_jm omega_m / (8 (omega_eff^2 - omega_m^2))."""
-    modes = np.arange(len(mode_freqs)) if mode_subset is None \
-        else np.asarray(mode_subset, dtype=int)
-    w = mode_freqs[modes]
-    _check_resonance(trap.omega_eff, w)
-    e = eta[:, modes]
-    weights = w / (8.0 * (trap.omega_eff**2 - w**2))
-    j = trap.rabi**2 * (e * weights[None, :]) @ e.T
+def coupling_matrix(trap: TrapConfig, eta: np.ndarray,
+                    mode_freqs: np.ndarray) -> np.ndarray:
+    """J_ij = sum_m Omega^2 eta_im eta_jm omega_m / (8 (omega_eff^2 - omega_m^2)).
+
+    The sum runs over the columns of eta; pass a column slice for a partial
+    sum (no columns give zeros).
+    """
+    _check_resonance(trap.omega_eff, mode_freqs)
+    weights = mode_freqs / (8.0 * (trap.omega_eff**2 - mode_freqs**2))
+    j = trap.rabi**2 * (eta * weights[None, :]) @ eta.T
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
     return j
 
 
 def local_fields(trap: TrapConfig, eta: np.ndarray, mode_freqs: np.ndarray,
-                 n_init: int = 0, mode_subset=None) -> np.ndarray:
-    """h_j = sum_m Omega^2 eta_jm^2 omega_eff / (4 (omega_eff^2 - omega_m^2)) (2n+1)."""
-    modes = np.arange(len(mode_freqs)) if mode_subset is None \
-        else np.asarray(mode_subset, dtype=int)
-    w = mode_freqs[modes]
-    _check_resonance(trap.omega_eff, w)
-    e = eta[:, modes]
-    weights = trap.omega_eff / (4.0 * (trap.omega_eff**2 - w**2))
-    return trap.rabi**2 * (2 * n_init + 1) * (e**2) @ weights
+                 n_init: int = 0) -> np.ndarray:
+    """h_j = sum_m Omega^2 eta_jm^2 omega_eff / (4 (omega_eff^2 - omega_m^2)) (2n+1),
+    summed over the columns of eta."""
+    _check_resonance(trap.omega_eff, mode_freqs)
+    weights = trap.omega_eff / (4.0 * (trap.omega_eff**2 - mode_freqs**2))
+    return trap.rabi**2 * (2 * n_init + 1) * (eta**2) @ weights
 
 
 def _fit_pairs(n: int, convention: FitConvention, positions=None):

@@ -81,9 +81,9 @@ def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
 
     eta holds the two included Lamb-Dicke columns (N x 2); mode_freqs the two
     mode frequencies.  Includes the cross term oscillating at w_1 - w_2.
-    r shifts the detuning of the first (near-resonant) mode only,
-    Delta_1 = r * omega_eff - omega_1; the second mode keeps the bare
-    detuning.  A column of r values gives one trace per row; the
+    As in renormalized_couplings, column 0 is the near-resonant mode r
+    shifts: Delta_1 = r * omega_eff - omega_1; the second column keeps the
+    bare detuning.  A column of r values gives one trace per row; the
     detunings are squared as products, as in leakage_norm_single.
     """
     t = np.asarray(t, dtype=float)
@@ -194,25 +194,21 @@ class RenormalizationResult:
 
 
 def renormalized_couplings(trap: TrapConfig, eta: np.ndarray,
-                           mode_freqs: np.ndarray, r: float,
-                           shifted_modes=(0,),
-                           mode_subset=None) -> RenormalizationResult:
+                           mode_freqs: np.ndarray,
+                           r: float) -> RenormalizationResult:
     """Couplings with the time-averaged effective frequency (1+r) w_eff / 2.
 
-    The averaged frequency is applied only to shifted_modes (the
-    near-resonant mode(s)); the remaining included modes keep the bare
-    omega_eff.
+    eta holds the included Lamb-Dicke columns, mode_freqs their
+    frequencies.  As in leakage_norm_two_modes, column 0 is the
+    near-resonant mode r shifts: the averaged frequency applies to it
+    alone, and the remaining columns keep the bare omega_eff.
     """
-    modes = list(range(len(mode_freqs))) if mode_subset is None \
-        else list(mode_subset)
-    shifted = [m for m in modes if m in set(shifted_modes)]
-    plain = [m for m in modes if m not in set(shifted_modes)]
     omega_avg = 0.5 * (1.0 + r) * trap.omega_eff
     # the detuning at which omega_eff = sqrt(Omega^2 + mu^2) is omega_avg
     trap_avg = trap.with_(detuning_mu=np.sqrt(omega_avg**2 - trap.rabi**2))
-    j = coupling_matrix(trap, eta, mode_freqs, mode_subset=modes)
-    j_prime = coupling_matrix(trap_avg, eta, mode_freqs, mode_subset=shifted) \
-        + coupling_matrix(trap, eta, mode_freqs, mode_subset=plain)
+    j = coupling_matrix(trap, eta, mode_freqs)
+    j_prime = coupling_matrix(trap_avg, eta[:, :1], mode_freqs[:1]) \
+        + coupling_matrix(trap, eta[:, 1:], mode_freqs[1:])
     iu = np.triu_indices(j.shape[0], k=1)
     factor = float(np.mean(j_prime[iu] / j[iu]))
     return RenormalizationResult(J=j, J_prime=j_prime, factor_summary=factor)

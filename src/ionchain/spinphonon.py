@@ -166,7 +166,9 @@ class SpinPhononSystem:
     trap: TrapConfig
     basis: ProductBasis
     mode_freqs: np.ndarray     # included modes, rad/s
-    eta: np.ndarray            # N x n_modes, included columns
+    eta: np.ndarray            # N x n_modes, the included columns in
+                               # phonon_modes order: the leakage fit and
+                               # J' shift column 0 by r
     D: np.ndarray              # diagonal of the frame generator
     V: np.ndarray              # static coupling matrix
     _eig: list | None = field(default=None, repr=False)

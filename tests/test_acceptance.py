@@ -92,11 +92,11 @@ def leakage_run(n: int, alpha: float, s: int = 1, modes: int = 1,
                                          scale=s)
     else:
         fit = lk.fit_effective_frequency_two_modes(
-            times, e_meas, eta[:, subset], trap.rabi,
-            sol.mode_freqs[subset], trap.omega_eff, scale=s)
-    return {"trap": trap, "sol": sol, "system": system, "eta": eta,
-            "subset": subset, "delta_c": delta_c, "times": times,
-            "e_meas": e_meas, "eta_1c": eta_1c, "fit": fit, "traj": traj}
+            times, e_meas, system.eta, trap.rabi, system.mode_freqs,
+            trap.omega_eff, scale=s)
+    return {"trap": trap, "sol": sol, "system": system, "delta_c": delta_c,
+            "times": times, "e_meas": e_meas, "eta_1c": eta_1c, "fit": fit,
+            "traj": traj}
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,24 +304,21 @@ def test_criterion_06_effective_frequency_fit():
 
 def test_criterion_07_renormalization_factor():
     run = leakage_run(10, 0.2)
-    trap, sol = run["trap"], run["sol"]
-    ren1 = lk.renormalized_couplings(trap, run["eta"], sol.mode_freqs,
-                                     run["fit"].r, mode_subset=[0])
+    trap, system = run["trap"], run["system"]
+    ren1 = lk.renormalized_couplings(trap, system.eta, system.mode_freqs,
+                                     run["fit"].r)
     run2 = leakage_run(10, 0.2, modes=2)
-    ren2 = lk.renormalized_couplings(run2["trap"], run2["eta"],
-                                     run2["sol"].mode_freqs,
-                                     run2["fit"].r,
-                                     mode_subset=run2["subset"])
+    ren2 = lk.renormalized_couplings(run2["trap"], run2["system"].eta,
+                                     run2["system"].mode_freqs,
+                                     run2["fit"].r)
     single_ok = abs(ren1.factor_summary - 0.940) <= 0.01
     two_ok = abs(ren2.factor_summary - 0.941) <= 0.01
     # long-time model fidelity with the renormalised reference at
     # stroboscopic times t = 2 pi k / Delta'
-    delta_p = run["fit"].r * trap.omega_eff - sol.mode_freqs[0]
+    delta_p = run["fit"].r * trap.omega_eff - system.mode_freqs[0]
     strobe = 2 * np.pi * np.arange(1, 9) / delta_p
-    traj = sp.propagate(run["system"], run["system"].initial_state(1), strobe)
-    j_sub = ic.coupling_matrix(trap, run["eta"], sol.mode_freqs,
-                               mode_subset=[0])
-    h_sub = ic.local_fields(trap, run["eta"], sol.mode_freqs, mode_subset=[0])
+    traj = sp.propagate(system, system.initial_state(1), strobe)
+    h_sub = ic.local_fields(trap, system.eta, system.mode_freqs)
     sector_ren = xy.build_sector(ren1.J_prime, h_sub, 1)
     psi_xy0 = np.zeros(sector_ren.dim, dtype=complex)
     psi_xy0[sector_ren.index_of(1)] = 1.0

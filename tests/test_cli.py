@@ -177,6 +177,22 @@ omega_z_mhz = 0.9   # trailing comment
         assert "config error" in err and "n_ions >= 3" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_leakage_on_one_ion_exits_two(self, tmp_path, capsys,
+                                          monkeypatch, modes):
+        # one mode used to write "J_prime_factor_mean": NaN, two the
+        # unrelated "included modes must be distinct"
+        def unreachable(cfg):
+            raise AssertionError("chain solved")
+        monkeypatch.setattr(cli, "resolve_working_point", unreachable)
+        p = write_config(tmp_path, f"n_ions = 1\nmu_mhz = 6.5\n"
+                                   f"n_times = 50\nmodes = {modes}\n")
+        rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_ions" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
     def test_defaults_fill_in(self):
         cfg = cli.resolve_config("chain", {})
         assert cfg["n_ions"] == 10
