@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -33,6 +34,10 @@ from .xy import SectorTooLarge
 
 class ConfigError(ValueError):
     pass
+
+
+class NonFiniteReport(ArithmeticError):
+    """A NaN or inf bound for a JSON report: exit 1, nothing written."""
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +291,36 @@ def write_table(ctx: OutputContext, stem: str, header: list,
     return path
 
 
-def _json_safe(x):
+def _json_safe(x, path: str = ""):
+    """x in JSON types; a NaN or inf raises NonFiniteReport naming its key
+    path."""
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (np.floating, float)):
+        if not math.isfinite(x):
+            raise NonFiniteReport(f"{path} is {float(x)}")
         return float(x)
     if isinstance(x, (np.integer, int)):
         return int(x)
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return _json_safe(x.tolist(), path)
     if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
+        return [_json_safe(v, f"{path}[{i}]") for i, v in enumerate(x)]
     if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
+        return {k: _json_safe(v, f"{path}.{k}" if path else str(k))
+                for k, v in x.items()}
     return x
 
 
 def write_report(ctx: OutputContext, stem: str, payload: dict) -> Path:
     path = ctx.outdir / f"{stem}.json"
+    # checked before the file is opened: a NaN leaves no partial report
+    try:
+        doc = _json_safe({"meta": dict(ctx.meta), **payload})
+    except NonFiniteReport as e:
+        raise NonFiniteReport(f"{path.name}: {e}") from None
     with open(path, "w", newline="\n") as f:
-        json.dump({"meta": dict(ctx.meta), **_json_safe(payload)}, f,
-                  indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     ctx.written.append(path)
     return path
@@ -731,7 +745,7 @@ COMMANDS = {
 NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
                     ResonantDetuning, DegenerateFit, FitFailure,
                     StepUnderflow, SectorTooLarge, noise.EnsembleTooLarge,
-                    np.linalg.LinAlgError)
+                    np.linalg.LinAlgError, NonFiniteReport)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,14 @@ class FitFailure(RuntimeError):
     pass
 
 
+# rounding of the closed-form scan costs per radian of phase, relative to
+# the magnitude of their terms (see _scan_costs), and the step deviation a
+# uniform time grid may show relative to its largest time: np.linspace
+# rounds each time within an ulp or two
+_SCAN_ROUNDING = 64 * np.finfo(float).eps
+_UNIFORM_RTOL = 64 * np.finfo(float).eps
+
+
 def sign_factor(k: int) -> int:
     """f_k = (-1)^(k+1): f_0 = -1, f_1 = +1."""
     return (-1) ** (k + 1)
@@ -67,11 +75,24 @@ def leakage_norm_single(eta_1c: float, omega_rabi: float, delta_c: float,
     """|| E(t) || = Omega^2 eta_1c^2 (1 - cos(Delta_c t)) / (2 Delta_c^2).
 
     Delta_c is squared as a product: for a scalar np.float64, ** is C pow,
-    which may round one ulp away from the x * x of a column of detunings.
+    which may round one ulp away from x * x, and the fit's bytes depend on
+    the rounding.
     """
     t = np.asarray(t, dtype=float)
     return (omega_rabi**2 * eta_1c**2 * (1.0 - np.cos(delta_c * t))
             / (2.0 * (delta_c * delta_c)))
+
+
+def _two_mode_weights(eta: np.ndarray, mode_freqs: np.ndarray,
+                      omega_eff: float, r):
+    """Detunings d1, d2 and the weights s11, s12, s22 of the two-mode
+    envelope; d1 = r * omega_eff - omega_1 moves with r, d2 does not."""
+    w1, w2 = mode_freqs
+    d1 = r * omega_eff - w1
+    d2 = omega_eff - w2
+    e1, e2 = eta[:, 0], eta[:, 1]
+    return (d1, d2, np.sum(e1**2) / (d1 * d1), np.sum(e1 * e2) / (d1 * d2),
+            np.sum(e2**2) / (d2 * d2))
 
 
 def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
@@ -83,22 +104,16 @@ def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
     mode frequencies.  Includes the cross term oscillating at w_1 - w_2.
     As in renormalized_couplings, column 0 is the near-resonant mode r
     shifts: Delta_1 = r * omega_eff - omega_1; the second column keeps the
-    bare detuning.  A column of r values gives one trace per row; the
-    detunings are squared as products, as in leakage_norm_single.
+    bare detuning.  The detunings are squared as products, as in
+    leakage_norm_single.
     """
     t = np.asarray(t, dtype=float)
-    w1, w2 = mode_freqs
-    d1 = r * omega_eff - w1
-    d2 = omega_eff - w2
-    e1, e2 = eta[:, 0], eta[:, 1]
-    n = len(e1)
+    d1, d2, s11, s12, s22 = _two_mode_weights(eta, mode_freqs, omega_eff, r)
     c1 = 1.0 - np.cos(d1 * t)
     c2 = 1.0 - np.cos(d2 * t)
-    cx = 1.0 - np.cos(d1 * t) - np.cos(d2 * t) + np.cos((w1 - w2) * t)
-    s11 = np.sum(e1**2) / (d1 * d1)
-    s12 = np.sum(e1 * e2) / (d1 * d2)
-    s22 = np.sum(e2**2) / (d2 * d2)
-    return omega_rabi**2 / (2.0 * n) * (s11 * c1 + s12 * cx + s22 * c2)
+    cx = 1.0 - np.cos(d1 * t) - np.cos(d2 * t) \
+        + np.cos((mode_freqs[0] - mode_freqs[1]) * t)
+    return omega_rabi**2 / (2.0 * len(eta)) * (s11 * c1 + s12 * cx + s22 * c2)
 
 
 @dataclass
@@ -109,27 +124,117 @@ class FrequencyFit:
     model: Callable             # r -> the fitted envelope at that r
 
 
-# elements of one r x times array in _grid_costs: its chunks of grid values
-# stay at a few hundred kB, whatever the trace length
-_SCAN_SIZE = 2**16
+def _chirp_z(x: np.ndarray, theta: float, m: int) -> np.ndarray:
+    """X_j = sum_k x_k exp(i theta j k) for j < m (Bluestein).
+
+    With jk = (j^2 + k^2 - (j - k)^2) / 2 the sum is a convolution of the
+    chirped x with the chirp exp(-i theta l^2 / 2), done by FFTs of length
+    >= n + m - 1.
+    """
+    n = len(x)
+    size = 1 << (n + m - 2).bit_length()
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * theta * (k * k))
+    h = np.zeros(size, dtype=complex)
+    h[:m] = chirp[:m].conj()
+    h[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    y = np.fft.ifft(np.fft.fft(x * chirp[:n], size) * np.fft.fft(h))
+    return chirp[:m] * y[:m]
 
 
-def _grid_costs(e_sim: np.ndarray, model_fn, grid: np.ndarray) -> np.ndarray:
-    """sum((model_fn(r) - e_sim)^2) at every r of grid, a chunk of grid
-    values at a time: model_fn maps a column of r values to one model trace
-    per row."""
-    rows = max(1, _SCAN_SIZE // len(e_sim))
-    return np.concatenate([
-        np.sum((model_fn(grid[k:k + rows, None]) - e_sim) ** 2, axis=-1)
-        for k in range(0, len(grid), rows)])
+def _scan_costs(times: np.ndarray, e_sim: np.ndarray, terms: list,
+                m: int) -> tuple:
+    """sum((model - e_sim)^2) at every grid index j < m, in closed form.
+
+    The model is sum_a c_a cos(f_a t); each c_a is a scalar or one value per
+    grid index, and each f_a a scalar or m values affine in j.  Expanded,
+
+      cost_j = sum e^2 - 2 sum_a c_a sum_t e_t cos(f_a t)
+               + sum_ab c_a c_b / 2
+                 * sum_t [cos((f_a - f_b) t) + cos((f_a + f_b) t)],
+
+    and every trigonometric sum whose frequency moves with j is one chirp-z
+    transform over the grid; one whose frequency is fixed is one scalar.
+    Returns the costs and a bound on their error at each j: the phase the
+    transform misses (the frequencies' and times' distance from affine and
+    uniform) plus _SCAN_ROUNDING per radian of phase evaluated and per
+    sqrt(n + m) of FFT length, both times the sum of the magnitudes of the
+    expansion's terms.
+    """
+    n = len(times)
+    t0, dt = times[0], (times[-1] - times[0]) / (n - 1)
+    t_max = np.max(np.abs(times))
+    t_dev = np.max(np.abs(times - (t0 + dt * np.arange(n))))
+    j = np.arange(m)
+    ones = np.ones(n)
+    sums = {}
+    phase = missed = 0.0
+
+    def trig_sum(w, f0, slope, dev):
+        """sum_t w_t cos((f0 + slope j) t) for every j."""
+        nonlocal phase, missed
+        if slope < 0:
+            f0, slope = -f0, -slope
+        phase = max(phase, (abs(f0) + slope * m) * t_max,
+                    0.5 * slope * dt * max(n, m) ** 2)
+        missed = max(missed, dev * t_max + slope * m * t_dev)
+        key = (w is ones, f0, slope)
+        if key not in sums:
+            x = w * np.exp(1j * f0 * times)
+            sums[key] = np.sum(x).real if slope == 0 else (
+                np.exp(1j * slope * t0 * j)
+                * _chirp_z(x, slope * dt, m)).real
+        return sums[key]
+
+    def affine(f):
+        """f0, slope and the largest distance of f from f0 + slope j."""
+        if np.ndim(f) == 0:
+            return float(f), 0.0, 0.0
+        f0, slope = float(f[0]), float(f[-1] - f[0]) / (m - 1)
+        return f0, slope, float(np.max(np.abs(f - (f0 + slope * j))))
+
+    coefs = [c for c, _ in terms]
+    freqs = [affine(f) for _, f in terms]
+    power = np.sum(e_sim * e_sim)
+    costs = power
+    for a, (fa, sa, da) in enumerate(freqs):
+        costs = costs - 2.0 * coefs[a] * trig_sum(e_sim, fa, sa, da)
+        for b in range(a, len(terms)):
+            fb, sb, db = freqs[b]
+            pair = (trig_sum(ones, fa - fb, sa - sb, da + db)
+                    + trig_sum(ones, fa + fb, sa + sb, da + db))
+            weight = 0.5 if a == b else 1.0
+            costs = costs + weight * coefs[a] * coefs[b] * pair
+    size = sum(np.abs(c) for c in coefs)
+    scale = power + 2.0 * size * np.sum(np.abs(e_sim)) + size * size * n
+    return costs, (missed + _SCAN_ROUNDING * (np.sqrt(n + m) + phase)) * scale
 
 
-def _fit_r(e_sim: np.ndarray, model_fn, r_bounds: tuple) -> FrequencyFit:
+def _check_uniform(times: np.ndarray) -> None:
+    """The closed-form scan needs a uniform time grid, as np.linspace gives:
+    raise ValueError naming the largest step deviation otherwise."""
+    if len(times) < 2:
+        raise ValueError(f"the fit needs at least 2 times, got {len(times)}")
+    steps = np.diff(times)
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+    dev = float(np.max(np.abs(steps - dt)))
+    if not dev <= _UNIFORM_RTOL * np.max(np.abs(times)):
+        raise ValueError(f"the fit needs uniform times: a step deviates by "
+                         f"{dev:.3e} s from the mean step {dt:.3e} s")
+
+
+def _fit_r(times: np.ndarray, e_sim: np.ndarray, model_fn, terms_fn,
+           r_bounds: tuple) -> FrequencyFit:
     """Least-squares r over model_fn(r); coarse scan then local refine.
 
     The objective oscillates in r, so a bounded local search alone can lock
     onto a side lobe; the 4001-point grid locates the global basin first.
+    terms_fn(grid) spells model_fn as cosine terms for _scan_costs, which
+    ranks the grid in closed form; every grid value whose closed-form cost
+    lies within the rounding bound of the best is scored again with the
+    exact cost, so the chosen grid value is the exact costs' argmin.
     """
+    _check_uniform(times)
     # imported here, not at module level: scipy.optimize costs every run of
     # the package start-up time, and only the fit needs it
     from scipy.optimize import minimize_scalar
@@ -138,7 +243,13 @@ def _fit_r(e_sim: np.ndarray, model_fn, r_bounds: tuple) -> FrequencyFit:
         return float(np.sum((model_fn(r) - e_sim) ** 2))
 
     grid = np.linspace(r_bounds[0], r_bounds[1], 4001)
-    k = int(np.argmin(_grid_costs(e_sim, model_fn, grid)))
+    approx, err = _scan_costs(times, e_sim, terms_fn(grid), len(grid))
+    upper = approx + err
+    best = np.min(upper, where=np.isfinite(upper), initial=np.inf)
+    if best == np.inf:
+        raise FitFailure("no finite least-squares cost on the r grid")
+    near = np.flatnonzero(approx - err <= best)
+    k = int(near[np.argmin([cost(r) for r in grid[near]])])
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
     res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
@@ -161,14 +272,20 @@ def fit_effective_frequency(times: np.ndarray, e_sim: np.ndarray,
     Least squares over the full trace between e_sim and the analytic norm
     evaluated with Delta' = r*omega_eff - omega_c (amplitude recomputed with
     Delta' as well).  scale multiplies the analytic envelope (s excitations
-    predict s * ||E'||).
+    predict s * ||E'||).  times must be a uniform grid (ValueError
+    otherwise).
     """
 
     def model(r):
         delta = r * omega_eff - omega_c
         return scale * leakage_norm_single(eta_1c, omega_rabi, delta, times)
 
-    return _fit_r(e_sim, model, r_bounds)
+    def terms(r):
+        delta = r * omega_eff - omega_c
+        a = scale * omega_rabi**2 * eta_1c**2 / (2.0 * (delta * delta))
+        return [(a, 0.0), (-a, delta)]
+
+    return _fit_r(times, e_sim, model, terms, r_bounds)
 
 
 def fit_effective_frequency_two_modes(times: np.ndarray, e_sim: np.ndarray,
@@ -177,13 +294,22 @@ def fit_effective_frequency_two_modes(times: np.ndarray, e_sim: np.ndarray,
                                       omega_eff: float,
                                       r_bounds: tuple = (0.999, 1.002),
                                       scale: float = 1.0) -> FrequencyFit:
-    """Two-mode variant: r shifts the near-resonant mode's detuning only."""
+    """Two-mode variant: r shifts the near-resonant mode's detuning only.
+    times must be a uniform grid (ValueError otherwise)."""
 
     def model(r):
         return scale * leakage_norm_two_modes(eta, omega_rabi, mode_freqs,
                                               omega_eff, times, r=r)
 
-    return _fit_r(e_sim, model, r_bounds)
+    def terms(r):
+        d1, d2, s11, s12, s22 = _two_mode_weights(eta, mode_freqs,
+                                                  omega_eff, r)
+        p = scale * omega_rabi**2 / (2.0 * len(eta))
+        return [(p * (s11 + s12 + s22), 0.0), (-p * (s11 + s12), d1),
+                (-p * (s12 + s22), d2),
+                (p * s12, mode_freqs[0] - mode_freqs[1])]
+
+    return _fit_r(times, e_sim, model, terms, r_bounds)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -226,6 +227,16 @@ class TestChainCommand:
         assert rc == 1
         assert "UnstableChain" in capsys.readouterr().err
 
+    def test_inf_in_report_names_its_key_path(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(cli, "_trap_dict",
+                            lambda trap: {"freqs": [1.0, np.inf]})
+        rc = cli.main(["chain", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "chain_report.json: trap.freqs[1] is inf" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_reruns_byte_identical(self, tmp_path):
         p = write_config(tmp_path, "n_ions = 5\nomega_z_mhz = 0.9\n")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -326,6 +337,28 @@ class TestLeakageCommand:
         e_sim = np.array([float(row["E_sim"]) for row in rows])
         assert report["fit_residual_over_power"] == pytest.approx(
             report["fit_residual"] / np.sum(e_sim ** 2), rel=1e-12)
+
+    def test_nan_in_report_exits_one_with_no_report(self, tmp_path, capsys,
+                                                     monkeypatch):
+        renormalized = cli.leakage.renormalized_couplings
+
+        def nan_factor(*args):
+            return dataclasses.replace(renormalized(*args),
+                                       factor_summary=float("nan"))
+
+        monkeypatch.setattr(cli.leakage, "renormalized_couplings",
+                            nan_factor)
+        p = write_config(tmp_path, "\n".join([
+            "n_ions = 4", "omega_z_mhz = 1.0", "alpha_target = 0.5",
+            "fock_cutoff = 2", "periods = 2", "n_times = 300", ""]))
+        out = tmp_path / "out"
+        rc = cli.main(["leakage", "--config", p, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "NonFiniteReport: leakage_report.json: J_prime_factor_mean " \
+            "is nan" in err
+        assert "config error" not in err
+        assert not (out / "leakage_report.json").exists()
 
     def test_requires_working_point(self, tmp_path, capsys):
         p = write_config(tmp_path, "n_ions = 4\nomega_z_mhz = 1.0\n")
@@ -679,6 +712,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, ionchain.cli; print(sorted("
          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_fft_optimize_or_sparse():
+    # numpy.fft is for the r fit alone, which imports it on first use
+    src = str(Path(ionchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ionchain.cli; print(sorted("
+         "m for m in ('numpy.fft', 'scipy.optimize', 'scipy.sparse') "
+         "if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
 

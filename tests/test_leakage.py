@@ -154,21 +154,119 @@ class TestLeakageNorms:
                                      for r in rs])
 
 
-def loop_fit_r(e_sim, model_fn, r_bounds):
-    """r by the scan one grid value at a time: the reference for the
-    broadcast scan of leakage._fit_r."""
+# elements of one r x times array of the reference scan: its chunks of grid
+# values stay at a few hundred kB, whatever the trace length
+REF_SCAN_SIZE = 2**16
+
+
+def brute_costs(e_sim, model_fn, grid):
+    """sum((model_fn(r) - e_sim)^2) at every r of grid, a chunk of grid
+    values at a time: model_fn maps a column of r values to one model trace
+    per row.  The brute scan the closed form replaced, kept as its
+    reference."""
+    rows = max(1, REF_SCAN_SIZE // len(e_sim))
+    return np.concatenate([
+        np.sum((model_fn(grid[k:k + rows, None]) - e_sim) ** 2, axis=-1)
+        for k in range(0, len(grid), rows)])
+
+
+def refine(e_sim, model_fn, grid, k):
+    """The bounded refine of leakage._fit_r around grid[k]: r and its
+    residual."""
     from scipy.optimize import minimize_scalar
+    res = minimize_scalar(
+        lambda r: float(np.sum((model_fn(r) - e_sim) ** 2)),
+        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+        method="bounded", options={"xatol": 1e-12})
+    return float(res.x), float(res.fun)
 
-    def cost(r):
-        return float(np.sum((model_fn(r) - e_sim) ** 2))
 
+def loop_fit_r(e_sim, model_fn, r_bounds):
+    """r by the scan one grid value at a time, with the scalar cost."""
     grid = np.linspace(r_bounds[0], r_bounds[1], 4001)
-    costs = [cost(r) for r in grid]
+    costs = [float(np.sum((model_fn(r) - e_sim) ** 2)) for r in grid]
+    return costs, refine(e_sim, model_fn, grid, int(np.argmin(costs)))[0]
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """Runs a fit, recording the closed-form costs with their error bound
+    and the bracket handed to the refine."""
+    import scipy.optimize
+    seen = {}
+    scan, minimize = lk._scan_costs, scipy.optimize.minimize_scalar
+
+    def scan_spy(*args):
+        seen["scan"] = scan(*args)
+        return seen["scan"]
+
+    def minimize_spy(fun, bounds, **kwargs):
+        seen["bracket"] = bounds
+        return minimize(fun, bounds=bounds, **kwargs)
+
+    monkeypatch.setattr(lk, "_scan_costs", scan_spy)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", minimize_spy)
+
+    def run(fit):
+        seen.clear()
+        try:
+            out = fit()
+        except lk.FitFailure as e:
+            out = e
+        return out, dict(seen)
+    return run
+
+
+def assert_matches_brute(traced, fit, e_sim, model_fn,
+                         r_bounds=(0.999, 1.002)) -> int:
+    """The closed-form scan stays within its error bound of the brute
+    costs, picks the brute argmin and gives the brute scan's r, or fails
+    where its residual exceeds half the trace power; returns the argmin."""
+    grid = np.linspace(r_bounds[0], r_bounds[1], 4001)
+    costs = brute_costs(e_sim, model_fn, grid)
     k = int(np.argmin(costs))
-    res = minimize_scalar(cost, bounds=(grid[max(k - 1, 0)],
-                                        grid[min(k + 1, len(grid) - 1)]),
-                          method="bounded", options={"xatol": 1e-12})
-    return costs, float(res.x)
+    got, seen = traced(fit)
+    approx, err = seen["scan"]
+    assert np.all(np.abs(approx - costs) <= err)
+    assert seen["bracket"] == (grid[max(k - 1, 0)], grid[min(k + 1, 4000)])
+    r, residual = refine(e_sim, model_fn, grid, k)
+    if residual > 0.5 * np.sum(e_sim**2):
+        assert isinstance(got, lk.FitFailure)
+    else:
+        assert got.r == r
+    return k
+
+
+def synthetic_fit(modes, periods=4.0, n=1500, seed=0, noise=0.02,
+                  r_true=1.0007, r_bounds=(0.999, 1.002), dt=None):
+    """A noisy synthetic trace of the one- or two-mode envelope at r_true,
+    its fit and the model the fit uses (scale 2).  dt, when given,
+    replaces the step that periods sets."""
+    rng = np.random.default_rng(seed)
+    eta, rabi = 0.055, 2 * np.pi * 1.1e5
+    w_eff, w_c = 2 * np.pi * 6.01e6, 2 * np.pi * 6e6
+    t_max = periods * 2 * np.pi / (w_eff - w_c) if dt is None \
+        else (n - 1) * dt
+    times = np.linspace(0.0, t_max, n)
+    etas = rng.uniform(0.03, 0.06, size=(8, 2))
+    mode_freqs = np.array([w_c, 2 * np.pi * 5.85e6])
+    if modes == 1:
+        def model(r):
+            return 2.0 * lk.leakage_norm_single(eta, rabi, r * w_eff - w_c,
+                                                times)
+    else:
+        def model(r):
+            return 2.0 * lk.leakage_norm_two_modes(etas, rabi, mode_freqs,
+                                                   w_eff, times, r=r)
+    e = model(r_true) * (1 + noise * rng.normal(size=n))
+
+    def fit():
+        if modes == 1:
+            return lk.fit_effective_frequency(times, e, eta, rabi, w_eff,
+                                              w_c, r_bounds, scale=2.0)
+        return lk.fit_effective_frequency_two_modes(
+            times, e, etas, rabi, mode_freqs, w_eff, r_bounds, scale=2.0)
+    return fit, e, model
 
 
 class TestFrequencyFit:
@@ -223,14 +321,13 @@ class TestFrequencyFit:
                                                        w_eff, times, r=r),
              lambda: lk.fit_effective_frequency_two_modes(
                  times, noisy, etas, rabi, mode_freqs, w_eff, scale=2.0))]
-        assert 4001 % (lk._SCAN_SIZE // len(times)) != 0
+        assert 4001 % (REF_SCAN_SIZE // len(times)) != 0
         grid = np.linspace(0.999, 1.002, 4001)
         for model, fit in fits:
             costs, r = loop_fit_r(noisy, model, (0.999, 1.002))
-            scan = lk._grid_costs(noisy, model, grid)
+            scan = brute_costs(noisy, model, grid)
             # a scalar r and a column of them square the detuning alike
             assert np.array_equal(scan, costs)
-            assert np.argmin(scan) == np.argmin(costs)
             assert fit().r == r
 
     def test_scalar_and_column_r_bit_identical(self):
@@ -269,6 +366,133 @@ class TestFrequencyFit:
         fit = lk.fit_effective_frequency_two_modes(times, e, eta, rabi,
                                                    mode_freqs, w_eff)
         assert fit.r == pytest.approx(r_true, abs=1e-8)
+
+
+# the leakage runs test_acceptance caches, called exactly as it calls them
+ACCEPTANCE_RUNS = [((10, 0.4), {}), ((10, 0.8), {}), ((10, 0.2), {}),
+                   ((8, 0.2), {}), ((10, 0.2), {"s": 2}),
+                   ((10, 0.2), {"s": 5}), ((10, 0.2), {"modes": 2})]
+
+
+class TestClosedFormScan:
+    @pytest.mark.parametrize("args, kwargs", ACCEPTANCE_RUNS)
+    def test_acceptance_traces(self, traced, args, kwargs):
+        from test_acceptance import leakage_run
+        run = leakage_run(*args, **kwargs)
+        trap, sol, system = run["trap"], run["sol"], run["system"]
+        s = kwargs.get("s", 1)
+        if kwargs.get("modes", 1) == 1:
+            def fit():
+                return lk.fit_effective_frequency(
+                    run["times"], run["e_meas"], run["eta_1c"], trap.rabi,
+                    trap.omega_eff, sol.mode_freqs[0], scale=s)
+        else:
+            def fit():
+                return lk.fit_effective_frequency_two_modes(
+                    run["times"], run["e_meas"], system.eta, trap.rabi,
+                    system.mode_freqs, trap.omega_eff, scale=s)
+        assert_matches_brute(traced, fit, run["e_meas"], run["fit"].model)
+        assert traced(fit)[0].r == run["fit"].r
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_noisy_synthetic_traces(self, traced, modes):
+        for seed in range(3):
+            fit, e, model = synthetic_fit(modes, periods=4 + seed, seed=seed,
+                                          r_true=1.0002 + 4e-4 * seed)
+            assert_matches_brute(traced, fit, e, model)
+
+    @pytest.mark.parametrize("periods", [1e3, 1e5, 1e6])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_long_traces(self, traced, modes, periods):
+        # the phases reach 1e7 rad, so rounding, not the grid, sets the
+        # bound; past 1e3 periods the lobes are narrower than a grid step,
+        # and the refine fails as the brute scan's would
+        fit, e, model = synthetic_fit(modes, periods=periods, n=600)
+        assert_matches_brute(traced, fit, e, model)
+
+    @pytest.mark.parametrize("turns", [0.5, 1.0])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_slope_times_step_on_a_multiple_of_two_pi(self, traced, modes,
+                                                      turns):
+        # the moving detuning advances by delta per grid step; a time step
+        # of 2 pi turns / delta puts delta * dt (turns = 1) or 2 delta * dt
+        # (turns = 1/2) on 2 pi, where Dirichlet sums of cosines divide by 0
+        delta = 2 * np.pi * 6.01e6 * 0.003 / 4000
+        fit, e, model = synthetic_fit(modes, n=200,
+                                      dt=2 * np.pi * turns / delta)
+        assert_matches_brute(traced, fit, e, model)
+
+    @pytest.mark.parametrize("edge", [0, 4000])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_minimum_on_the_grid_edge(self, traced, modes, edge):
+        r_true = 1.0007
+        lo = r_true + 2e-5 if edge == 0 else r_true - 2e-5 - 0.003
+        fit, e, model = synthetic_fit(modes, n=600, noise=0.0, r_true=r_true,
+                                      r_bounds=(lo, lo + 0.003))
+        assert assert_matches_brute(traced, fit, e, model,
+                                    (lo, lo + 0.003)) == edge
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_ties_go_to_the_brute_argmin(self, traced, modes):
+        # halfway between the envelopes at two neighbouring grid values,
+        # both cost the same up to rounding: the closed form alone cannot
+        # tell them apart, the exact re-score must
+        grid = np.linspace(0.999, 1.002, 4001)
+        fit, e, model = synthetic_fit(modes, n=600)
+        for k in range(2330, 2340):
+            # the fit reads e, so refill it in place
+            e[:] = 0.5 * (model(grid[k]) + model(grid[k + 1]))
+            assert assert_matches_brute(traced, fit, e, model) in (k, k + 1)
+
+    @pytest.mark.parametrize("t_max", [1e-2, 1e2])
+    def test_bound_holds_with_exactly_affine_frequencies(self, t_max):
+        # frequencies on a grid of binary fractions are exactly affine, so
+        # the whole bound is the rounding of the phases and the FFTs
+        m, n = 4001, 300
+        times = np.linspace(0.0, t_max, n)
+        f = 1e4 + np.arange(m) * 2.0**-3
+        c = 1e-3 * (1.0 + np.arange(m) / m)
+        terms = [(c, 0.0), (-c, f), (0.5 * c, 3.0e3), (0.2, 2 * f)]
+        e = np.random.default_rng(8).normal(size=n) * 1e-3
+        model = sum(np.asarray(ca)[..., None]
+                    * np.cos(np.asarray(fa)[..., None] * times)
+                    for ca, fa in terms)
+        costs = np.sum((model - e) ** 2, axis=-1)
+        approx, err = lk._scan_costs(times, e, terms, m)
+        assert np.all(np.abs(approx - costs) <= err)
+
+    def test_no_finite_cost_is_a_fit_failure(self):
+        fit, e, _ = synthetic_fit(1, n=50)
+        e[3] = np.nan
+        with pytest.raises(lk.FitFailure, match="no finite"):
+            fit()
+
+
+class TestUniformTimes:
+    @pytest.mark.parametrize("t0, t1, n", [
+        (0.0, 4e-4, 3000), (0.0, 1.0, 2), (1e-3, 7.3e-3, 997),
+        (-2.5, 3.1, 1001), (0.0, 123.456, 100003)])
+    def test_linspace_grids_pass(self, t0, t1, n):
+        lk._check_uniform(np.linspace(t0, t1, n))
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_non_uniform_times_refused(self, modes):
+        times = np.linspace(0.0, 4e-4, 300)
+        bad = times.copy()
+        bad[100] += 1e-9 * times[1]
+        dev = np.max(np.abs(np.diff(bad) - times[-1] / 299))
+        eta = np.full((6, 2), 0.05)
+        rabi, w_eff = 2 * np.pi * 1e5, 2 * np.pi * 6.01e6
+        freqs = np.array([2 * np.pi * 6e6, 2 * np.pi * 5.85e6])
+        e = lk.leakage_norm_two_modes(eta, rabi, freqs, w_eff, times)
+        with pytest.raises(ValueError, match="uniform") as info:
+            if modes == 1:
+                lk.fit_effective_frequency(bad, e, 0.05, rabi, w_eff,
+                                           freqs[0])
+            else:
+                lk.fit_effective_frequency_two_modes(bad, e, eta, rabi,
+                                                     freqs, w_eff)
+        assert f"{dev:.3e}" in str(info.value)
 
 
 @pytest.fixture(scope="module")
