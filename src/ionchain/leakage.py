@@ -23,6 +23,10 @@ class FitFailure(RuntimeError):
 _SCAN_ROUNDING = 64 * np.finfo(float).eps
 _UNIFORM_RTOL = 64 * np.finfo(float).eps
 
+# elements of one r x times array in _fit_r's exact re-score: its chunks of
+# grid values stay near 128 kB, in cache, whatever the trace length
+_RESCORE_SIZE = 2**14
+
 
 def sign_factor(k: int) -> int:
     """f_k = (-1)^(k+1): f_0 = -1, f_1 = +1."""
@@ -75,8 +79,7 @@ def leakage_norm_single(eta_1c: float, omega_rabi: float, delta_c: float,
     """|| E(t) || = Omega^2 eta_1c^2 (1 - cos(Delta_c t)) / (2 Delta_c^2).
 
     Delta_c is squared as a product: for a scalar np.float64, ** is C pow,
-    which may round one ulp away from x * x, and the fit's bytes depend on
-    the rounding.
+    which may round one ulp away from the x * x of a column of detunings.
     """
     t = np.asarray(t, dtype=float)
     return (omega_rabi**2 * eta_1c**2 * (1.0 - np.cos(delta_c * t))
@@ -104,8 +107,8 @@ def leakage_norm_two_modes(eta: np.ndarray, omega_rabi: float,
     mode frequencies.  Includes the cross term oscillating at w_1 - w_2.
     As in renormalized_couplings, column 0 is the near-resonant mode r
     shifts: Delta_1 = r * omega_eff - omega_1; the second column keeps the
-    bare detuning.  The detunings are squared as products, as in
-    leakage_norm_single.
+    bare detuning.  A column of r values gives one trace per row; the
+    detunings are squared as products, as in leakage_norm_single.
     """
     t = np.asarray(t, dtype=float)
     d1, d2, s11, s12, s22 = _two_mode_weights(eta, mode_freqs, omega_eff, r)
@@ -232,7 +235,8 @@ def _fit_r(times: np.ndarray, e_sim: np.ndarray, model_fn, terms_fn,
     terms_fn(grid) spells model_fn as cosine terms for _scan_costs, which
     ranks the grid in closed form; every grid value whose closed-form cost
     lies within the rounding bound of the best is scored again with the
-    exact cost, so the chosen grid value is the exact costs' argmin.
+    exact cost, a column of them at a time, so the chosen grid value is the
+    exact costs' argmin.
     """
     _check_uniform(times)
     # imported here, not at module level: scipy.optimize costs every run of
@@ -249,7 +253,11 @@ def _fit_r(times: np.ndarray, e_sim: np.ndarray, model_fn, terms_fn,
     if best == np.inf:
         raise FitFailure("no finite least-squares cost on the r grid")
     near = np.flatnonzero(approx - err <= best)
-    k = int(near[np.argmin([cost(r) for r in grid[near]])])
+    rows = max(1, _RESCORE_SIZE // len(e_sim))
+    exact = np.concatenate([
+        np.sum((model_fn(grid[near[i:i + rows], None]) - e_sim) ** 2, axis=-1)
+        for i in range(0, len(near), rows)])
+    k = int(near[np.argmin(exact)])
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
     res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",

@@ -444,6 +444,16 @@ class TestClosedFormScan:
             e[:] = 0.5 * (model(grid[k]) + model(grid[k + 1]))
             assert assert_matches_brute(traced, fit, e, model) in (k, k + 1)
 
+    def test_whole_grid_rescored(self, traced):
+        # a hundredth of a period: the envelope is near zero and cancels in
+        # the expansion, so the bound admits every grid value, and the
+        # exact re-score runs over the whole grid in several chunks
+        fit, e, model = synthetic_fit(1, periods=0.01, n=300, noise=0.0)
+        assert 4001 % (lk._RESCORE_SIZE // 300) != 0
+        assert_matches_brute(traced, fit, e, model)
+        approx, err = traced(fit)[1]["scan"]
+        assert np.all(approx - err <= np.min(approx + err))
+
     @pytest.mark.parametrize("t_max", [1e-2, 1e2])
     def test_bound_holds_with_exactly_affine_frequencies(self, t_max):
         # frequencies on a grid of binary fractions are exactly affine, so
