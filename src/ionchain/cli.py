@@ -372,7 +372,8 @@ def resolve_working_point(cfg, trap_and_chain=None):
     """Trap, chain solution and detuning for one configuration.
 
     alpha_target takes precedence over mu_mhz; mu_mhz = auto selects the
-    minimum usable detuning.  trap_and_chain, the solve_trap result of a
+    minimum usable detuning; a numeric mu_mhz below it runs as given, with
+    mu_below_min set in info.  trap_and_chain, the solve_trap result of a
     configuration that differs at most in alpha_target or mu_mhz, skips the
     omega_z bisection and the equilibrium.
     """
@@ -394,6 +395,7 @@ def resolve_working_point(cfg, trap_and_chain=None):
     else:
         trap = trap.with_(detuning_mu=cfg["mu_mhz"] * _freq_scale(cfg))
     info["mu_rad_s"] = trap.detuning_mu
+    info["mu_below_min"] = bool(trap.detuning_mu < info["mu_min_rad_s"])
     info["omega_eff_rad_s"] = trap.omega_eff
     return trap, sol, info
 

@@ -341,12 +341,15 @@ def model_fidelity(traj: Trajectory, xy_sector: xy.XYSector,
     """F(t) = <psi_XY(t)| Tr_ph[rho(t)] |psi_XY(t)>.
 
     The XY reference is evolved from psi_xy0 in its own sector on the
-    trajectory's time grid.
+    trajectory's time grid by xy.spectral on the sector's eigensystem, as
+    the block is, so its cost does not grow with the times.  A sector of
+    s_init excitations lies inside the block, which build held to
+    DENSE_LIMIT; a larger sector raises xy.SectorTooLarge.
     """
     basis = traj.system.basis
     if xy_sector.n_sites != basis.n_sites:
         raise xy.BasisMismatch("site counts differ")
-    xy_states = xy.evolve_grid(xy_sector, psi_xy0, traj.times)
+    xy_states = xy.spectral(*xy_sector.eigensystem(), psi_xy0, traj.times)
     ks = np.flatnonzero(np.isin(basis.masks, xy_sector.basis))
     js = np.searchsorted(xy_sector.basis, basis.masks[ks])
     # one overlap per phonon occupation, summed over the group's spin states

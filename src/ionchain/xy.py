@@ -4,13 +4,13 @@ build_single_excitation takes its matrix as the walk Hamiltonian itself;
 build_sector hops with hop_amplitudes(J), the sector matrix elements of the
 spin form.  Protocol timing formulas are written against walk matrices.
 
-XY sectors propagate through chebyshev(), a Chebyshev series with no
-eigensystem, forward from t = 0: evolve() at one time, evolve_grid() on a
-time grid and the noise ensemble.  spectral() propagates every state of one
-eigensystem over a time grid, for the mirror halves of the spin-phonon
-parity blocks.  The protocols read their one walk amplitude from the
-eigensystems of the walk's mirror halves, and the spin-phonon Runge-Kutta
-cross-check is the third integrator.
+chebyshev() runs one Chebyshev series, no eigensystem, forward from t = 0
+to its longest time: evolve(), evolve_grid() and the noise ensemble.
+spectral() propagates every state of one eigensystem over a time grid at a
+cost independent of the times: the spin-phonon mirror halves, and the
+leakage XY reference through XYSector.eigensystem().  The protocols read
+their one walk amplitude from the eigensystems of the walk's mirror halves,
+and the spin-phonon Runge-Kutta cross-check is the third integrator.
 
 A matrix that commutes with a signed row involution R|k> = sign_k
 |partner_k>, such as a site reflection, splits into the blocks of R's even
@@ -39,9 +39,6 @@ CHEBYSHEV_TOL = 1e-17
 # offset columns propagated together by chebyshev(); bounds its working
 # blocks to n x CHEBYSHEV_CHUNK per part of psi0
 CHEBYSHEV_CHUNK = 1024
-# a t covered by one Chebyshev series: longer time grids run in consecutive
-# series, which bounds the Bessel table by the grid times of one series
-CHEBYSHEV_SPAN = 500.0
 # Chebyshev terms folded into the amplitudes per matrix product (even)
 CHEBYSHEV_BLOCK = 32
 
@@ -51,7 +48,7 @@ class BasisMismatch(ValueError):
 
 
 class SectorTooLarge(RuntimeError):
-    """A sector or spin-phonon basis too large for dense matrices."""
+    """A sector, spin-phonon basis or Chebyshev Bessel table too large."""
 
 
 def refuse_dense(dim: int) -> None:
@@ -296,7 +293,9 @@ def bessel_j(x) -> np.ndarray:
     for a scalar.  Miller's backward recurrence J_{k-1} = (2k/x) J_k -
     J_{k+1}, run on all arguments at once from far past the turning point
     m ~ x of the largest one, where J_m starts its superexponential decay,
-    and normalised per argument with J_0 + 2 sum_k J_{2k} = 1.
+    and normalised per argument with J_0 + 2 sum_k J_{2k} = 1.  Raises
+    SectorTooLarge before allocating a recurrence table of more than
+    16 DENSE_LIMIT^2 bytes, as refuse_dense does for a dense eigh.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -305,7 +304,14 @@ def bessel_j(x) -> np.ndarray:
     top = float(ax.max(initial=0.0))
     # J_m(x) ~ Ai((m - x) (2/x)^(1/3)) past the turning point: 20 x^(1/3)
     # terms past it, J has fallen far below any double-precision term
-    start = int(top + 20.0 * top ** (1.0 / 3.0)) + 30
+    past = top + 20.0 * top ** (1.0 / 3.0)
+    # the table holds start + 2 <= past + 32 rows of len(x) doubles
+    table = 8.0 * (past + 32.0) * len(ax)
+    if table > 16 * DENSE_LIMIT ** 2:
+        raise SectorTooLarge(f"a Bessel table to a t = {top:.6g} at {len(ax)}"
+                             f" times needs {table:.3e} bytes > 16 "
+                             f"DENSE_LIMIT^2 = {16 * DENSE_LIMIT ** 2}")
+    start = int(past) + 30
     # below the tolerance J_1 = x/2 is cut anyway and J_0 rounds to 1; such
     # arguments recur with a stand-in, which also keeps 2k/x finite
     tiny = ax < CHEBYSHEV_TOL
@@ -350,12 +356,12 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
     Phys. 81, 3967 (1984)): no eigensystem, only products with the real
     symmetric h0 (a dense or a scipy.sparse array) and elementwise products
     with the real n x S offset block diag, over the spectral interval of
-    gershgorin_interval for all columns.  Every grid time shares the term
-    vectors; only their Bessel coefficients differ.  Times must be >= 0.  A
-    grid of several times whose a t exceeds CHEBYSHEV_SPAN runs in
-    consecutive series, each from the end state of the one before; one time
-    is one series at any a t.  The columns run in chunks of
-    CHEBYSHEV_CHUNK; the shared interval makes every column's series
+    gershgorin_interval for all columns.  Every time shares the term
+    vectors of one series; only their Bessel coefficients differ.  The
+    series has about a t_max terms, a the half-width of that interval, and
+    bessel_j refuses one whose coefficient table exceeds 16 DENSE_LIMIT^2
+    bytes.  Times must be >= 0.  The columns run in chunks
+    of CHEBYSHEV_CHUNK; the shared interval makes every column's series
     independent of the chunking.  Returns the amplitudes at rows (all basis
     states when None; an int selects one), after a time axis when t is a
     grid, after a leading axis over the columns of diag when diag is given.
@@ -369,11 +375,28 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
     # h0 + diag(d) = c + a x with the spectrum of x inside [-1, 1]; a
     # one-point interval means h0 + diag(d) = c exactly, and any a works
     c, a = 0.5 * (hi + lo), (0.5 * (hi - lo) or 1.0)
+    # e^{-i a t x} = sum_m (2 - delta_m0) (-i)^m J_m(a t) T_m(x), and
+    # (-i)^m = +1, -i, -1, +i: the signs go into the real table, the -i of
+    # the odd terms into the sum
+    g = bessel_j(a * times.ravel())
+    g[1:] *= 2.0
+    g[2::4] *= -1.0
+    g[3::4] *= -1.0
     sel = slice(None) if rows is None else np.atleast_1d(rows)
-    amps = np.concatenate([
-        _chebyshev_steps(h0, psi0, offsets[:, k:k + CHEBYSHEV_CHUNK] - c, a,
-                         times.ravel(), sel)
-        for k in range(0, offsets.shape[1], CHEBYSHEV_CHUNK)])
+    chunks = []
+    for k in range(0, offsets.shape[1], CHEBYSHEV_CHUNK):
+        shift = offsets[:, k:k + CHEBYSHEV_CHUNK] - c
+        state = np.repeat(np.asarray(psi0)[:, None], shift.shape[1], axis=1)
+        # x = (h0 + diag(shift)) / a is real, so real vectors stay real: the
+        # real and the imaginary part of psi0 run as separate real series,
+        # the imaginary one only where it is nonzero
+        series = 0.0
+        for unit, part in zip((1.0, 1j), [state.real, state.imag]):
+            if unit == 1.0 or part.any():
+                series = series + unit * _real_series(h0, part, shift, a, g,
+                                                      sel)
+        chunks.append(series.transpose(2, 0, 1))
+    amps = np.concatenate(chunks)
     amps *= np.exp(-1j * c * times.ravel())[:, None]
     if times.ndim == 0:
         amps = amps[:, 0]
@@ -382,67 +405,10 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
     return amps[..., 0] if rows is not None and np.ndim(rows) == 0 else amps
 
 
-def _chebyshev_steps(h0, psi0: np.ndarray, shift: np.ndarray, a: float,
-                     times: np.ndarray, sel) -> np.ndarray:
-    """e^{-i a t x} psi0 at rows sel, S x len(times) x rows, for
-    x = (h0 + diag(shift)) / a and each of the S columns of shift.
-
-    Origins k * step, step = CHEBYSHEV_SPAN / a, each reached from the one
-    before; origin k serves the times t with k * step <= t, all within
-    about one step of it.  A single time has a one-column Bessel table at
-    any a t, so it is served from origin 0 (step = inf): steps would only
-    add cost, as a complex end state runs two real series.
-    """
-    state = np.repeat(np.asarray(psi0)[:, None], shift.shape[1], axis=1)
-    step = CHEBYSHEV_SPAN / a if len(times) > 1 else np.inf
-    ks = np.floor(times / step)
-    if len(times) > 1:
-        # t / step may round up to k with t < k * step: origin k - 1 serves t
-        ks[ks * step > times] -= 1
-    k_max = int(ks.max(initial=0))
-    out = np.empty((len(times), len(np.arange(len(psi0))[sel]),
-                    shift.shape[1]), dtype=complex)
-    origin = 0.0
-    for k in range(k_max + 1):
-        inside = np.flatnonzero(ks == k)
-        out[inside], state = _chebyshev_series(
-            h0, state, shift, a, times[inside] - origin,
-            step if k < k_max else None, sel)
-        origin = (k + 1) * step
-    return out.transpose(2, 0, 1)
-
-
-def _chebyshev_series(h0, state: np.ndarray, shift: np.ndarray, a: float,
-                      deltas: np.ndarray, end, sel) -> tuple:
-    """e^{-i a dt x} state by one series: rows sel at each dt in deltas,
-    len(deltas) x rows x S, and every row at dt = end (0 without one).
-
-    x is real, so real vectors stay real: the real and the imaginary part
-    of the n x S state run as separate real series, the imaginary one only
-    where it is nonzero.
-    """
-    # e^{-i a dt x} = sum_m (2 - delta_m0) (-i)^m J_m(a dt) T_m(x), and
-    # (-i)^m = +1, -i, -1, +i: the signs go into the real table, the -i of
-    # the odd terms into the sum
-    n = len(deltas)
-    g = bessel_j(a * np.append(deltas, [] if end is None else end))
-    g[1:] *= 2.0
-    g[2::4] *= -1.0
-    g[3::4] *= -1.0
-    amps, state_end = 0.0, 0.0
-    for unit, part in zip((1.0, 1j), [state.real, state.imag]):
-        if unit == 1.0 or part.any():
-            on_grid, at_end = _real_series(h0, part, shift, a, g[:, :n], sel,
-                                           None if end is None else g[:, n])
-            amps, state_end = amps + unit * on_grid, state_end + unit * at_end
-    return amps, state_end
-
-
 def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
-                 g: np.ndarray, sel, g_end=None) -> tuple:
+                 g: np.ndarray, sel) -> np.ndarray:
     """sum_m g[m, k] T_m(x) v0 for the real n x S block v0, with the odd
-    terms times -i, at rows sel for every column k of g; and every row of
-    the same sum over the column g_end, 0 without one.
+    terms times -i, at rows sel for every column k of g.
 
     The term vectors are reduced to the rows read and folded into the
     amplitudes CHEBYSHEV_BLOCK terms at a time, by one real GEMM for the
@@ -454,7 +420,6 @@ def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
 
     n_read = len(v0[sel])
     grid = np.zeros((2, g.shape[1], n_read * v0.shape[1]))
-    end = 0.0 if g_end is None else np.zeros((2,) + v0.shape)
     block = np.empty((CHEBYSHEV_BLOCK, grid.shape[2]))
     # T_0 v0, T_1 v0, then T_{m+1} = 2 x T_m - T_{m-1}
     prev, cur = None, np.asarray(v0, dtype=float)
@@ -465,15 +430,12 @@ def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
             prev, cur = cur, 2.0 * x_times(cur) - prev
         b = m % CHEBYSHEV_BLOCK
         block[b] = cur[sel].ravel()
-        if g_end is not None:
-            end[m % 2] += g_end[m] * cur
         if b == CHEBYSHEV_BLOCK - 1 or m == len(g) - 1:
             # CHEBYSHEV_BLOCK is even: every block starts on an even term
             first = m - b
             grid[0] += g[first:m + 1:2].T @ block[0:b + 1:2]
             grid[1] += g[first + 1:m + 1:2].T @ block[1:b + 1:2]
-    on_grid = (grid[0] - 1j * grid[1]).reshape(len(g[0]), n_read, len(v0[0]))
-    return on_grid, (end if g_end is None else end[0] - 1j * end[1])
+    return (grid[0] - 1j * grid[1]).reshape(len(g[0]), n_read, len(v0[0]))
 
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
@@ -484,8 +446,8 @@ def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
 
 def evolve_grid(sector: XYSector, psi0: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
-    """States on a time grid, rows psi(t_k), by one Chebyshev series per
-    CHEBYSHEV_SPAN: no eigensystem, as evolve()."""
+    """States on a time grid, rows psi(t_k), by one Chebyshev series to the
+    longest time: no eigensystem, as evolve()."""
     return chebyshev(sector.H, psi0, times)
 
 

@@ -268,6 +268,21 @@ class TestCouplingsCommand:
         assert set(table) == {"meta", "columns", "rows"}
         assert len(table["rows"]) == 4 * 3 // 2
 
+    @pytest.mark.parametrize("line,below", [("", True),
+                                            ("alpha_target = 0.5", False)])
+    def test_mu_below_min_flagged(self, tmp_path, line, below):
+        # the default mu_mhz = 0 runs as given, below mu_min; an alpha fit
+        # keeps mu at or above it
+        p = write_config(tmp_path, f"n_ions = 4\n{line}\n")
+        assert cli.main(["couplings", "--config", p,
+                         "--out", str(tmp_path)]) == 0
+        point = json.loads((tmp_path / "couplings_report.json")
+                           .read_text())["working_point"]
+        assert point["mu_below_min"] is below
+        assert (point["mu_rad_s"] < point["mu_min_rad_s"]) is below
+        if below:
+            assert point["mu_rad_s"] == 0.0 < point["mu_min_rad_s"]
+
 
 class TestStrongDrive:
     """Omega above 3 Omega eta_com + omega_com: mu_min clamps at 0."""
@@ -281,6 +296,7 @@ class TestStrongDrive:
         point = json.loads((tmp_path / "couplings_report.json")
                            .read_text())["working_point"]
         assert point["mu_min_rad_s"] == point["mu_rad_s"] == 0.0
+        assert point["mu_below_min"] is False
         if "alpha_target" in line:
             # alpha(0) is already above the target
             assert point["alpha_target_unreachable"] is True
@@ -359,6 +375,23 @@ class TestLeakageCommand:
             "is nan" in err
         assert "config error" not in err
         assert not (out / "leakage_report.json").exists()
+
+    def test_huge_periods_run_no_chebyshev_series(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # 1e12 periods: the XY reference is spectral, so no series whose
+        # length grows with the time span runs, and the run finishes
+        def no_series(*args, **kwargs):
+            raise AssertionError("xy.chebyshev called")
+
+        monkeypatch.setattr(xy, "chebyshev", no_series)
+        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.3\n"
+                                   "n_times = 3\nperiods = 1e12\n")
+        rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        _, rows = read_table(tmp_path / "leakage.csv")
+        assert len(rows) == 3
+        assert np.all(np.isfinite([float(row[k]) for row in rows
+                                   for k in ("F_bare", "F_renormalized")]))
 
     def test_requires_working_point(self, tmp_path, capsys):
         p = write_config(tmp_path, "n_ions = 4\nomega_z_mhz = 1.0\n")

@@ -90,8 +90,8 @@ def loop_operators(system, states):
 
 def loop_model_fidelity(traj, states, sector, psi_xy0):
     """model_fidelity grouping states by dict, one at a time: the
-    reference for the array grouping."""
-    xy_states = xy.evolve_grid(sector, psi_xy0, traj.times)
+    reference for the array grouping, on the same XY states."""
+    xy_states = xy.spectral(*sector.eigensystem(), psi_xy0, traj.times)
     sector_pos = {int(m): k for k, m in enumerate(sector.basis)}
     groups = {}
     for k, (mask, occ) in enumerate(states):
@@ -285,6 +285,17 @@ LEAKAGE_BASES = {"2c": ((0,), 1), "2d": ((0, 1), 1), "3b": ((0,), 2),
                  "3c": ((0,), 5)}
 
 
+def leakage_sector(trap, eta, freqs, s_init):
+    """The XY sector of s_init excitations on the modes of eta's columns
+    and its state with the first s_init sites excited, as leakage builds
+    them at r = 1."""
+    sector = xy.build_sector(ic.coupling_matrix(trap, eta, freqs),
+                             ic.local_fields(trap, eta, freqs), s_init)
+    psi_xy0 = np.zeros(sector.dim, dtype=complex)
+    psi_xy0[sector.index_of((1 << s_init) - 1)] = 1.0
+    return sector, psi_xy0
+
+
 @pytest.mark.parametrize("modes, s_init", LEAKAGE_BASES.values(),
                          ids=LEAKAGE_BASES)
 def test_array_assembly_matches_state_loops(modes, s_init):
@@ -298,18 +309,29 @@ def test_array_assembly_matches_state_loops(modes, s_init):
     assert np.array_equal(system.D, d)
     assert np.array_equal(system.V, v)
 
-    eta = ic.lamb_dicke(trap, chain)
-    sector = xy.build_sector(
-        ic.coupling_matrix(trap, eta, chain.mode_freqs),
-        ic.local_fields(trap, eta, chain.mode_freqs), s_init)
-    psi_xy0 = np.zeros(sector.dim, dtype=complex)
-    psi_xy0[sector.index_of((1 << s_init) - 1)] = 1.0
+    sector, psi_xy0 = leakage_sector(trap, ic.lamb_dicke(trap, chain),
+                                     chain.mode_freqs, s_init)
     rng = np.random.default_rng(s_init)
     amps = rng.standard_normal((2, 12, basis.dim))
     traj = sp.Trajectory(times=np.linspace(0, 5e-5, 12),
                          states=amps[0] + 1j * amps[1], system=system)
     assert np.array_equal(sp.model_fidelity(traj, sector, psi_xy0),
                           loop_model_fidelity(traj, states, sector, psi_xy0))
+
+
+@pytest.mark.parametrize("modes, s_init", LEAKAGE_BASES.values(),
+                         ids=LEAKAGE_BASES)
+def test_spectral_xy_reference_matches_chebyshev_grid(modes, s_init):
+    # the presets' XY sectors, on their included modes, to a t = 100 of
+    # the Chebyshev series: many hopping times
+    trap, _, system = small_system(n=10, modes=modes, s_init=s_init)
+    sector, psi_xy0 = leakage_sector(trap, system.eta, system.mode_freqs,
+                                     s_init)
+    lo, hi = xy.gershgorin_interval(sector.H, np.zeros((sector.dim, 1)))
+    times = np.linspace(0.0, 100.0 / (0.5 * (hi - lo)), 300)
+    spectral = xy.spectral(*sector.eigensystem(), psi_xy0, times)
+    assert np.max(np.abs(spectral
+                         - xy.evolve_grid(sector, psi_xy0, times))) < 1e-12
 
 
 class TestPropagation:
