@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -713,6 +712,9 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
                 **_optimizer_stats(opt)}
 
     if ctx.threads > 1:
+        # imported here: concurrent.futures (with logging) costs several ms
+        # of start-up that the default single-thread run never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
             outcomes = list(pool.map(run_case, cases))
     else:

@@ -181,6 +181,29 @@ def _power_law_fit(r: np.ndarray, vals: np.ndarray) -> tuple:
     return alpha, float(np.sqrt(np.mean((dy + alpha * du) ** 2)))
 
 
+def _power_law_alpha(r: np.ndarray):
+    """A function of vals that returns _power_law_fit(r, vals)[0] bit for
+    bit, with ln r, its centring and du . du computed once for every vals.
+
+    Where every |val| is > 0 and r has two distinct distances, one call
+    takes ln|vals|, one centring and one dot product, and no residual;
+    otherwise (a pair dropped, or DegenerateFit) it is _power_law_fit's.
+    """
+    u = np.log(r)
+    du = u - u.mean()
+    dudu = float(du @ du)
+    distinct = len(np.unique(r)) >= 2
+
+    def alpha(vals: np.ndarray) -> float:
+        mags = np.abs(vals)
+        # false for a 0 and for a NaN, the pairs _log_magnitudes drops
+        if not (distinct and mags.min() > 0):
+            return _power_law_fit(r, vals)[0]
+        y = np.log(mags)
+        return -float(du @ (y - y.mean())) / dudu
+    return alpha
+
+
 def build_coupling_model(trap: TrapConfig, chain: ChainSolution,
                          n_init: int = 0,
                          convention: FitConvention = FitConvention.END_ION_CHAIN_INDEX,
@@ -238,7 +261,8 @@ def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
     reference-parameter chains; when mu_min binds, the result is clamped there
     and flagged.  Each step is the fit_alpha_beta alpha of the resonance-
     checked coupling_matrix at mu on the fit convention's pairs alone, whose
-    Lamb-Dicke products and distances are built once.  The bracket stops
+    Lamb-Dicke products, distances and ln r terms of the closed-form fit
+    (_power_law_alpha) are built once per call.  The bracket stops
     below 1e-6 of max(mu_lo, omega_com), so one from mu_min = 0 ends too.
     """
     if alpha_target <= 0:
@@ -249,6 +273,7 @@ def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
     i, j, r = _fit_pairs(n, convention, chain.positions_m)
     eta = lamb_dicke(trap, chain)
     products = eta[i] * eta[j]
+    fit = _power_law_alpha(r)
     w = chain.mode_freqs
     steps = 0
 
@@ -257,8 +282,8 @@ def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
         steps += 1
         omega_eff = np.hypot(trap.rabi, mu)
         _check_resonance(omega_eff, w)
-        vals = trap.rabi**2 * (products @ (w / (8.0 * (omega_eff**2 - w**2))))
-        return _power_law_fit(r, vals)[0]
+        return fit(trap.rabi**2
+                   * (products @ (w / (8.0 * (omega_eff**2 - w**2)))))
 
     mu_lo = min_detuning(trap, chain)
     mu_hi = 20.0 * w[0]

@@ -126,8 +126,9 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     orbit alone (every 0 -> n - 1 transfer without extra_fields), trailing
     holds per size of the halves (one for an even n) their stacked J
     blocks, the ascending eigenvalues of each block without its first
-    orbit, their _partners and each half's coef and first part entry.  A
-    walk above xy.DENSE_LIMIT is refused before any block is built.
+    orbit, their _partners and each half's coef times its first part
+    entry.  A walk above xy.DENSE_LIMIT is refused before any block is
+    built.
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
@@ -157,7 +158,9 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
                     blocks[i] = block
             nu = np.linalg.eigvalsh(stack[..., 1:, 1:]) if m > 1 \
                 else np.empty(stack.shape[:-2] + (0,))
-            trailing.append((stack, nu, _partners(m), coefs, part0))
+            # each half's coef times its first part entry, per row
+            trailing.append((stack, nu, _partners(m),
+                             coefs * np.asarray(part0)[..., None]))
     return orbits, blocks, parts, trailing
 
 
@@ -209,8 +212,10 @@ def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int) -> tuple:
                                 for (_, q, idx, coef), part in zip(halves,
                                                                     parts)]))
     gamma = np.asarray(gamma, dtype=float)
+    # a stack's halves side by side, in the order of orbits
+    shape = gamma.shape + (-1,)
     ws, ps = [], []
-    for stack, nu, partners, coefs, part0 in trailing:
+    for stack, nu, partners, scale in trailing:
         h = np.multiply.outer(gamma, stack)
         # the first orbit, site 0's, is the only one with a diagonal
         h[..., 0, 0] += diag[0]
@@ -220,11 +225,9 @@ def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int) -> tuple:
         nus = np.multiply.outer(gamma, nu)
         # reverses gamma nu to ascending order where gamma < 0
         nus.sort()
-        g = _gauss_weights(x, nus, partners)
-        # a stack's halves side by side, in the order of orbits
-        shape = gamma.shape + (-1,)
         ws.append(x.reshape(shape))
-        ps.append(((coefs[..., row] * part0)[..., None] * g).reshape(shape))
+        ps.append((scale[..., row, None]
+                   * _gauss_weights(x, nus, partners)).reshape(shape))
     return np.concatenate(ws, axis=-1), np.concatenate(ps, axis=-1)
 
 
@@ -279,7 +282,7 @@ def _interlaced_products(x: np.ndarray, num: np.ndarray,
     """The _gauss_weights products for x, with num = x[..., :, None] - nu;
     num is overwritten."""
     # one buffer for the denominators, then the ratios in num
-    den = np.take(x, partners, axis=-1)
+    den = x.take(partners, axis=-1)
     np.subtract(x[..., :, None], den, out=den)
     return np.divide(num, den, out=num).prod(axis=-1)
 
@@ -369,14 +372,17 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
     t0 = transfer_time(n)
     evals = [0]
     # pattern moves in T alone revisit gamma: one eigensystem per distinct
-    # gamma
+    # gamma, kept as (-1j w, p), so that an evaluation, _walk_probability at
+    # one time bit for bit, is one exp and one dot product
     weights = {}
 
     def objective(g, t):
         evals[0] += 1
         if g not in weights:
-            weights[g] = _walk_weights(split, g, diag, receiver)
-        return float(_walk_probability(weights[g], t))
+            w, p = _walk_weights(split, g, diag, receiver)
+            weights[g] = -1j * w, p
+        phase, p = weights[g]
+        return float(np.abs(np.dot(p, np.exp(phase * t))) ** 2)
 
     best = (1.0, t0, objective(1.0, t0))
     seed_fid = best[2]
@@ -393,8 +399,8 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
         # every scatter gamma is known up front: the new ones are solved
         # as one stack
         new = [g for g in dict.fromkeys(gs.tolist()) if g not in weights]
-        weights.update(zip(new, zip(*_walk_weights(split, np.array(new),
-                                                   diag, receiver))))
+        w, p = _walk_weights(split, np.array(new), diag, receiver)
+        weights.update(zip(new, zip(-1j * w, p)))
         for g, t in zip(gs, ts):
             f = objective(g, t)
             if f > best[2]:

@@ -293,7 +293,12 @@ def bessel_j(x) -> np.ndarray:
     for a scalar.  Miller's backward recurrence J_{k-1} = (2k/x) J_k -
     J_{k+1}, run on all arguments at once from far past the turning point
     m ~ x of the largest one, where J_m starts its superexponential decay,
-    and normalised per argument with J_0 + 2 sum_k J_{2k} = 1.  Raises
+    and normalised per argument with J_0 + 2 sum_k J_{2k} = 1.  The
+    arguments whose J_{k-1} passes 1e250 are rescaled by 1e-250 before they
+    overflow, as a test of every row would do; a row is only tested once
+    the scalar bound b_{k-1} = (2k / min x) b_k + b_{k+1} >= |J_{k-1}|
+    (at most prod_k (2k / min x + 1)) passes 1e249, and b restarts from the
+    tested row's largest entry.  Raises
     SectorTooLarge before allocating a recurrence table of more than
     16 DENSE_LIMIT^2 bytes, as refuse_dense does for a dense eigh.
     """
@@ -316,14 +321,24 @@ def bessel_j(x) -> np.ndarray:
     # arguments recur with a stand-in, which also keeps 2k/x finite
     tiny = ax < CHEBYSHEV_TOL
     ax[tiny] = 1.0
+    low = float(ax.min(initial=np.inf))
     j = np.zeros((start + 2, len(ax)))
     j[start] = 1.0
+    # at step k, b and b_next bound |j| on the rows k and k + 1 for every
+    # argument
+    b, b_next = 1.0, 0.0
     for k in range(start, 0, -1):
         j[k - 1] = (2.0 * k / ax) * j[k] - j[k + 1]
-        big = np.abs(j[k - 1]) > 1e250
-        if big.any():
-            # the recurrence grows towards small m; rescale before overflow
-            j[k - 1:, big] *= 1e-250
+        b, b_next = 2.0 * k / low * b + b_next, b
+        # a factor 10 covers the rounding of the bound and of the rows
+        if b > 1e249:
+            mag = np.abs(j[k - 1])
+            b = float(mag.max())
+            if b > 1e250:
+                # the recurrence grows towards small m; rescale before
+                # overflow
+                j[k - 1:, mag > 1e250] *= 1e-250
+                b, b_next = np.abs(j[k - 1:k + 1]).max(axis=1).tolist()
     j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
     j[:, tiny] = 0.0
     j[0, tiny] = 1.0

@@ -741,7 +741,8 @@ class TestRunDiagnostics:
 def test_cli_import_loads_no_scipy():
     # nor numpy.fft, which only the r fit needs: numpy 2 loads it on first
     # use, numpy 1 with numpy itself, so only an import that ionchain adds
-    # fails here
+    # fails here; nor concurrent.futures, which only noise --threads > 1
+    # needs
     src = str(Path(ionchain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -749,9 +750,10 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", "import sys, numpy; "
          "fft = 'numpy.fft' in sys.modules; import ionchain.cli; print(sorted("
          "m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-         "'numpy.fft' in sys.modules and not fft)"],
+         "'numpy.fft' in sys.modules and not fft, "
+         "'concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[] False"
+    assert out.stdout.strip() == "[] False False"
 
 
 def test_noise_run_loads_no_scipy(tmp_path):

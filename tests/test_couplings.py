@@ -7,7 +7,8 @@ from ionchain.chain import max_stable_axial_frequency
 from ionchain.constants import HBAR
 from ionchain.couplings import (RESONANCE_TOL, DegenerateFit, FitConvention,
                                 ResonantDetuning, _check_resonance,
-                                _fit_pairs, _resonant, fit_alpha_beta)
+                                _fit_pairs, _power_law_alpha, _power_law_fit,
+                                _resonant, fit_alpha_beta)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,43 @@ class TestFit:
         assert fit.alpha == pytest.approx(coef[1], rel=1e-13)
         assert fit.residual == pytest.approx(
             np.sqrt(np.mean((a @ coef - y) ** 2)), rel=1e-10)
+
+
+class TestDetuningStep:
+    """_power_law_alpha, the fit of each detuning_for_alpha step, against
+    _power_law_fit on the same pairs."""
+
+    @pytest.mark.parametrize("conv", list(FitConvention))
+    def test_matches_power_law_fit_bitwise(self, working_point, conv):
+        _, sol = working_point
+        _, _, r = _fit_pairs(len(sol.positions_m), conv, sol.positions_m)
+        alpha = _power_law_alpha(r)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            vals = rng.standard_normal(len(r)) * 10.0 ** rng.uniform(-6, 6)
+            assert alpha(vals) == _power_law_fit(r, vals)[0]
+
+    @pytest.mark.parametrize("dropped", [[0], [2, 5], [1, 3, 4, 6, 7, 8]])
+    def test_zero_or_nan_pairs_as_power_law_fit(self, dropped):
+        # a 0 and a NaN are the pairs _power_law_fit leaves out
+        r = np.arange(1.0, 10.0)
+        vals = np.random.default_rng(3).standard_normal(len(r))
+        for gap in (0.0, np.nan):
+            vals[dropped] = gap
+            assert _power_law_alpha(r)(vals) == _power_law_fit(r, vals)[0]
+
+    @pytest.mark.parametrize("r, vals", [
+        # zeros leave one distance, or none
+        (np.arange(1.0, 5.0), np.array([0.0, 0.0, 0.0, 0.3])),
+        (np.arange(1.0, 5.0), np.zeros(4)),
+        # one distance to begin with
+        (np.ones(4), np.array([0.1, 0.2, 0.3, 0.4]))])
+    def test_degenerate_as_power_law_fit(self, r, vals):
+        alpha = _power_law_alpha(r)
+        with pytest.raises(DegenerateFit) as raised:
+            _power_law_fit(r, vals)
+        with pytest.raises(DegenerateFit, match=str(raised.value)):
+            alpha(vals)
 
 
 def full_matrix_bisection(trap, sol, target, conv, tol=1e-3, factor=20.0):

@@ -567,18 +567,38 @@ class TestOptimizeProtocol:
         assert out.n_evaluations == n_evals
         assert out.seed_fidelity == seed_fid
 
-    @pytest.mark.parametrize("n", [8, 12, 31, 52, 10])
+    # odd n: two trailing groups, mirror halves of two sizes
+    @pytest.mark.parametrize("n", [8, 9, 12, 31, 52, 10])
     def test_matches_uncached_search(self, n):
         j = normalized_walk(n, 0.4)
         if n == 10:
             # two decoupled mirror pairs: every scatter row merges
             j[[2, 3, 6, 7]] = j[:, [2, 3, 6, 7]] = 0.0
+        self.check_matches_uncached_search(j, 0, n - 1)
+
+    @pytest.mark.parametrize("case", ["asymmetric", "inner_pair"])
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_eigh_path_matches_uncached_search(self, monkeypatch, case, n):
+        # without trailing data each gamma is an eigh: of the whole walk
+        # where the couplings break the mirror symmetry, of the two mirror
+        # halves for a transfer between mirror sites off the end pair
+        j, sender, receiver = normalized_walk(n, 0.4), 1, n - 2
+        if case == "asymmetric":
+            j, sender, receiver = asymmetric_walk(n, 0.4), 0, n - 1
+        _, eigh, _ = solver_sizes(monkeypatch, pr.optimize_protocol, j,
+                                  sender, receiver, budget=40)
+        assert set(eigh) == ({(n, 1)} if case == "asymmetric" else
+                             {((n + 1) // 2, 1), (n // 2, 1)})
+        self.check_matches_uncached_search(j, sender, receiver)
+
+    @staticmethod
+    def check_matches_uncached_search(j, sender, receiver):
         for seed in range(4):
-            out = pr.optimize_protocol(j, 0, n - 1, rng_seed=seed)
+            out = pr.optimize_protocol(j, sender, receiver, rng_seed=seed)
             (g, t, f), n_evals, seed_fid, n_gammas = uncached_search(
-                j, 0, n - 1, rng_seed=seed)
-            assert out.config == pr.ProtocolConfig(gamma=g, sender=0,
-                                                   receiver=n - 1,
+                j, sender, receiver, rng_seed=seed)
+            assert out.config == pr.ProtocolConfig(gamma=g, sender=sender,
+                                                   receiver=receiver,
                                                    duration=t)
             assert (out.fidelity, out.n_evaluations, out.seed_fidelity,
                     out.n_gamma_solves) == (f, n_evals, seed_fid, n_gammas)

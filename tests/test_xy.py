@@ -395,6 +395,42 @@ class TestBessel:
         with pytest.raises(ValueError):
             xy.bessel_j(x)
 
+    @pytest.mark.parametrize("x, rescaled", [
+        ([1e-12, 30.0, 162.0], True), ([1e-6, 162.0], True),
+        ([1e-3, 30.0], True), (1e-12, True),
+        (np.linspace(0.0, 162.0, 200), True),
+        (24.0, False), (80.0, False), ([24.0, 80.0], False)])
+    def test_running_bound_matches_per_step_check(self, x, rescaled):
+        table, rescales = per_step_bessel_j(x)
+        assert rescales == rescaled
+        assert np.array_equal(xy.bessel_j(x), table)
+
+
+def per_step_bessel_j(x):
+    """bessel_j with the overflow test on every row of the recurrence, the
+    check that its running bound replaces: the table and whether any row
+    was rescaled."""
+    x = np.asarray(x, dtype=float)
+    ax = x.ravel().copy()
+    top = float(ax.max(initial=0.0))
+    start = int(top + 20.0 * top ** (1.0 / 3.0)) + 30
+    tiny = ax < xy.CHEBYSHEV_TOL
+    ax[tiny] = 1.0
+    j = np.zeros((start + 2, len(ax)))
+    j[start] = 1.0
+    rescaled = False
+    for k in range(start, 0, -1):
+        j[k - 1] = (2.0 * k / ax) * j[k] - j[k + 1]
+        big = np.abs(j[k - 1]) > 1e250
+        if big.any():
+            j[k - 1:, big] *= 1e-250
+            rescaled = True
+    j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
+    j[:, tiny] = 0.0
+    j[0, tiny] = 1.0
+    last = np.flatnonzero(np.any(np.abs(j) >= xy.CHEBYSHEV_TOL, axis=1))[-1]
+    return j[:last + 1].reshape((last + 1,) + x.shape), rescaled
+
 
 class TestChebyshev:
     def test_interval_encloses_every_spectrum(self):
