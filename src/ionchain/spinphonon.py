@@ -13,19 +13,32 @@ interaction-picture state is therefore e^{iDt} e^{-i(D+V)t} psi(0).
 Every term of V changes the spin excitation count and one mode's phonon
 number by one each, and D is diagonal, so D + V conserves the parity of the
 total quanta (spin excitations + phonons).  The basis is the block of
-s_init % 2 alone.  A symmetric chain makes every Lamb-Dicke column even or
-odd under the site reflection, and D + V then commutes with it: the block
-splits into mirror halves, each with a cached dense eigensystem of about
-half the size, propagated by xy.spectral and gathered back into the
-product basis.  Trajectories hold the static-frame states
-e^{-i(D+V)t} psi(0), without the phase e^{iDt}: the observables read
-|psi|^2, or overlaps on which D is constant.  Adaptive Runge-Kutta on
-H_I(t), taken to the same frame, is the cross-check.
+s_init % 2 alone, and propagate reduces it once more, by one of two
+symmetries, each with a cached dense eigensystem propagated by xy.spectral
+and gathered back into the product basis:
+
+- the site permutations that fix psi0, when psi0 is one basis state and
+  every included Lamb-Dicke column is constant on its excited sites and on
+  its empty ones (the COM mode's is uniform): psi0 never leaves the span of
+  the orbit sums of those permutations, labelled by the excitations on
+  either set of sites and the phonon occupations (30 states for N = 10,
+  s = 3 and fock_cutoff 4, against a block of 824), assembled from V's
+  elements without the dense V (symmetry-adapted exact diagonalisation:
+  Sandvik, AIP Conf. Proc. 1297, 135 (2010));
+- otherwise the site reflection: a symmetric chain makes every Lamb-Dicke
+  column even or odd under it, D + V then commutes with it, and the block
+  splits into mirror halves of about half its size.
+
+Trajectories hold the static-frame states e^{-i(D+V)t} psi(0), without the
+phase e^{iDt}: the observables read |psi|^2, or overlaps on which D is
+constant.  Adaptive Runge-Kutta on H_I(t), taken to the same frame, is the
+cross-check.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import comb
 
@@ -37,7 +50,7 @@ from . import xy
 
 
 # the relative asymmetry up to which a Lamb-Dicke column counts as even or
-# odd under the site reflection
+# odd under the site reflection, or as constant on a set of sites
 MIRROR_TOL = 1e-11
 
 
@@ -161,7 +174,8 @@ class ProductBasis:
 
 @dataclass
 class SpinPhononSystem:
-    """Static-frame operators for one trap/chain/policy combination."""
+    """Static-frame operators for one trap/chain/policy combination.  The
+    dense V is built on first use: the orbit sums read elements alone."""
 
     trap: TrapConfig
     basis: ProductBasis
@@ -170,8 +184,10 @@ class SpinPhononSystem:
                                # phonon_modes order: the leakage fit and
                                # J' shift column 0 by r
     D: np.ndarray              # diagonal of the frame generator
-    V: np.ndarray              # static coupling matrix
-    _eig: list | None = field(default=None, repr=False)
+    elements: tuple            # (rows, cols, values) of V: each value
+                               # sits at (row, col) and at (col, row), and
+                               # no two share a position
+    _eig: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, trap: TrapConfig, chain: ChainSolution,
@@ -191,22 +207,33 @@ class SpinPhononSystem:
                 f"needs {8 * block ** 2} bytes")
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
         d = trap.omega_eff * basis.spin_count + basis.occupations @ w
-        v = np.zeros((basis.dim, basis.dim))
         half = 0.5 * trap.rabi
+        bits = 1 << np.arange(trap.n_ions)
+        rows, cols, vals = [np.zeros(0, dtype=np.intp)], \
+            [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         for mi in range(len(modes)):
             src = np.flatnonzero(basis.occupations[:, mi])
             amp = np.sqrt(basis.occupations[src, mi])
             lowered = basis.occupations[src]
             lowered[:, mi] -= 1
-            for i in range(trap.n_ions):
-                # (a_m + a_m^dag) s_i^x matrix element; each (mode, ion)
-                # pair writes its own elements, none written twice; the
-                # row has the parity and at most the quanta of src
-                rows = basis.rows(basis.masks[src] ^ (1 << i), lowered)
-                el = -half * eta[i, mi] * amp
-                v[rows, src] = el
-                v[src, rows] = el
-        return cls(trap=trap, basis=basis, mode_freqs=w, eta=eta, D=d, V=v)
+            # (a_m + a_m^dag) s_i^x matrix elements of all ions at once,
+            # ion-major; each (mode, ion) pair has its own elements, none
+            # shared; the row has the parity and at most the quanta of src
+            rows.append(basis.rows((basis.masks[src] ^ bits[:, None]).ravel(),
+                                   np.tile(lowered, (trap.n_ions, 1))))
+            cols.append(np.tile(src, trap.n_ions))
+            vals.append(((-half * eta[:, mi])[:, None] * amp).ravel())
+        return cls(trap=trap, basis=basis, mode_freqs=w, eta=eta, D=d,
+                   elements=tuple(map(np.concatenate, (rows, cols, vals))))
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The dense static coupling matrix, from elements on first use."""
+        rows, cols, vals = self.elements
+        v = np.zeros((self.basis.dim, self.basis.dim))
+        v[rows, cols] = vals
+        v[cols, rows] = vals
+        return v
 
     def reflection(self) -> tuple:
         """(partner, sign) of the site reflection i -> N - 1 - i on the
@@ -226,15 +253,83 @@ class SpinPhononSystem:
         partner = basis.rows(reversed_masks, basis.occupations)
         return partner, (-1.0) ** basis.occupations[:, ~even].sum(axis=1)
 
-    def eigensystem(self) -> list:
-        """xy.mirror_eigensystems of D + V over reflection(), cached: the
-        eigensystems of its even and odd halves, or of the whole block when
-        the reflection is the identity."""
-        if self._eig is None:
-            orbits = xy.mirror_orbits(*self.reflection())
-            self._eig = xy.mirror_eigensystems(
-                xy.mirror_blocks(self.V, orbits), orbits, self.D)
-        return self._eig
+    def orbit_sites(self, psi0: np.ndarray) -> int | None:
+        """The spin mask of psi0 when D + V commutes with every permutation
+        of its excited sites and with every permutation of its empty ones,
+        which then fix psi0; None otherwise.
+
+        psi0 must be one basis state, and every included Lamb-Dicke column
+        constant to MIRROR_TOL relative on either set of sites, as the COM
+        mode's is on the whole chain: then the permuted sites couple alike
+        and D, which reads spin counts and occupations alone, is unchanged.
+        """
+        nonzero = np.flatnonzero(psi0)
+        if len(nonzero) != 1:
+            return None
+        basis, eta = self.basis, self.eta
+        mask = int(basis.masks[nonzero[0]])
+        excited = xy.site_bits(np.array([mask]), basis.n_sites)[0] == 1
+        tol = MIRROR_TOL * np.max(np.abs(eta), axis=0)
+        for sites in (excited, ~excited):
+            if sites.any() and np.any(np.ptp(eta[sites], axis=0) > tol):
+                return None
+        return mask
+
+    def eigensystem(self, psi0: np.ndarray | None = None) -> list:
+        """Eigensystems of D + V on the smallest subspace this module knows
+        to hold psi0's dynamics, cached per reduction, in the format of
+        xy.mirror_eigensystems: per part (w, q, idx, coef), row k of the
+        eigenvectors over the block is coef[k] * q[idx[k]].
+
+        When orbit_sites(psi0) holds, one part: the orbit sums
+        |O> = sum_{r in O} |r> / sqrt(|O|) of those site permutations, the
+        span psi0 never leaves (idx = orbit, coef = 1 / sqrt(|O|)).
+        Otherwise, or with no psi0, the mirror halves of reflection()
+        through xy.mirror_blocks, or the whole block as one half when the
+        reflection is the identity.
+        """
+        sites = None if psi0 is None else self.orbit_sites(psi0)
+        if sites not in self._eig:
+            if sites is None:
+                orbits = xy.mirror_orbits(*self.reflection())
+                self._eig[sites] = xy.mirror_eigensystems(
+                    xy.mirror_blocks(self.V, orbits), orbits, self.D)
+            else:
+                self._eig[sites] = [self._orbit_eigensystem(sites)]
+        return self._eig[sites]
+
+    def _orbit_eigensystem(self, sites: int) -> tuple:
+        """(w, q, orbit, 1 / sqrt(|O|)) of D + V over the orbit sums of the
+        permutations of the sites in the mask sites and of the others, from
+        elements: no dense V.  The orbit of a row is its label (excitations
+        on sites, excitations off them, occupations), numbered in ascending
+        order; all its members are in the basis, whose truncation reads
+        spin counts and occupations alone."""
+        basis = self.basis
+        on = xy.site_bits(basis.masks & sites, basis.n_sites).sum(axis=1)
+        key = on * (basis.n_sites + 1) + basis.spin_count - on
+        for occ in basis.occupations.T:
+            key = key * (basis.policy.fock_cutoff + 1) + occ
+        orbit = np.unique(key, return_inverse=True)[1]
+        size = np.bincount(orbit)
+        n = len(size)
+        rows, cols, vals = self.elements
+        # V summed over the members of both orbits, each value once at
+        # (row, col) and once, by the transpose, at (col, row); no value
+        # joins an orbit to itself, since each changes the spin count
+        h = np.bincount(orbit[rows] * n + orbit[cols], vals,
+                        n * n).reshape(n, n)
+        norm = 1.0 / np.sqrt(size)
+        h = (h + h.T) * np.outer(norm, norm)
+        # D is one value on each orbit.  The eigh is of h - c, c the
+        # midpoint of D: its eigenvalues are then accurate relative to the
+        # spread of D, not to its largest value
+        d = np.empty(n)
+        d[orbit] = self.D
+        c = 0.5 * (d.min() + d.max())
+        np.fill_diagonal(h, d - c)
+        w, q = np.linalg.eigh(h)
+        return w + c, q, orbit, norm[orbit]
 
     def initial_state(self, spin_mask: int,
                       phonons: tuple | None = None) -> np.ndarray:
@@ -250,6 +345,9 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray         # len(times) x dim, static frame
     system: SpinPhononSystem
+    # dims of the spaces propagate evolved psi0 in: one per eigensystem on
+    # the spectral path, the whole block for the Runge-Kutta one
+    propagated_dims: list = field(default_factory=list)
 
 
 # time rows propagated per xy.spectral call; bounds the chunk x block
@@ -263,23 +361,28 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
     """Evolve psi0 under H_I(t) on the output grid, as the static-frame
     states e^{-i(D+V)t} psi0.
 
-    method="spectral" uses the eigensystem of D + V.  method="rk"
-    integrates H_I(t) by adaptive Runge-Kutta (local error per step <= tol),
+    method="spectral" uses system.eigensystem(psi0): the orbit sums of
+    psi0's site permutations when it is one basis state and the included
+    Lamb-Dicke columns are constant on its excited and on its empty sites,
+    else the mirror halves.  Each part is propagated by xy.spectral and
+    gathered back into the block.  method="rk" integrates H_I(t) by
+    adaptive Runge-Kutta (local error per step <= tol) on the whole block,
     an independent cross-check of the frame transformation.
     """
     times = np.asarray(times, dtype=float)
     if method == "spectral":
-        halves = system.eigensystem()
+        halves = system.eigensystem(psi0)
         parts = [xy.mirror_part(psi0, idx, coef, len(w))
                  for w, _, idx, coef in halves]
         states = np.zeros((len(times), len(psi0)), dtype=complex)
         for start in range(0, len(times), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
             for (w, q, idx, coef), part in zip(halves, parts):
-                # back to the product basis by one column gather per half
+                # back to the product basis by one column gather per part
                 states[rows] += xy.spectral(w, q, part,
                                             times[rows])[:, idx] * coef
-        return Trajectory(times=times, states=states, system=system)
+        return Trajectory(times=times, states=states, system=system,
+                          propagated_dims=[len(w) for w, *_ in halves])
     if method != "rk":
         raise ValueError(f"unknown method {method!r}")
     # imported here: the cross-check is the package's only use of
@@ -303,7 +406,8 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
         raise StepUnderflow(sol.message)
     # from the interaction frame the integrator runs in to the static one
     states = np.exp(-1j * d * times[:, None]) * sol.y.T.copy().view(complex)
-    return Trajectory(times=times, states=states, system=system)
+    return Trajectory(times=times, states=states, system=system,
+                      propagated_dims=[len(psi0)])
 
 
 def vacuum_overlap(traj: Trajectory) -> np.ndarray:
@@ -319,8 +423,9 @@ def phonon_occupation(traj: Trajectory) -> np.ndarray:
 
 
 def truncation_diagnostics(traj: Trajectory) -> dict:
-    """The block's dimension and those of its mirror halves (the block's
-    alone when it does not split); the largest population at any time on
+    """The block's dimension, those of its mirror halves (the block's
+    alone when it does not split) and those propagate evolved psi0 in
+    (traj.propagated_dims); the largest population at any time on
     the edge, the states a term of V would couple out of the basis (a mode
     at the Fock cutoff, or the top quanta level: qmax, or qmax - 1 in the
     other parity); and max |1 - ||psi(t)|||."""
@@ -331,6 +436,7 @@ def truncation_diagnostics(traj: Trajectory) -> dict:
     halves = xy.mirror_orbits(*traj.system.reflection())
     return {"block_dim": basis.dim,
             "mirror_block_dims": [len(half[0]) for half in halves],
+            "propagated_dims": traj.propagated_dims,
             "edge_population_max": float(np.max(pop @ edge)),
             "norm_drift_max": float(np.max(np.abs(1.0 - np.sqrt(
                 pop.sum(axis=1)))))}

@@ -348,6 +348,10 @@ class TestLeakageCommand:
         # n = 4, s = 1, quanta <= 3, one mode with fock 2: 1 + 8 + 6 + 4
         # states of odd quanta, spin count 0 to 3
         assert report["block_dim"] == 19
+        # a COM-only run from one basis state evolves in the 9 orbit sums
+        # of its site permutations, beside mirror halves of 11 and 8
+        assert report["mirror_block_dims"] == [11, 8]
+        assert report["propagated_dims"] == [9]
         assert 0.0 < report["edge_population_max"] < 1e-3
         assert 0.0 <= report["norm_drift_max"] < 1e-13
         e_sim = np.array([float(row["E_sim"]) for row in rows])

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -557,6 +558,18 @@ class TestTruncationDiagnostics:
                 == float(basis.quanta[k] == 3 or basis.occupations[k, 0] == 4)
 
 
+def lopside_eta(monkeypatch):
+    """Make the first Lamb-Dicke column 1 % larger on site 0 alone."""
+    lamb_dicke = sp.lamb_dicke
+
+    def lopsided(trap, chain):
+        eta = lamb_dicke(trap, chain)
+        eta[0, 0] *= 1.01
+        return eta
+
+    monkeypatch.setattr(sp, "lamb_dicke", lopsided)
+
+
 class TestMirrorHalves:
     @pytest.mark.parametrize("n, modes, s_init", [
         (3, (0,), 1), (4, (0,), 2), (4, (0, 1), 1), (5, (0, 1), 2)])
@@ -580,14 +593,7 @@ class TestMirrorHalves:
         assert sp.truncation_diagnostics(traj)["mirror_block_dims"] == dims
 
     def test_eta_of_neither_parity_keeps_the_whole_block(self, monkeypatch):
-        lamb_dicke = sp.lamb_dicke
-
-        def lopsided(trap, chain):
-            eta = lamb_dicke(trap, chain)
-            eta[0, 0] *= 1.01
-            return eta
-
-        monkeypatch.setattr(sp, "lamb_dicke", lopsided)
+        lopside_eta(monkeypatch)
         _, _, system = small_system(n=4, modes=(0, 1), fock=2)
         dim = system.basis.dim
         partner, sign = system.reflection()
@@ -602,3 +608,136 @@ class TestMirrorHalves:
         assert np.max(np.abs(traj.states
                              - reference_states(system, psi0, times))) < 1e-12
         assert sp.truncation_diagnostics(traj)["mirror_block_dims"] == [dim]
+
+
+# every path rounds the phases w t, up to max(D) t of about 1e3 rad at N = 10
+# and s = 5, to a few 1e-13
+ORBIT_TIMES = np.linspace(0, 4e-6, 9)
+
+
+def mirror_states(system, psi0, times):
+    """States from the mirror halves alone, gathered as propagate gathers
+    them (times within one chunk)."""
+    states = np.zeros((len(times), len(psi0)), dtype=complex)
+    for w, q, idx, coef in system.eigensystem():
+        part = xy.mirror_part(psi0, idx, coef, len(w))
+        states += xy.spectral(w, q, part, times)[:, idx] * coef
+    return states
+
+
+class TestOrbitSums:
+    # N = 10 with the presets' cutoffs (2a-2c, 3b, the s = 3 benchmark run
+    # and 3c), and a short chain
+    @pytest.mark.parametrize("n, s_init", [(10, 1), (10, 2), (10, 3),
+                                           (10, 5), (4, 2)])
+    def test_matches_full_block_and_mirror_halves(self, n, s_init):
+        _, _, system = small_system(n=n, fock=4, s_init=s_init)
+        psi0 = system.initial_state((1 << s_init) - 1)
+        assert system.orbit_sites(psi0) == (1 << s_init) - 1
+        traj = sp.propagate(system, psi0, ORBIT_TIMES)
+        (w, q, idx, coef), = system.eigensystem(psi0)
+        assert traj.propagated_dims == [len(w)] and len(w) < system.basis.dim
+        assert np.max(np.abs(traj.states - reference_states(
+            system, psi0, ORBIT_TIMES))) < 1e-12
+        assert np.max(np.abs(traj.states - mirror_states(
+            system, psi0, ORBIT_TIMES))) < 1e-12
+
+    @pytest.mark.parametrize("s_init, orbits", [(1, 10), (2, 19), (3, 30),
+                                                (5, 57)])
+    def test_orbit_counts_of_the_presets(self, s_init, orbits):
+        _, _, system = small_system(n=10, fock=4, s_init=s_init)
+        psi0 = system.initial_state((1 << s_init) - 1)
+        (w, q, idx, coef), = system.eigensystem(psi0)
+        assert len(w) == q.shape[0] == orbits
+        # orbit (a on the excited sites, b off them, n phonons) holds
+        # comb(s, a) comb(N - s, b) states; coef is its 1 / sqrt(size)
+        basis = system.basis
+        on = np.array([bin(int(m) & ((1 << s_init) - 1)).count("1")
+                       for m in basis.masks])
+        size = np.array([comb(s_init, a) * comb(10 - s_init, c - a)
+                         for a, c in zip(on, basis.spin_count)])
+        assert np.allclose(coef, 1.0 / np.sqrt(size), rtol=1e-15)
+        assert np.array_equal(np.bincount(idx), size[np.unique(
+            idx, return_index=True)[1]])
+        # the orbits are the labels (a, b, occupations)
+        labels = {}
+        for k, (a, c, occ) in enumerate(zip(on, basis.spin_count,
+                                            map(tuple, basis.occupations))):
+            labels.setdefault((a, c - a, *occ), set()).add(int(idx[k]))
+        assert len(labels) == orbits
+        assert all(len(members) == 1 for members in labels.values())
+        assert sp.truncation_diagnostics(sp.propagate(
+            system, psi0, np.zeros(1)))["propagated_dims"] == [orbits]
+
+    def test_every_site_excited(self):
+        # s_init = n_ions: psi0 has no empty sites
+        _, _, system = small_system(n=4, fock=3, s_init=4)
+        psi0 = system.initial_state(0b1111)
+        traj = sp.propagate(system, psi0, ORBIT_TIMES)
+        assert traj.propagated_dims[0] < system.basis.dim
+        assert np.max(np.abs(traj.states - reference_states(
+            system, psi0, ORBIT_TIMES))) < 1e-12
+
+    @pytest.mark.parametrize("modes", [(0,), ()])
+    def test_all_zero_coupling(self, modes):
+        # a zero Rabi frequency writes zero elements; no modes write none
+        trap = ic.reference_trap(4, 2 * np.pi * 0.8e6).with_(rabi_total=0.0)
+        chain = ic.solve_chain(trap)
+        trap = trap.with_(detuning_mu=float(1.05 * chain.mode_freqs[0]))
+        policy = sp.TruncationPolicy(phonon_modes=modes, fock_cutoff=2)
+        system = sp.SpinPhononSystem.build(trap, chain, policy, s_init=1)
+        psi0 = system.initial_state(0b0001)
+        (w, q, _, _), = system.eigensystem(psi0)
+        assert w.dtype == q.dtype == np.float64
+        states = sp.propagate(system, psi0, ORBIT_TIMES).states
+        assert np.max(np.abs(states - reference_states(
+            system, psi0, ORBIT_TIMES))) < 1e-12
+        assert np.abs(states) == pytest.approx(
+            np.abs(psi0)[None, :].repeat(9, axis=0), abs=1e-13)
+
+    def test_cached_per_reduction(self):
+        _, _, system = small_system(n=4, fock=2, s_init=2)
+        first = system.eigensystem(system.initial_state(0b0011))
+        assert system.eigensystem(system.initial_state(0b0011)) is first
+        assert system.eigensystem(system.initial_state(0b1100)) is not first
+        assert len(system.eigensystem()) == 2
+
+    def test_lopsided_site_outside_the_excited_set(self, monkeypatch):
+        # eta off on site 0 alone: with psi0 exciting site 0 alone, both
+        # site sets stay uniform and the orbit sums still hold the dynamics
+        lopside_eta(monkeypatch)
+        _, _, system = small_system(n=5, fock=3)
+        psi0 = system.initial_state(0b00001)
+        traj = sp.propagate(system, psi0, ORBIT_TIMES)
+        assert traj.propagated_dims[0] < system.basis.dim
+        assert np.max(np.abs(traj.states - reference_states(
+            system, psi0, ORBIT_TIMES))) < 1e-12
+        assert system.orbit_sites(system.initial_state(0b00010)) is None
+
+
+class TestMirrorFallback:
+    """Inputs the orbit sums do not hold: propagate runs the mirror halves
+    bit for bit."""
+
+    def check(self, system, psi0):
+        times = np.linspace(0, 2e-5, 30)
+        assert system.orbit_sites(psi0) is None
+        traj = sp.propagate(system, psi0, times)
+        assert np.array_equal(traj.states, mirror_states(system, psi0, times))
+        assert traj.propagated_dims == [len(w) for w, *_ in
+                                        system.eigensystem()]
+        assert np.max(np.abs(traj.states
+                             - reference_states(system, psi0, times))) < 1e-12
+
+    def test_two_modes(self):
+        _, _, system = small_system(n=5, modes=(0, 1), fock=2)
+        self.check(system, system.initial_state(0b00001))
+
+    def test_superposition(self):
+        _, _, system = small_system(n=5, fock=3, s_init=2)
+        self.check(system, random_state(system, seed=5))
+
+    def test_lopsided_eta(self, monkeypatch):
+        lopside_eta(monkeypatch)
+        _, _, system = small_system(n=4, fock=2, s_init=2)
+        self.check(system, system.initial_state(0b0011))
