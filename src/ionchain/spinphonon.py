@@ -13,26 +13,27 @@ interaction-picture state is therefore e^{iDt} e^{-i(D+V)t} psi(0).
 Every term of V changes the spin excitation count and one mode's phonon
 number by one each, and D is diagonal, so D + V conserves the parity of the
 total quanta (spin excitations + phonons).  The basis is the block of
-s_init % 2 alone, and propagate reduces it once more, by one of two
-symmetries, each with a cached dense eigensystem propagated by xy.spectral
-and gathered back into the product basis:
+s_init % 2 alone.  propagate reduces it once more by a symmetry of D + V,
+labelled per part by (idx, coef): row k of the block is coef[k] times
+orbit idx[k] of an orthonormal orbit basis.  One reducer sums D + V over
+any such labelling from V's elements and solves one cached dense eigh per
+part (symmetry-adapted exact diagonalisation: Sandvik, AIP Conf. Proc.
+1297, 135 (2010)), propagated by xy.spectral and gathered back:
 
-- the site permutations that fix psi0, when psi0 is one basis state and
-  every included Lamb-Dicke column is constant on its excited sites and on
-  its empty ones (the COM mode's is uniform): psi0 never leaves the span of
-  the orbit sums of those permutations, labelled by the excitations on
-  either set of sites and the phonon occupations (30 states for N = 10,
-  s = 3 and fock_cutoff 4, against a block of 824), assembled from V's
-  elements without the dense V (symmetry-adapted exact diagonalisation:
-  Sandvik, AIP Conf. Proc. 1297, 135 (2010));
-- otherwise the site reflection: a symmetric chain makes every Lamb-Dicke
-  column even or odd under it, D + V then commutes with it, and the block
-  splits into mirror halves of about half its size.
+- the orbit sums of the site permutations that fix psi0, when psi0 is one
+  basis state and every included Lamb-Dicke column is constant on its
+  excited sites and on its empty ones (the COM mode's is uniform): psi0
+  never leaves their span, labelled by the excitations on either set of
+  sites and the phonon occupations (30 states for N = 10, s = 3 and
+  fock_cutoff 4, against a block of 824);
+- otherwise the mirror halves of the site reflection (xy.mirror_orbits):
+  a symmetric chain makes every Lamb-Dicke column even or odd under it,
+  D + V then commutes with it, and the block splits in two.
 
 Trajectories hold the static-frame states e^{-i(D+V)t} psi(0), without the
 phase e^{iDt}: the observables read |psi|^2, or overlaps on which D is
 constant.  Adaptive Runge-Kutta on H_I(t), taken to the same frame, is the
-cross-check.
+cross-check, and the one reader of the dense V.
 """
 from __future__ import annotations
 
@@ -174,8 +175,9 @@ class ProductBasis:
 
 @dataclass
 class SpinPhononSystem:
-    """Static-frame operators for one trap/chain/policy combination.  The
-    dense V is built on first use: the orbit sums read elements alone."""
+    """Static-frame operators for one trap/chain/policy combination.  V is
+    kept as its elements; the dense V is built on first use, for the
+    Runge-Kutta cross-check."""
 
     trap: TrapConfig
     basis: ProductBasis
@@ -228,7 +230,8 @@ class SpinPhononSystem:
 
     @cached_property
     def V(self) -> np.ndarray:
-        """The dense static coupling matrix, from elements on first use."""
+        """The dense static coupling matrix, from elements on first use by
+        the Runge-Kutta cross-check: the spectral path reads elements."""
         rows, cols, vals = self.elements
         v = np.zeros((self.basis.dim, self.basis.dim))
         v[rows, cols] = vals
@@ -277,59 +280,54 @@ class SpinPhononSystem:
 
     def eigensystem(self, psi0: np.ndarray | None = None) -> list:
         """Eigensystems of D + V on the smallest subspace this module knows
-        to hold psi0's dynamics, cached per reduction, in the format of
-        xy.mirror_eigensystems: per part (w, q, idx, coef), row k of the
-        eigenvectors over the block is coef[k] * q[idx[k]].
-
-        When orbit_sites(psi0) holds, one part: the orbit sums
-        |O> = sum_{r in O} |r> / sqrt(|O|) of those site permutations, the
-        span psi0 never leaves (idx = orbit, coef = 1 / sqrt(|O|)).
-        Otherwise, or with no psi0, the mirror halves of reflection()
-        through xy.mirror_blocks, or the whole block as one half when the
-        reflection is the identity.
-        """
+        to hold psi0's dynamics, cached per labelling: per part
+        (w, q, idx, coef), row k of the eigenvectors over the block is
+        coef[k] * q[idx[k]].  One part, the orbit sums, when
+        orbit_sites(psi0) holds; otherwise, or with no psi0, the mirror
+        halves of reflection(), one half when that is the identity."""
         sites = None if psi0 is None else self.orbit_sites(psi0)
         if sites not in self._eig:
-            if sites is None:
-                orbits = xy.mirror_orbits(*self.reflection())
-                self._eig[sites] = xy.mirror_eigensystems(
-                    xy.mirror_blocks(self.V, orbits), orbits, self.D)
-            else:
-                self._eig[sites] = [self._orbit_eigensystem(sites)]
+            parts = [self._orbit_sums(sites)] if sites is not None else [
+                (i, c) for *_, i, c in xy.mirror_orbits(*self.reflection())]
+            self._eig[sites] = [self._reduced(*part) for part in parts]
         return self._eig[sites]
 
-    def _orbit_eigensystem(self, sites: int) -> tuple:
-        """(w, q, orbit, 1 / sqrt(|O|)) of D + V over the orbit sums of the
-        permutations of the sites in the mask sites and of the others, from
-        elements: no dense V.  The orbit of a row is its label (excitations
-        on sites, excitations off them, occupations), numbered in ascending
-        order; all its members are in the basis, whose truncation reads
-        spin counts and occupations alone."""
+    def _orbit_sums(self, sites: int) -> tuple:
+        """(orbit, 1 / sqrt(|O|)) per row for the orbit sums of the
+        permutations of the sites in the mask sites and of the others: a
+        row's label (excitations on sites, excitations off them,
+        occupations), numbered in ascending order.  All of an orbit is in
+        the basis, whose truncation reads spin counts and occupations."""
         basis = self.basis
         on = xy.site_bits(basis.masks & sites, basis.n_sites).sum(axis=1)
         key = on * (basis.n_sites + 1) + basis.spin_count - on
         for occ in basis.occupations.T:
             key = key * (basis.policy.fock_cutoff + 1) + occ
         orbit = np.unique(key, return_inverse=True)[1]
-        size = np.bincount(orbit)
-        n = len(size)
+        return orbit, 1.0 / np.sqrt(np.bincount(orbit))[orbit]
+
+    def _reduced(self, idx: np.ndarray, coef: np.ndarray) -> tuple:
+        """(w, q, idx, coef): D + V over the orthonormal orbits of the
+        labelling (idx, coef), from elements, no dense V.  Each orbit's rows
+        share |coef| and a value of D; a row of coef 0, held by another
+        part, adds nothing."""
+        live, sign = coef != 0, np.sign(coef)
+        norm, d = np.empty((2, int(idx.max()) + 1))
+        norm[idx[live]], d[idx[live]] = np.abs(coef[live]), self.D[live]
+        n = len(d)
         rows, cols, vals = self.elements
         # V summed over the members of both orbits, each value once at
         # (row, col) and once, by the transpose, at (col, row); no value
         # joins an orbit to itself, since each changes the spin count
-        h = np.bincount(orbit[rows] * n + orbit[cols], vals,
-                        n * n).reshape(n, n)
-        norm = 1.0 / np.sqrt(size)
+        h = np.bincount(idx[rows] * n + idx[cols],
+                        sign[rows] * sign[cols] * vals, n * n).reshape(n, n)
         h = (h + h.T) * np.outer(norm, norm)
-        # D is one value on each orbit.  The eigh is of h - c, c the
-        # midpoint of D: its eigenvalues are then accurate relative to the
-        # spread of D, not to its largest value
-        d = np.empty(n)
-        d[orbit] = self.D
+        # the eigh is of h - c, c the midpoint of D: its eigenvalues are
+        # then accurate relative to the spread of D, not to its largest value
         c = 0.5 * (d.min() + d.max())
         np.fill_diagonal(h, d - c)
         w, q = np.linalg.eigh(h)
-        return w + c, q, orbit, norm[orbit]
+        return w + c, q, idx, coef
 
     def initial_state(self, spin_mask: int,
                       phonons: tuple | None = None) -> np.ndarray:
@@ -361,13 +359,13 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
     """Evolve psi0 under H_I(t) on the output grid, as the static-frame
     states e^{-i(D+V)t} psi0.
 
-    method="spectral" uses system.eigensystem(psi0): the orbit sums of
-    psi0's site permutations when it is one basis state and the included
-    Lamb-Dicke columns are constant on its excited and on its empty sites,
-    else the mirror halves.  Each part is propagated by xy.spectral and
-    gathered back into the block.  method="rk" integrates H_I(t) by
-    adaptive Runge-Kutta (local error per step <= tol) on the whole block,
-    an independent cross-check of the frame transformation.
+    method="spectral" uses system.eigensystem(psi0), one eigh per part
+    of the block's reduction (the orbit sums of psi0's site permutations,
+    else the mirror halves), summed from V's elements.  Each part is
+    propagated by xy.spectral and gathered back into the block.
+    method="rk" integrates H_I(t) by adaptive Runge-Kutta (local error per
+    step <= tol) on the whole block with the dense system.V, an
+    independent cross-check of the frame transformation.
     """
     times = np.asarray(times, dtype=float)
     if method == "spectral":

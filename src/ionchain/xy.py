@@ -7,7 +7,7 @@ spin form.  Protocol timing formulas are written against walk matrices.
 chebyshev() runs one Chebyshev series, no eigensystem, forward from t = 0
 to its longest time: evolve(), evolve_grid() and the noise ensemble.
 spectral() propagates every state of one eigensystem over a time grid at a
-cost independent of the times: the spin-phonon mirror halves, and the
+cost independent of the times: the parts of a spin-phonon block, and the
 leakage XY reference through XYSector.eigensystem().  The protocols read
 their one walk amplitude from the eigensystems of the walk's mirror halves,
 and the spin-phonon Runge-Kutta cross-check is the third integrator.
@@ -17,7 +17,8 @@ A matrix that commutes with a signed row involution R|k> = sign_k
 and odd halves: mirror_orbits() builds their orbit bases, mirror_part() a
 state's components on them, mirror_blocks() the half blocks and
 mirror_eigensystems() their eigh, with the map back to the full basis.
-The spin-phonon blocks and the protocol walks both split this way.
+The spin-phonon blocks read mirror_orbits() and mirror_part() alone, and
+reduce the halves from V's elements; the protocol walks read all four.
 
 build_sector stores its matrix as a scipy.sparse CSR array: every state has
 exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only

@@ -599,8 +599,10 @@ class TestMirrorHalves:
         partner, sign = system.reflection()
         assert np.array_equal(partner, np.arange(dim)) and np.all(sign == 1)
         (w, _, idx, coef), = system.eigensystem()
-        assert np.array_equal(w, np.linalg.eigh(np.diag(system.D)
-                                                + system.V)[0])
+        # every part's eigh is centred on c, the midpoint of its D
+        c = 0.5 * (system.D.min() + system.D.max())
+        assert np.array_equal(w, np.linalg.eigh(np.diag(system.D - c)
+                                                + system.V)[0] + c)
         assert np.array_equal(idx, np.arange(dim)) and np.all(coef == 1.0)
         psi0 = random_state(system, seed=3)
         times = np.linspace(0, 2e-5, 30)
@@ -615,11 +617,12 @@ class TestMirrorHalves:
 ORBIT_TIMES = np.linspace(0, 4e-6, 9)
 
 
-def mirror_states(system, psi0, times):
-    """States from the mirror halves alone, gathered as propagate gathers
-    them (times within one chunk)."""
+def mirror_states(system, psi0, times, halves=None):
+    """States from the mirror halves alone (system.eigensystem() unless
+    halves are given), gathered as propagate gathers them (times within
+    one chunk)."""
     states = np.zeros((len(times), len(psi0)), dtype=complex)
-    for w, q, idx, coef in system.eigensystem():
+    for w, q, idx, coef in halves or system.eigensystem():
         part = xy.mirror_part(psi0, idx, coef, len(w))
         states += xy.spectral(w, q, part, times)[:, idx] * coef
     return states
@@ -741,3 +744,75 @@ class TestMirrorFallback:
         lopside_eta(monkeypatch)
         _, _, system = small_system(n=4, fock=2, s_init=2)
         self.check(system, system.initial_state(0b0011))
+
+
+def second_mode_system():
+    """The block of the two-mode preset 2d: N = 10, the COM mode and the
+    CLI's second mode, fock_cutoff 4, s = 1."""
+    from ionchain.cli import _second_mode
+    trap, chain, _ = small_system(n=10)
+    second = _second_mode(trap, sp.lamb_dicke(trap, chain), chain.mode_freqs)
+    policy = sp.TruncationPolicy(phonon_modes=(0, second), fock_cutoff=4)
+    return sp.SpinPhononSystem.build(trap, chain, policy, s_init=1)
+
+
+def dense_mirror_halves(system):
+    """The mirror halves as the dense V gives them: the half blocks that
+    xy.mirror_blocks gathers from it, plus D, each solved by eigh."""
+    orbits = xy.mirror_orbits(*system.reflection())
+    return xy.mirror_eigensystems(xy.mirror_blocks(system.V, orbits),
+                                  orbits, system.D)
+
+
+class TestOneReduction:
+    """The mirror halves and the orbit sums come from one reducer of V's
+    elements; the spectral path never builds the dense V."""
+
+    @pytest.mark.parametrize("case", ["com", "two_modes", "superposition"])
+    def test_spectral_path_builds_no_dense_v(self, case):
+        if case == "com":
+            _, _, system = small_system(n=5, fock=3, s_init=2)
+            psi0 = system.initial_state(0b00011)
+        elif case == "two_modes":
+            _, _, system = small_system(n=5, modes=(0, 1), fock=2)
+            psi0 = system.initial_state(0b00001)
+        else:
+            _, _, system = small_system(n=5, fock=3, s_init=2)
+            psi0 = random_state(system, seed=7)
+        traj = sp.propagate(system, psi0, ORBIT_TIMES)
+        sp.truncation_diagnostics(traj)
+        assert "V" not in vars(system)
+        assert (system.orbit_sites(psi0) is None) == (case != "com")
+
+    @pytest.mark.parametrize("build", [
+        lambda: small_system(n=3, fock=2)[2],
+        lambda: small_system(n=4, fock=2, s_init=2)[2],
+        lambda: small_system(n=4, modes=(0, 1), fock=2)[2],
+        lambda: small_system(n=5, modes=(0, 1), fock=2, s_init=2)[2],
+        second_mode_system], ids=["3-1", "4-2", "4-2modes", "5-2modes", "2d"])
+    def test_halves_match_the_dense_gather(self, build):
+        system = build()
+        halves = system.eigensystem()
+        assert "V" not in vars(system)
+        dense = dense_mirror_halves(system)
+        assert [len(w) for w, *_ in halves] == [len(w) for w, *_ in dense]
+        for (w, _, idx, coef), (w_ref, _, idx_ref, coef_ref) in zip(halves,
+                                                                    dense):
+            assert np.array_equal(idx, idx_ref)
+            assert np.array_equal(coef, coef_ref)
+            # relative to the largest: the uncentred dense eigh is accurate
+            # to rounding of max |D|, not of each eigenvalue (one is ~50)
+            assert np.max(np.abs(w - w_ref)) < 1e-12 * np.max(np.abs(w_ref))
+        # as in TestMirrorHalves: each path rounds phases w t of about
+        # 2e3 rad at 1e-5 s to ~6e-13 of the exact states
+        times = np.linspace(0, 1e-5, 30)
+        for psi0 in (random_state(system, seed=2),
+                     system.initial_state((1 << system.basis.s_init) - 1)):
+            assert np.max(np.abs(mirror_states(system, psi0, times)
+                                 - mirror_states(system, psi0, times,
+                                                 dense))) < 1e-12
+
+    def test_the_presets_block_splits_in_equal_halves(self):
+        system = second_mode_system()
+        assert system.basis.dim == 256
+        assert [len(w) for w, *_ in system.eigensystem()] == [128, 128]
