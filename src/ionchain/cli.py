@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 class NonFiniteReport(ArithmeticError):
-    """A NaN or inf bound for a JSON report: exit 1, nothing written."""
+    """A NaN or inf bound for a report or a CSV table: exit 1, no file."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +280,20 @@ def write_table(ctx: OutputContext, stem: str, header: list,
     if ctx.fmt == "json":
         return write_report(ctx, stem, {"columns": header, "rows": rows})
     path = ctx.outdir / f"{stem}.csv"
+    lines = [",".join(_fmt_value(x) for x in row) + "\n" for row in rows]
+    # checked before the file is opened, as write_report checks, in the
+    # rows that spell nan or inf alone
+    try:
+        for i, line in enumerate(lines):
+            if "nan" in line or "inf" in line:
+                _json_safe(dict(zip(header, rows[i])))
+    except NonFiniteReport as e:
+        raise NonFiniteReport(f"{path.name}: row {i}: {e}") from None
     with open(path, "w", newline="\n") as f:
         for key, val in ctx.meta:
             f.write(f"# {key}: {val}\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt_value(x) for x in row) + "\n")
+        f.writelines(lines)
     ctx.written.append(path)
     return path
 

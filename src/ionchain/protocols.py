@@ -114,9 +114,9 @@ def _site_state(n: int, site: int) -> np.ndarray:
 
 def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     """(orbits, blocks, parts, trailing) of the walk gamma J + diag(diag)
-    from psi0, shared by every gamma: its mirror orbits, the
-    xy.mirror_blocks of J on them, psi0 over each half's orbits
-    (xy.mirror_part) and the eigenvalue-only data of _walk_weights, or
+    from psi0, shared by every gamma: its mirror orbits, J summed over each
+    half's orbits by xy.orbit_matrix from its upper triangle, psi0 over
+    them (xy.mirror_part) and the eigenvalue-only data of _walk_weights, or
     None.
 
     The walk splits when J and diag commute with the site reversal to
@@ -137,11 +137,14 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
         and abs(diag - diag[::-1]).max() <= MIRROR_TOL * abs(diag).max()
     orbits = _walk_orbits(n, bool(mirrored))
     parts = [xy.mirror_part(psi0, idx, coef, len(sites))
-             for sites, _, _, idx, coef in orbits]
-    blocks = xy.mirror_blocks(J, orbits)
+             for sites, idx, coef in orbits]
+    # each value of the upper triangle stands at (row, col) and (col, row)
+    rows, cols = np.triu_indices(n)
+    upper = (rows, cols, np.where(rows == cols, 0.5, 1.0) * J[rows, cols])
+    blocks = [xy.orbit_matrix(upper, idx, coef) for _, idx, coef in orbits]
     trailing = None
     if not any(diag[sites[1:]].any() or part[1:].any()
-               for (sites, _, _, _, _), part in zip(orbits, parts)):
+               for (sites, _, _), part in zip(orbits, parts)):
         trailing = []
         # the halves of an even walk have one size and are solved as one
         # stack; a half of its own size keeps no stack axis
@@ -150,7 +153,7 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
             stack, coefs, part0 = (
                 np.stack(a) if len(group) > 1 else a[0]
                 for a in ([blocks[i] for i in group],
-                          [orbits[i][4] for i in group],
+                          [orbits[i][2] for i in group],
                           [parts[i][0] for i in group]))
             if len(group) > 1:
                 # the blocks become views of their stack, held once
@@ -193,7 +196,7 @@ def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int) -> tuple:
     bit for bit as when it is solved alone.
     """
     orbits, blocks, parts, trailing = split
-    full = trailing is None or any(idx[row] for _, _, _, idx, _ in orbits)
+    full = trailing is None or any(idx[row] for _, idx, _ in orbits)
     # at most _STACK_BYTES of gamma-scaled blocks at once: a large walk
     # solves its stack a few gammas (or one) at a time, eigh one at a time
     rows = 1 if full else max(1, _STACK_BYTES // sum(
@@ -205,12 +208,12 @@ def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int) -> tuple:
                 split, gamma[i] if full else gamma[i:i + rows], diag, row)
         return w, p
     if full:
-        halves = xy.mirror_eigensystems([gamma * b for b in blocks], orbits,
-                                        diag)
-        return (np.concatenate([w for w, _, _, _ in halves]),
-                np.concatenate([coef[row] * q[idx[row]] * (part @ q)
-                                for (_, q, idx, coef), part in zip(halves,
-                                                                    parts)]))
+        w, p = [], []
+        for (sites, idx, coef), block, part in zip(orbits, blocks, parts):
+            x, q = np.linalg.eigh(gamma * block + np.diag(diag[sites]))
+            w.append(x)
+            p.append(coef[row] * q[idx[row]] * (part @ q))
+        return np.concatenate(w), np.concatenate(p)
     gamma = np.asarray(gamma, dtype=float)
     # a stack's halves side by side, in the order of orbits
     shape = gamma.shape + (-1,)

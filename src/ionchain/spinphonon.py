@@ -15,10 +15,10 @@ number by one each, and D is diagonal, so D + V conserves the parity of the
 total quanta (spin excitations + phonons).  The basis is the block of
 s_init % 2 alone.  propagate reduces it once more by a symmetry of D + V,
 labelled per part by (idx, coef): row k of the block is coef[k] times
-orbit idx[k] of an orthonormal orbit basis.  One reducer sums D + V over
-any such labelling from V's elements and solves one cached dense eigh per
-part (symmetry-adapted exact diagonalisation: Sandvik, AIP Conf. Proc.
-1297, 135 (2010)), propagated by xy.spectral and gathered back:
+orbit idx[k] of an orthonormal orbit basis.  Each part, V summed over its
+orbits by xy.orbit_matrix (the walks' reducer too) plus D, is solved by one
+cached dense eigh (symmetry-adapted exact diagonalisation: Sandvik, AIP
+Conf. Proc. 1297, 135 (2010)), propagated by xy.spectral and gathered back:
 
 - the orbit sums of the site permutations that fix psi0, when psi0 is one
   basis state and every included Lamb-Dicke column is constant on its
@@ -202,11 +202,12 @@ class SpinPhononSystem:
         dims = ProductBasis.parity_block_dims(trap.n_ions, policy, s_init)
         block = dims[s_init % 2]
         if block > xy.DENSE_LIMIT:
-            # refused before the basis is enumerated or V allocated
+            # refused before the basis is enumerated
             raise xy.SectorTooLarge(
                 f"spin-phonon basis dim {sum(dims)} has a parity block of "
-                f"{block} > DENSE_LIMIT = {xy.DENSE_LIMIT}: its dense V "
-                f"needs {8 * block ** 2} bytes")
+                f"{block} > DENSE_LIMIT = {xy.DENSE_LIMIT}: a dense eigh of a "
+                f"part as large as the block needs at least {16 * block ** 2}"
+                f" bytes")
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
         d = trap.omega_eff * basis.spin_count + basis.occupations @ w
         half = 0.5 * trap.rabi
@@ -307,25 +308,16 @@ class SpinPhononSystem:
         return orbit, 1.0 / np.sqrt(np.bincount(orbit))[orbit]
 
     def _reduced(self, idx: np.ndarray, coef: np.ndarray) -> tuple:
-        """(w, q, idx, coef): D + V over the orthonormal orbits of the
-        labelling (idx, coef), from elements, no dense V.  Each orbit's rows
-        share |coef| and a value of D; a row of coef 0, held by another
-        part, adds nothing."""
-        live, sign = coef != 0, np.sign(coef)
-        norm, d = np.empty((2, int(idx.max()) + 1))
-        norm[idx[live]], d[idx[live]] = np.abs(coef[live]), self.D[live]
-        n = len(d)
-        rows, cols, vals = self.elements
-        # V summed over the members of both orbits, each value once at
-        # (row, col) and once, by the transpose, at (col, row); no value
-        # joins an orbit to itself, since each changes the spin count
-        h = np.bincount(idx[rows] * n + idx[cols],
-                        sign[rows] * sign[cols] * vals, n * n).reshape(n, n)
-        h = (h + h.T) * np.outer(norm, norm)
+        """(w, q, idx, coef): D + V over the orthonormal orbits of (idx,
+        coef) from elements, no dense V; each orbit's rows share a value of
+        D, and V, which changes spin counts, joins no orbit to itself."""
+        h = xy.orbit_matrix(self.elements, idx, coef)
+        d = np.empty(len(h))
+        d[idx[coef != 0]] = self.D[coef != 0]
         # the eigh is of h - c, c the midpoint of D: its eigenvalues are
         # then accurate relative to the spread of D, not to its largest value
         c = 0.5 * (d.min() + d.max())
-        np.fill_diagonal(h, d - c)
+        h.flat[::len(h) + 1] += d - c
         w, q = np.linalg.eigh(h)
         return w + c, q, idx, coef
 

@@ -14,11 +14,12 @@ and the spin-phonon Runge-Kutta cross-check is the third integrator.
 
 A matrix that commutes with a signed row involution R|k> = sign_k
 |partner_k>, such as a site reflection, splits into the blocks of R's even
-and odd halves: mirror_orbits() builds their orbit bases, mirror_part() a
-state's components on them, mirror_blocks() the half blocks and
-mirror_eigensystems() their eigh, with the map back to the full basis.
-The spin-phonon blocks read mirror_orbits() and mirror_part() alone, and
-reduce the halves from V's elements; the protocol walks read all four.
+and odd halves: mirror_orbits() labels their orbit bases and mirror_part()
+gives a state's components on them.  orbit_matrix() sums a matrix, given
+as its elements, over any orthonormal orbit labelling: the walks' mirror
+halves from J's upper triangle, and the spin-phonon parts from V's
+elements, over the mirror halves or over the orbit sums of psi0's site
+permutations.  Each caller adds its diagonal and solves one eigh.
 
 build_sector stores its matrix as a scipy.sparse CSR array: every state has
 exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
@@ -199,20 +200,16 @@ def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray,
     return _times_real(phases, v.T)
 
 
-# each entry of a pair orbit (|k> + t |p>) / sqrt(2)
-_PAIR_NORM = np.sqrt(0.5)
-
-
 def mirror_orbits(partner: np.ndarray, sign: np.ndarray) -> list:
     """Orbit bases of the even and the odd half of the signed row
     involution R|k> = sign_k |partner_k>, of the halves that hold states.
 
-    Per half (keep, p, t, idx, coef): orbit j is |keep_j> for a fixed point
-    partner_k = k whose sign is the half's, and for each of the len(p)
-    pairs, which come first, (|keep_j> + t_j |p_j>) / sqrt(2) with
-    keep_j < p_j; t = sign in the even half and -sign in the odd one.  Row
-    k of the full basis is coef[k] times orbit idx[k] of the half, with
-    coef[k] = 0 where the half holds no share of row k.
+    Per half (keep, idx, coef): orbit j is |keep_j> for a fixed point
+    partner_k = k whose sign is the half's, and for each pair, which come
+    first, (|k> + t |partner_k>) / sqrt(2) with keep_j = k < partner_k;
+    t = sign_k in the even half and -sign_k in the odd one.  Row k of the
+    full basis is coef[k] times orbit idx[k] of the half, with coef[k] = 0
+    where the half holds no share of row k.
     """
     partner, sign = np.asarray(partner), np.asarray(sign)
     n = len(partner)
@@ -223,14 +220,13 @@ def mirror_orbits(partner: np.ndarray, sign: np.ndarray) -> list:
     for parity in (1.0, -1.0):
         keep = np.concatenate([pairs, fixed[sign[fixed] == parity]])
         if len(keep):
-            t = parity * sign[pairs]
             idx, coef = np.zeros(n, dtype=np.intp), np.zeros(n)
             idx[keep] = np.arange(len(keep))
             idx[p] = idx[pairs]
             coef[keep] = 1.0
-            coef[pairs] = _PAIR_NORM
-            coef[p] = t * _PAIR_NORM
-            halves.append((keep, p, t, idx, coef))
+            coef[pairs] = np.sqrt(0.5)
+            coef[p] = parity * sign[pairs] * coef[pairs]
+            halves.append((keep, idx, coef))
     return halves
 
 
@@ -244,46 +240,22 @@ def mirror_part(psi0: np.ndarray, idx: np.ndarray, coef: np.ndarray,
     return part
 
 
-def mirror_blocks(h: np.ndarray, orbits: list) -> list:
-    """<orbit i| h |orbit j> on each half of orbits, the mirror_orbits of
-    a signed row involution that the real symmetric h commutes with.
-
-    Row gathers of h, then column gathers of the half-height rows.  All
-    four quadrants of h enter, so an h that commutes with the involution
-    only to rounding gives the blocks of its symmetric part.
-    """
-    blocks = []
-    for keep, p, t, _, _ in orbits:
-        m = len(p)
-        # rows (1 + t R) h, then columns h (1 + t R), of the m pair orbits
-        u = h.take(keep, axis=0)
-        u[:m] += h.take(p, axis=0) * t[:, None]
-        block = u.take(keep, axis=1)
-        block[:, :m] += u.take(p, axis=1) * t
-        # the pair orbits' norm, on both sides
-        block[:m] *= _PAIR_NORM
-        block[:, :m] *= _PAIR_NORM
-        blocks.append(block)
-    return blocks
-
-
-def mirror_eigensystems(blocks: list, orbits: list,
-                        diag: np.ndarray) -> list:
-    """Eigensystems of h + diag(diag) from its mirror_blocks on orbits;
-    the diagonal is added to the blocks in place.
-
-    h and the diagonal commute with the involution of orbits; the callers
-    decide that from their inputs and pass the orbits of the identity, one
-    half, where it fails.  Two eigh of about n/2 cost a quarter of one of
-    n.  Per half (w, q, idx, coef): eigenvalues and the orthonormal
-    eigenvectors in the columns of q over the orbit basis; row k of those
-    eigenvectors over the full basis is coef[k] * q[idx[k]].
-    """
-    halves = []
-    for block, (keep, _, _, idx, coef) in zip(blocks, orbits):
-        block.flat[::len(keep) + 1] += diag[keep]
-        halves.append((*np.linalg.eigh(block), idx, coef))
-    return halves
+def orbit_matrix(elements: tuple, idx: np.ndarray,
+                 coef: np.ndarray) -> np.ndarray:
+    """<orbit i| h |orbit j> over the orthonormal orbits of (idx, coef):
+    row k is coef[k] times orbit idx[k], the rows of an orbit share |coef|,
+    and a row of coef 0 adds nothing.  The real symmetric h is given as
+    elements (rows, cols, vals), each value standing at (row, col) and at
+    (col, row), a diagonal value halved.  A signed bincount sums them over
+    both orbits' members, the transpose adds each at (col, row) too."""
+    live, sign = coef != 0, np.sign(coef)
+    norm = np.empty(int(idx.max()) + 1)
+    norm[idx[live]] = np.abs(coef[live])
+    n = len(norm)
+    rows, cols, vals = elements
+    h = np.bincount(idx[rows] * n + idx[cols],
+                    sign[rows] * sign[cols] * vals, n * n).reshape(n, n)
+    return (h + h.T) * np.outer(norm, norm)
 
 
 def bessel_j(x) -> np.ndarray:

@@ -485,7 +485,8 @@ class TestLeakageCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "SectorTooLarge: spin-phonon basis dim 32" in err
-        assert str(8 * 20 ** 2) in err
+        assert "dense eigh of a part as large as the block needs at least " \
+            f"{16 * 20 ** 2} bytes" in err
 
 
 class TestTransferCommand:
@@ -564,6 +565,27 @@ class TestSearchCommand:
         assert rc == 2
         assert "n_ions >= 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_table_exits_one_with_no_table(
+            self, tmp_path, capsys, monkeypatch, value):
+        run_search = cli.protocols.run_search
+
+        def broken_trace(*args, **kwargs):
+            times, prob = run_search(*args, **kwargs)
+            prob = prob.copy()
+            prob[3] = value
+            return times, prob
+
+        monkeypatch.setattr(cli.protocols, "run_search", broken_trace)
+        p = write_config(tmp_path, "n_ions = 6\nn_times = 10\n")
+        out = tmp_path / "out"
+        rc = cli.main(["search", "--config", p, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert ("NonFiniteReport: search.csv: row 3: marked_probability is "
+                f"{value}") in err
+        assert not (out / "search.csv").exists()
 
     def test_sector_too_large_exits_one(self, tmp_path, capsys,
                                         monkeypatch):

@@ -265,6 +265,31 @@ class TestMirrorTransferWeights:
         assert f == float(pr._walk_probability(
             full_transfer_weights(hs, 0, receiver), 2.3))
 
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("row", ["end", "inner"])
+    def test_coupling_diagonal_and_partner_couplings(self, monkeypatch, n,
+                                                     row):
+        # J with a mirror-symmetric diagonal of its own, besides the
+        # markers; every site also couples to its mirror partner, inside
+        # one pair orbit.  Row n - 1 reads the trailing stacks, row 1 the
+        # halves' full eigh
+        v = np.random.default_rng(n).standard_normal(n)
+        j = normalized_walk(n, 0.4) + np.diag(0.2 * (v + v[::-1]))
+        diag = pr._search_diagonal(n, [0, n - 1])
+        receiver = n - 1 if row == "end" else 1
+        split = pr._walk_split(j, diag, pr._site_state(n, 0))
+        assert split[3] is not None
+        (w, p), eigh, _ = solver_sizes(monkeypatch, pr._walk_weights, split,
+                                       0.9, diag, receiver)
+        assert eigh == ([] if row == "end"
+                        else [((n + 1) // 2, 1), (n // 2, 1)])
+        hs = 0.9 * j + np.diag(diag)
+        times = np.linspace(0.0, 3 * pr.transfer_time(n), 41)
+        assert np.max(np.abs(
+            walk_amplitude((w, p), times)
+            - walk_amplitude(full_transfer_weights(hs, 0, receiver),
+                             times))) < 1e-13
+
 
 def walk_amplitude(weights, times):
     w, p = weights

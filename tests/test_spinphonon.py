@@ -202,7 +202,8 @@ class TestSystemBuild:
             small_system(n=4, fock=3)
         assert "dim 32" in str(err.value)
         assert "parity block of 20" in str(err.value)
-        assert str(8 * 20 ** 2) in str(err.value)
+        assert "a dense eigh of a part as large as the block needs at " \
+            f"least {16 * 20 ** 2} bytes" in str(err.value)
 
     def test_coupling_hermitian_and_frame_diagonal_real(self):
         _, _, system = small_system()
@@ -757,11 +758,16 @@ def second_mode_system():
 
 
 def dense_mirror_halves(system):
-    """The mirror halves as the dense V gives them: the half blocks that
-    xy.mirror_blocks gathers from it, plus D, each solved by eigh."""
-    orbits = xy.mirror_orbits(*system.reflection())
-    return xy.mirror_eigensystems(xy.mirror_blocks(system.V, orbits),
-                                  orbits, system.D)
+    """The mirror halves as the dense V gives them: the explicit orbit
+    matrix S^T V S of each half, S[k, idx[k]] = coef[k], plus D, each
+    solved by eigh."""
+    halves = []
+    for keep, idx, coef in xy.mirror_orbits(*system.reflection()):
+        s = np.zeros((len(idx), len(keep)))
+        s[np.arange(len(idx)), idx] = coef
+        halves.append((*np.linalg.eigh(s.T @ system.V @ s
+                                       + np.diag(system.D[keep])), idx, coef))
+    return halves
 
 
 class TestOneReduction:

@@ -283,6 +283,36 @@ def full_basis_eigenvectors(halves):
                            for _, q, idx, coef in halves], axis=1)
 
 
+def orbit_basis(idx, coef):
+    """S with S[k, idx[k]] = coef[k]: the orbits of a labelling as
+    columns over the full basis."""
+    s = np.zeros((len(idx), int(idx.max()) + 1))
+    s[np.arange(len(idx)), idx] = coef
+    return s
+
+
+def upper_elements(h):
+    """h's upper triangle as xy.orbit_matrix elements: each value stands
+    at (row, col) and at (col, row), so the diagonal is halved."""
+    rows, cols = np.triu_indices(len(h))
+    return rows, cols, np.where(rows == cols, 0.5, 1.0) * h[rows, cols]
+
+
+def orbit_eigensystems(h, orbits, diag):
+    """Per half (w, q, idx, coef): the eigh of h summed over the half's
+    orbits by xy.orbit_matrix, plus diag, after checking that sum against
+    the explicit orbit-matrix reference S^T h S."""
+    halves = []
+    for keep, idx, coef in orbits:
+        s = orbit_basis(idx, coef)
+        block = xy.orbit_matrix(upper_elements(h), idx, coef)
+        assert np.max(np.abs(block - s.T @ h @ s)) \
+            <= 1e-14 * max(np.abs(h).max(), 1.0)
+        halves.append((*np.linalg.eigh(block + np.diag(diag[keep])), idx,
+                       coef))
+    return halves
+
+
 @settings(max_examples=60)
 @given(n=st.integers(1, 40), pair_share=st.floats(0.0, 1.0),
        fixed_sign=st.sampled_from([0, 1, -1]), split_diag=st.booleans(),
@@ -298,14 +328,14 @@ def test_mirror_halves_match_full_eigh(n, pair_share, fixed_sign,
     r = np.zeros((n, n))
     r[partner, np.arange(n)] = sign
     a = random_real_symmetric(n, seed)
-    # commutes with r exactly: r a r only permutes a and flips signs
+    # commutes with r exactly: r a r only permutes a and flips signs; it
+    # couples mirror partners, and keeps its diagonal unless split_diag
     h = 0.5 * (a + r @ a @ r)
     diag = np.zeros(n)
     if split_diag:
         diag, h = np.diag(h).copy(), h - np.diag(np.diag(h))
     orbits = xy.mirror_orbits(partner, sign)
-    halves = xy.mirror_eigensystems(xy.mirror_blocks(h, orbits), orbits,
-                                    diag)
+    halves = orbit_eigensystems(h, orbits, diag)
     full = h + np.diag(diag)
     scale = np.linalg.norm(full, 2)
 
@@ -328,9 +358,8 @@ class TestMirrorEigensystems:
         r[partner, np.arange(9)] = sign
         a = random_real_symmetric(9, 5)
         orbits = xy.mirror_orbits(partner, sign)
-        halves = xy.mirror_eigensystems(
-            xy.mirror_blocks(0.5 * (a + r @ a @ r), orbits), orbits,
-            np.zeros(9))
+        halves = orbit_eigensystems(0.5 * (a + r @ a @ r), orbits,
+                                    np.zeros(9))
         for (_, q, idx, coef), parity in zip(halves, (1.0, -1.0)):
             v = coef[:, None] * q[idx]
             assert np.max(np.abs(r @ v - parity * v)) < 1e-15
@@ -340,27 +369,68 @@ class TestMirrorEigensystems:
         # one pair (1, 3) and the fixed points 0, 2, 4
         partner = np.array([0, 3, 2, 1, 4])
         sign = np.full(5, fixed_sign)
-        (even, p_even, t_even, _, _), (odd, p_odd, t_odd, _, _) = \
+        (even, i_even, c_even), (odd, i_odd, c_odd) = \
             xy.mirror_orbits(partner, sign)
         big, small = (even, odd) if fixed_sign > 0 else (odd, even)
         assert big.tolist() == [1, 0, 2, 4] and small.tolist() == [1]
-        # the pair (1, 3) leads each half, with t = +-sign
-        assert p_even.tolist() == p_odd.tolist() == [3]
-        assert t_even.tolist() == [fixed_sign]
-        assert t_odd.tolist() == [-fixed_sign]
+        # the pair (1, 3) leads each half, (|1> + t |3>) / sqrt(2) with
+        # t = +-sign
+        assert i_even[1] == i_even[3] == i_odd[1] == i_odd[3] == 0
+        r = np.sqrt(0.5)
+        assert c_even[[1, 3]].tolist() == [r, fixed_sign * r]
+        assert c_odd[[1, 3]].tolist() == [r, -fixed_sign * r]
+        # the small half holds no share of the fixed points
+        assert np.all((c_odd if fixed_sign > 0 else c_even)[[0, 2, 4]] == 0)
         # fixed points alone, all of one sign: the other half is empty
-        (only, _, _, _, _), = xy.mirror_orbits(np.arange(3), sign[:3])
+        (only, _, _), = xy.mirror_orbits(np.arange(3), sign[:3])
         assert only.tolist() == [0, 1, 2]
 
     def test_identity_involution_is_the_full_eigh(self):
         h = random_real_symmetric(6, 11)
         orbits = xy.mirror_orbits(np.arange(6), np.ones(6))
-        (w, q, idx, coef), = xy.mirror_eigensystems(
-            xy.mirror_blocks(h, orbits), orbits, np.zeros(6))
+        (_, idx, coef), = orbits
+        # one value per position, each summed once: h itself, bit for bit
+        assert np.array_equal(xy.orbit_matrix(upper_elements(h), idx, coef),
+                              h)
+        (w, q, idx, coef), = orbit_eigensystems(h, orbits, np.zeros(6))
         ref = np.linalg.eigh(h)
         assert np.array_equal(w, ref[0]) and np.array_equal(q, ref[1])
         assert np.array_equal(idx, np.arange(6))
         assert np.array_equal(coef, np.ones(6))
+
+
+class TestOrbitMatrix:
+    """xy.orbit_matrix against the explicit S^T h S on labellings the
+    spin-phonon block never passes: couplings inside one orbit and a
+    diagonal of h."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_walk_halves_with_partner_couplings_and_a_diagonal(self, n):
+        # a dense mirror-symmetric walk: every site couples to its mirror
+        # partner, an element inside one pair orbit, and J has a diagonal
+        a = random_real_symmetric(n, 17)
+        j = 0.5 * (a + a[::-1, ::-1])
+        assert np.all(np.diag(j) != 0)
+        rows = np.arange(n)
+        for _, idx, coef in xy.mirror_orbits(rows[::-1], np.ones(n)):
+            s = orbit_basis(idx, coef)
+            block = xy.orbit_matrix(upper_elements(j), idx, coef)
+            assert np.array_equal(block, block.T)
+            assert np.max(np.abs(block - s.T @ j @ s)) < 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_orbit_sums_of_a_dense_random_matrix(self, seed):
+        # any partition of the rows into orbits of signed equal weights,
+        # with no symmetry of h: orbit_matrix is still S^T h S
+        rng = np.random.default_rng(seed)
+        n = 12
+        h = random_real_symmetric(n, seed)
+        idx = rng.permutation(np.arange(n) % 5)
+        coef = rng.choice([-1.0, 1.0], n) / np.sqrt(np.bincount(idx))[idx]
+        s = orbit_basis(idx, coef)
+        assert np.max(np.abs(s.T @ s - np.eye(5))) < 1e-15
+        block = xy.orbit_matrix(upper_elements(h), idx, coef)
+        assert np.max(np.abs(block - s.T @ h @ s)) < 1e-14
 
 
 class TestBessel:
