@@ -239,7 +239,6 @@ class OutputContext:
     outdir: Path
     fmt: str
     seed: int
-    threads: int
     meta: list = field(default_factory=list)
     written: list = field(default_factory=list)
 
@@ -265,8 +264,7 @@ def config_hash(subcommand: str, cfg: dict, seed: int, fmt: str) -> str:
 def make_context(args, subcommand: str, cfg: dict) -> OutputContext:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ctx = OutputContext(outdir=outdir, fmt=args.format, seed=args.seed,
-                        threads=args.threads)
+    ctx = OutputContext(outdir=outdir, fmt=args.format, seed=args.seed)
     ctx.meta = [
         ("tool", f"ionchain {__version__}"),
         ("config_hash", config_hash(subcommand, cfg, args.seed, args.format)),
@@ -705,28 +703,19 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
     chains = {n: solve_trap(dict(cfg, n_ions=n))
               for n in dict.fromkeys(cfg["n_list"])}
 
-    def run_case(case):
-        n, alpha = case
+    outcomes = []
+    for n, alpha in cases:
         sub = dict(cfg, couplings="experimental", alpha_target=alpha)
         j_walk, scale, alpha_used, steps = _walk_couplings(sub, n, chains[n])
         gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
         pc = protocols.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
                                       duration=t, marker_amplitude=scale)
         ens = noise.noisy_transfer_ensemble(j_walk, pc, noise_cfg, fields)
-        return {"n": n, "alpha_target": alpha, "alpha_achieved": alpha_used,
-                "detuning_steps": steps,
-                "mean_F": ens.mean_at_T, "std_F": ens.std_at_T,
-                "noiseless_F": ens.noiseless_at_T, "duration_s": t / scale,
-                **_optimizer_stats(opt)}
-
-    if ctx.threads > 1:
-        # imported here: concurrent.futures (with logging) costs several ms
-        # of start-up that the default single-thread run never needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            outcomes = list(pool.map(run_case, cases))
-    else:
-        outcomes = [run_case(c) for c in cases]
+        outcomes.append({"n": n, "alpha_target": alpha,
+                         "alpha_achieved": alpha_used, "detuning_steps": steps,
+                         "mean_F": ens.mean_at_T, "std_F": ens.std_at_T,
+                         "noiseless_F": ens.noiseless_at_T,
+                         "duration_s": t / scale, **_optimizer_stats(opt)})
 
     rows = [(c["n"], c["alpha_target"], c["mean_F"], c["std_F"],
              cfg["n_samples"], noise_cfg.t2) for c in outcomes]
@@ -776,6 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--paper-fig", choices=sorted(PAPER_FIGS),
                        default=None, help="preset reproducing one figure")
+        # accepted at 1 alone, for the benchmark harness, which passes it
         p.add_argument("--threads", type=int, default=1)
     return parser
 
@@ -783,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.threads != 1:
+            raise ConfigError(f"--threads must be 1, got {args.threads}")
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         raw = parse_config_file(args.config) if args.config else {}

@@ -4,7 +4,6 @@ subspace, with the analytic reduced model and derivative-free tuning of
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +134,8 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     xy.refuse_dense(n)
     mirrored = abs(J - J[::-1, ::-1]).max() <= MIRROR_TOL * abs(J).max() \
         and abs(diag - diag[::-1]).max() <= MIRROR_TOL * abs(diag).max()
-    orbits = _walk_orbits(n, bool(mirrored))
+    order = np.arange(n)
+    orbits = xy.mirror_orbits(order[::-1] if mirrored else order, np.ones(n))
     parts = [xy.mirror_part(psi0, idx, coef, len(sites))
              for sites, idx, coef in orbits]
     # each value of the upper triangle stands at (row, col) and (col, row)
@@ -165,20 +165,6 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
             trailing.append((stack, nu, _partners(m),
                              coefs * np.asarray(part0)[..., None]))
     return orbits, blocks, parts, trailing
-
-
-@functools.lru_cache(maxsize=64)
-def _walk_orbits(n: int, mirrored: bool) -> tuple:
-    """xy.mirror_orbits of the reversal of n sites, or of the identity (one
-    half) for a walk that is not mirrored: built once per process,
-    read-only."""
-    rows = np.arange(n)
-    orbits = tuple(xy.mirror_orbits(rows[::-1] if mirrored else rows,
-                                    np.ones(n)))
-    for half in orbits:
-        for a in half:
-            a.flags.writeable = False
-    return orbits
 
 
 def _walk_weights(split: tuple, gamma, diag: np.ndarray, row: int) -> tuple:

@@ -17,7 +17,7 @@ s_init % 2 alone.  propagate reduces it once more by a symmetry of D + V,
 labelled per part by (idx, coef): row k of the block is coef[k] times
 orbit idx[k] of an orthonormal orbit basis.  Each part, V summed over its
 orbits by xy.orbit_matrix (the walks' reducer too) plus D, is solved by one
-cached dense eigh (symmetry-adapted exact diagonalisation: Sandvik, AIP
+dense eigh (symmetry-adapted exact diagonalisation: Sandvik, AIP
 Conf. Proc. 1297, 135 (2010)), propagated by xy.spectral and gathered back:
 
 - the orbit sums of the site permutations that fix psi0, when psi0 is one
@@ -189,7 +189,6 @@ class SpinPhononSystem:
     elements: tuple            # (rows, cols, values) of V: each value
                                # sits at (row, col) and at (col, row), and
                                # no two share a position
-    _eig: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, trap: TrapConfig, chain: ChainSolution,
@@ -281,17 +280,15 @@ class SpinPhononSystem:
 
     def eigensystem(self, psi0: np.ndarray | None = None) -> list:
         """Eigensystems of D + V on the smallest subspace this module knows
-        to hold psi0's dynamics, cached per labelling: per part
+        to hold psi0's dynamics, solved on each call: per part
         (w, q, idx, coef), row k of the eigenvectors over the block is
         coef[k] * q[idx[k]].  One part, the orbit sums, when
         orbit_sites(psi0) holds; otherwise, or with no psi0, the mirror
         halves of reflection(), one half when that is the identity."""
         sites = None if psi0 is None else self.orbit_sites(psi0)
-        if sites not in self._eig:
-            parts = [self._orbit_sums(sites)] if sites is not None else [
-                (i, c) for *_, i, c in xy.mirror_orbits(*self.reflection())]
-            self._eig[sites] = [self._reduced(*part) for part in parts]
-        return self._eig[sites]
+        parts = [self._orbit_sums(sites)] if sites is not None else [
+            (i, c) for *_, i, c in xy.mirror_orbits(*self.reflection())]
+        return [self._reduced(*part) for part in parts]
 
     def _orbit_sums(self, sites: int) -> tuple:
         """(orbit, 1 / sqrt(|O|)) per row for the orbit sums of the

@@ -23,7 +23,8 @@ permutations.  Each caller adds its diagonal and solves one eigh.
 
 build_sector stores its matrix as a scipy.sparse CSR array: every state has
 exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
-XYSector.eigensystem() densifies it, up to DENSE_LIMIT.
+XYSector.eigensystem() densifies it, up to DENSE_LIMIT, and the sector
+keeps no eigensystem: each call solves its own eigh.
 """
 from __future__ import annotations
 
@@ -73,7 +74,6 @@ class XYSector:
     n_sites: int
     basis: np.ndarray          # int64 bitmasks
     H: object                  # Hermitian, rad/s: ndarray or CSR array
-    _eig: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -86,14 +86,11 @@ class XYSector:
         return i
 
     def eigensystem(self):
-        """Dense eigh of H, cached; raises SectorTooLarge above
-        DENSE_LIMIT before allocating anything."""
-        if self._eig is None:
-            refuse_dense(self.dim)
-            h = self.H if isinstance(self.H, np.ndarray) else \
-                self.H.toarray()
-            self._eig = np.linalg.eigh(h)
-        return self._eig
+        """Dense eigh of H, solved on each call; raises SectorTooLarge
+        above DENSE_LIMIT before allocating anything."""
+        refuse_dense(self.dim)
+        return np.linalg.eigh(self.H if isinstance(self.H, np.ndarray)
+                              else self.H.toarray())
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ionchain
-from ionchain import chain, cli, noise, xy
+from ionchain import chain, cli, noise, spinphonon, xy
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -380,6 +380,29 @@ class TestLeakageCommand:
         assert "config error" not in err
         assert not (out / "leakage_report.json").exists()
 
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_one_eigensystem_per_operator(self, tmp_path, monkeypatch,
+                                          modes):
+        # nothing is cached: the block's eigensystem is solved once, in
+        # propagate, and each XY sector's once, in its model_fidelity
+        calls = []
+        for cls in (spinphonon.SpinPhononSystem, xy.XYSector):
+            def counted(self, *args, _solve=cls.eigensystem):
+                calls.append(self)
+                return _solve(self, *args)
+
+            monkeypatch.setattr(cls, "eigensystem", counted)
+        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
+                                   f"fock_cutoff = 2\nmodes = {modes}\n"
+                                   "n_times = 50\n")
+        assert cli.main(["leakage", "--config", p,
+                         "--out", str(tmp_path)]) == 0
+        systems = [c for c in calls
+                   if isinstance(c, spinphonon.SpinPhononSystem)]
+        sectors = [c for c in calls if isinstance(c, xy.XYSector)]
+        assert len(systems) == 1
+        assert len(sectors) == len({id(c) for c in sectors}) == 2
+
     def test_huge_periods_run_no_chebyshev_series(self, tmp_path, capsys,
                                                   monkeypatch):
         # 1e12 periods: the XY reference is spectral, so no series whose
@@ -665,27 +688,16 @@ class TestNoiseWorkingPoint:
 
 
 class TestThreads:
-    """--threads runs noise cases on a thread pool that shares the
-    equilibrium cache; the written files must not depend on it."""
+    """--threads is accepted at 1 alone, for the benchmark harness: every
+    run is single-threaded."""
 
-    @pytest.mark.parametrize("command, text", [
-        ("noise", "n_list = 8,12\nalpha_list = 0.2,0.4\nn_samples = 4\n"
-                  "budget = 30\n"),
-        ("transfer", "n_list = 8,12\ncouplings = both\nbudget = 30\n"),
-    ], ids=["noise", "transfer"])
-    def test_two_threads_byte_identical(self, tmp_path, command, text):
-        p = write_config(tmp_path, text)
-        for threads in ("1", "2"):
-            assert cli.main([command, "--config", p, "--threads", threads,
-                             "--out", str(tmp_path / threads)]) == 0
-        cmp = filecmp.dircmp(tmp_path / "1", tmp_path / "2")
-        assert len(cmp.common_files) >= 2
-        assert cmp.left_only == [] and cmp.right_only == []
-        _, mismatch, errors = filecmp.cmpfiles(
-            tmp_path / "1", tmp_path / "2", cmp.common_files, shallow=False)
-        assert mismatch == [] and errors == []
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_one_parses(self, command):
+        assert cli.build_parser().parse_args(
+            [command, "--threads", "1"]).threads == 1
 
-    @pytest.mark.parametrize("threads", ["0", "-4"])
+    # every value but 1 is refused, above one included
+    @pytest.mark.parametrize("threads", ["0", "-4", "2"])
     def test_below_one_rejected(self, tmp_path, capsys, threads):
         rc = cli.main(["noise", "--threads", threads, "--out", str(tmp_path)])
         assert rc == 2
@@ -767,8 +779,7 @@ class TestRunDiagnostics:
 def test_cli_import_loads_no_scipy():
     # nor numpy.fft, which only the r fit needs: numpy 2 loads it on first
     # use, numpy 1 with numpy itself, so only an import that ionchain adds
-    # fails here; nor concurrent.futures, which only noise --threads > 1
-    # needs
+    # fails here; nor concurrent.futures, which no path needs
     src = str(Path(ionchain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -784,7 +795,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_noise_run_loads_no_scipy(tmp_path):
     # a whole noise case, not only the import: the sector code imports
-    # scipy.sparse lazily, and the noise path must never reach it
+    # scipy.sparse lazily, and the noise path must never reach it; nor
+    # concurrent.futures, as the cases run in one thread
     src = str(Path(ionchain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -794,9 +806,10 @@ def test_noise_run_loads_no_scipy(tmp_path):
         [sys.executable, "-c", "import sys; from ionchain import cli; "
          f"rc = cli.main(['noise', '--config', {cfg!r}, '--out', "
          f"{str(tmp_path / 'out')!r}]); print(rc, sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+         "'concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert out.stdout.strip().splitlines()[-1] == "0 [] False"
 
 
 def test_transfer_run_loads_no_scipy(tmp_path):
@@ -811,9 +824,10 @@ def test_transfer_run_loads_no_scipy(tmp_path):
         [sys.executable, "-c", "import sys; from ionchain import cli; "
          f"rc = cli.main(['transfer', '--config', {cfg!r}, '--out', "
          f"{str(tmp_path / 'out')!r}]); print(rc, sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+         "'concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert out.stdout.strip().splitlines()[-1] == "0 [] False"
 
 
 class TestPresetsAndFlags:
