@@ -273,20 +273,40 @@ def make_context(args, subcommand: str, cfg: dict) -> OutputContext:
     return ctx
 
 
+def _fmt_column(column: tuple) -> list:
+    """_fmt_value over one column, a column of one numeric kind at once:
+    floats by repr, integers (bools aside) by str."""
+    kinds = set(map(type, column))
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return list(map(repr, map(float, column)))
+    if all(issubclass(k, (int, np.integer))
+           and not issubclass(k, (bool, np.bool_)) for k in kinds):
+        return list(map(str, map(int, column)))
+    return list(map(_fmt_value, column))
+
+
+# what repr gives a non-finite float
+_NON_FINITE = {"nan", "inf", "-inf"}
+
+
 def write_table(ctx: OutputContext, stem: str, header: list,
                 rows: list) -> Path:
     if ctx.fmt == "json":
         return write_report(ctx, stem, {"columns": header, "rows": rows})
     path = ctx.outdir / f"{stem}.csv"
-    lines = [",".join(_fmt_value(x) for x in row) + "\n" for row in rows]
-    # checked before the file is opened, as write_report checks, in the
-    # rows that spell nan or inf alone
-    try:
-        for i, line in enumerate(lines):
-            if "nan" in line or "inf" in line:
-                _json_safe(dict(zip(header, rows[i])))
-    except NonFiniteReport as e:
-        raise NonFiniteReport(f"{path.name}: row {i}: {e}") from None
+    columns = list(zip(*rows))
+    cells = [_fmt_column(column) for column in columns]
+    # checked before the file is opened, as write_report checks: the first
+    # non-finite float in row order, in the columns that spell one
+    bad = [(i, c) for c, (column, text) in enumerate(zip(columns, cells))
+           if not _NON_FINITE.isdisjoint(text)
+           for i, (x, t) in enumerate(zip(column, text))
+           if t in _NON_FINITE and isinstance(x, (float, np.floating))]
+    if bad:
+        i, c = min(bad)
+        raise NonFiniteReport(f"{path.name}: row {i}: {header[c]} is "
+                              f"{cells[c][i]}")
+    lines = [",".join(row) + "\n" for row in zip(*cells)]
     with open(path, "w", newline="\n") as f:
         for key, val in ctx.meta:
             f.write(f"# {key}: {val}\n")

@@ -18,7 +18,7 @@ labelled per part by (idx, coef): row k of the block is coef[k] times
 orbit idx[k] of an orthonormal orbit basis.  Each part, V summed over its
 orbits by xy.orbit_matrix (the walks' reducer too) plus D, is solved by one
 dense eigh (symmetry-adapted exact diagonalisation: Sandvik, AIP
-Conf. Proc. 1297, 135 (2010)), propagated by xy.spectral and gathered back:
+Conf. Proc. 1297, 135 (2010)) and propagated by xy.spectral on its orbits:
 
 - the orbit sums of the site permutations that fix psi0, when psi0 is one
   basis state and every included Lamb-Dicke column is constant on its
@@ -30,15 +30,18 @@ Conf. Proc. 1297, 135 (2010)), propagated by xy.spectral and gathered back:
   a symmetric chain makes every Lamb-Dicke column even or odd under it,
   D + V then commutes with it, and the block splits in two.
 
-Trajectories hold the static-frame states e^{-i(D+V)t} psi(0), without the
-phase e^{iDt}: the observables read |psi|^2, or overlaps on which D is
-constant.  Adaptive Runge-Kutta on H_I(t), taken to the same frame, is the
-cross-check, and the one reader of the dense V.
+A Trajectory keeps each part's amplitudes of the static-frame state
+e^{-i(D+V)t} psi(0) (no phase e^{iDt}), and every observable is read from
+them (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)): the diagonal ones
+take one value per orbit, and model_fidelity reads the XY reference out on
+the orbits.  Adaptive Runge-Kutta on H_I(t), taken to the same frame, is
+the cross-check, the one reader of the dense V, and its states are the
+amplitudes of the identity labelling.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb
@@ -309,8 +312,7 @@ class SpinPhononSystem:
         coef) from elements, no dense V; each orbit's rows share a value of
         D, and V, which changes spin counts, joins no orbit to itself."""
         h = xy.orbit_matrix(self.elements, idx, coef)
-        d = np.empty(len(h))
-        d[idx[coef != 0]] = self.D[coef != 0]
+        d = _per_orbit(self.D, idx, coef, len(h))
         # the eigh is of h - c, c the midpoint of D: its eigenvalues are
         # then accurate relative to the spread of D, not to its largest value
         c = 0.5 * (d.min() + d.max())
@@ -329,16 +331,26 @@ class SpinPhononSystem:
 
 @dataclass
 class Trajectory:
+    """psi0's evolution per part of the block's reduction, (amplitudes,
+    idx, coef): len(times) x orbits components, row k of the block being
+    coef[k] times orbit idx[k] (the identity on the Runge-Kutta path)."""
+
     times: np.ndarray
-    states: np.ndarray         # len(times) x dim, static frame
+    parts: list
     system: SpinPhononSystem
-    # dims of the spaces propagate evolved psi0 in: one per eigensystem on
-    # the spectral path, the whole block for the Runge-Kutta one
-    propagated_dims: list = field(default_factory=list)
+
+    @property
+    def propagated_dims(self) -> list:
+        return [amps.shape[1] for amps, *_ in self.parts]
+
+    @property
+    def states(self) -> np.ndarray:
+        """len(times) x block, expanded on every read; no reader needs it."""
+        return sum(amps[:, idx] * coef for amps, idx, coef in self.parts)
 
 
-# time rows propagated per xy.spectral call; bounds the chunk x block
-# intermediates independently of the output grid length
+# time rows per xy.spectral call; bounds the chunk x orbits intermediates
+# independently of the output grid length
 _CHUNK_ROWS = 256
 
 
@@ -350,26 +362,23 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
 
     method="spectral" uses system.eigensystem(psi0), one eigh per part
     of the block's reduction (the orbit sums of psi0's site permutations,
-    else the mirror halves), summed from V's elements.  Each part is
-    propagated by xy.spectral and gathered back into the block.
-    method="rk" integrates H_I(t) by adaptive Runge-Kutta (local error per
-    step <= tol) on the whole block with the dense system.V, an
-    independent cross-check of the frame transformation.
+    else the mirror halves), summed from V's elements, and keeps each
+    part's amplitudes from xy.spectral.  method="rk" integrates H_I(t) by
+    adaptive Runge-Kutta (local error per step <= tol) on the whole block
+    with the dense system.V, an independent cross-check of the frame
+    transformation.
     """
     times = np.asarray(times, dtype=float)
     if method == "spectral":
-        halves = system.eigensystem(psi0)
-        parts = [xy.mirror_part(psi0, idx, coef, len(w))
-                 for w, _, idx, coef in halves]
-        states = np.zeros((len(times), len(psi0)), dtype=complex)
-        for start in range(0, len(times), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            for (w, q, idx, coef), part in zip(halves, parts):
-                # back to the product basis by one column gather per part
-                states[rows] += xy.spectral(w, q, part,
-                                            times[rows])[:, idx] * coef
-        return Trajectory(times=times, states=states, system=system,
-                          propagated_dims=[len(w) for w, *_ in halves])
+        parts = []
+        for w, q, idx, coef in system.eigensystem(psi0):
+            part = xy.mirror_part(psi0, idx, coef, len(w))
+            amps = np.empty((len(times), len(w)), dtype=complex)
+            for start in range(0, len(times), _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                amps[rows] = xy.spectral(w, q, part, times[rows])
+            parts.append((amps, idx, coef))
+        return Trajectory(times=times, parts=parts, system=system)
     if method != "rk":
         raise ValueError(f"unknown method {method!r}")
     # imported here: the cross-check is the package's only use of
@@ -393,20 +402,37 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
         raise StepUnderflow(sol.message)
     # from the interaction frame the integrator runs in to the static one
     states = np.exp(-1j * d * times[:, None]) * sol.y.T.copy().view(complex)
-    return Trajectory(times=times, states=states, system=system,
-                      propagated_dims=[len(psi0)])
+    dim = len(psi0)
+    return Trajectory(times=times, system=system,
+                      parts=[(states, np.arange(dim), np.ones(dim))])
+
+
+def _per_orbit(values: np.ndarray, idx: np.ndarray, coef: np.ndarray,
+               size: int) -> np.ndarray:
+    """values, given per row of the block and equal on each orbit's rows,
+    per orbit of the size orbits of (idx, coef)."""
+    out = np.empty((size,) + values.shape[1:])
+    out[idx[coef != 0]] = values[coef != 0]
+    return out
+
+
+def _diagonal(traj: Trajectory, values: np.ndarray) -> np.ndarray:
+    """<O>(t) for each column of values, a diagonal O with one value on
+    each orbit: sum_P |A_P|^2 @ O_P, with no cross term between orbits
+    that share rows (a mirror pair's even and odd sums)."""
+    return sum((amps.real ** 2 + amps.imag ** 2)
+               @ _per_orbit(values, idx, coef, amps.shape[1])
+               for amps, idx, coef in traj.parts)
 
 
 def vacuum_overlap(traj: Trajectory) -> np.ndarray:
     """E(t): population of the all-spins-down subspace, traced over phonons."""
-    idx = np.flatnonzero(traj.system.basis.spin_count == 0)
-    return np.sum(np.abs(traj.states[:, idx]) ** 2, axis=1)
+    return _diagonal(traj, (traj.system.basis.spin_count == 0) * 1.0)
 
 
 def phonon_occupation(traj: Trajectory) -> np.ndarray:
     """nbar(t): expected total phonon number."""
-    weights = traj.system.basis.phonon_count.astype(float)
-    return np.abs(traj.states) ** 2 @ weights
+    return _diagonal(traj, traj.system.basis.phonon_count * 1.0)
 
 
 def truncation_diagnostics(traj: Trajectory) -> dict:
@@ -417,40 +443,56 @@ def truncation_diagnostics(traj: Trajectory) -> dict:
     at the Fock cutoff, or the top quanta level: qmax, or qmax - 1 in the
     other parity); and max |1 - ||psi(t)|||."""
     basis = traj.system.basis
-    pop = np.abs(traj.states) ** 2
     edge = np.any(basis.occupations == basis.policy.fock_cutoff, axis=1) \
         | (basis.quanta >= basis.qmax - 1)
+    on_edge, norm2 = _diagonal(
+        traj, np.column_stack([edge, np.ones(basis.dim)])).T
     halves = xy.mirror_orbits(*traj.system.reflection())
     return {"block_dim": basis.dim,
             "mirror_block_dims": [len(half[0]) for half in halves],
             "propagated_dims": traj.propagated_dims,
-            "edge_population_max": float(np.max(pop @ edge)),
-            "norm_drift_max": float(np.max(np.abs(1.0 - np.sqrt(
-                pop.sum(axis=1)))))}
+            "edge_population_max": float(np.max(on_edge)),
+            "norm_drift_max": float(np.max(np.abs(1.0 - np.sqrt(norm2))))}
 
 
 def model_fidelity(traj: Trajectory, xy_sector: xy.XYSector,
                    psi_xy0: np.ndarray) -> np.ndarray:
-    """F(t) = <psi_XY(t)| Tr_ph[rho(t)] |psi_XY(t)>.
-
-    The XY reference is evolved from psi_xy0 in its own sector on the
-    trajectory's time grid by xy.spectral on the sector's eigensystem, as
-    the block is, so its cost does not grow with the times.  A sector of
-    s_init excitations lies inside the block, which build held to
-    DENSE_LIMIT; a larger sector raises xy.SectorTooLarge.
+    """F(t) = <psi_XY(t)| Tr_ph[rho(t)] |psi_XY(t)>, one overlap per phonon
+    occupation: sum_P sum_o A_P[o] conj(Phi_P[o]) over its orbits, Phi_P =
+    M_P psi_XY(t) with M_P[o, j] = coef[k] for the in-sector rows k of
+    orbit o, j the sector state of k's mask.  xy.spectral reads the XY
+    reference out as M_P v on the sector's eigensystem, at a cost that does
+    not grow with the times.  A sector of s_init excitations lies inside
+    the block, which build held to DENSE_LIMIT; a larger sector raises
+    xy.SectorTooLarge.
     """
     basis = traj.system.basis
     if xy_sector.n_sites != basis.n_sites:
         raise xy.BasisMismatch("site counts differ")
-    xy_states = xy.spectral(*xy_sector.eigensystem(), psi_xy0, traj.times)
-    ks = np.flatnonzero(np.isin(basis.masks, xy_sector.basis))
-    js = np.searchsorted(xy_sector.basis, basis.masks[ks])
-    # one overlap per phonon occupation, summed over the group's spin states
-    occ = basis.occupations[ks]
-    fid = np.zeros(len(traj.times))
-    for group in np.unique(occ, axis=0):
-        sel = np.all(occ == group, axis=1)
-        ov = np.sum(xy_states[:, js[sel]].conj() * traj.states[:, ks[sel]],
-                    axis=1)
-        fid += np.abs(ov) ** 2
+    w, v = xy_sector.eigensystem()
+    in_sector = np.isin(basis.masks, xy_sector.basis)
+    occupation = basis.occupations @ (basis.policy.fock_cutoff + 1) \
+        ** np.arange(basis.occupations.shape[1])
+    selected, readout, group = [], [], []
+    for a, idx, coef in traj.parts:
+        ks = np.flatnonzero(in_sector & (coef != 0))
+        orbits, first, row = np.unique(idx[ks], return_index=True,
+                                       return_inverse=True)
+        # an orbit's rows share their occupations, so their masks differ:
+        # no two rows fall on one entry of M
+        m = np.zeros((len(orbits), xy_sector.dim))
+        m[row, np.searchsorted(xy_sector.basis, basis.masks[ks])] = coef[ks]
+        selected.append((a, orbits))
+        readout.append(m @ v)
+        group.append(occupation[ks[first]])
+    readout, group = np.vstack(readout), np.concatenate(group)
+    by_group = (group[:, None] == np.unique(group)).astype(float)
+    fid = np.empty(len(traj.times))
+    # in time chunks: the mirror halves read out every in-sector row
+    for start in range(0, len(traj.times), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        phi = xy.spectral(w, v, psi_xy0, traj.times[rows], readout=readout)
+        amps = np.hstack([a[rows, orbits] for a, orbits in selected])
+        fid[rows] = np.sum(np.abs((amps * phi.conj()) @ by_group) ** 2,
+                           axis=1)
     return fid

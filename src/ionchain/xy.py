@@ -8,7 +8,8 @@ chebyshev() runs one Chebyshev series, no eigensystem, forward from t = 0
 to its longest time: evolve(), evolve_grid() and the noise ensemble.
 spectral() propagates every state of one eigensystem over a time grid at a
 cost independent of the times: the parts of a spin-phonon block, and the
-leakage XY reference through XYSector.eigensystem().  The protocols read
+leakage XY reference through XYSector.eigensystem(), read out on the
+orbits of those parts alone.  The protocols read
 their one walk amplitude from the eigensystems of the walk's mirror halves,
 and the spin-phonon Runge-Kutta cross-check is the third integrator.
 
@@ -185,16 +186,18 @@ def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def spectral(w: np.ndarray, v: np.ndarray, psi0: np.ndarray,
-             times) -> np.ndarray:
+             times, readout: np.ndarray | None = None) -> np.ndarray:
     """States v e^{-iwt} v^T psi0 over a time grid, len(times) x len(psi0).
 
     (w, v) is the eigensystem of a real symmetric H, so the eigenvectors in
     the columns of v are real and both products with v run as real GEMMs.
+    A real readout = M v gives M psi(t) instead, len(times) x len(M), with
+    no state formed: the rows of psi(t) that M combines.
     """
     coeffs = _times_real(psi0, v)
     phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None] * w)
     phases *= coeffs
-    return _times_real(phases, v.T)
+    return _times_real(phases, (v if readout is None else readout).T)
 
 
 def mirror_orbits(partner: np.ndarray, sign: np.ndarray) -> list:

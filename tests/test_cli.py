@@ -847,3 +847,30 @@ class TestPresetsAndFlags:
         assert cli.main(["chain", "--config", p, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "positions.csv" in out and "chain_report.json" in out
+
+
+class TestWriteTable:
+    """write_table formats whole columns; each cell must read as
+    _fmt_value gives it."""
+
+    ROWS = [(0, 0.1, np.float64(1e-300), np.int64(7), True, "idealized", None),
+            (1, np.float32(2.5), -3.0, 8, np.bool_(False), "experimental",
+             0.5),
+            (np.int32(2), 1e16, np.float64(5e-5), 9, False, "a b", 2)]
+
+    def test_columns_match_cell_by_cell(self, tmp_path):
+        ctx = cli.OutputContext(outdir=tmp_path, fmt="csv", seed=0)
+        header = list("abcdefg")
+        path = cli.write_table(ctx, "t", header, self.ROWS)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        assert lines[1:] == [",".join(cli._fmt_value(x) for x in row)
+                             for row in self.ROWS]
+
+    def test_first_non_finite_in_row_order(self, tmp_path):
+        ctx = cli.OutputContext(outdir=tmp_path, fmt="csv", seed=0)
+        rows = [(1.0, "nan", 1.0), (2.0, 2.0, -np.inf), (np.nan, 3.0, 3.0)]
+        with pytest.raises(cli.NonFiniteReport,
+                           match="^t.csv: row 1: c is -inf$"):
+            cli.write_table(ctx, "t", ["a", "b", "c"], rows)
+        assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
 from math import comb
@@ -30,6 +31,14 @@ def reference_states(system, psi0, times):
     w, q = np.linalg.eigh(np.diag(system.D) + system.V)
     coeffs = q.conj().T @ psi0
     return np.array([q @ (np.exp(-1j * w * t) * coeffs) for t in times])
+
+
+def basis_trajectory(times, states, system):
+    """A Trajectory of given product-basis states: the one part of the
+    identity labelling, as the Runge-Kutta path keeps its states."""
+    dim = states.shape[1]
+    return sp.Trajectory(times=times, system=system,
+                         parts=[(states, np.arange(dim), np.ones(dim))])
 
 
 def random_state(system, seed=0):
@@ -315,10 +324,13 @@ def test_array_assembly_matches_state_loops(modes, s_init):
                                      chain.mode_freqs, s_init)
     rng = np.random.default_rng(s_init)
     amps = rng.standard_normal((2, 12, basis.dim))
-    traj = sp.Trajectory(times=np.linspace(0, 5e-5, 12),
-                         states=amps[0] + 1j * amps[1], system=system)
-    assert np.array_equal(sp.model_fidelity(traj, sector, psi_xy0),
-                          loop_model_fidelity(traj, states, sector, psi_xy0))
+    traj = basis_trajectory(np.linspace(0, 5e-5, 12),
+                            amps[0] + 1j * amps[1], system)
+    # equal to rounding: model_fidelity reads the XY reference out on the
+    # in-sector rows and sums each occupation's overlap by a matrix product
+    assert np.allclose(sp.model_fidelity(traj, sector, psi_xy0),
+                       loop_model_fidelity(traj, states, sector, psi_xy0),
+                       rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("modes, s_init", LEAKAGE_BASES.values(),
@@ -441,7 +453,7 @@ def test_block_matches_full_two_parity_basis(s_init):
     framed = np.exp(1j * system.D * times[:, None]) * traj.states
     assert np.max(np.abs(framed - ref[:, own])) < 1e-12
 
-    old = sp.Trajectory(times=times, states=ref, system=None)
+    old = basis_trajectory(times, ref, None)
     pop = np.abs(ref) ** 2
     spins = np.array([mask.bit_count() for mask, _ in full])
     phonons = np.array([sum(occ) for _, occ in full])
@@ -553,8 +565,7 @@ class TestTruncationDiagnostics:
         for k in range(basis.dim):
             states = np.zeros((1, basis.dim), dtype=complex)
             states[0, k] = 1.0
-            traj = sp.Trajectory(times=np.zeros(1), states=states,
-                                 system=system)
+            traj = basis_trajectory(np.zeros(1), states, system)
             assert sp.truncation_diagnostics(traj)["edge_population_max"] \
                 == float(basis.quanta[k] == 3 or basis.occupations[k, 0] == 4)
 
@@ -824,3 +835,94 @@ class TestOneReduction:
         system = second_mode_system()
         assert system.basis.dim == 256
         assert [len(w) for w, *_ in system.eigensystem()] == [128, 128]
+
+
+def basis_readers(traj, sector, psi_xy0):
+    """The leakage observables read from the expanded product-basis states
+    traj.states, row by row of the block, as every reader read them before
+    the parts' amplitudes were kept instead."""
+    basis = traj.system.basis
+    pop = np.abs(traj.states) ** 2
+    edge = np.any(basis.occupations == basis.policy.fock_cutoff, axis=1) \
+        | (basis.quanta >= basis.qmax - 1)
+    states = [(int(m), tuple(int(x) for x in o))
+              for m, o in zip(basis.masks, basis.occupations)]
+    return {"vacuum": pop[:, basis.spin_count == 0].sum(axis=1),
+            "nbar": pop @ basis.phonon_count,
+            "edge": pop @ edge,
+            "norm": np.sqrt(pop.sum(axis=1)),
+            "fidelity": loop_model_fidelity(traj, states, sector, psi_xy0)}
+
+
+class TestReducedReaders:
+    """Every reader works on the parts' amplitudes; each labelling agrees
+    with the product-basis reference on the expanded states."""
+
+    def check(self, trap, system, traj):
+        s_init = system.basis.s_init
+        sector, psi_xy0 = leakage_sector(trap, system.eta, system.mode_freqs,
+                                         s_init)
+        ref = basis_readers(traj, sector, psi_xy0)
+        diag = sp.truncation_diagnostics(traj)
+        assert np.max(np.abs(sp.vacuum_overlap(traj) - ref["vacuum"])) < 1e-12
+        assert np.max(np.abs(sp.phonon_occupation(traj) - ref["nbar"])) \
+            < 1e-12
+        assert np.max(np.abs(sp.model_fidelity(traj, sector, psi_xy0)
+                             - ref["fidelity"])) < 1e-12
+        assert abs(diag["edge_population_max"] - ref["edge"].max()) < 1e-12
+        assert abs(diag["norm_drift_max"]
+                   - np.max(np.abs(1.0 - ref["norm"]))) < 1e-12
+        assert diag["propagated_dims"] == [a.shape[1] for a, *_ in traj.parts]
+
+    def test_orbit_sums(self):
+        trap, _, system = small_system(n=10, fock=4, s_init=3)
+        traj = sp.propagate(system, system.initial_state(0b111),
+                            np.linspace(0, 4e-5, 40))
+        (amps, _, coef), = traj.parts
+        assert amps.shape == (40, 30) and np.all(coef > 0)
+        self.check(trap, system, traj)
+
+    @pytest.mark.parametrize("case", ["two_modes", "superposition"])
+    def test_mirror_halves(self, case):
+        if case == "two_modes":
+            trap, _, system = small_system(n=5, modes=(0, 1), fock=2)
+            psi0 = system.initial_state(0b00001)
+        else:
+            trap, _, system = small_system(n=5, fock=3, s_init=2)
+            psi0 = random_state(system, seed=11)
+        traj = sp.propagate(system, psi0, np.linspace(0, 2e-5, 40))
+        assert len(traj.parts) == 2
+        assert any(np.any(coef < 0) for *_, coef in traj.parts)
+        self.check(trap, system, traj)
+
+    def test_identity_of_runge_kutta(self):
+        trap, _, system = small_system(n=4, fock=2, s_init=2)
+        traj = sp.propagate(system, system.initial_state(0b0011),
+                            np.linspace(0, 1e-5, 15), method="rk")
+        (amps, idx, coef), = traj.parts
+        dim = system.basis.dim
+        assert amps.shape == (15, dim)
+        assert np.array_equal(idx, np.arange(dim)) and np.all(coef == 1.0)
+        self.check(trap, system, traj)
+
+
+def test_spectral_path_allocates_no_trajectory():
+    # the block of preset 3c (N = 10, s = 5, 57 orbit sums) on 1000 times:
+    # propagate and every reader stay below one len(times) x block array
+    trap, _, system = small_system(n=10, fock=4, s_init=5)
+    sector, psi_xy0 = leakage_sector(trap, system.eta, system.mode_freqs, 5)
+    psi0 = system.initial_state(0b11111)
+    times = np.linspace(0, 2e-4, 1000)
+    trajectory_bytes = 16 * len(times) * system.basis.dim
+    tracemalloc.start()
+    try:
+        traj = sp.propagate(system, psi0, times)
+        sp.vacuum_overlap(traj)
+        sp.phonon_occupation(traj)
+        sp.truncation_diagnostics(traj)
+        sp.model_fidelity(traj, sector, psi_xy0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.propagated_dims == [57]
+    assert peak < trajectory_bytes
