@@ -226,6 +226,82 @@ def _check_uniform(times: np.ndarray) -> None:
                          f"{dev:.3e} s from the mean step {dt:.3e} s")
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:
+    """Minimise the scalar func on [lo, hi]: (x, func(x), evaluations).
+
+    Brent's bounded minimiser, golden-section steps plus parabolic ones
+    (R. P. Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 5; Forsythe, Malcolm & Moler (1977), fmin), operation for operation
+    as scipy.optimize.minimize_scalar(method="bounded") runs it, so x and
+    func(x) are the same bits.  Stops once x is within about xatol of the
+    minimum, or after 500 evaluations, scipy's default limit.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:
+            # a parabola through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf)
+                    and p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
 def _fit_r(times: np.ndarray, e_sim: np.ndarray, model_fn, terms_fn,
            r_bounds: tuple) -> FrequencyFit:
     """Least-squares r over model_fn(r); coarse scan then local refine.
@@ -236,12 +312,10 @@ def _fit_r(times: np.ndarray, e_sim: np.ndarray, model_fn, terms_fn,
     ranks the grid in closed form; every grid value whose closed-form cost
     lies within the rounding bound of the best is scored again with the
     exact cost, a column of them at a time, so the chosen grid value is the
-    exact costs' argmin.
+    exact costs' argmin.  _bounded_brent refines r between the argmin's
+    grid neighbours.
     """
     _check_uniform(times)
-    # imported here, not at module level: scipy.optimize costs every run of
-    # the package start-up time, and only the fit needs it
-    from scipy.optimize import minimize_scalar
 
     def cost(r):
         return float(np.sum((model_fn(r) - e_sim) ** 2))
@@ -260,13 +334,12 @@ def _fit_r(times: np.ndarray, e_sim: np.ndarray, model_fn, terms_fn,
     k = int(near[np.argmin(exact)])
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
+    r, residual, _ = _bounded_brent(cost, lo, hi, xatol=1e-12)
     power = float(np.sum(e_sim**2))
-    if power > 0 and res.fun > 0.5 * power:
+    if power > 0 and residual > 0.5 * power:
         raise FitFailure(
-            f"residual {res.fun:.3e} exceeds 50% of trace power {power:.3e}")
-    return FrequencyFit(r=float(res.x), residual=float(res.fun), power=power,
+            f"residual {residual:.3e} exceeds 50% of trace power {power:.3e}")
+    return FrequencyFit(r=float(r), residual=float(residual), power=power,
                         model=model_fn)
 
 

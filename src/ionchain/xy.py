@@ -22,10 +22,11 @@ halves from J's upper triangle, and the spin-phonon parts from V's
 elements, over the mirror halves or over the orbit sums of psi0's site
 permutations.  Each caller adds its diagonal and solves one eigh.
 
-build_sector stores its matrix as a scipy.sparse CSR array: every state has
-exactly s (N - s) hop neighbours, so a sector is mostly zeros.  Only
-XYSector.eigensystem() densifies it, up to DENSE_LIMIT, and the sector
-keeps no eigensystem: each call solves its own eigh.
+build_sector stores its matrix as a dense array up to CSR_CROSSOVER states,
+and as a scipy.sparse CSR array above it: every state has exactly
+s (N - s) hop neighbours, so a large sector is mostly zeros.  Only
+XYSector.eigensystem() densifies a CSR sector, up to DENSE_LIMIT, and the
+sector keeps no eigensystem: each call solves its own eigh.
 """
 from __future__ import annotations
 
@@ -38,6 +39,11 @@ import numpy as np
 # largest protocol walk, and the largest spin-phonon parity block
 # SpinPhononSystem.build accepts
 DENSE_LIMIT = 4096
+# the largest sector build_sector stores as a dense array, C(10, 5): up to
+# here a Chebyshev series on the dense H runs about as fast as on the CSR
+# one (one BLAS thread), and a dense eigh needs the dense array anyway;
+# above it CSR gains fast, 3x at dimension 495 and 4-5x at 1001
+CSR_CROSSOVER = 252
 # Bessel coefficients below this size end the Chebyshev series
 CHEBYSHEV_TOL = 1e-17
 # offset columns propagated together by chebyshev(); bounds its working
@@ -90,8 +96,12 @@ class XYSector:
         """Dense eigh of H, solved on each call; raises SectorTooLarge
         above DENSE_LIMIT before allocating anything."""
         refuse_dense(self.dim)
-        return np.linalg.eigh(self.H if isinstance(self.H, np.ndarray)
-                              else self.H.toarray())
+        return np.linalg.eigh(dense(self.H))
+
+
+def dense(h) -> np.ndarray:
+    """h as a dense array: itself if it is one, else its CSR expansion."""
+    return h if isinstance(h, np.ndarray) else h.toarray()
 
 
 @dataclass
@@ -135,13 +145,10 @@ def build_sector(J: np.ndarray, h: np.ndarray | None, s: int) -> XYSector:
     """Fixed-excitation block of sum_{i != j} J (sx sx + sy sy) + sum_j h sz.
 
     hop_amplitudes(J) between bitmasks related by moving one excitation;
-    diagonal sum_j h_j * (+1 if occupied else -1).  H is a CSR array with
-    the diagonal and the s (n - s) hops of each row stored, in column order.
+    diagonal sum_j h_j * (+1 if occupied else -1).  H is a dense array up to
+    CSR_CROSSOVER states; above it, a CSR array with the diagonal and the
+    s (n - s) hops of each row stored, in column order.
     """
-    # imported here: scipy.sparse would cost every run of the CLI start-up
-    # time, and only sector callers need it
-    from scipy.sparse import csr_array
-
     n = J.shape[0]
     if not 0 <= s <= n:
         raise ValueError("excitation count out of range")
@@ -172,6 +179,14 @@ def build_sector(J: np.ndarray, h: np.ndarray | None, s: int) -> XYSector:
         (basis[:, None, None] ^ (1 << occ)[:, :, None])
         | (1 << emp)[:, None, :]).reshape(dim, -1))
     vals[:, 1:] = hop[emp[:, None, :], occ[:, :, None]].reshape(dim, -1)
+    if dim <= CSR_CROSSOVER:
+        ham = np.zeros((dim, dim))
+        np.put_along_axis(ham, cols, vals, axis=1)
+        return XYSector(n_sites=n, basis=basis, H=ham)
+    # imported here: scipy.sparse would cost every run of the CLI start-up
+    # time, and only sectors above the crossover need it
+    from scipy.sparse import csr_array
+
     order = np.argsort(cols, axis=1)
     ham = csr_array((np.take_along_axis(vals, order, axis=1).ravel(),
                      np.take_along_axis(cols, order, axis=1).ravel(),
@@ -428,7 +443,7 @@ def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:
     """psi(t) = exp(-i H t) psi0 by the Chebyshev series: no eigensystem,
-    only products with the sector's (sparse) H."""
+    only products with the sector's H, dense or CSR."""
     return StateVector(amplitudes=chebyshev(sector.H, psi0, t))
 
 

@@ -776,58 +776,71 @@ class TestRunDiagnostics:
                                    tmp_path / "b" / name, shallow=False)
 
 
-def test_cli_import_loads_no_scipy():
-    # nor numpy.fft, which only the r fit needs: numpy 2 loads it on first
-    # use, numpy 1 with numpy itself, so only an import that ionchain adds
-    # fails here; nor concurrent.futures, which no path needs
+# what a fresh interpreter holds after importing ionchain.cli and running
+# the arguments in sys.argv (none: the import alone): the exit code, the
+# scipy modules, whether numpy.fft came in after numpy, and whether
+# concurrent.futures did
+MODULES_AFTER_RUN = (
+    "import json, sys, numpy; fft = 'numpy.fft' in sys.modules; "
+    "from ionchain import cli; "
+    "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else None; "
+    "print(json.dumps([rc, sorted(m for m in sys.modules "
+    "if m.split('.')[0] == 'scipy'), 'numpy.fft' in sys.modules and not fft, "
+    "'concurrent.futures' in sys.modules]))")
+
+
+def modules_after_run(tmp_path, args=(), config=None):
     src = str(Path(ionchain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, numpy; "
-         "fft = 'numpy.fft' in sys.modules; import ionchain.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-         "'numpy.fft' in sys.modules and not fft, "
-         "'concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[] False False"
+    if args:
+        args = [*args, "--out", str(tmp_path / "out")]
+    if config is not None:
+        args += ["--config", write_config(tmp_path, config)]
+    out = subprocess.run([sys.executable, "-c", MODULES_AFTER_RUN, *args],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def test_noise_run_loads_no_scipy(tmp_path):
-    # a whole noise case, not only the import: the sector code imports
-    # scipy.sparse lazily, and the noise path must never reach it; nor
-    # concurrent.futures, as the cases run in one thread
-    src = str(Path(ionchain.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cfg = write_config(tmp_path, "n_list = 8\nalpha_list = 0.4\n"
-                                 "n_samples = 3\n")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys; from ionchain import cli; "
-         f"rc = cli.main(['noise', '--config', {cfg!r}, '--out', "
-         f"{str(tmp_path / 'out')!r}]); print(rc, sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-         "'concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 [] False"
+# runs that must load no scipy module: the import alone, a noise case (the
+# noise path never reaches a sector), a transfer run (the walk weights stay
+# numpy-only: scipy.linalg would add 20 MB of peak RSS), and spectral
+# leakage runs, whose r refine is leakage's own and whose XY sectors stay
+# dense up to xy.CSR_CROSSOVER
+SCIPY_FREE_RUNS = {
+    "import": ((), None),
+    "noise": (["noise"], "n_list = 8\nalpha_list = 0.4\nn_samples = 3\n"),
+    "transfer": (["transfer"], "n_list = 8\ncouplings = both\nbudget = 30\n"),
+    "leakage_2c": (["leakage", "--paper-fig", "2c"], None),
+    "leakage_2d": (["leakage", "--paper-fig", "2d"], None),
+    "leakage_s3": (["leakage"], "n_ions = 10\nalpha_target = 0.3\n"
+                                "modes = 1\nfock_cutoff = 4\ns_init = 3\n"
+                                "n_times = 300\n"),
+}
 
 
-def test_transfer_run_loads_no_scipy(tmp_path):
-    # the walk weights of the tuner and of transfer_fidelity_at stay
-    # numpy-only: importing scipy.linalg would add 20 MB of peak RSS
-    src = str(Path(ionchain.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cfg = write_config(tmp_path, "n_list = 8\ncouplings = both\n"
-                                 "budget = 30\n")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys; from ionchain import cli; "
-         f"rc = cli.main(['transfer', '--config', {cfg!r}, '--out', "
-         f"{str(tmp_path / 'out')!r}]); print(rc, sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-         "'concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 [] False"
+@pytest.mark.parametrize("name", SCIPY_FREE_RUNS)
+def test_run_loads_no_scipy(tmp_path, name):
+    # nor concurrent.futures, which no path needs; nor numpy.fft on import,
+    # which only the r fit needs: numpy 2 loads it on first use, numpy 1
+    # with numpy itself, so only an import that ionchain adds fails here
+    args, config = SCIPY_FREE_RUNS[name]
+    rc, scipy_modules, fft, futures = modules_after_run(tmp_path, args,
+                                                        config)
+    assert (rc, scipy_modules, futures) == (0 if args else None, [], False)
+    if not args:
+        assert not fft
+
+
+def test_rk_leakage_loads_scipy_integrate(tmp_path):
+    # the Runge-Kutta cross-check is scipy's solve_ivp
+    rc, scipy_modules, _, _ = modules_after_run(
+        tmp_path, ["leakage"], "n_ions = 4\nalpha_target = 0.3\n"
+                               "fock_cutoff = 2\nn_times = 20\n"
+                               "integrator = rk\n")
+    assert rc == 0
+    assert "scipy.integrate" in scipy_modules
 
 
 class TestPresetsAndFlags:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import ionchain as ic
@@ -192,20 +193,19 @@ def loop_fit_r(e_sim, model_fn, r_bounds):
 def traced(monkeypatch):
     """Runs a fit, recording the closed-form costs with their error bound
     and the bracket handed to the refine."""
-    import scipy.optimize
     seen = {}
-    scan, minimize = lk._scan_costs, scipy.optimize.minimize_scalar
+    scan, minimize = lk._scan_costs, lk._bounded_brent
 
     def scan_spy(*args):
         seen["scan"] = scan(*args)
         return seen["scan"]
 
-    def minimize_spy(fun, bounds, **kwargs):
-        seen["bracket"] = bounds
-        return minimize(fun, bounds=bounds, **kwargs)
+    def minimize_spy(fun, lo, hi, **kwargs):
+        seen["bracket"] = (lo, hi)
+        return minimize(fun, lo, hi, **kwargs)
 
     monkeypatch.setattr(lk, "_scan_costs", scan_spy)
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", minimize_spy)
+    monkeypatch.setattr(lk, "_bounded_brent", minimize_spy)
 
     def run(fit):
         seen.clear()
@@ -476,6 +476,70 @@ class TestClosedFormScan:
         e[3] = np.nan
         with pytest.raises(lk.FitFailure, match="no finite"):
             fit()
+
+
+def assert_brent_matches_scipy(func, lo, hi):
+    """_bounded_brent gives scipy's bounded minimize_scalar bit for bit,
+    at the fit's xatol: the same x, objective and evaluation count."""
+    from scipy.optimize import minimize_scalar
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    x, fun, nfev = lk._bounded_brent(func, lo, hi, xatol=1e-12)
+    assert (x, fun, nfev) == (res.x, res.fun, res.nfev)
+    assert np.signbit(x) == np.signbit(res.x)
+
+
+# brackets as wide as a whole r grid down to a hundredth of a grid step
+brackets = st.tuples(st.floats(-10.0, 10.0), st.floats(1e-9, 20.0)).map(
+    lambda b: (b[0], b[0] + b[1]))
+
+
+class TestBoundedBrent:
+    @given(bracket=brackets, centre=st.floats(-0.5, 1.5),
+           scale=st.floats(1e-6, 1e6), offset=st.floats(-1e3, 1e3),
+           power=st.sampled_from([2, 4]))
+    def test_quadratics_and_quartics(self, bracket, centre, scale, offset,
+                                     power):
+        # centre places the minimum as a share of the bracket: inside it,
+        # or beyond either end, where the minimiser closes in on that end
+        lo, hi = bracket
+        x0 = lo + centre * (hi - lo)
+        assert_brent_matches_scipy(
+            lambda x: scale * (x - x0) ** power + offset, lo, hi)
+
+    @given(bracket=brackets, slope=st.sampled_from([-1.0, 1.0]),
+           scale=st.floats(1e-6, 1e6))
+    def test_minimum_at_a_bracket_end(self, bracket, slope, scale):
+        # monotone objectives: the minimum is the left end for a rising
+        # slope and the right end for a falling one
+        lo, hi = bracket
+        assert_brent_matches_scipy(lambda x: slope * scale * x, lo, hi)
+        x = lk._bounded_brent(lambda x: slope * scale * x, lo, hi,
+                              xatol=1e-12)[0]
+        # within the closing tolerance 2 tol1 of that end
+        end = lo if slope > 0 else hi
+        tol1 = np.sqrt(2.2e-16) * max(abs(lo), abs(hi)) + 1e-12 / 3.0
+        assert abs(x - end) <= 2.0 * tol1
+
+    @given(bracket=brackets, value=st.floats(-1e3, 1e3))
+    def test_constant_objective(self, bracket, value):
+        # every comparison ties, so only golden-section steps run
+        lo, hi = bracket
+        assert_brent_matches_scipy(lambda x: value, lo, hi)
+
+    @settings(max_examples=30)
+    @given(modes=st.sampled_from([1, 2]), seed=st.integers(0, 2**16),
+           r_true=st.floats(0.9992, 1.0018), noise=st.floats(0.0, 0.05),
+           k=st.integers(0, 4000))
+    def test_fit_cost_on_noisy_synthetic_traces(self, modes, seed, r_true,
+                                                noise, k):
+        # the real _fit_r cost, on the bracket around any grid value
+        _, e, model = synthetic_fit(modes, n=600, seed=seed, noise=noise,
+                                    r_true=r_true)
+        grid = np.linspace(0.999, 1.002, 4001)
+        assert_brent_matches_scipy(
+            lambda r: float(np.sum((model(r) - e) ** 2)),
+            grid[max(k - 1, 0)], grid[min(k + 1, 4000)])
 
 
 class TestUniformTimes:

@@ -129,7 +129,7 @@ class TestBuildSector:
     def test_matches_pauli_construction(self, n, s):
         j, h = random_couplings(n, seed=7 * n + s)
         sec = xy.build_sector(j, h, s)
-        ham = sec.H.toarray()
+        ham = xy.dense(sec.H)
         full = full_xy_hamiltonian(j, h)
         # compare matrix elements between embedded sector basis states
         for k, mk in enumerate(sec.basis):
@@ -155,7 +155,7 @@ class TestBuildSector:
 
     def test_hermitian(self):
         j, h = random_couplings(6, seed=11)
-        ham = xy.build_sector(j, h, 2).H.toarray()
+        ham = xy.dense(xy.build_sector(j, h, 2).H)
         assert np.allclose(ham, ham.T)
 
     def test_field_diagonal(self):
@@ -165,13 +165,49 @@ class TestBuildSector:
         expected = [h[0] - h[1] - h[2],
                     -h[0] + h[1] - h[2],
                     -h[0] - h[1] + h[2]]
-        assert np.diag(sec.H.toarray()) == pytest.approx(expected)
+        assert np.diag(xy.dense(sec.H)) == pytest.approx(expected)
 
 
     def test_single_excitation_hops_with_hop_amplitudes(self):
         j, _ = random_couplings(5, seed=41)
         sec = xy.build_sector(j, None, 1)
-        assert np.array_equal(sec.H.toarray(), xy.hop_amplitudes(j))
+        assert np.array_equal(xy.dense(sec.H), xy.hop_amplitudes(j))
+
+    def test_dense_at_the_crossover(self, monkeypatch):
+        # C(10, 5) = 252, the largest leakage sector: an ndarray holding
+        # the matrix the CSR form holds, to the bit
+        j, h = random_couplings(10, seed=43)
+        sec = xy.build_sector(j, h, 5)
+        assert sec.dim == xy.CSR_CROSSOVER
+        assert isinstance(sec.H, np.ndarray)
+        monkeypatch.setattr(xy, "CSR_CROSSOVER", sec.dim - 1)
+        csr = xy.build_sector(j, h, 5).H
+        assert not isinstance(csr, np.ndarray)
+        assert np.array_equal(csr.toarray(), sec.H)
+
+    def test_csr_just_above_the_crossover(self):
+        # C(23, 2) = 253; no fields, whose loop reference sums a dot
+        # product in another order at this n
+        j, _ = random_couplings(23, seed=47)
+        sec = xy.build_sector(j, None, 2)
+        assert sec.dim == xy.CSR_CROSSOVER + 1
+        assert isinstance(sec.H, csr_array)
+        assert np.array_equal(sec.H.toarray(), loop_sector(j, None, 2))
+
+    @pytest.mark.parametrize("n, s", [(23, 2), (14, 5)])
+    def test_csr_layout_above_the_crossover(self, n, s):
+        # int32 indices, the diagonal and the s (n - s) hops of each row
+        # stored, in ascending column order
+        j, h = random_couplings(n, seed=n + s)
+        ham = xy.build_sector(j, h, s).H
+        assert ham.shape[0] > xy.CSR_CROSSOVER
+        assert ham.indices.dtype == ham.indptr.dtype == np.int32
+        width = s * (n - s) + 1
+        assert np.array_equal(ham.indptr,
+                              np.arange(0, ham.shape[0] * width + 1, width))
+        cols = ham.indices.reshape(-1, width)
+        assert np.all(np.diff(cols, axis=1) > 0)
+        assert np.all(np.any(cols == np.arange(len(cols))[:, None], axis=1))
 
 
 @pytest.mark.parametrize("n, s", [(6, 0), (6, 6), (5, 1), (8, 4), (14, 5),
@@ -180,13 +216,13 @@ class TestBuildSector:
 def test_array_assembly_matches_mask_loop(n, s, fields):
     j, h = random_couplings(n, seed=n + s)
     sec = xy.build_sector(j, h if fields else None, s)
-    assert np.array_equal(sec.H.toarray(),
+    assert np.array_equal(xy.dense(sec.H),
                           loop_sector(j, h if fields else None, s))
     # each element keeps its orientation hop[i, j] even where J is not
     # exactly symmetric, as a J computed in floating point may not be
     skew = j + np.triu(j, 1)
     assert np.array_equal(
-        xy.build_sector(skew, h if fields else None, s).H.toarray(),
+        xy.dense(xy.build_sector(skew, h if fields else None, s).H),
         loop_sector(skew, h if fields else None, s))
     rng = np.random.default_rng(s)
     psi = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
@@ -212,7 +248,7 @@ def test_sectors_are_blocks_of_full_hamiltonian(n, seed, fields):
                for m in masks]
         sec = xy.build_sector(j, h if fields else None, s)
         assert list(sec.basis) == masks
-        assert np.max(np.abs(sec.H.toarray() - full[np.ix_(idx, idx)])) \
+        assert np.max(np.abs(xy.dense(sec.H) - full[np.ix_(idx, idx)])) \
             < 1e-12
 
 
@@ -627,7 +663,7 @@ class TestEvolution:
         psi0 = np.zeros(sec.dim, dtype=complex)
         psi0[0] = 1.0
         for t in (0.1, 1.3):
-            ref = expm(-1j * sec.H.toarray() * t) @ psi0
+            ref = expm(-1j * xy.dense(sec.H) * t) @ psi0
             out = xy.evolve(sec, psi0, t)
             assert out.amplitudes == pytest.approx(ref, abs=1e-10)
 
@@ -704,8 +740,9 @@ class TestEvolution:
 @settings(max_examples=20)
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**16), fields=st.booleans())
 def test_evolve_matches_eigh_spectral(n, seed, fields):
-    """The Chebyshev evolve on the CSR sector against a dense eigh and
-    spectral(), in every sector, from t = 0 to ten hopping times."""
+    """The Chebyshev evolve on the built sector, dense at these sizes,
+    against a dense eigh and spectral(), in every sector, from t = 0 to ten
+    hopping times."""
     j, h = random_couplings(n, seed)
     rng = np.random.default_rng(seed)
     j_max = np.max(np.abs(j))
@@ -717,16 +754,16 @@ def test_evolve_matches_eigh_spectral(n, seed, fields):
             # evolve builds no eigensystem
             with no_eigensystem():
                 out = xy.evolve(sec, psi0, t).amplitudes
-            ref = xy.spectral(*np.linalg.eigh(sec.H.toarray()), psi0, [t])[0]
+            ref = xy.spectral(*np.linalg.eigh(xy.dense(sec.H)), psi0, [t])[0]
             assert np.max(np.abs(out - ref)) < 1e-12
 
 
 @settings(max_examples=20)
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**16), fields=st.booleans())
 def test_evolve_grid_matches_eigh_spectral(n, seed, fields):
-    """The Chebyshev grid on the CSR sector against a dense eigh and
-    spectral(), in every sector, on an unsorted non-uniform grid with t = 0
-    and a repeated time."""
+    """The Chebyshev grid on the built sector, dense at these sizes, against
+    a dense eigh and spectral(), in every sector, on an unsorted non-uniform
+    grid with t = 0 and a repeated time."""
     j, h = random_couplings(n, seed)
     rng = np.random.default_rng(seed)
     t_max = 10.0 / np.max(np.abs(j))
@@ -739,7 +776,7 @@ def test_evolve_grid_matches_eigh_spectral(n, seed, fields):
         psi0 /= np.linalg.norm(psi0)
         with no_eigensystem():
             out = xy.evolve_grid(sec, psi0, times)
-        ref = xy.spectral(*np.linalg.eigh(sec.H.toarray()), psi0, times)
+        ref = xy.spectral(*np.linalg.eigh(xy.dense(sec.H)), psi0, times)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) < 1e-12
 
