@@ -28,7 +28,7 @@ from .chain import (DELTA_K_355, NoStablePoint, NonConvergence, TrapConfig,
 from .couplings import DegenerateFit, FitConvention, ResonantDetuning
 from .leakage import FitFailure
 from .spinphonon import StepUnderflow
-from .xy import SectorTooLarge
+from .xy import TooLarge
 
 
 class ConfigError(ValueError):
@@ -164,7 +164,7 @@ SCHEMAS = {
     }),
     "leakage": dict(TRAP_SCHEMA, **{
         "modes": (_p_int, 1),
-        "fock_cutoff": (_p_int, 4),
+        "fock_cutoff": (_at_least(_p_int, 1), 4),
         "total_quanta": (_or("none", None, _p_int), None),
         "s_init": (_p_int, 1),
         "periods": (_p_span, 4.0),
@@ -664,6 +664,8 @@ def _optimizer_stats(opt) -> dict:
 
 
 def cmd_transfer(cfg, ctx: OutputContext) -> None:
+    # the largest walk is refused before any chain is solved
+    protocols.refuse_walk(max(cfg["n_list"]))
     sources = {"idealized": ["idealized"], "experimental": ["experimental"],
                "both": ["idealized", "experimental"]}[cfg["couplings"]]
     results = []
@@ -693,6 +695,7 @@ def cmd_search(cfg, ctx: OutputContext) -> None:
     marked = cfg["marked"] if cfg["marked"] is not None else n // 2
     if not 0 <= marked < n:
         raise ConfigError("marked site out of range")
+    protocols.refuse_walk(n)
     j_walk, scale, alpha_used, _ = _walk_couplings(cfg, n)
     gamma = 1.0 if cfg["gamma"] == "auto" else cfg["gamma"]
     t_max = cfg["t_max_factor"] * np.pi * np.sqrt(n)
@@ -709,8 +712,9 @@ def cmd_search(cfg, ctx: OutputContext) -> None:
 
 
 def cmd_noise(cfg, ctx: OutputContext) -> None:
-    # the largest ensemble is refused before any chain is solved
+    # the largest ensemble and walk are refused before any chain is solved
     noise.check_ensemble_size(max(cfg["n_list"]), cfg["n_samples"])
+    protocols.refuse_walk(max(cfg["n_list"]))
     noise_cfg = noise.NoiseConfig(t2=cfg["t2_ms"] * 1e-3,
                                   n_samples=cfg["n_samples"],
                                   rng_seed=ctx.seed,
@@ -765,8 +769,8 @@ COMMANDS = {
 # error
 NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
                     ResonantDetuning, DegenerateFit, FitFailure,
-                    StepUnderflow, SectorTooLarge, noise.EnsembleTooLarge,
-                    np.linalg.LinAlgError, NonFiniteReport)
+                    StepUnderflow, TooLarge, np.linalg.LinAlgError,
+                    NonFiniteReport)
 
 
 def build_parser() -> argparse.ArgumentParser:

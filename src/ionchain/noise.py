@@ -9,28 +9,13 @@ import numpy as np
 
 from . import protocols, xy
 
-# the largest float64 n x n_samples field block and n x (n_samples + 1)
-# offset block that a noise ensemble holds at once: 256 MiB, about 322 000
-# samples at N = 52
-ENSEMBLE_BYTES_LIMIT = 2**28
-
-
-class EnsembleTooLarge(RuntimeError):
-    """A noise ensemble whose field and offset blocks exceed
-    ENSEMBLE_BYTES_LIMIT."""
-
 
 def check_ensemble_size(n: int, n_samples: int) -> None:
-    """Raise EnsembleTooLarge, before anything is allocated or sampled, if
-    the ensemble's n x n_samples field block and n x (n_samples + 1)
-    offset block, both alive while it propagates, exceed
-    ENSEMBLE_BYTES_LIMIT."""
-    nbytes = 8 * n * (2 * n_samples + 1)
-    if nbytes > ENSEMBLE_BYTES_LIMIT:
-        raise EnsembleTooLarge(
-            f"{n_samples} samples at N = {n} need {nbytes} bytes of field "
-            f"and offset blocks, above ENSEMBLE_BYTES_LIMIT = "
-            f"{ENSEMBLE_BYTES_LIMIT}")
+    """Refuse, before anything is allocated or sampled, an ensemble whose
+    n x n_samples field block and n x (n_samples + 1) offset block, both
+    alive while it propagates, exceed xy.WORK_BYTES together."""
+    xy.refuse(f"{n_samples} samples at N = {n} in field and offset blocks",
+              8 * n * (2 * n_samples + 1))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,12 @@ def _site_state(n: int, site: int) -> np.ndarray:
     return psi
 
 
+def refuse_walk(n: int) -> None:
+    """Raise xy.TooLarge for a walk of n sites whose dense eigh, its matrix
+    and eigenvectors, would exceed xy.WORK_BYTES."""
+    xy.refuse(f"a dense eigh of a {n}-site walk", 16 * n ** 2)
+
+
 def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     """(orbits, blocks, parts, trailing) of the walk gamma J + diag(diag)
     from psi0, shared by every gamma: its mirror orbits, J summed over each
@@ -126,12 +132,11 @@ def _walk_split(J: np.ndarray, diag: np.ndarray, psi0: np.ndarray) -> tuple:
     holds per size of the halves (one for an even n) their stacked J
     blocks, the ascending eigenvalues of each block without its first
     orbit, their _partners and each half's coef times its first part
-    entry.  A walk above xy.DENSE_LIMIT is refused before any block is
-    built.
+    entry.  refuse_walk(n) runs before any block is built.
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
-    xy.refuse_dense(n)
+    refuse_walk(n)
     mirrored = abs(J - J[::-1, ::-1]).max() <= MIRROR_TOL * abs(J).max() \
         and abs(diag - diag[::-1]).max() <= MIRROR_TOL * abs(diag).max()
     order = np.arange(n)
@@ -356,7 +361,7 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
         raise ValueError(f"box must be in (0, 1), got {box}")
     n = J.shape[0]
     diag = _search_diagonal(n, [sender, receiver])
-    # first: it refuses a walk above xy.DENSE_LIMIT before any eigensolver
+    # first: it refuses an oversized walk before any eigensolver
     split = _walk_split(J, diag, _site_state(n, sender))
     t0 = transfer_time(n)
     evals = [0]

@@ -203,13 +203,9 @@ class SpinPhononSystem:
         eta = lamb_dicke(trap, chain)[:, modes]
         dims = ProductBasis.parity_block_dims(trap.n_ions, policy, s_init)
         block = dims[s_init % 2]
-        if block > xy.DENSE_LIMIT:
-            # refused before the basis is enumerated
-            raise xy.SectorTooLarge(
-                f"spin-phonon basis dim {sum(dims)} has a parity block of "
-                f"{block} > DENSE_LIMIT = {xy.DENSE_LIMIT}: a dense eigh of a "
-                f"part as large as the block needs at least {16 * block ** 2}"
-                f" bytes")
+        # refused before the basis is enumerated: a part can be the block
+        xy.refuse(f"a dense eigh of the parity block of {block} states in "
+                  f"spin-phonon basis dim {sum(dims)}", 16 * block ** 2)
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
         d = trap.omega_eff * basis.spin_count + basis.occupations @ w
         half = 0.5 * trap.rabi
@@ -463,8 +459,8 @@ def model_fidelity(traj: Trajectory, xy_sector: xy.XYSector,
     orbit o, j the sector state of k's mask.  xy.spectral reads the XY
     reference out as M_P v on the sector's eigensystem, at a cost that does
     not grow with the times.  A sector of s_init excitations lies inside
-    the block, which build held to DENSE_LIMIT; a larger sector raises
-    xy.SectorTooLarge.
+    the block, which build held to xy.WORK_BYTES; a larger sector raises
+    xy.TooLarge.
     """
     basis = traj.system.basis
     if xy_sector.n_sites != basis.n_sites:

@@ -25,8 +25,9 @@ permutations.  Each caller adds its diagonal and solves one eigh.
 build_sector stores its matrix as a dense array up to CSR_CROSSOVER states,
 and as a scipy.sparse CSR array above it: every state has exactly
 s (N - s) hop neighbours, so a large sector is mostly zeros.  Only
-XYSector.eigensystem() densifies a CSR sector, up to DENSE_LIMIT, and the
-sector keeps no eigensystem: each call solves its own eigh.
+XYSector.eigensystem() densifies a CSR sector, and the sector keeps no
+eigensystem: each call solves its own eigh.  Every size limit is refuse():
+work whose arrays exceed WORK_BYTES raises TooLarge before it starts.
 """
 from __future__ import annotations
 
@@ -35,10 +36,10 @@ from itertools import combinations
 
 import numpy as np
 
-# the largest sector XYSector.eigensystem() densifies for a dense eigh, the
-# largest protocol walk, and the largest spin-phonon parity block
-# SpinPhononSystem.build accepts
-DENSE_LIMIT = 4096
+# the most bytes one piece of work may hold: a dense eigh's matrix and
+# eigenvectors (dim 4096), a Chebyshev Bessel table, a noise ensemble's
+# field and offset blocks
+WORK_BYTES = 2**28
 # the largest sector build_sector stores as a dense array, C(10, 5): up to
 # here a Chebyshev series on the dense H runs about as fast as on the CSR
 # one (one BLAS thread), and a dense eigh needs the dense array anyway;
@@ -57,17 +58,17 @@ class BasisMismatch(ValueError):
     pass
 
 
-class SectorTooLarge(RuntimeError):
-    """A sector, spin-phonon basis or Chebyshev Bessel table too large."""
+class TooLarge(RuntimeError):
+    """Work whose arrays would exceed WORK_BYTES, refused before it starts."""
 
 
-def refuse_dense(dim: int) -> None:
-    """Raise SectorTooLarge if a dense eigh of dim exceeds DENSE_LIMIT."""
-    if dim > DENSE_LIMIT:
-        # the dense matrix and the eigenvectors, before any LAPACK workspace
-        raise SectorTooLarge(
-            f"sector dim {dim} exceeds DENSE_LIMIT = {DENSE_LIMIT}: a dense "
-            f"eigh needs at least {16 * dim ** 2} bytes")
+def refuse(what: str, nbytes: int | float) -> None:
+    """Raise TooLarge, naming what and its bytes, if nbytes > WORK_BYTES."""
+    if nbytes > WORK_BYTES:
+        # an int prints exactly at any size, a float estimate rounded
+        size = nbytes if isinstance(nbytes, int) else f"{nbytes:.0f}"
+        raise TooLarge(f"{what} needs {size} bytes > WORK_BYTES = "
+                       f"{WORK_BYTES}")
 
 
 @dataclass
@@ -93,9 +94,10 @@ class XYSector:
         return i
 
     def eigensystem(self):
-        """Dense eigh of H, solved on each call; raises SectorTooLarge
-        above DENSE_LIMIT before allocating anything."""
-        refuse_dense(self.dim)
+        """Dense eigh of H, solved on each call; refuses a sector above
+        WORK_BYTES before allocating anything."""
+        # the dense matrix and the eigenvectors, before any LAPACK workspace
+        refuse(f"a dense eigh of sector dim {self.dim}", 16 * self.dim ** 2)
         return np.linalg.eigh(dense(self.H))
 
 
@@ -286,9 +288,8 @@ def bessel_j(x) -> np.ndarray:
     overflow, as a test of every row would do; a row is only tested once
     the scalar bound b_{k-1} = (2k / min x) b_k + b_{k+1} >= |J_{k-1}|
     (at most prod_k (2k / min x + 1)) passes 1e249, and b restarts from the
-    tested row's largest entry.  Raises
-    SectorTooLarge before allocating a recurrence table of more than
-    16 DENSE_LIMIT^2 bytes, as refuse_dense does for a dense eigh.
+    tested row's largest entry.  Refuses a recurrence table of more than
+    WORK_BYTES before allocating it.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -299,11 +300,8 @@ def bessel_j(x) -> np.ndarray:
     # terms past it, J has fallen far below any double-precision term
     past = top + 20.0 * top ** (1.0 / 3.0)
     # the table holds start + 2 <= past + 32 rows of len(x) doubles
-    table = 8.0 * (past + 32.0) * len(ax)
-    if table > 16 * DENSE_LIMIT ** 2:
-        raise SectorTooLarge(f"a Bessel table to a t = {top:.6g} at {len(ax)}"
-                             f" times needs {table:.3e} bytes > 16 "
-                             f"DENSE_LIMIT^2 = {16 * DENSE_LIMIT ** 2}")
+    refuse(f"a Bessel table to a t = {top:.6g} at {len(ax)} times",
+           8.0 * (past + 32.0) * len(ax))
     start = int(past) + 30
     # below the tolerance J_1 = x/2 is cut anyway and J_0 rounds to 1; such
     # arguments recur with a stand-in, which also keeps 2k/x finite
@@ -362,12 +360,12 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
     gershgorin_interval for all columns.  Every time shares the term
     vectors of one series; only their Bessel coefficients differ.  The
     series has about a t_max terms, a the half-width of that interval, and
-    bessel_j refuses one whose coefficient table exceeds 16 DENSE_LIMIT^2
-    bytes.  Times must be >= 0.  The columns run in chunks
-    of CHEBYSHEV_CHUNK; the shared interval makes every column's series
-    independent of the chunking.  Returns the amplitudes at rows (all basis
-    states when None; an int selects one), after a time axis when t is a
-    grid, after a leading axis over the columns of diag when diag is given.
+    bessel_j refuses one whose coefficient table exceeds WORK_BYTES.  Times
+    must be >= 0.  The columns run in chunks of CHEBYSHEV_CHUNK; the shared
+    interval makes every column's series independent of the chunking.
+    Returns the amplitudes at rows (all basis states when None; an int
+    selects one), after a time axis when t is a grid, after a leading axis
+    over the columns of diag when diag is given.
     """
     times = np.asarray(t, dtype=float)
     if not np.all(times >= 0):

@@ -501,15 +501,15 @@ class TestLeakageCommand:
                                        monkeypatch):
         # n = 4, s = 1 with the default cutoffs: parity blocks of 12 and 20,
         # and the odd one of 20 holds the initial state
-        monkeypatch.setattr(xy, "DENSE_LIMIT", 19)
+        monkeypatch.setattr(xy, "WORK_BYTES", 16 * 19 ** 2)
         p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
                                    "n_times = 20\n")
         rc = cli.main(["leakage", "--config", p, "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "SectorTooLarge: spin-phonon basis dim 32" in err
-        assert "dense eigh of a part as large as the block needs at least " \
-            f"{16 * 20 ** 2} bytes" in err
+        assert "TooLarge: a dense eigh of the parity block of 20 states in " \
+            "spin-phonon basis dim 32" in err
+        assert f"needs {16 * 20 ** 2} bytes" in err
 
 
 class TestTransferCommand:
@@ -613,11 +613,12 @@ class TestSearchCommand:
     def test_sector_too_large_exits_one(self, tmp_path, capsys,
                                         monkeypatch):
         # the walk sector (dim 6) is refused its dense eigensystem
-        monkeypatch.setattr(xy, "DENSE_LIMIT", 5)
+        monkeypatch.setattr(xy, "WORK_BYTES", 16 * 5 ** 2)
         p = write_config(tmp_path, "n_ions = 6\n")
         rc = cli.main(["search", "--config", p, "--out", str(tmp_path)])
         assert rc == 1
-        assert "SectorTooLarge: sector dim 6" in capsys.readouterr().err
+        assert "TooLarge: a dense eigh of a 6-site walk" \
+            in capsys.readouterr().err
 
 
 class TestNoiseCommand:
@@ -653,10 +654,51 @@ class TestNoiseCommand:
         finally:
             tracemalloc.stop()
         assert rc == 1
-        assert "EnsembleTooLarge: 1000000000000000 samples at N = 8" \
+        assert "TooLarge: 1000000000000000 samples at N = 8" \
             in capsys.readouterr().err
         assert peak < 2**20
         assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+class TestRefusedBeforeWork:
+    """An oversized walk, or a value out of range, stops a run before the
+    chain solve and the N x N eigvalsh of the analytic gamma."""
+
+    @staticmethod
+    def no_work(monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        monkeypatch.setattr(cli, "solve_trap", no_work)
+        monkeypatch.setattr(cli.protocols, "analytic_gamma", no_work)
+
+    # a 6-site walk needs 576 bytes; the noise ensemble at N = 6 needs 144
+    @pytest.mark.parametrize("command,text", [
+        ("transfer", "n_list = 4,6\ncouplings = experimental\n"),
+        ("search", "n_ions = 6\ncouplings = experimental\n"),
+        ("noise", "n_list = 4,6\nalpha_list = 0.3\nn_samples = 1\n"),
+    ])
+    def test_oversized_walk_exits_one(self, tmp_path, capsys, monkeypatch,
+                                      command, text):
+        self.no_work(monkeypatch)
+        monkeypatch.setattr(xy, "WORK_BYTES", 16 * 5 ** 2)
+        p = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", p, "--out", str(out)])
+        assert rc == 1
+        assert "TooLarge: a dense eigh of a 6-site walk needs " \
+            f"{16 * 6 ** 2} bytes > WORK_BYTES = 400" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_fock_cutoff_zero_exits_two(self, tmp_path, capsys, monkeypatch):
+        self.no_work(monkeypatch)
+        p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"
+                                   "fock_cutoff = 0\n")
+        out = tmp_path / "out"
+        rc = cli.main(["leakage", "--config", p, "--out", str(out)])
+        assert rc == 2
+        assert "fock_cutoff" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNoiseWorkingPoint:

@@ -180,13 +180,13 @@ class TestEnsemble:
     def test_oversized_ensemble_refused_before_sampling(self, monkeypatch):
         j, cfg = config(n=8)
         # the n x n_samples fields and the n x (n_samples + 1) offsets
-        limit = (nz.ENSEMBLE_BYTES_LIMIT // (8 * 8) - 1) // 2
+        limit = (xy.WORK_BYTES // (8 * 8) - 1) // 2
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the size check")
 
         monkeypatch.setattr(nz, "sample_static_fields", no_sampling)
-        with pytest.raises(nz.EnsembleTooLarge, match="offset block"):
+        with pytest.raises(xy.TooLarge, match="offset block"):
             nz.noisy_transfer_ensemble(j, cfg,
                                        nz.NoiseConfig(n_samples=limit + 1))
         # the limit itself is accepted

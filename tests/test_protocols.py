@@ -492,7 +492,7 @@ class TestWalkEntryPoints:
             calls.append(len(a))
             raise AssertionError("eigensolver called")
 
-        monkeypatch.setattr(xy, "DENSE_LIMIT", n - 1)
+        monkeypatch.setattr(xy, "WORK_BYTES", 16 * (n - 1) ** 2)
         monkeypatch.setattr(np.linalg, "eigh", no_solver)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solver)
         cfg = pr.ProtocolConfig(gamma=0.9, sender=0, receiver=n - 1,
@@ -503,8 +503,8 @@ class TestWalkEntryPoints:
                lambda: pr.optimize_protocol(j, 0, n - 1, budget=8),
                "run_transfer": lambda: pr.run_transfer(j, cfg),
                "run_search": lambda: pr.run_search(j, 0.9, 3, 5.0)}[entry]
-        with pytest.raises(xy.SectorTooLarge,
-                           match=f"sector dim {n} exceeds DENSE_LIMIT"):
+        with pytest.raises(xy.TooLarge,
+                           match=f"a dense eigh of a {n}-site walk needs"):
             run()
         assert calls == []
 

@@ -197,9 +197,9 @@ class TestSystemBuild:
                                                           monkeypatch):
         # n = 4, one mode, fock 3, quanta <= 3: parity blocks of 12 even
         # and 20 odd states; the limit applies to the initial state's block
-        monkeypatch.setattr(xy, "DENSE_LIMIT", 20)
+        monkeypatch.setattr(xy, "WORK_BYTES", 16 * 20 ** 2)
         assert small_system(n=4, fock=3)[2].basis.dim == 20
-        monkeypatch.setattr(xy, "DENSE_LIMIT", 19)
+        monkeypatch.setattr(xy, "WORK_BYTES", 16 * 19 ** 2)
         assert small_system(n=4, fock=3, s_init=2,
                             total_quanta=3)[2].basis.dim == 12
 
@@ -207,12 +207,11 @@ class TestSystemBuild:
             raise AssertionError("basis enumerated before the size check")
 
         monkeypatch.setattr(sp.ProductBasis, "build", enumerate_basis)
-        with pytest.raises(xy.SectorTooLarge) as err:
+        with pytest.raises(xy.TooLarge) as err:
             small_system(n=4, fock=3)
         assert "dim 32" in str(err.value)
         assert "parity block of 20" in str(err.value)
-        assert "a dense eigh of a part as large as the block needs at " \
-            f"least {16 * 20 ** 2} bytes" in str(err.value)
+        assert f"needs {16 * 20 ** 2} bytes" in str(err.value)
 
     def test_coupling_hermitian_and_frame_diagonal_real(self):
         _, _, system = small_system()
