@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import xy
 from .constants import AMU, E_CHARGE, EPSILON_0
 
 # the Newton iteration's residual target and step limit
@@ -293,6 +294,13 @@ def is_linear_stable(trap: TrapConfig) -> tuple[bool, float]:
     margin = float(((omega_soft / trap.omega_z) ** 2
                     + _transverse_floor(trap.n_ions)) * trap.omega_z**2)
     return margin > 0, margin
+
+
+def refuse_chain(n_ions: int) -> None:
+    """Raise xy.TooLarge for a chain whose transverse Hessian's dense eigh,
+    its matrix and eigenvectors, would exceed xy.WORK_BYTES."""
+    xy.refuse(f"a dense eigh of the {n_ions}-ion transverse Hessian",
+              16 * n_ions ** 2)
 
 
 def solve_chain(trap: TrapConfig) -> ChainSolution:

@@ -388,7 +388,10 @@ def build_trap(cfg) -> TrapConfig:
 
 
 def solve_trap(cfg):
-    """Trap and chain solution for one configuration, before any detuning."""
+    """Trap and chain solution for one configuration, before any detuning;
+    an oversized chain is refused before the axial bisection and the
+    equilibrium."""
+    chain.refuse_chain(cfg["n_ions"])
     trap = build_trap(cfg)
     return trap, chain.solve_chain(trap)
 
@@ -526,6 +529,12 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     if not (np.all(np.isfinite(r_bounds)) and r_bounds[0] < r_bounds[1]):
         raise ConfigError(f"the fit window needs finite r_lo < r_hi, got "
                           f"r_lo = {r_bounds[0]}, r_hi = {r_bounds[1]}")
+    # the block's size needs the mode count alone, so an oversized one is
+    # refused before the chain solve picks the modes
+    policy = sp.TruncationPolicy(phonon_modes=tuple(range(cfg["modes"])),
+                                 fock_cutoff=cfg["fock_cutoff"],
+                                 total_quanta_cutoff=cfg["total_quanta"])
+    sp.refuse_parity_block(cfg["n_ions"], policy, s)
     trap, sol, info = resolve_working_point(cfg)
 
     pinned = cfg["omega_c_pin_mhz"] is not None
@@ -541,9 +550,7 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
         subset.append(_second_mode(trap, couplings.lamb_dicke(trap, sol),
                                    sol.mode_freqs))
 
-    policy = sp.TruncationPolicy(phonon_modes=tuple(subset),
-                                 fock_cutoff=cfg["fock_cutoff"],
-                                 total_quanta_cutoff=cfg["total_quanta"])
+    policy = replace(policy, phonon_modes=tuple(subset))
     system = sp.SpinPhononSystem.build(trap, sol, policy, s_init=s)
     eta, freqs = system.eta, system.mode_freqs
     psi0 = system.initial_state((1 << s) - 1)

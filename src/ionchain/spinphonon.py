@@ -176,6 +176,18 @@ class ProductBasis:
         return int(self.rows([spin_mask], [phonons])[0])
 
 
+def refuse_parity_block(n_sites: int, policy: TruncationPolicy,
+                        s_init: int) -> None:
+    """Raise xy.TooLarge, before the basis is enumerated, for a parity block
+    of s_init whose dense eigh would exceed xy.WORK_BYTES: a part can be
+    the whole block.  Its size needs only the mode count of policy, so a
+    run can check it before the chain is solved and the modes are chosen."""
+    dims = ProductBasis.parity_block_dims(n_sites, policy, s_init)
+    block = dims[s_init % 2]
+    xy.refuse(f"a dense eigh of the parity block of {block} states in "
+              f"spin-phonon basis dim {sum(dims)}", 16 * block ** 2)
+
+
 @dataclass
 class SpinPhononSystem:
     """Static-frame operators for one trap/chain/policy combination.  V is
@@ -201,11 +213,7 @@ class SpinPhononSystem:
         modes = list(policy.phonon_modes)
         w = chain.mode_freqs[modes]
         eta = lamb_dicke(trap, chain)[:, modes]
-        dims = ProductBasis.parity_block_dims(trap.n_ions, policy, s_init)
-        block = dims[s_init % 2]
-        # refused before the basis is enumerated: a part can be the block
-        xy.refuse(f"a dense eigh of the parity block of {block} states in "
-                  f"spin-phonon basis dim {sum(dims)}", 16 * block ** 2)
+        refuse_parity_block(trap.n_ions, policy, s_init)
         basis = ProductBasis.build(trap.n_ions, policy, s_init)
         d = trap.omega_eff * basis.spin_count + basis.occupations @ w
         half = 0.5 * trap.rabi

@@ -5,7 +5,9 @@ build_sector hops with hop_amplitudes(J), the sector matrix elements of the
 spin form.  Protocol timing formulas are written against walk matrices.
 
 chebyshev() runs one Chebyshev series, no eigensystem, forward from t = 0
-to its longest time: evolve(), evolve_grid() and the noise ensemble.
+to its longest time: evolve(), evolve_grid() and the noise ensemble.  Its
+length follows the spectral_interval(): one eigvalsh and Weyl's inequality
+for a dense matrix, Gershgorin discs for a CSR one.
 spectral() propagates every state of one eigensystem over a time grid at a
 cost independent of the times: the parts of a spin-phonon block, and the
 leakage XY reference through XYSector.eigensystem(), read out on the
@@ -288,8 +290,9 @@ def bessel_j(x) -> np.ndarray:
     overflow, as a test of every row would do; a row is only tested once
     the scalar bound b_{k-1} = (2k / min x) b_k + b_{k+1} >= |J_{k-1}|
     (at most prod_k (2k / min x + 1)) passes 1e249, and b restarts from the
-    tested row's largest entry.  Refuses a recurrence table of more than
-    WORK_BYTES before allocating it.
+    tested row's largest entry.  One argument recurs on Python floats
+    instead, to the same table bit for bit.  Refuses a recurrence table of
+    more than WORK_BYTES before allocating it.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -307,6 +310,17 @@ def bessel_j(x) -> np.ndarray:
     # arguments recur with a stand-in, which also keeps 2k/x finite
     tiny = ax < CHEBYSHEV_TOL
     ax[tiny] = 1.0
+    j = _miller_one(float(ax[0]), start) if len(ax) == 1 \
+        else _miller_table(ax, start)
+    j[:, tiny] = 0.0
+    j[0, tiny] = 1.0
+    last = np.flatnonzero(np.any(np.abs(j) >= CHEBYSHEV_TOL, axis=1))[-1]
+    return j[:last + 1].reshape((last + 1,) + x.shape)
+
+
+def _miller_table(ax: np.ndarray, start: int) -> np.ndarray:
+    """bessel_j's normalised recurrence from row start for the arguments
+    ax > 0, a (start + 1) x len(ax) table."""
     low = float(ax.min(initial=np.inf))
     j = np.zeros((start + 2, len(ax)))
     j[start] = 1.0
@@ -325,27 +339,54 @@ def bessel_j(x) -> np.ndarray:
                 # overflow
                 j[k - 1:, mag > 1e250] *= 1e-250
                 b, b_next = np.abs(j[k - 1:k + 1]).max(axis=1).tolist()
-    j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
-    j[:, tiny] = 0.0
-    j[0, tiny] = 1.0
-    last = np.flatnonzero(np.any(np.abs(j) >= CHEBYSHEV_TOL, axis=1))[-1]
-    return j[:last + 1].reshape((last + 1,) + x.shape)
+    return j[:start + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
 
 
-def gershgorin_interval(h, diag: np.ndarray) -> tuple:
+def _miller_one(x: float, start: int) -> np.ndarray:
+    """_miller_table for the one argument x, on Python floats: the same
+    operations in the same order, so the same (start + 1) x 1 table, with
+    the overflow test on every row and the normalising sum row by row as
+    numpy sums a table's columns."""
+    col = [0.0] * (start + 2)
+    col[start] = 1.0
+    for k in range(start, 0, -1):
+        col[k - 1] = (2.0 * k / x) * col[k] - col[k + 1]
+        if abs(col[k - 1]) > 1e250:
+            col[k - 1:] = [c * 1e-250 for c in col[k - 1:]]
+    total = col[2]
+    for c in col[4::2]:
+        total += c
+    return np.array(col[:start + 1])[:, None] / (col[0] + 2.0 * total)
+
+
+def spectral_interval(h, diag: np.ndarray) -> tuple:
     """(lo, hi) enclosing the spectrum of h + diag(d) for every column d.
 
-    Gershgorin discs: centres on the diagonal, radii the off-diagonal row
-    sums of |h|.  h is a dense or a scipy.sparse array.
+    Gershgorin discs bound it for a dense or a scipy.sparse h: centres on
+    the diagonal, radii the off-diagonal row sums of |h|.  A dense h also
+    takes one eigvalsh and Weyl's inequality (Horn & Johnson, Matrix
+    Analysis, Thm 4.3.1): every eigenvalue of h + diag(d) lies in
+    [lambda_min(h) + min d, lambda_max(h) + max d].  Padded by n eps
+    (max |lambda| + max |d|), which covers eigvalsh's backward error on h
+    and on every h + diag(d), that interval is far narrower than the discs
+    for long-range couplings; each end is the tighter of the two bounds.
     """
     h_diag = h.diagonal()
     # a sparse sum returns a matrix on older scipy; ravel both to 1-D
     radii = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(h_diag)
     # rounding is monotone, so each row's extreme disc edges come from its
     # extreme offsets: no temporary the size of diag
-    lo = (h_diag + diag.min(axis=1)) - radii
-    hi = (h_diag + diag.max(axis=1)) + radii
-    return float(lo.min()), float(hi.max())
+    d_lo, d_hi = diag.min(axis=1), diag.max(axis=1)
+    lo = float(((h_diag + d_lo) - radii).min())
+    hi = float(((h_diag + d_hi) + radii).max())
+    if isinstance(h, np.ndarray):
+        w = np.linalg.eigvalsh(h)
+        d_min, d_max = float(d_lo.min()), float(d_hi.max())
+        pad = len(w) * np.finfo(float).eps * (
+            max(abs(w[0]), abs(w[-1])) + max(abs(d_min), abs(d_max)))
+        lo = max(lo, float(w[0] + d_min - pad))
+        hi = min(hi, float(w[-1] + d_max + pad))
+    return lo, hi
 
 
 def chebyshev(h0, psi0: np.ndarray, t, diag=None,
@@ -356,8 +397,9 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
     Chebyshev series with Bessel coefficients (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)): no eigensystem, only products with the real
     symmetric h0 (a dense or a scipy.sparse array) and elementwise products
-    with the real n x S offset block diag, over the spectral interval of
-    gershgorin_interval for all columns.  Every time shares the term
+    with the real n x S offset block diag, over the spectral_interval of
+    all columns: from one eigvalsh and Weyl's inequality for a dense h0,
+    from Gershgorin discs for a CSR one.  Every time shares the term
     vectors of one series; only their Bessel coefficients differ.  The
     series has about a t_max terms, a the half-width of that interval, and
     bessel_j refuses one whose coefficient table exceeds WORK_BYTES.  Times
@@ -372,7 +414,7 @@ def chebyshev(h0, psi0: np.ndarray, t, diag=None,
         raise ValueError("times must be >= 0")
     offsets = np.zeros((len(psi0), 1)) if diag is None \
         else np.asarray(diag, dtype=float)
-    lo, hi = gershgorin_interval(h0, offsets)
+    lo, hi = spectral_interval(h0, offsets)
     # h0 + diag(d) = c + a x with the spectrum of x inside [-1, 1]; a
     # one-point interval means h0 + diag(d) = c exactly, and any a works
     c, a = 0.5 * (hi + lo), (0.5 * (hi - lo) or 1.0)
@@ -411,32 +453,44 @@ def _real_series(h0, v0: np.ndarray, shift: np.ndarray, a: float,
     """sum_m g[m, k] T_m(x) v0 for the real n x S block v0, with the odd
     terms times -i, at rows sel for every column k of g.
 
-    The term vectors are reduced to the rows read and folded into the
-    amplitudes CHEBYSHEV_BLOCK terms at a time, by one real GEMM for the
-    even and one for the odd terms.
+    h0 and the shift are scaled by 2/a once, to 2x = (h0 + diag(shift))
+    2/a, so each term of T_{m+1} = 2x T_m - T_{m-1} is one product with h0
+    and two in-place passes.  The term vectors are reduced to the rows read
+    and folded into the amplitudes CHEBYSHEV_BLOCK terms at a time, by one
+    _fold for the even and one for the odd terms.
     """
-    def x_times(v):
-        # (h0 + diag(d) - c) v / a, with no scaled copy of h0
-        return (h0 @ v + shift * v) / a
-
+    h2, s2 = h0 * (2.0 / a), shift * (2.0 / a)
     n_read = len(v0[sel])
     grid = np.zeros((2, g.shape[1], n_read * v0.shape[1]))
     block = np.empty((CHEBYSHEV_BLOCK, grid.shape[2]))
-    # T_0 v0, T_1 v0, then T_{m+1} = 2 x T_m - T_{m-1}
-    prev, cur = None, np.asarray(v0, dtype=float)
+    # T_0 v0, T_1 v0 = x v0, then T_{m+1} = 2 x T_m - T_{m-1}; prev's
+    # buffer takes s2 T_m - T_{m-1} and then T_{m+1}, so v0 is copied
+    prev, cur = None, np.array(v0, dtype=float)
     for m in range(len(g)):
         if m == 1:
-            prev, cur = cur, x_times(cur)
+            prev, cur = cur, 0.5 * (h2 @ cur + s2 * cur)
         elif m > 1:
-            prev, cur = cur, 2.0 * x_times(cur) - prev
+            np.subtract(s2 * cur, prev, out=prev)
+            prev += h2 @ cur
+            prev, cur = cur, prev
         b = m % CHEBYSHEV_BLOCK
         block[b] = cur[sel].ravel()
         if b == CHEBYSHEV_BLOCK - 1 or m == len(g) - 1:
             # CHEBYSHEV_BLOCK is even: every block starts on an even term
             first = m - b
-            grid[0] += g[first:m + 1:2].T @ block[0:b + 1:2]
-            grid[1] += g[first + 1:m + 1:2].T @ block[1:b + 1:2]
+            grid[0] += _fold(g[first:m + 1:2], block[0:b + 1:2])
+            grid[1] += _fold(g[first + 1:m + 1:2], block[1:b + 1:2])
     return (grid[0] - 1j * grid[1]).reshape(len(g[0]), n_read, len(v0[0]))
+
+
+def _fold(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """coeffs.T @ terms: per time, the terms summed with their coefficients.
+    One real GEMM over a grid of times; at one time, a row-by-row sum,
+    which gives equal columns of terms equal sums (a BLAS product's vector
+    tail may round its last columns apart)."""
+    if coeffs.shape[1] == 1:
+        return (coeffs * terms).sum(axis=0)
+    return coeffs.T @ terms
 
 
 def evolve(sector: XYSector, psi0: np.ndarray, t: float) -> StateVector:

@@ -690,6 +690,48 @@ class TestRefusedBeforeWork:
             f"{16 * 6 ** 2} bytes > WORK_BYTES = 400" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_oversized_parity_block_exits_one(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a block of 562 502 752 states, refused before the chain solve
+        self.no_chain_solve(monkeypatch, AssertionError)
+        p = write_config(tmp_path, "n_ions = 1500\nalpha_target = 0.2\n")
+        out = tmp_path / "out"
+        rc = cli.main(["leakage", "--config", p, "--out", str(out)])
+        assert rc == 1
+        assert "TooLarge: a dense eigh of the parity block of 562502752 " \
+            "states" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["chain", "couplings", "alpha-scan"])
+    def test_chain_above_4096_ions_exits_one(self, tmp_path, capsys,
+                                             monkeypatch, command):
+        # 16 N^2 bytes for the transverse Hessian's eigh: 4096 ions reach
+        # the solve, 4097 are refused before it
+        class Reached(Exception):
+            pass
+
+        self.no_chain_solve(monkeypatch, Reached)
+        out = tmp_path / "out"
+
+        def run(n_ions):
+            p = write_config(tmp_path, f"n_ions = {n_ions}\n")
+            return cli.main([command, "--config", p, "--out", str(out)])
+
+        with pytest.raises(Reached):
+            run(4096)
+        assert run(4097) == 1
+        assert "TooLarge: a dense eigh of the 4097-ion transverse Hessian " \
+            f"needs {16 * 4097 ** 2} bytes" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @staticmethod
+    def no_chain_solve(monkeypatch, error):
+        def no_solve(*args, **kwargs):
+            raise error("chain solve started")
+
+        monkeypatch.setattr(chain, "solve_chain", no_solve)
+        monkeypatch.setattr(chain, "max_stable_axial_frequency", no_solve)
+
     def test_fock_cutoff_zero_exits_two(self, tmp_path, capsys, monkeypatch):
         self.no_work(monkeypatch)
         p = write_config(tmp_path, "n_ions = 4\nalpha_target = 0.5\n"

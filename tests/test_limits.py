@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ionchain as ic
+from ionchain import cli
 from ionchain import noise as nz
 from ionchain import protocols as pr
 from ionchain import spinphonon as sp
@@ -60,6 +61,17 @@ def parity_block(monkeypatch):
             lambda block: 16 * block ** 2)
 
 
+def transverse_hessian(monkeypatch):
+    # the check solve_trap runs for chain, couplings, alpha-scan and
+    # leakage; the axial bisection of omega_z = auto is where the work
+    # starts
+    monkeypatch.setattr(ic.chain, "max_stable_axial_frequency", reached)
+    base = cli.resolve_config("chain", {})
+    return (lambda n: cli.solve_trap(dict(base, n_ions=n)),
+            lambda n: f"a dense eigh of the {n}-ion transverse Hessian",
+            lambda n: 16 * n ** 2)
+
+
 def bessel_table(monkeypatch):
     # a t of 1e6 at a number of times: past + 32 rows of doubles each,
     # past = t + 20 t^(1/3); the recurrence table is where the work starts
@@ -85,7 +97,7 @@ def ensemble(monkeypatch):
 # the largest size each site accepted when its limit was its own constant:
 # dim 4096 for a dense eigh, else the most that fits in 2^28 bytes
 SITES = [(sector, 4096), (walk, 4096), (parity_block, 4096),
-         (bessel_table, 33), (ensemble, 2097151)]
+         (transverse_hessian, 4096), (bessel_table, 33), (ensemble, 2097151)]
 
 
 @pytest.mark.parametrize("site,largest", SITES,

@@ -238,6 +238,29 @@ class TestFig5Kernel:
                             [t])[0, n - 1] for d in offsets.T])
             assert np.max(np.abs(out - ref)) < 1e-13, n
 
+    def test_series_shorter_than_on_the_discs(self, fig5_walks,
+                                              monkeypatch):
+        # the dense walk's interval from its eigenvalues against the
+        # Gershgorin discs, which the same walk as a CSR array still gets
+        from scipy.sparse import csr_array
+        walk, scale = fig5_walks[(52, 0.2)]
+        h0 = pr.search_hamiltonian(walk, pr.analytic_gamma(walk), [0, 51])
+        noise = nz.NoiseConfig(t2=10e-3, n_samples=20, rng_seed=0)
+        offsets = 2.0 * nz.static_field_block(52, noise) / scale
+        lengths, bessel = [], xy.bessel_j
+
+        def counted(x):
+            table = bessel(x)
+            lengths.append(len(table))
+            return table
+
+        monkeypatch.setattr(xy, "bessel_j", counted)
+        psi0, t = np.eye(52)[0], pr.transfer_time(52)
+        dense = xy.chebyshev(h0, psi0, t, diag=offsets, rows=51)
+        discs = xy.chebyshev(csr_array(h0), psi0, t, diag=offsets, rows=51)
+        assert lengths[0] <= 0.7 * lengths[1]
+        assert np.max(np.abs(dense - discs)) < 1e-13
+
     def test_zero_offset_column_is_noiseless_fidelity(self, fig5_walks):
         for (n, alpha), (walk, scale) in fig5_walks.items():
             gamma, t = pr.analytic_gamma(walk), pr.transfer_time(n)

@@ -340,7 +340,7 @@ def test_spectral_xy_reference_matches_chebyshev_grid(modes, s_init):
     trap, _, system = small_system(n=10, modes=modes, s_init=s_init)
     sector, psi_xy0 = leakage_sector(trap, system.eta, system.mode_freqs,
                                      s_init)
-    lo, hi = xy.gershgorin_interval(sector.H, np.zeros((sector.dim, 1)))
+    lo, hi = xy.spectral_interval(sector.H, np.zeros((sector.dim, 1)))
     times = np.linspace(0.0, 100.0 / (0.5 * (hi - lo)), 300)
     spectral = xy.spectral(*sector.eigensystem(), psi_xy0, times)
     assert np.max(np.abs(spectral

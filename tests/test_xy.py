@@ -503,6 +503,11 @@ class TestBessel:
         tail = np.arange(len(j), len(j) + 40)[:, None]
         assert np.all(np.abs(jv(tail, x)) < xy.CHEBYSHEV_TOL)
 
+    @pytest.mark.parametrize("x", [0.0, 1e-18, 1e-3, 0.5, 8.0, 30.0, 1e3])
+    def test_one_argument_matches_the_table(self, x):
+        # 1e-3 rescales its rows on the way down
+        assert np.array_equal(xy.bessel_j(x), xy.bessel_j([x, x])[:, 0])
+
     @pytest.mark.parametrize("x", [-7.3, [0.5, -1e-30]])
     def test_negative_argument_rejected(self, x):
         with pytest.raises(ValueError):
@@ -538,24 +543,69 @@ def per_step_bessel_j(x):
         if big.any():
             j[k - 1:, big] *= 1e-250
             rescaled = True
-    j = j[:start + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
+    # summed row by row, as numpy sums the columns of a table of two or
+    # more (one column alone it would sum pairwise)
+    total = j[2].copy()
+    for row in j[4::2]:
+        total += row
+    j = j[:start + 1] / (j[0] + 2.0 * total)
     j[:, tiny] = 0.0
     j[0, tiny] = 1.0
     last = np.flatnonzero(np.any(np.abs(j) >= xy.CHEBYSHEV_TOL, axis=1))[-1]
     return j[:last + 1].reshape((last + 1,) + x.shape), rescaled
 
 
+def gershgorin(h, offsets):
+    """The union of h + diag(d)'s Gershgorin discs over the columns d of
+    offsets, each end rounded as spectral_interval rounds it."""
+    radii = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    return (float(((h.diagonal() + offsets.min(axis=1)) - radii).min()),
+            float(((h.diagonal() + offsets.max(axis=1)) + radii).max()))
+
+
+class TestSpectralInterval:
+    @settings(max_examples=90)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**16),
+           kind=st.sampled_from(["random", "shifted", "identity"]),
+           offsets=st.sampled_from(["both signs", "zero", "uniform",
+                                    "cancelling"]),
+           scale=st.floats(1e-3, 1e3))
+    def test_encloses_every_spectrum_within_the_discs(self, n, seed, kind,
+                                                       offsets, scale):
+        # "uniform" offsets shift the spectrum as a whole, where Weyl's
+        # bound is tight and rounding decides; "cancelling" ones take back
+        # h's diagonal, so the eigenvalues of h + diag(d) are far smaller
+        # than those of h
+        rng = np.random.default_rng(seed)
+        ham = scale * {"random": random_real_symmetric(n, seed),
+                       "shifted": random_real_symmetric(n, seed)
+                       + 1e3 * np.eye(n),
+                       "identity": rng.normal() * np.eye(n)}[kind]
+        diag = {"both signs": scale * rng.normal(size=(n, 4)),
+                "zero": np.zeros((n, 4)),
+                "uniform": scale * np.ones((n, 1)) * rng.normal(size=4),
+                "cancelling": 1e-3 * scale * rng.normal(size=(n, 4))
+                - ham.diagonal()[:, None]}[offsets]
+        lo, hi = xy.spectral_interval(ham, diag)
+        for d in diag.T:
+            w = np.linalg.eigvalsh(ham + np.diag(d))
+            assert lo <= w[0] and w[-1] <= hi
+        g_lo, g_hi = gershgorin(ham, diag)
+        assert g_lo <= lo <= hi <= g_hi
+
+
 class TestChebyshev:
     def test_interval_encloses_every_spectrum(self):
         ham = random_real_symmetric(9, seed=61)
         offsets = np.random.default_rng(4).normal(size=(9, 5))
-        lo, hi = xy.gershgorin_interval(ham, offsets)
-        for d in offsets.T:
-            w = np.linalg.eigvalsh(ham + np.diag(d))
-            assert lo <= w[0] and w[-1] <= hi
-        # the same discs from a CSR matrix
-        assert xy.gershgorin_interval(csr_array(ham), offsets) \
-            == pytest.approx((lo, hi), rel=1e-15)
+        for h0 in (ham, csr_array(ham)):
+            lo, hi = xy.spectral_interval(h0, offsets)
+            for d in offsets.T:
+                w = np.linalg.eigvalsh(ham + np.diag(d))
+                assert lo <= w[0] and w[-1] <= hi
+        # a CSR matrix keeps the discs
+        assert xy.spectral_interval(csr_array(ham), offsets) \
+            == pytest.approx(gershgorin(ham, offsets), rel=1e-15)
 
     @pytest.mark.parametrize("t", [0.0, 0.7, 4.0])
     def test_complex_state_matches_spectral(self, t):
@@ -613,7 +663,7 @@ class TestChebyshev:
         # 8 GB, refused before the recurrence allocates them
         ham = random_real_symmetric(8, seed=91)
         psi0 = np.eye(8)[3]
-        lo, hi = xy.gershgorin_interval(ham, np.zeros((8, 1)))
+        lo, hi = xy.spectral_interval(ham, np.zeros((8, 1)))
         t_max = 1e9 / n_times / (0.5 * (hi - lo))
         times = t_max if n_times == 1 else np.linspace(0.0, t_max, n_times)
         tracemalloc.start()
@@ -643,7 +693,7 @@ class TestChebyshev:
         t = 2.0
         monkeypatch.setattr(xy, "CHEBYSHEV_TOL", tol)
         full = np.abs(xy.chebyshev(ham, psi0, t, diag=offsets, rows=13)) ** 2
-        lo, hi = xy.gershgorin_interval(ham, offsets)
+        lo, hi = xy.spectral_interval(ham, offsets)
         coeffs = xy.bessel_j(0.5 * (hi - lo) * t)
         last = len(coeffs) - 1
         tail = 2.0 * np.sum(np.abs(jv(np.arange(last, last + 60),
