@@ -2,7 +2,10 @@
 
 Subcommands map one-to-one onto the library modules (chain, couplings,
 alpha-scan, leakage, transfer, search, noise).  Config files are flat
-``key = value`` text with ``#`` comments; unknown keys are rejected.  All
+``key = value`` text with ``#`` comments; unknown keys are rejected.  A
+key's range lives in its SCHEMAS entry, so a value out of it is refused
+before any output directory or chain; only checks that span several keys
+stay in the subcommands.  All
 output files carry a header with the tool version, a hash of the resolved
 configuration and the RNG seed, and reruns with identical config and seed
 are byte-identical.
@@ -100,32 +103,27 @@ def _list_of(parse):
     return parse_list
 
 
-def _at_least(parse, lo):
-    """parse, then reject a value (or any list item) below lo or not
-    finite."""
+def _where(parse, ok, expected):
+    """parse, then reject a value (or any list item) for which ok is false:
+    'expected <expected>, got <value>'."""
     def checked(s):
         val = parse(s)
         for x in val if isinstance(val, list) else [val]:
-            if not lo <= x < np.inf:
-                raise ConfigError(f"expected finite values >= {lo}, got {x}")
+            if not ok(x):
+                raise ConfigError(f"expected {expected}, got {x}")
         return val
     return checked
 
 
-def _p_span(s):
-    """A finite number > 0: a time span, a factor on one, or a rate."""
-    val = _p_float(s)
-    if not 0.0 < val < np.inf:
-        raise ConfigError(f"expected a finite number > 0, got {val}")
-    return val
+def _at_least(parse, lo):
+    """parse, then reject a value (or any list item) below lo or not
+    finite."""
+    return _where(parse, lambda x: lo <= x < np.inf, f"finite values >= {lo}")
 
 
-def _p_fraction(s):
-    """A number strictly between 0 and 1."""
-    val = _p_float(s)
-    if not 0.0 < val < 1.0:
-        raise ConfigError(f"expected a number in (0, 1), got {val}")
-    return val
+# a finite number > 0: a time span, a factor on one, or a rate
+_p_span = _where(_p_float, lambda x: 0.0 < x < np.inf, "a finite number > 0")
+_p_fraction = _where(_p_float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 
 
 def _p_choice(*options):
@@ -159,14 +157,18 @@ SCHEMAS = {
         "fit_beta": (_p_bool, False),
     }),
     "alpha-scan": dict(TRAP_SCHEMA, **{
+        # an alpha fit needs two distances, so three ions
+        "n_ions": (_at_least(_p_int, 3), 10),
         "scan_points": (_at_least(_p_int, 1), 25),
         "mu_max_factor": (_p_span, 20.0),
     }),
     "leakage": dict(TRAP_SCHEMA, **{
-        "modes": (_p_int, 1),
+        # one ion has no pair to couple
+        "n_ions": (_at_least(_p_int, 2), 10),
+        "modes": (_where(_p_int, lambda m: m in (1, 2), "1 or 2"), 1),
         "fock_cutoff": (_at_least(_p_int, 1), 4),
         "total_quanta": (_or("none", None, _p_int), None),
-        "s_init": (_p_int, 1),
+        "s_init": (_at_least(_p_int, 1), 1),
         "periods": (_p_span, 4.0),
         "n_times": (_at_least(_p_int, 2), 3000),
         "omega_c_pin_mhz": (_or("none", None, _p_span), None),
@@ -179,12 +181,14 @@ SCHEMAS = {
         "couplings": (_p_choice("idealized", "experimental", "both"),
                       "idealized"),
         "optimize": (_p_bool, True),
-        "budget": (_p_int, 200),
+        "budget": (_at_least(_p_int, 1), 200),
         "box": (_p_fraction, 0.30),
     }),
     "search": dict(TRAP_SCHEMA, **{
+        # a one-site walk has lambda_max = 0: no analytic gamma, no search
+        "n_ions": (_at_least(_p_int, 2), 10),
         "couplings": (_p_choice("idealized", "experimental"), "idealized"),
-        "marked": (_or("none", None, _p_int), None),
+        "marked": (_or("none", None, _at_least(_p_int, 0)), None),
         "gamma": (_or("auto", "auto", _p_span), "auto"),
         "t_max_factor": (_p_span, 1.0),
         "n_times": (_at_least(_p_int, 2), 600),
@@ -196,7 +200,7 @@ SCHEMAS = {
         "n_samples": (_p_int, 500),
         "field_variance": (_or("none", None, _p_float), None),
         "optimize": (_p_bool, True),
-        "budget": (_p_int, 200),
+        "budget": (_at_least(_p_int, 1), 200),
     }),
 }
 
@@ -475,9 +479,6 @@ def cmd_couplings(cfg, ctx: OutputContext) -> None:
 
 
 def cmd_alpha_scan(cfg, ctx: OutputContext) -> None:
-    if cfg["n_ions"] < 3:
-        raise ConfigError(f"an alpha fit needs n_ions >= 3, got "
-                          f"{cfg['n_ions']}")
     trap, sol = solve_trap(cfg)
     mu_min = couplings.min_detuning(trap, sol)
     mu_max = cfg["mu_max_factor"] * sol.mode_freqs[0]
@@ -513,13 +514,8 @@ def _second_mode(trap: TrapConfig, eta: np.ndarray,
 def cmd_leakage(cfg, ctx: OutputContext) -> None:
     if cfg["alpha_target"] is None and cfg["mu_mhz"] == 0.0:
         raise ConfigError("leakage needs alpha_target or a nonzero mu_mhz")
-    if cfg["n_ions"] < 2:
-        # one ion has no pair to couple
-        raise ConfigError(f"leakage needs n_ions >= 2, got {cfg['n_ions']}")
-    if cfg["modes"] not in (1, 2):
-        raise ConfigError("modes must be 1 or 2")
     s = cfg["s_init"]
-    if not 1 <= s <= cfg["n_ions"]:
+    if s > cfg["n_ions"]:
         raise ConfigError("s_init out of range")
     if cfg["total_quanta"] is not None and cfg["total_quanta"] < s:
         # the initial state alone holds s_init quanta
@@ -696,11 +692,8 @@ def cmd_transfer(cfg, ctx: OutputContext) -> None:
 
 def cmd_search(cfg, ctx: OutputContext) -> None:
     n = cfg["n_ions"]
-    if n < 2:
-        # a one-site walk has lambda_max = 0: no analytic gamma, no search
-        raise ConfigError(f"search needs n_ions >= 2, got {n}")
     marked = cfg["marked"] if cfg["marked"] is not None else n // 2
-    if not 0 <= marked < n:
+    if marked >= n:
         raise ConfigError("marked site out of range")
     protocols.refuse_walk(n)
     j_walk, scale, alpha_used, _ = _walk_couplings(cfg, n)
@@ -781,23 +774,23 @@ NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: the common flags may come before or
+    after it."""
     parser = argparse.ArgumentParser(
         prog="ionchain",
         description="Long-range XY interactions in linear trapped-ion chains")
     parser.add_argument("--version", action="version",
                         version=f"ionchain {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
-                       help="flat key = value config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--paper-fig", choices=sorted(PAPER_FIGS),
-                       default=None, help="preset reproducing one figure")
-        # accepted at 1 alone, for the benchmark harness, which passes it
-        p.add_argument("--threads", type=int, default=1)
+    parser.add_argument("subcommand", choices=COMMANDS)
+    parser.add_argument("--config", default=None,
+                        help="flat key = value config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--paper-fig", choices=sorted(PAPER_FIGS),
+                        default=None, help="preset reproducing one figure")
+    # accepted at 1 alone, for the benchmark harness, which passes it
+    parser.add_argument("--threads", type=int, default=1)
     return parser
 
 

@@ -175,8 +175,40 @@ omega_z_mhz = 0.9   # trailing comment
         rc = cli.main([command, "--config", p, "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "n_ions >= 3" in err
+        # alpha-scan's floor is its schema's: "key 'n_ions': expected
+        # finite values >= 3, got 2"
+        assert "config error" in err and "n_ions" in err \
+            and ">= 3, got 2" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("noise", "n_list = 8\nbudget = 0\n", "budget"),
+        ("transfer", "n_list = 8\ncouplings = experimental\nbudget = 0\n",
+         "budget"),
+        ("leakage", "modes = 3\n", "modes"),
+        ("leakage", "modes = 0\n", "modes"),
+        ("leakage", "n_ions = 1\n", "n_ions"),
+        ("leakage", "s_init = 0\n", "s_init"),
+        ("leakage", "fock_cutoff = 0\n", "fock_cutoff"),
+        ("alpha-scan", "n_ions = 2\n", "n_ions"),
+        ("search", "n_ions = 1\n", "n_ions"),
+        ("search", "marked = -1\n", "marked"),
+    ])
+    def test_single_key_range_refused_before_work(self, tmp_path, capsys,
+                                                  monkeypatch, command, text,
+                                                  key):
+        # a key's range is its schema entry's: refused before the output
+        # directory is made and before any chain is solved
+        def unreachable(cfg):
+            raise AssertionError("chain solved")
+        monkeypatch.setattr(cli, "solve_trap", unreachable)
+        p = write_config(tmp_path, f"alpha_target = 0.2\n{text}")
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", p, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"key '{key}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_leakage_on_one_ion_exits_two(self, tmp_path, capsys,
@@ -586,7 +618,8 @@ class TestSearchCommand:
         p = write_config(tmp_path, "n_ions = 1\n")
         rc = cli.main(["search", "--config", p, "--out", str(tmp_path)])
         assert rc == 2
-        assert "n_ions >= 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "key 'n_ions'" in err and ">= 2, got 1" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -932,6 +965,29 @@ class TestPresetsAndFlags:
         rc = cli.main(["chain", "--paper-fig", "2a", "--out", str(tmp_path)])
         assert rc == 2
         assert "leakage" in capsys.readouterr().err
+
+    OPTIONS = ["--config", "run.cfg", "--out", "o", "--seed", "3",
+               "--format", "json", "--paper-fig", "2a", "--threads", "1"]
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_options_before_or_after_the_subcommand(self, command):
+        parse = cli.build_parser().parse_args
+        after = parse([command, *self.OPTIONS])
+        assert vars(after) == {"subcommand": command, "config": "run.cfg",
+                               "out": "o", "seed": 3, "format": "json",
+                               "paper_fig": "2a", "threads": 1}
+        assert parse([*self.OPTIONS, command]) == after
+        assert parse([*self.OPTIONS[:6], command, *self.OPTIONS[6:]]) == after
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_subcommand_help_lists_the_options(self, capsys, command):
+        with pytest.raises(SystemExit) as e:
+            cli.main([command, "--help"])
+        assert e.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--config", "--out", "--seed", "--format", "--paper-fig",
+                     "--threads"):
+            assert flag in out
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
