@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto the library modules (chain, couplings,
 alpha-scan, leakage, transfer, search, noise).  Config files are flat
 ``key = value`` text with ``#`` comments; unknown keys are rejected.  A
-key's range lives in its SCHEMAS entry, so a value out of it is refused
-before any output directory or chain; only checks that span several keys
-stay in the subcommands.  All
+key's range lives in its SCHEMAS entry; checks that span several keys stay
+in the subcommands.  Each subcommand takes the resolved config and the RNG
+seed and returns its outputs; main() alone creates --out and writes them,
+so a run that exits non-zero leaves no --out behind, unless a write itself
+fails.  All
 output files carry a header with the tool version, a hash of the resolved
 configuration and the RNG seed, and reruns with identical config and seed
 are byte-identical.
@@ -19,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,9 +244,7 @@ def resolve_config(subcommand: str, raw: dict) -> dict:
 class OutputContext:
     outdir: Path
     fmt: str
-    seed: int
-    meta: list = field(default_factory=list)
-    written: list = field(default_factory=list)
+    meta: tuple = ()            # (key, value) header lines
 
 
 def _fmt_value(x) -> str:
@@ -266,15 +266,16 @@ def config_hash(subcommand: str, cfg: dict, seed: int, fmt: str) -> str:
 
 
 def make_context(args, subcommand: str, cfg: dict) -> OutputContext:
+    """Every output's header; main() creates --out after the work, so a
+    path that cannot become a directory is refused here, before it."""
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    ctx = OutputContext(outdir=outdir, fmt=args.format, seed=args.seed)
-    ctx.meta = [
+    base = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not base.is_dir():
+        raise ConfigError(f"--out {outdir}: {base} is not a directory")
+    return OutputContext(outdir=outdir, fmt=args.format, meta=(
         ("tool", f"ionchain {__version__}"),
         ("config_hash", config_hash(subcommand, cfg, args.seed, args.format)),
-        ("seed", str(args.seed)),
-    ]
-    return ctx
+        ("seed", str(args.seed))))
 
 
 def _fmt_column(column: tuple) -> list:
@@ -316,7 +317,6 @@ def write_table(ctx: OutputContext, stem: str, header: list,
             f.write(f"# {key}: {val}\n")
         f.write(",".join(header) + "\n")
         f.writelines(lines)
-    ctx.written.append(path)
     return path
 
 
@@ -351,7 +351,6 @@ def write_report(ctx: OutputContext, stem: str, payload: dict) -> Path:
     with open(path, "w", newline="\n") as f:
         json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
-    ctx.written.append(path)
     return path
 
 
@@ -448,37 +447,35 @@ def _trap_dict(trap: TrapConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps (config, seed) to its outputs in write order, a
+# report as (stem, payload dict) and a table as (stem, (header, rows))
 
-def cmd_chain(cfg, ctx: OutputContext) -> None:
+def cmd_chain(cfg, seed: int) -> list:
     trap, sol = solve_trap(cfg)
-    write_report(ctx, "chain_report", {"trap": _trap_dict(trap),
-                                "solution": sol.to_dict()})
     rows = [(i, u, z) for i, (u, z) in
             enumerate(zip(sol.positions, sol.positions_m))]
-    write_table(ctx, "positions", ["ion", "u_dimensionless", "z_m"], rows)
+    return [("chain_report", {"trap": _trap_dict(trap),
+                              "solution": sol.to_dict()}),
+            ("positions", (["ion", "u_dimensionless", "z_m"], rows))]
 
 
-def cmd_couplings(cfg, ctx: OutputContext) -> None:
+def cmd_couplings(cfg, seed: int) -> list:
     trap, sol, info = resolve_working_point(cfg)
     model = couplings.build_coupling_model(
         trap, sol, n_init=cfg["n_init"],
         convention=FitConvention(cfg["fit_convention"]),
         fit_beta=cfg["fit_beta"])
-    write_report(ctx, "couplings_report", {"trap": _trap_dict(trap),
-                                    "working_point": info,
-                                    "model": model.to_dict()})
     pos = sol.positions_m
-    rows = []
-    for i in range(trap.n_ions):
-        for j in range(i + 1, trap.n_ions):
-            rows.append((i, j, j - i, abs(pos[j] - pos[i]), model.J[i, j]))
-    write_table(ctx, "couplings",
-                ["i", "j", "index_distance", "axial_distance_m", "J_rad_s"],
-                rows)
+    rows = [(i, j, j - i, abs(pos[j] - pos[i]), model.J[i, j])
+            for i in range(trap.n_ions) for j in range(i + 1, trap.n_ions)]
+    return [("couplings_report", {"trap": _trap_dict(trap),
+                                  "working_point": info,
+                                  "model": model.to_dict()}),
+            ("couplings", (["i", "j", "index_distance", "axial_distance_m",
+                            "J_rad_s"], rows))]
 
 
-def cmd_alpha_scan(cfg, ctx: OutputContext) -> None:
+def cmd_alpha_scan(cfg, seed: int) -> list:
     trap, sol = solve_trap(cfg)
     mu_min = couplings.min_detuning(trap, sol)
     mu_max = cfg["mu_max_factor"] * sol.mode_freqs[0]
@@ -493,13 +490,10 @@ def cmd_alpha_scan(cfg, ctx: OutputContext) -> None:
         j = couplings.coupling_matrix(t, eta, sol.mode_freqs)
         fit = couplings.fit_alpha_beta(j)
         rows.append((float(mu), t.omega_eff, fit.alpha))
-    write_table(ctx, "alpha_scan", ["mu_rad_s", "omega_eff_rad_s", "alpha"],
-                rows)
-    write_report(ctx, "alpha_scan_report", {
-        "trap": _trap_dict(trap),
-        "mu_min_rad_s": mu_min,
-        "omega_com_rad_s": sol.mode_freqs[0],
-    })
+    return [("alpha_scan", (["mu_rad_s", "omega_eff_rad_s", "alpha"], rows)),
+            ("alpha_scan_report", {"trap": _trap_dict(trap),
+                                   "mu_min_rad_s": mu_min,
+                                   "omega_com_rad_s": sol.mode_freqs[0]})]
 
 
 def _second_mode(trap: TrapConfig, eta: np.ndarray,
@@ -511,7 +505,7 @@ def _second_mode(trap: TrapConfig, eta: np.ndarray,
     return int(np.argmax(weights))
 
 
-def cmd_leakage(cfg, ctx: OutputContext) -> None:
+def cmd_leakage(cfg, seed: int) -> list:
     if cfg["alpha_target"] is None and cfg["mu_mhz"] == 0.0:
         raise ConfigError("leakage needs alpha_target or a nonzero mu_mhz")
     s = cfg["s_init"]
@@ -531,6 +525,9 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
                                  fock_cutoff=cfg["fock_cutoff"],
                                  total_quanta_cutoff=cfg["total_quanta"])
     sp.refuse_parity_block(cfg["n_ions"], policy, s)
+    if cfg["n_ions"] > xy.MASK_SITES:
+        raise ConfigError(f"leakage's bitmask bases hold at most "
+                          f"{xy.MASK_SITES} ions, got {cfg['n_ions']}")
     trap, sol, info = resolve_working_point(cfg)
 
     pinned = cfg["omega_c_pin_mhz"] is not None
@@ -585,11 +582,11 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
     f_ren = sp.model_fidelity(traj, sector_ren, psi_xy0)
 
     rows = list(zip(times, e_vac, nbar, env, env_shifted, f_bare, f_ren))
-    write_table(ctx, "leakage",
-                ["t_seconds", "E_sim", "nbar", "E_norm", "E_norm_shifted",
-                 "F_bare", "F_renormalized"], rows)
     iu = np.triu_indices(trap.n_ions, k=1)
-    write_report(ctx, "leakage_report", {
+    return [("leakage", (["t_seconds", "E_sim", "nbar", "E_norm",
+                          "E_norm_shifted", "F_bare", "F_renormalized"],
+                         rows)),
+            ("leakage_report", {
         "trap": _trap_dict(trap),
         "working_point": info,
         "modes_included": subset,
@@ -606,7 +603,7 @@ def cmd_leakage(cfg, ctx: OutputContext) -> None:
         **diagnostics,
         "fit_residual_over_power": (fit.residual / fit.power
                                     if fit.power > 0 else 0.0),
-    })
+    })]
 
 
 def _walk_couplings(cfg, n: int, trap_and_chain=None):
@@ -633,7 +630,8 @@ def _walk_couplings(cfg, n: int, trap_and_chain=None):
     return j / lam, None if ideal else lam, alpha, steps
 
 
-def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int, **opt_kwargs):
+def _protocol_point(cfg, seed: int, j_walk: np.ndarray, n: int,
+                    **opt_kwargs):
     """(gamma, T, optimizer result or None) for transfer from 0 to n - 1.
 
     j_walk is the normalised walk of _walk_couplings.  With optimize = true
@@ -643,14 +641,14 @@ def _protocol_point(cfg, ctx, j_walk: np.ndarray, n: int, **opt_kwargs):
     if not cfg["optimize"]:
         return 1.0, protocols.transfer_time(n), None
     opt = protocols.optimize_protocol(j_walk, 0, n - 1, budget=cfg["budget"],
-                                      rng_seed=ctx.seed, **opt_kwargs)
+                                      rng_seed=seed, **opt_kwargs)
     return opt.config.gamma, opt.config.duration, opt
 
 
-def _one_transfer(cfg, ctx, n: int, source: str):
+def _one_transfer(cfg, seed: int, n: int, source: str):
     sub = dict(cfg, couplings=source)
     j_walk, scale, alpha_used, steps = _walk_couplings(sub, n)
-    gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n, box=cfg["box"])
+    gamma, t, opt = _protocol_point(cfg, seed, j_walk, n, box=cfg["box"])
     fid = opt.fidelity if opt is not None else \
         protocols.transfer_fidelity_at(j_walk, gamma, t, 0, n - 1)
     return {"n": n, "source": source, "alpha": alpha_used,
@@ -661,36 +659,32 @@ def _one_transfer(cfg, ctx, n: int, source: str):
 
 def _optimizer_stats(opt) -> dict:
     """Report fields of an optimize_protocol run, null without one."""
-    return {"n_evaluations": opt.n_evaluations if opt is not None else None,
-            "n_gamma_solves": opt.n_gamma_solves if opt is not None else None,
-            "seed_fidelity": opt.seed_fidelity if opt is not None else None}
+    return {key: getattr(opt, key, None)
+            for key in ("n_evaluations", "n_gamma_solves", "seed_fidelity")}
 
 
-def cmd_transfer(cfg, ctx: OutputContext) -> None:
+def cmd_transfer(cfg, seed: int) -> list:
     # the largest walk is refused before any chain is solved
     protocols.refuse_walk(max(cfg["n_list"]))
     sources = {"idealized": ["idealized"], "experimental": ["experimental"],
                "both": ["idealized", "experimental"]}[cfg["couplings"]]
-    results = []
-    for n in cfg["n_list"]:
-        for source in sources:
-            results.append(_one_transfer(cfg, ctx, n, source))
+    results = [_one_transfer(cfg, seed, n, source)
+               for n in cfg["n_list"] for source in sources]
     rows = [(r["n"], r["source"], r["alpha"], r["gamma"], r["T"],
              r["T_tilde"], r["F_peak"]) for r in results]
-    write_table(ctx, "transfer",
-                ["N", "source", "alpha", "gamma", "T", "T_tilde", "F_peak"],
-                rows)
+    outputs = [("transfer", (["N", "source", "alpha", "gamma", "T",
+                              "T_tilde", "F_peak"], rows))]
     if cfg["couplings"] == "both":
         by = {(r["n"], r["source"]): r for r in results}
         rows4 = [(n, by[(n, "experimental")]["F_peak"],
                   by[(n, "idealized")]["F_peak"],
                   by[(n, "idealized")]["T_tilde"]) for n in cfg["n_list"]]
-        write_table(ctx, "transfer_summary",
-                    ["N", "F_exp", "F_ideal", "T_tilde"], rows4)
-    write_report(ctx, "transfer_report", {"results": results})
+        outputs.append(("transfer_summary",
+                        (["N", "F_exp", "F_ideal", "T_tilde"], rows4)))
+    return outputs + [("transfer_report", {"results": results})]
 
 
-def cmd_search(cfg, ctx: OutputContext) -> None:
+def cmd_search(cfg, seed: int) -> list:
     n = cfg["n_ions"]
     marked = cfg["marked"] if cfg["marked"] is not None else n // 2
     if marked >= n:
@@ -701,23 +695,21 @@ def cmd_search(cfg, ctx: OutputContext) -> None:
     t_max = cfg["t_max_factor"] * np.pi * np.sqrt(n)
     times, prob = protocols.run_search(j_walk, gamma, marked, t_max,
                                        n_times=cfg["n_times"])
-    write_table(ctx, "search", ["t_walk_units", "marked_probability"],
-                list(zip(times, prob)))
     k = int(np.argmax(prob))
-    write_report(ctx, "search_report", {
-        "n": n, "alpha": alpha_used, "gamma": gamma, "marked": marked,
-        "peak_probability": float(prob[k]), "t_peak": float(times[k]),
-        "scale_rad_s": scale,
-    })
+    return [("search", (["t_walk_units", "marked_probability"],
+                        list(zip(times, prob)))),
+            ("search_report", {
+                "n": n, "alpha": alpha_used, "gamma": gamma,
+                "marked": marked, "peak_probability": float(prob[k]),
+                "t_peak": float(times[k]), "scale_rad_s": scale})]
 
 
-def cmd_noise(cfg, ctx: OutputContext) -> None:
+def cmd_noise(cfg, seed: int) -> list:
     # the largest ensemble and walk are refused before any chain is solved
     noise.check_ensemble_size(max(cfg["n_list"]), cfg["n_samples"])
     protocols.refuse_walk(max(cfg["n_list"]))
     noise_cfg = noise.NoiseConfig(t2=cfg["t2_ms"] * 1e-3,
-                                  n_samples=cfg["n_samples"],
-                                  rng_seed=ctx.seed,
+                                  n_samples=cfg["n_samples"], rng_seed=seed,
                                   field_variance=cfg["field_variance"])
     cases = [(n, a) for a in cfg["alpha_list"] for n in cfg["n_list"]]
     # each sample's field is drawn once, at the longest chain; a case reads
@@ -731,7 +723,7 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
     for n, alpha in cases:
         sub = dict(cfg, couplings="experimental", alpha_target=alpha)
         j_walk, scale, alpha_used, steps = _walk_couplings(sub, n, chains[n])
-        gamma, t, opt = _protocol_point(cfg, ctx, j_walk, n)
+        gamma, t, opt = _protocol_point(cfg, seed, j_walk, n)
         pc = protocols.ProtocolConfig(gamma=gamma, sender=0, receiver=n - 1,
                                       duration=t, marker_amplitude=scale)
         ens = noise.noisy_transfer_ensemble(j_walk, pc, noise_cfg, fields)
@@ -743,15 +735,12 @@ def cmd_noise(cfg, ctx: OutputContext) -> None:
 
     rows = [(c["n"], c["alpha_target"], c["mean_F"], c["std_F"],
              cfg["n_samples"], noise_cfg.t2) for c in outcomes]
-    write_table(ctx, "noise",
-                ["N", "alpha_target", "mean_F", "std_F", "n_samples", "t2"],
-                rows)
-    write_report(ctx, "noise_report", {
-        "t2_s": noise_cfg.t2,
-        "sigma_rad_s": noise_cfg.sigma,
-        "n_samples": cfg["n_samples"],
-        "cases": outcomes,
-    })
+    return [("noise", (["N", "alpha_target", "mean_F", "std_F", "n_samples",
+                        "t2"], rows)),
+            ("noise_report", {"t2_s": noise_cfg.t2,
+                              "sigma_rad_s": noise_cfg.sigma,
+                              "n_samples": cfg["n_samples"],
+                              "cases": outcomes})]
 
 
 COMMANDS = {
@@ -765,8 +754,8 @@ COMMANDS = {
 }
 
 # LinAlgError subclasses ValueError, so main() catches these first and
-# treats any other ValueError (rejected by a config dataclass) as a config
-# error
+# treats any other ValueError (a ConfigError, or a value a config dataclass
+# rejects) as a config error
 NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
                     ResonantDetuning, DegenerateFit, FitFailure,
                     StepUnderflow, TooLarge, np.linalg.LinAlgError,
@@ -811,10 +800,11 @@ def main(argv=None) -> int:
             raw = dict(raw, **overrides)
         cfg = resolve_config(args.subcommand, raw)
         ctx = make_context(args, args.subcommand, cfg)
-        COMMANDS[args.subcommand](cfg, ctx)
-    except ConfigError as e:
-        print(f"ionchain: config error: {e}", file=sys.stderr)
-        return 2
+        outputs = COMMANDS[args.subcommand](cfg, args.seed)
+        ctx.outdir.mkdir(parents=True, exist_ok=True)
+        # through the module globals, which a tracer may wrap
+        paths = [write_report(ctx, stem, out) if isinstance(out, dict)
+                 else write_table(ctx, stem, *out) for stem, out in outputs]
     except OSError as e:
         print(f"ionchain: {e}", file=sys.stderr)
         return 2
@@ -824,7 +814,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"ionchain: config error: {e}", file=sys.stderr)
         return 2
-    for path in ctx.written:
+    for path in paths:
         print(path)
     return 0
 

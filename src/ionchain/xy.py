@@ -55,6 +55,9 @@ CHEBYSHEV_CHUNK = 1024
 # Chebyshev terms folded into the amplitudes per matrix product (even)
 CHEBYSHEV_BLOCK = 32
 
+# the sites an int64 occupation bitmask holds, its sign bit aside
+MASK_SITES = 63
+
 
 class BasisMismatch(ValueError):
     pass
@@ -78,16 +81,17 @@ class XYSector:
     """Fixed-excitation block of the XY Hamiltonian.
 
     basis holds occupation bitmasks (bit i set = excitation on site i),
-    ordered ascending, so a bitmask's row is its searchsorted position.
+    ordered ascending, so a bitmask's row is its searchsorted position;
+    a single-excitation walk has none, row i being site i.
     """
 
     n_sites: int
-    basis: np.ndarray          # int64 bitmasks
+    basis: np.ndarray | None   # int64 bitmasks
     H: object                  # Hermitian, rad/s: ndarray or CSR array
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.H.shape[0]
 
     def index_of(self, mask: int) -> int:
         i = int(np.searchsorted(self.basis, mask))
@@ -114,6 +118,9 @@ class StateVector:
 
 
 def sector_basis(n_sites: int, s: int) -> np.ndarray:
+    if n_sites > MASK_SITES:
+        raise ValueError(f"an int64 bitmask holds at most {MASK_SITES} "
+                         f"sites, got {n_sites}")
     masks = [sum(1 << i for i in c) for c in combinations(range(n_sites), s)]
     return np.array(sorted(masks), dtype=np.int64)
 
@@ -140,8 +147,7 @@ def build_single_excitation(J: np.ndarray) -> XYSector:
     Any diagonal already present in J (marker projectors, local fields) is
     kept.
     """
-    n = J.shape[0]
-    return XYSector(n_sites=n, basis=sector_basis(n, 1),
+    return XYSector(n_sites=J.shape[0], basis=None,
                     H=np.array(J, dtype=float))
 
 

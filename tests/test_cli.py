@@ -721,7 +721,7 @@ class TestRefusedBeforeWork:
         assert rc == 1
         assert "TooLarge: a dense eigh of a 6-site walk needs " \
             f"{16 * 6 ** 2} bytes > WORK_BYTES = 400" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_oversized_parity_block_exits_one(self, tmp_path, capsys,
                                               monkeypatch):
@@ -733,7 +733,7 @@ class TestRefusedBeforeWork:
         assert rc == 1
         assert "TooLarge: a dense eigh of the parity block of 562502752 " \
             "states" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["chain", "couplings", "alpha-scan"])
     def test_chain_above_4096_ions_exits_one(self, tmp_path, capsys,
@@ -755,7 +755,7 @@ class TestRefusedBeforeWork:
         assert run(4097) == 1
         assert "TooLarge: a dense eigh of the 4097-ion transverse Hessian " \
             f"needs {16 * 4097 ** 2} bytes" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @staticmethod
     def no_chain_solve(monkeypatch, error):
@@ -773,6 +773,86 @@ class TestRefusedBeforeWork:
         rc = cli.main(["leakage", "--config", p, "--out", str(out)])
         assert rc == 2
         assert "fock_cutoff" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNoOutputOnFailure:
+    """The subcommands return their outputs and main() creates --out only
+    after they have: a run that fails in a subcommand leaves none."""
+
+    @pytest.mark.parametrize("command,text,rc,message", [
+        ("leakage", "n_ions = 4\ns_init = 5\nalpha_target = 0.2\n", 2,
+         "config error: s_init out of range"),
+        ("noise", "n_list = 4\nt2_ms = 0\n", 2,
+         "config error: t2 must be > 0"),
+        ("noise", "n_list = 4\nn_samples = 0\n", 2,
+         "config error: n_samples must be >= 1"),
+        ("chain", "n_ions = 0\n", 2, "config error: n_ions must be >= 1"),
+        ("search", "n_ions = 3\nmarked = 3\n", 2,
+         "config error: marked site out of range"),
+        ("chain", "omega_z_mhz = 5.5\n", 2,
+         "config error: omega_z must be below both transverse frequencies"),
+        ("leakage", "n_ions = 4\nomega_z_mhz = 2.9\nalpha_target = 0.2\n",
+         1, "UnstableChain: omega_z=1.822124e+07 rad/s crosses the zig-zag"),
+        ("leakage", "n_ions = 4\ns_init = 2\ntotal_quanta = 1\n"
+                    "alpha_target = 0.2\n", 2,
+         "config error: total_quanta (1) must be >= s_init (2)"),
+        ("leakage", "n_ions = 4\nr_lo = 1.1\nr_hi = 1.0\n"
+                    "alpha_target = 0.2\n", 2,
+         "config error: the fit window needs finite r_lo < r_hi"),
+        ("couplings", "n_ions = 2\nalpha_target = 0.2\n", 2,
+         "config error: an alpha fit needs n_ions >= 3, got 2"),
+    ])
+    def test_failed_run_creates_no_out(self, tmp_path, capsys, command,
+                                       text, rc, message):
+        p = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", p, "--out", str(out)]) == rc
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_that_cannot_be_a_directory_refused_first(
+            self, tmp_path, capsys, monkeypatch, sub):
+        def unreachable(cfg):
+            raise AssertionError("chain solved")
+        monkeypatch.setattr(cli, "solve_trap", unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = cli.main(["chain", "--out", str(blocker / sub)])
+        assert rc == 2
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
+
+class TestBitmaskWidth:
+    """An int64 bitmask holds 63 sites: leakage, which builds bitmask
+    bases, refuses more up front; the noise walk, which builds none, runs
+    past it."""
+
+    def test_noise_runs_past_63_sites(self, tmp_path):
+        p = write_config(tmp_path, "n_list = 64\nalpha_list = 0.3\n"
+                                   "n_samples = 4\noptimize = false\n")
+        assert cli.main(["noise", "--config", p, "--out", str(tmp_path)]) == 0
+        _, rows = read_table(tmp_path / "noise.csv")
+        assert [row["N"] for row in rows] == ["64"]
+        assert 0.0 < float(rows[0]["mean_F"]) <= 1.0
+        case = json.loads(
+            (tmp_path / "noise_report.json").read_text())["cases"][0]
+        assert np.isfinite([case["mean_F"], case["std_F"],
+                            case["noiseless_F"], case["duration_s"]]).all()
+
+    def test_leakage_above_63_ions_refused_before_the_chain(
+            self, tmp_path, capsys, monkeypatch):
+        def unreachable(cfg):
+            raise AssertionError("chain solved")
+        monkeypatch.setattr(cli, "solve_trap", unreachable)
+        p = write_config(tmp_path, "n_ions = 64\nfock_cutoff = 1\n"
+                                   "total_quanta = 1\ns_init = 1\n"
+                                   "alpha_target = 0.2\n")
+        out = tmp_path / "out"
+        assert cli.main(["leakage", "--config", p, "--out", str(out)]) == 2
+        assert "at most 63 ions, got 64" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1012,7 +1092,7 @@ class TestWriteTable:
             (np.int32(2), 1e16, np.float64(5e-5), 9, False, "a b", 2)]
 
     def test_columns_match_cell_by_cell(self, tmp_path):
-        ctx = cli.OutputContext(outdir=tmp_path, fmt="csv", seed=0)
+        ctx = cli.OutputContext(outdir=tmp_path, fmt="csv")
         header = list("abcdefg")
         path = cli.write_table(ctx, "t", header, self.ROWS)
         lines = path.read_text().splitlines()
@@ -1021,7 +1101,7 @@ class TestWriteTable:
                              for row in self.ROWS]
 
     def test_first_non_finite_in_row_order(self, tmp_path):
-        ctx = cli.OutputContext(outdir=tmp_path, fmt="csv", seed=0)
+        ctx = cli.OutputContext(outdir=tmp_path, fmt="csv")
         rows = [(1.0, "nan", 1.0), (2.0, 2.0, -np.inf), (np.nan, 3.0, 3.0)]
         with pytest.raises(cli.NonFiniteReport,
                            match="^t.csv: row 1: c is -inf$"):

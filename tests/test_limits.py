@@ -25,9 +25,11 @@ def reached(*args, **kwargs):
 
 
 def sector(monkeypatch):
+    # dim reads H: a read-only zero-stride view holds dim x dim entries
+    # in one allocated double
     monkeypatch.setattr(np.linalg, "eigh", reached)
-    return (lambda dim: xy.XYSector(13, np.arange(dim),
-                                    np.zeros((1, 1))).eigensystem(),
+    return (lambda dim: xy.XYSector(13, None, np.broadcast_to(
+                0.0, (dim, dim))).eigensystem(),
             lambda dim: f"a dense eigh of sector dim {dim}",
             lambda dim: 16 * dim ** 2)
 

@@ -252,6 +252,12 @@ def test_sectors_are_blocks_of_full_hamiltonian(n, seed, fields):
             < 1e-12
 
 
+def test_bitmask_basis_holds_63_sites():
+    assert xy.sector_basis(63, 1)[-1] == 1 << 62
+    with pytest.raises(ValueError, match="at most 63 sites, got 64"):
+        xy.sector_basis(64, 1)
+
+
 class TestSingleExcitation:
     def test_off_diagonal_is_j(self):
         j, _ = random_couplings(5, seed=2)
@@ -265,9 +271,11 @@ class TestSingleExcitation:
         sec = xy.build_single_excitation(marked)
         assert sec.H[2, 2] == 9.0
 
-    def test_basis_is_single_excitation(self):
-        sec = xy.build_single_excitation(np.zeros((4, 4)))
-        assert list(sec.basis) == [1, 2, 4, 8]
+    def test_walk_enumerates_no_bitmasks(self):
+        # row i is site i: a walk past the 63-site width of an int64
+        # bitmask builds as any other
+        sec = xy.build_single_excitation(np.zeros((64, 64)))
+        assert sec.basis is None and sec.dim == 64
 
 
 def random_real_symmetric(dim, seed):
@@ -518,16 +526,16 @@ class TestBessel:
         ([1e-3, 30.0], True), (1e-12, True),
         (np.linspace(0.0, 162.0, 200), True),
         (24.0, False), (80.0, False), ([24.0, 80.0], False)])
-    def test_running_bound_matches_per_step_check(self, x, rescaled):
+    def test_matches_looped_reference(self, x, rescaled):
         table, rescales = per_step_bessel_j(x)
         assert rescales == rescaled
         assert np.array_equal(xy.bessel_j(x), table)
 
 
 def per_step_bessel_j(x):
-    """bessel_j with the overflow test on every row of the recurrence, the
-    check that its running bound replaces: the table and whether any row
-    was rescaled."""
+    """bessel_j by a Python loop over the recurrence, each row tested for
+    overflow as _miller_table tests it: an independent reference for the
+    table, and whether any row was rescaled."""
     x = np.asarray(x, dtype=float)
     ax = x.ravel().copy()
     top = float(ax.max(initial=0.0))
