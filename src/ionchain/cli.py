@@ -5,10 +5,10 @@ alpha-scan, leakage, transfer, search, noise).  Config files are flat
 ``key = value`` text with ``#`` comments; unknown keys are rejected.  A
 key's range lives in its SCHEMAS entry; checks that span several keys stay
 in the subcommands.  Each subcommand takes the resolved config and the RNG
-seed and returns its outputs; main() alone creates --out and writes them,
-so a run that exits non-zero leaves no --out behind, unless a write itself
-fails.  All
-output files carry a header with the tool version, a hash of the resolved
+seed and returns its outputs; main() formats them all, which finds any
+NaN or inf, then alone creates --out and writes them, so a run that exits
+non-zero leaves no --out behind, unless a write itself fails.  All output
+files carry a header with the tool version, a hash of the resolved
 configuration and the RNG seed, and reruns with identical config and seed
 are byte-identical.
 
@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -267,11 +268,13 @@ def config_hash(subcommand: str, cfg: dict, seed: int, fmt: str) -> str:
 
 def make_context(args, subcommand: str, cfg: dict) -> OutputContext:
     """Every output's header; main() creates --out after the work, so a
-    path that cannot become a directory is refused here, before it."""
+    path that cannot become a writable directory is refused here, first."""
     outdir = Path(args.out)
     base = next(p for p in (outdir, *outdir.parents) if p.exists())
     if not base.is_dir():
         raise ConfigError(f"--out {outdir}: {base} is not a directory")
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {outdir}: {base} is not writable")
     return OutputContext(outdir=outdir, fmt=args.format, meta=(
         ("tool", f"ionchain {__version__}"),
         ("config_hash", config_hash(subcommand, cfg, args.seed, args.format)),
@@ -294,15 +297,17 @@ def _fmt_column(column: tuple) -> list:
 _NON_FINITE = {"nan", "inf", "-inf"}
 
 
-def write_table(ctx: OutputContext, stem: str, header: list,
-                rows: list) -> Path:
+def format_table(ctx: OutputContext, stem: str, header: list,
+                 rows: list) -> tuple:
+    """(path, text) of a table: CSV, or format_report's under --format
+    json.  A NaN or inf float cell raises NonFiniteReport naming the first
+    in row order."""
     if ctx.fmt == "json":
-        return write_report(ctx, stem, {"columns": header, "rows": rows})
+        return format_report(ctx, stem, {"columns": header, "rows": rows})
     path = ctx.outdir / f"{stem}.csv"
     columns = list(zip(*rows))
     cells = [_fmt_column(column) for column in columns]
-    # checked before the file is opened, as write_report checks: the first
-    # non-finite float in row order, in the columns that spell one
+    # the first non-finite float in row order, in the columns that spell one
     bad = [(i, c) for c, (column, text) in enumerate(zip(columns, cells))
            if not _NON_FINITE.isdisjoint(text)
            for i, (x, t) in enumerate(zip(column, text))
@@ -311,13 +316,9 @@ def write_table(ctx: OutputContext, stem: str, header: list,
         i, c = min(bad)
         raise NonFiniteReport(f"{path.name}: row {i}: {header[c]} is "
                               f"{cells[c][i]}")
-    lines = [",".join(row) + "\n" for row in zip(*cells)]
-    with open(path, "w", newline="\n") as f:
-        for key, val in ctx.meta:
-            f.write(f"# {key}: {val}\n")
-        f.write(",".join(header) + "\n")
-        f.writelines(lines)
-    return path
+    return path, "".join([*(f"# {key}: {val}\n" for key, val in ctx.meta),
+                          ",".join(header) + "\n",
+                          *(",".join(row) + "\n" for row in zip(*cells))])
 
 
 def _json_safe(x, path: str = ""):
@@ -341,17 +342,27 @@ def _json_safe(x, path: str = ""):
     return x
 
 
-def write_report(ctx: OutputContext, stem: str, payload: dict) -> Path:
+def format_report(ctx: OutputContext, stem: str, payload: dict) -> tuple:
+    """(path, text) of a JSON report; a NaN or inf raises NonFiniteReport
+    naming its key path."""
     path = ctx.outdir / f"{stem}.json"
-    # checked before the file is opened: a NaN leaves no partial report
     try:
         doc = _json_safe({"meta": dict(ctx.meta), **payload})
     except NonFiniteReport as e:
         raise NonFiniteReport(f"{path.name}: {e}") from None
+    return path, json.dumps(doc, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n"
+
+
+def write_table(path: Path, text: str) -> Path:
+    """Write one formatted output and return its path."""
     with open(path, "w", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text)
     return path
+
+
+# a report is written alike; its own name lets a tracer tell the two apart
+write_report = write_table
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +584,8 @@ def cmd_leakage(cfg, seed: int) -> list:
     env, env_shifted = fit.model(1.0), fit.model(fit.r)
 
     ren = leakage.renormalized_couplings(trap, eta, freqs, fit.r)
-    h = couplings.local_fields(trap, eta, freqs)
-    sector = xy.build_sector(ren.J, h, s)
-    sector_ren = xy.build_sector(ren.J_prime, h, s)
-    psi_xy0 = np.zeros(sector.dim, dtype=complex)
-    psi_xy0[sector.index_of((1 << s) - 1)] = 1.0
-    f_bare = sp.model_fidelity(traj, sector, psi_xy0)
-    f_ren = sp.model_fidelity(traj, sector_ren, psi_xy0)
+    f_bare = sp.model_fidelity(traj, ren.J)
+    f_ren = sp.model_fidelity(traj, ren.J_prime)
 
     rows = list(zip(times, e_vac, nbar, env, env_shifted, f_bare, f_ren))
     iu = np.triu_indices(trap.n_ions, k=1)
@@ -755,11 +761,12 @@ COMMANDS = {
 
 # LinAlgError subclasses ValueError, so main() catches these first and
 # treats any other ValueError (a ConfigError, or a value a config dataclass
-# rejects) as a config error
+# rejects) as a config error. ArithmeticError is NonFiniteReport or the
+# float range exhausted (FloatingPointError under main()'s errstate)
 NUMERICAL_ERRORS = (NonConvergence, UnstableChain, NoStablePoint,
                     ResonantDetuning, DegenerateFit, FitFailure,
                     StepUnderflow, TooLarge, np.linalg.LinAlgError,
-                    NonFiniteReport)
+                    ArithmeticError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -800,11 +807,17 @@ def main(argv=None) -> int:
             raw = dict(raw, **overrides)
         cfg = resolve_config(args.subcommand, raw)
         ctx = make_context(args, args.subcommand, cfg)
-        outputs = COMMANDS[args.subcommand](cfg, args.seed)
+        # overflow, division by zero and invalid values: numerical failures
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            outputs = COMMANDS[args.subcommand](cfg, args.seed)
+        # all formatted, so checked for NaN and inf, before --out is made;
+        # written through the module globals, which a tracer may wrap
+        files = [(write_report, *format_report(ctx, stem, out))
+                 if isinstance(out, dict)
+                 else (write_table, *format_table(ctx, stem, *out))
+                 for stem, out in outputs]
         ctx.outdir.mkdir(parents=True, exist_ok=True)
-        # through the module globals, which a tracer may wrap
-        paths = [write_report(ctx, stem, out) if isinstance(out, dict)
-                 else write_table(ctx, stem, *out) for stem, out in outputs]
+        paths = [write(path, text) for write, path, text in files]
     except OSError as e:
         print(f"ionchain: {e}", file=sys.stderr)
         return 2

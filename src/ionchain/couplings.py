@@ -82,6 +82,12 @@ def _check_resonance(omega_eff: float, mode_freqs: np.ndarray) -> None:
             f"{m} at {mode_freqs[m]:.6e} rad/s")
 
 
+def _coupling_weights(omega_eff: float, mode_freqs: np.ndarray) -> np.ndarray:
+    """Mode m's weight in J_ij, omega_m / (8 (omega_eff^2 - omega_m^2))."""
+    _check_resonance(omega_eff, mode_freqs)
+    return mode_freqs / (8.0 * (omega_eff**2 - mode_freqs**2))
+
+
 def coupling_matrix(trap: TrapConfig, eta: np.ndarray,
                     mode_freqs: np.ndarray) -> np.ndarray:
     """J_ij = sum_m Omega^2 eta_im eta_jm omega_m / (8 (omega_eff^2 - omega_m^2)).
@@ -89,8 +95,7 @@ def coupling_matrix(trap: TrapConfig, eta: np.ndarray,
     The sum runs over the columns of eta; pass a column slice for a partial
     sum (no columns give zeros).
     """
-    _check_resonance(trap.omega_eff, mode_freqs)
-    weights = mode_freqs / (8.0 * (trap.omega_eff**2 - mode_freqs**2))
+    weights = _coupling_weights(trap.omega_eff, mode_freqs)
     j = trap.rabi**2 * (eta * weights[None, :]) @ eta.T
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
@@ -280,10 +285,8 @@ def detuning_for_alpha(trap: TrapConfig, chain: ChainSolution,
     def alpha_at(mu):
         nonlocal steps
         steps += 1
-        omega_eff = np.hypot(trap.rabi, mu)
-        _check_resonance(omega_eff, w)
-        return fit(trap.rabi**2
-                   * (products @ (w / (8.0 * (omega_eff**2 - w**2)))))
+        weights = _coupling_weights(np.hypot(trap.rabi, mu), w)
+        return fit(trap.rabi**2 * (products @ weights))
 
     mu_lo = min_detuning(trap, chain)
     mu_hi = 20.0 * w[0]

@@ -391,10 +391,11 @@ def optimize_protocol(J: np.ndarray, sender: int, receiver: int,
         t_frac = rng.permutation(lows) + width * rng.random(n_scatter)
         gs, ts = 1 + g_frac, t0 * (1 + t_frac)
         # every scatter gamma is known up front: the new ones are solved
-        # as one stack
+        # as one stack, if a box below gamma's resolution left any
         new = [g for g in dict.fromkeys(gs.tolist()) if g not in weights]
-        w, p = _walk_weights(split, np.array(new), diag, receiver)
-        weights.update(zip(new, zip(-1j * w, p)))
+        if new:
+            w, p = _walk_weights(split, np.array(new), diag, receiver)
+            weights.update(zip(new, zip(-1j * w, p)))
         for g, t in zip(gs, ts):
             f = objective(g, t)
             if f > best[2]:

@@ -30,13 +30,13 @@ Conf. Proc. 1297, 135 (2010)) and propagated by xy.spectral on its orbits:
   a symmetric chain makes every Lamb-Dicke column even or odd under it,
   D + V then commutes with it, and the block splits in two.
 
-A Trajectory keeps each part's amplitudes of the static-frame state
-e^{-i(D+V)t} psi(0) (no phase e^{iDt}), and every observable is read from
-them (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)): the diagonal ones
-take one value per orbit, and model_fidelity reads the XY reference out on
-the orbits.  Adaptive Runge-Kutta on H_I(t), taken to the same frame, is
-the cross-check, the one reader of the dense V, and its states are the
-amplitudes of the identity labelling.
+A Trajectory keeps psi(0) and each part's amplitudes of the static-frame
+state e^{-i(D+V)t} psi(0) (no phase e^{iDt}); every observable is read
+from them (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)): the diagonal
+ones take one value per orbit, and model_fidelity reads out on the orbits
+the XY model of given couplings started from psi(0).  Adaptive Runge-Kutta
+on H_I(t), in the same frame, is the cross-check, the one reader of the
+dense V, and its states are the amplitudes of the identity labelling.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from math import comb
 import numpy as np
 
 from .chain import ChainSolution, TrapConfig
-from .couplings import lamb_dicke
+from .couplings import lamb_dicke, local_fields
 from . import xy
 
 
@@ -342,6 +342,7 @@ class Trajectory:
     times: np.ndarray
     parts: list
     system: SpinPhononSystem
+    psi0: np.ndarray
 
     @property
     def propagated_dims(self) -> list:
@@ -382,7 +383,7 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
                 rows = slice(start, start + _CHUNK_ROWS)
                 amps[rows] = xy.spectral(w, q, part, times[rows])
             parts.append((amps, idx, coef))
-        return Trajectory(times=times, parts=parts, system=system)
+        return Trajectory(times=times, parts=parts, system=system, psi0=psi0)
     if method != "rk":
         raise ValueError(f"unknown method {method!r}")
     # imported here: the cross-check is the package's only use of
@@ -407,7 +408,7 @@ def propagate(system: SpinPhononSystem, psi0: np.ndarray,
     # from the interaction frame the integrator runs in to the static one
     states = np.exp(-1j * d * times[:, None]) * sol.y.T.copy().view(complex)
     dim = len(psi0)
-    return Trajectory(times=times, system=system,
+    return Trajectory(times=times, system=system, psi0=psi0,
                       parts=[(states, np.arange(dim), np.ones(dim))])
 
 
@@ -459,22 +460,29 @@ def truncation_diagnostics(traj: Trajectory) -> dict:
             "norm_drift_max": float(np.max(np.abs(1.0 - np.sqrt(norm2))))}
 
 
-def model_fidelity(traj: Trajectory, xy_sector: xy.XYSector,
-                   psi_xy0: np.ndarray) -> np.ndarray:
-    """F(t) = <psi_XY(t)| Tr_ph[rho(t)] |psi_XY(t)>, one overlap per phonon
+def model_fidelity(traj: Trajectory, J: np.ndarray) -> np.ndarray:
+    """F(t) = <psi_XY(t)| Tr_ph[rho(t)] |psi_XY(t)>, psi_XY the XY model of
+    couplings J, with the run's AC-Stark fields, from traj.psi0's
+    phonon-vacuum part on the s_init sector.  One overlap per phonon
     occupation: sum_P sum_o A_P[o] conj(Phi_P[o]) over its orbits, Phi_P =
     M_P psi_XY(t) with M_P[o, j] = coef[k] for the in-sector rows k of
     orbit o, j the sector state of k's mask.  xy.spectral reads the XY
     reference out as M_P v on the sector's eigensystem, at a cost that does
-    not grow with the times.  A sector of s_init excitations lies inside
-    the block, which build held to xy.WORK_BYTES; a larger sector raises
-    xy.TooLarge.
+    not grow with the times; the sector lies inside the block, which build
+    held to xy.WORK_BYTES.  A J that is not n_sites x n_sites, or a psi0
+    with no vacuum part, raises ValueError.
     """
-    basis = traj.system.basis
-    if xy_sector.n_sites != basis.n_sites:
-        raise xy.BasisMismatch("site counts differ")
-    w, v = xy_sector.eigensystem()
-    in_sector = np.isin(basis.masks, xy_sector.basis)
+    system, basis = traj.system, traj.system.basis
+    if np.shape(J) != (basis.n_sites,) * 2:
+        raise ValueError(f"J is {np.shape(J)}, not {(basis.n_sites,) * 2}")
+    sector = xy.build_sector(J, local_fields(system.trap, system.eta,
+                                             system.mode_freqs), basis.s_init)
+    in_sector = basis.spin_count == basis.s_init
+    # one vacuum row per mask, masks ascending: the sector's states in order
+    psi_xy0 = traj.psi0[in_sector & (basis.phonon_count == 0)]
+    if not np.any(psi_xy0):
+        raise ValueError("psi0 has no phonon-vacuum part in the sector")
+    w, v = sector.eigensystem()
     occupation = basis.occupations @ (basis.policy.fock_cutoff + 1) \
         ** np.arange(basis.occupations.shape[1])
     selected, readout, group = [], [], []
@@ -484,8 +492,8 @@ def model_fidelity(traj: Trajectory, xy_sector: xy.XYSector,
                                        return_inverse=True)
         # an orbit's rows share their occupations, so their masks differ:
         # no two rows fall on one entry of M
-        m = np.zeros((len(orbits), xy_sector.dim))
-        m[row, np.searchsorted(xy_sector.basis, basis.masks[ks])] = coef[ks]
+        m = np.zeros((len(orbits), sector.dim))
+        m[row, np.searchsorted(sector.basis, basis.masks[ks])] = coef[ks]
         selected.append((a, orbits))
         readout.append(m @ v)
         group.append(occupation[ks[first]])

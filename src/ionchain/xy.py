@@ -59,10 +59,6 @@ CHEBYSHEV_BLOCK = 32
 MASK_SITES = 63
 
 
-class BasisMismatch(ValueError):
-    pass
-
-
 class TooLarge(RuntimeError):
     """Work whose arrays would exceed WORK_BYTES, refused before it starts."""
 

@@ -824,6 +824,69 @@ class TestNoOutputOnFailure:
         assert f"{blocker} is not a directory" in capsys.readouterr().err
         assert blocker.read_text() == ""
 
+    def test_out_under_a_read_only_directory_refused_first(
+            self, tmp_path, capsys, monkeypatch):
+        # a root user passes any mode bits, so the refusal is simulated
+        def unreachable(cfg):
+            raise AssertionError("chain solved")
+        monkeypatch.setattr(cli, "solve_trap", unreachable)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode:
+                            Path(path) != locked and access(path, mode))
+        out = locked / "a" / "b"
+        assert cli.main(["chain", "--out", str(out)]) == 2
+        assert f"--out {out}: {locked} is not writable" \
+            in capsys.readouterr().err
+        assert list(locked.iterdir()) == []
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("chain", "angular = true\nomega_x_mhz = 1.3407807929942594e+148\n",
+         "FloatingPointError: overflow encountered in multiply"),
+        ("couplings", "stability_safety = 1.4696938031211356e+308\n"
+                      "delta_k = 1.175494351e-38\n"
+                      "alpha_target = 1.8742115713463107e+173\n",
+         "ZeroDivisionError: float division by zero"),
+        ("chain", "omega_x_mhz = 3.5556464325542518e+134\n"
+                  "mass_amu = 1.735008967990606e+308\n"
+                  "stability_safety = 3.5556464325542518e+134\n",
+         "OverflowError: (34, 'Numerical result out of range')")],
+        ids=["numpy_overflow", "zero_division", "python_overflow"])
+    def test_float_range_exhausted_exits_one(self, tmp_path, capsys,
+                                             command, text, message):
+        # keys inside their schema ranges whose arithmetic leaves the
+        # float range: numpy's and Python's errors are numerical failures
+        p = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", p, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"ionchain: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("last, message", [
+        (False, "chain_report.json: trap.rabi_rad_s is nan"),
+        (True, "positions.csv: row 3: z_m is nan")])
+    def test_non_finite_output_leaves_no_out(self, tmp_path, capsys,
+                                             monkeypatch, last, message):
+        # chain returns its report, then its positions: a NaN in either
+        # is found before --out is made
+        cmd_chain = cli.cmd_chain
+
+        def with_nan(cfg, seed):
+            (r, report), (t, (header, rows)) = cmd_chain(cfg, seed)
+            if last:
+                rows[-1] = (*rows[-1][:-1], np.nan)
+            else:
+                report["trap"]["rabi_rad_s"] = np.nan
+            return [(r, report), (t, (header, rows))]
+
+        monkeypatch.setitem(cli.COMMANDS, "chain", with_nan)
+        p = write_config(tmp_path, "n_ions = 4\n")
+        out = tmp_path / "out"
+        assert cli.main(["chain", "--config", p, "--out", str(out)]) == 1
+        assert f"NonFiniteReport: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBitmaskWidth:
     """An int64 bitmask holds 63 sites: leakage, which builds bitmask
@@ -1094,7 +1157,8 @@ class TestWriteTable:
     def test_columns_match_cell_by_cell(self, tmp_path):
         ctx = cli.OutputContext(outdir=tmp_path, fmt="csv")
         header = list("abcdefg")
-        path = cli.write_table(ctx, "t", header, self.ROWS)
+        path = cli.write_table(*cli.format_table(ctx, "t", header,
+                                                 self.ROWS))
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(header)
         assert lines[1:] == [",".join(cli._fmt_value(x) for x in row)
@@ -1105,5 +1169,5 @@ class TestWriteTable:
         rows = [(1.0, "nan", 1.0), (2.0, 2.0, -np.inf), (np.nan, 3.0, 3.0)]
         with pytest.raises(cli.NonFiniteReport,
                            match="^t.csv: row 1: c is -inf$"):
-            cli.write_table(ctx, "t", ["a", "b", "c"], rows)
+            cli.format_table(ctx, "t", ["a", "b", "c"], rows)
         assert list(tmp_path.iterdir()) == []

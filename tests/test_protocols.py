@@ -665,6 +665,16 @@ class TestOptimizeProtocol:
         with pytest.raises(ValueError, match="box"):
             pr.optimize_protocol(j, 0, 5, box=box)
 
+    def test_box_below_gamma_resolution(self):
+        # every scatter gamma rounds to the analytic 1.0: no new gamma is
+        # left to solve, and the search keeps within the box
+        n = 6
+        j = normalized_walk(n, 0.3)
+        out = pr.optimize_protocol(j, 0, n - 1, box=5e-324, budget=8)
+        assert out.config.gamma == 1.0 and out.n_gamma_solves == 1
+        assert out.fidelity == out.seed_fidelity == pr.transfer_fidelity_at(
+            j, 1.0, out.config.duration, 0, n - 1)
+
     def test_recovers_detuned_seed(self):
         # start the search from couplings whose analytic gamma is right but
         # verify optimisation beats a deliberately perturbed evaluation

@@ -33,11 +33,13 @@ def reference_states(system, psi0, times):
     return np.array([q @ (np.exp(-1j * w * t) * coeffs) for t in times])
 
 
-def basis_trajectory(times, states, system):
+def basis_trajectory(times, states, system, psi0=None):
     """A Trajectory of given product-basis states: the one part of the
-    identity labelling, as the Runge-Kutta path keeps its states."""
+    identity labelling, as the Runge-Kutta path keeps its states; psi0 is
+    the first state unless given."""
     dim = states.shape[1]
     return sp.Trajectory(times=times, system=system,
+                         psi0=states[0] if psi0 is None else psi0,
                          parts=[(states, np.arange(dim), np.ones(dim))])
 
 
@@ -295,15 +297,24 @@ LEAKAGE_BASES = {"2c": ((0,), 1), "2d": ((0, 1), 1), "3b": ((0,), 2),
                  "3c": ((0,), 5)}
 
 
-def leakage_sector(trap, eta, freqs, s_init):
-    """The XY sector of s_init excitations on the modes of eta's columns
-    and its state with the first s_init sites excited, as leakage builds
-    them at r = 1."""
-    sector = xy.build_sector(ic.coupling_matrix(trap, eta, freqs),
-                             ic.local_fields(trap, eta, freqs), s_init)
-    psi_xy0 = np.zeros(sector.dim, dtype=complex)
-    psi_xy0[sector.index_of((1 << s_init) - 1)] = 1.0
+def xy_reference(system, J, psi0):
+    """The XY model model_fidelity(traj, J) compares with, built on its
+    own for the loop references: the sector of s_init excitations with the
+    fields of system's modes, and psi0's phonon-vacuum amplitudes looked
+    up mask by mask."""
+    basis = system.basis
+    sector = xy.build_sector(J, ic.local_fields(system.trap, system.eta,
+                                                system.mode_freqs),
+                             basis.s_init)
+    vacuum = (0,) * len(basis.policy.phonon_modes)
+    psi_xy0 = np.array([psi0[basis.state_index(int(mask), vacuum)]
+                        for mask in sector.basis])
     return sector, psi_xy0
+
+
+def bare_couplings(system):
+    """J on the included modes at r = 1, as leakage's F_bare uses it."""
+    return ic.coupling_matrix(system.trap, system.eta, system.mode_freqs)
 
 
 @pytest.mark.parametrize("modes, s_init", LEAKAGE_BASES.values(),
@@ -319,16 +330,18 @@ def test_array_assembly_matches_state_loops(modes, s_init):
     assert np.array_equal(system.D, d)
     assert np.array_equal(system.V, v)
 
-    sector, psi_xy0 = leakage_sector(trap, ic.lamb_dicke(trap, chain),
-                                     chain.mode_freqs, s_init)
+    j = ic.coupling_matrix(trap, ic.lamb_dicke(trap, chain),
+                           chain.mode_freqs)
     rng = np.random.default_rng(s_init)
     amps = rng.standard_normal((2, 12, basis.dim))
     traj = basis_trajectory(np.linspace(0, 5e-5, 12),
-                            amps[0] + 1j * amps[1], system)
+                            amps[0] + 1j * amps[1], system,
+                            system.initial_state((1 << s_init) - 1))
     # equal to rounding: model_fidelity reads the XY reference out on the
     # in-sector rows and sums each occupation's overlap by a matrix product
-    assert np.allclose(sp.model_fidelity(traj, sector, psi_xy0),
-                       loop_model_fidelity(traj, states, sector, psi_xy0),
+    assert np.allclose(sp.model_fidelity(traj, j),
+                       loop_model_fidelity(traj, states, *xy_reference(
+                           system, j, traj.psi0)),
                        rtol=1e-14, atol=0.0)
 
 
@@ -337,9 +350,10 @@ def test_array_assembly_matches_state_loops(modes, s_init):
 def test_spectral_xy_reference_matches_chebyshev_grid(modes, s_init):
     # the presets' XY sectors, on their included modes, to a t = 100 of
     # the Chebyshev series: many hopping times
-    trap, _, system = small_system(n=10, modes=modes, s_init=s_init)
-    sector, psi_xy0 = leakage_sector(trap, system.eta, system.mode_freqs,
-                                     s_init)
+    _, _, system = small_system(n=10, modes=modes, s_init=s_init)
+    sector, psi_xy0 = xy_reference(
+        system, bare_couplings(system),
+        system.initial_state((1 << s_init) - 1))
     lo, hi = xy.spectral_interval(sector.H, np.zeros((sector.dim, 1)))
     times = np.linspace(0.0, 100.0 / (0.5 * (hi - lo)), 300)
     spectral = xy.spectral(*sector.eigensystem(), psi_xy0, times)
@@ -459,15 +473,11 @@ def test_block_matches_full_two_parity_basis(s_init):
     assert np.max(np.abs(sp.vacuum_overlap(traj)
                          - pop[:, spins == 0].sum(axis=1))) < 1e-12
     assert np.max(np.abs(sp.phonon_occupation(traj) - pop @ phonons)) < 1e-12
-    eta = ic.lamb_dicke(trap, chain)
-    sector = xy.build_sector(
-        ic.coupling_matrix(trap, eta, chain.mode_freqs),
-        ic.local_fields(trap, eta, chain.mode_freqs), s_init)
-    psi_xy0 = np.zeros(sector.dim, dtype=complex)
-    psi_xy0[sector.index_of(mask0)] = 1.0
-    assert np.max(np.abs(sp.model_fidelity(traj, sector, psi_xy0)
-                         - loop_model_fidelity(old, full, sector, psi_xy0))) \
-        < 1e-12
+    j = ic.coupling_matrix(trap, ic.lamb_dicke(trap, chain),
+                           chain.mode_freqs)
+    assert np.max(np.abs(sp.model_fidelity(traj, j)
+                         - loop_model_fidelity(old, full, *xy_reference(
+                             system, j, traj.psi0)))) < 1e-12
 
 
 class TestObservables:
@@ -507,32 +517,32 @@ class TestObservables:
         system = sp.SpinPhononSystem.build(trap, chain, policy, s_init=1)
         traj = sp.propagate(system, system.initial_state(0b001),
                             np.linspace(0, 1e-5, 9))
-        sector = xy.build_sector(np.zeros((3, 3)), None, 1)
-        psi_xy0 = np.zeros(3, dtype=complex)
-        psi_xy0[sector.index_of(0b001)] = 1.0
-        f = sp.model_fidelity(traj, sector, psi_xy0)
+        # no Rabi frequency: no couplings and no AC-Stark fields
+        f = sp.model_fidelity(traj, np.zeros((3, 3)))
         assert f == pytest.approx(np.ones_like(f), abs=1e-12)
 
     def test_model_fidelity_site_count_checked(self):
         _, _, system = small_system()
         traj = sp.propagate(system, system.initial_state(1),
                             np.array([0.0]))
-        sector = xy.build_sector(np.zeros((4, 4)), None, 1)
-        with pytest.raises(xy.BasisMismatch):
-            sp.model_fidelity(traj, sector, np.zeros(4, dtype=complex))
+        with pytest.raises(ValueError, match=r"J is \(4, 4\), not \(3, 3\)"):
+            sp.model_fidelity(traj, np.zeros((4, 4)))
+
+    def test_model_fidelity_needs_a_phonon_vacuum_component(self):
+        # one excitation and two phonons: no XY state to start from
+        _, _, system = small_system(fock=3)
+        traj = sp.propagate(system, system.initial_state(0b001, (2,)),
+                            np.array([0.0]))
+        with pytest.raises(ValueError, match="no phonon-vacuum part"):
+            sp.model_fidelity(traj, bare_couplings(system))
 
     def test_model_fidelity_bounded(self):
         trap, chain, system = small_system()
         j = ic.coupling_matrix(trap, ic.lamb_dicke(trap, chain),
                                chain.mode_freqs)
-        h = ic.local_fields(trap, ic.lamb_dicke(trap, chain),
-                            chain.mode_freqs)
-        sector = xy.build_sector(j, h, 1)
-        psi_xy0 = np.zeros(3, dtype=complex)
-        psi_xy0[sector.index_of(0b001)] = 1.0
         traj = sp.propagate(system, system.initial_state(0b001),
                             np.linspace(0, 5e-5, 30))
-        f = sp.model_fidelity(traj, sector, psi_xy0)
+        f = sp.model_fidelity(traj, j)
         assert np.all(f <= 1.0 + 1e-12)
         assert f[0] == pytest.approx(1.0)
 
@@ -858,15 +868,13 @@ class TestReducedReaders:
     with the product-basis reference on the expanded states."""
 
     def check(self, trap, system, traj):
-        s_init = system.basis.s_init
-        sector, psi_xy0 = leakage_sector(trap, system.eta, system.mode_freqs,
-                                         s_init)
-        ref = basis_readers(traj, sector, psi_xy0)
+        j = bare_couplings(system)
+        ref = basis_readers(traj, *xy_reference(system, j, traj.psi0))
         diag = sp.truncation_diagnostics(traj)
         assert np.max(np.abs(sp.vacuum_overlap(traj) - ref["vacuum"])) < 1e-12
         assert np.max(np.abs(sp.phonon_occupation(traj) - ref["nbar"])) \
             < 1e-12
-        assert np.max(np.abs(sp.model_fidelity(traj, sector, psi_xy0)
+        assert np.max(np.abs(sp.model_fidelity(traj, j)
                              - ref["fidelity"])) < 1e-12
         assert abs(diag["edge_population_max"] - ref["edge"].max()) < 1e-12
         assert abs(diag["norm_drift_max"]
@@ -908,8 +916,8 @@ class TestReducedReaders:
 def test_spectral_path_allocates_no_trajectory():
     # the block of preset 3c (N = 10, s = 5, 57 orbit sums) on 1000 times:
     # propagate and every reader stay below one len(times) x block array
-    trap, _, system = small_system(n=10, fock=4, s_init=5)
-    sector, psi_xy0 = leakage_sector(trap, system.eta, system.mode_freqs, 5)
+    _, _, system = small_system(n=10, fock=4, s_init=5)
+    j = bare_couplings(system)
     psi0 = system.initial_state(0b11111)
     times = np.linspace(0, 2e-4, 1000)
     trajectory_bytes = 16 * len(times) * system.basis.dim
@@ -919,7 +927,7 @@ def test_spectral_path_allocates_no_trajectory():
         sp.vacuum_overlap(traj)
         sp.phonon_occupation(traj)
         sp.truncation_diagnostics(traj)
-        sp.model_fidelity(traj, sector, psi_xy0)
+        sp.model_fidelity(traj, j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
